@@ -38,7 +38,6 @@ from .sde import (
     ModelParams,
     PathEnsemble,
     SigmaSpec,
-    estimate_second_moment,
     estimate_second_moment_pair,
     run_ensemble,
     tent_profile,
@@ -71,7 +70,6 @@ __all__ = [
     "ModelParams",
     "PathEnsemble",
     "SigmaSpec",
-    "estimate_second_moment",
     "estimate_second_moment_pair",
     "run_ensemble",
     "tent_profile",

@@ -105,6 +105,17 @@ def _number(doc: dict, path: str, default=_MISSING, *, integer: bool = False):
     return int(v) if integer else float(v)
 
 
+def _sigma_table(doc: dict, key: str) -> Optional[np.ndarray]:
+    v = _get(doc, f"model.sigma.{key}", None)
+    if v is None:
+        return None
+    if not isinstance(v, list) or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in v
+    ):
+        raise ConfigError("model.sigma", f"{key} must be a list of numbers, got {v!r}")
+    return np.array(v, dtype=float)
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a parsed JSON document; raise ConfigError naming the field."""
     alpha = _number(doc, "model.alpha")
@@ -130,6 +141,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
             kind=_get(doc, "model.sigma.kind", "linear"),
             l_sigma=_number(doc, "model.sigma.l_sigma", 1.0),
             L_sigma=_number(doc, "model.sigma.L_sigma", 1.0),
+            table_u=_sigma_table(doc, "table_u"),
+            table_values=_sigma_table(doc, "table_values"),
         )
     except ValueError as exc:
         raise ConfigError("model.sigma", str(exc)) from exc
@@ -289,9 +302,24 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 # moments
 
 
-def _snapshot_rows(cfg: ExperimentConfig, ens, lam: float) -> list[moments.SweepRow]:
+def _all_flagged(ens, t: float) -> bool:
+    return not np.any(np.all(np.isfinite(ens.snapshot(t)), axis=1))
+
+
+def _flagged_warning(ens, lam: float, t: float) -> str:
+    return f"all {ens.n_paths} paths are flagged at lambda={lam!r}, t={float(t)!r}; estimate omitted"
+
+
+def _snapshot_rows(
+    cfg: ExperimentConfig, ens, lam: float, warnings: list
+) -> list[moments.SweepRow]:
+    """One row per snapshot; a snapshot where every path is flagged has
+    nothing to estimate, so it is omitted and reported in ``warnings``."""
     rows = []
     for t in ens.snapshot_times:
+        if _all_flagged(ens, t):
+            warnings.append(_flagged_warning(ens, lam, t))
+            continue
         rows.append(
             moments.SweepRow(
                 lam=lam,
@@ -314,7 +342,8 @@ def cmd_moments(cfg: ExperimentConfig) -> int:
         params, disc, op,
         n_paths=cfg.n_paths, master_seed=cfg.master_seed, worker_count=cfg.worker_count,
     )
-    rows = _snapshot_rows(cfg, ens, params.lam)
+    warnings: list = []
+    rows = _snapshot_rows(cfg, ens, params.lam, warnings)
     result = moments.SweepResult(rows=rows)
     out = _outdir(cfg)
     csv_path = os.path.join(out, "moments.csv")
@@ -333,9 +362,12 @@ def cmd_moments(cfg: ExperimentConfig) -> int:
             }
             for r in rows
         ],
+        "warnings": warnings,
     }
     _write_json(os.path.join(out, "moments.json"), summary)
     print(f"wrote {csv_path} and moments.json; flagged {ens.flagged_count}")
+    for w in warnings:
+        print(f"warning: {w}")
     return 0
 
 
@@ -472,7 +504,7 @@ def _sweep_mc(cfg: ExperimentConfig) -> tuple[moments.SweepResult, dict, dict]:
             worker_count=cfg.worker_count,
         )
         flagged_total += ens.flagged_count
-        rows = _snapshot_rows(cfg, ens, lam)
+        rows = _snapshot_rows(cfg, ens, lam, payload["warnings"])
         per_lambda_rows[lam] = rows
         all_rows.extend(rows)
     payload["flagged_total"] = flagged_total
@@ -485,7 +517,12 @@ def _sweep_mc(cfg: ExperimentConfig) -> tuple[moments.SweepResult, dict, dict]:
     except ValueError as exc:
         payload["warnings"].append(f"growth-rate fit skipped: {exc}")
 
-    table = [(lam, per_lambda_rows[lam][-1].phi_p.value) for lam in cfg.lambdas]
+    t_last = disc.snapshot_times[-1]
+    table = [
+        (lam, rows[-1].phi_p.value)
+        for lam, rows in per_lambda_rows.items()
+        if rows and rows[-1].t == t_last
+    ]
     exc_fit = None
     try:
         exc_fit = moments.fit_excitation(table)
@@ -497,9 +534,10 @@ def _sweep_mc(cfg: ExperimentConfig) -> tuple[moments.SweepResult, dict, dict]:
     charts = {}
     try:
         t = np.array(cfg.snapshot_times)
+        complete = [lam for lam in cfg.lambdas if len(per_lambda_rows[lam]) == len(t)]
         charts["sweep_phi.svg"] = svgplot.moment_chart(
             t,
-            [(lam, np.array([r.phi_p.value for r in per_lambda_rows[lam]])) for lam in cfg.lambdas],
+            [(lam, np.array([r.phi_p.value for r in per_lambda_rows[lam]])) for lam in complete],
             p=cfg.p,
             title=f"Monte Carlo moment growth (alpha={cfg.alpha:g})",
         )
@@ -560,6 +598,9 @@ def cmd_excitation(cfg: ExperimentConfig, oracle: bool) -> int:
                 n_paths=cfg.n_paths, master_seed=cfg.master_seed,
                 worker_count=cfg.worker_count,
             )
+            if _all_flagged(ens, cfg.t_end):
+                payload["warnings"].append(_flagged_warning(ens, lam, cfg.t_end))
+                continue
             values.append((lam, moments.estimate_energy(ens, cfg.t_end, cfg.p).value))
         payload["phi"] = {repr(lam): v for lam, v in values}
         try:
@@ -628,33 +669,46 @@ def read_ensemble_csv(path: str) -> dict:
 
     Returns {"snapshot_times", "nodes", "snapshots"} with snapshots shaped
     (n_snapshots, n_paths, n).  Values round-trip exactly (the writers emit
-    full-precision reprs).
+    full-precision reprs).  Raises ValueError naming the file unless every
+    (snapshot, path, node) cell is written exactly once.
     """
-    times: list[float] = []
-    nodes: list[float] = []
-    triples: list[tuple[int, float, float, float]] = []
+    t_index: dict = {}
+    x_index: dict = {}
+    ti, ks, xi, us = [], [], [], []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "path,t,x,u":
-            raise ValueError(f"unexpected ensemble CSV header {header!r}")
-        for line in fh:
-            ps, ts, xs, us = line.rstrip("\n").split(",")
-            k, t, x, u = int(ps), float(ts), float(xs), float(us)
-            if t not in times:
-                times.append(t)
-            if len(times) == 1 and k == 0:
-                nodes.append(x)
-            triples.append((k, t, x, u))
-    n = len(nodes)
-    n_paths = max(k for k, _, _, _ in triples) + 1
-    snapshots = np.empty((len(times), n_paths, n))
-    t_index = {t: i for i, t in enumerate(times)}
-    x_index = {x: i for i, x in enumerate(nodes)}
-    for k, t, x, u in triples:
-        snapshots[t_index[t], k, x_index[x]] = u
+            raise ValueError(f"{path}: unexpected ensemble CSV header {header!r}")
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                ps, ts, xs, u = line.rstrip("\n").split(",")
+                k, t, x = int(ps), float(ts), float(xs)
+                us.append(float(u))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {lineno}: {exc}") from exc
+            i = t_index.setdefault(t, len(t_index))
+            if i == 0 and k == 0:
+                x_index.setdefault(x, len(x_index))
+            if k < 0 or x not in x_index:
+                raise ValueError(f"{path} line {lineno}: path {k}, node x={x!r} is off the ensemble grid")
+            ti.append(i)
+            ks.append(k)
+            xi.append(x_index[x])
+    if not us:
+        raise ValueError(f"{path}: no data rows")
+    shape = (len(t_index), max(ks) + 1, len(x_index))
+    cells = np.ravel_multi_index((ti, ks, xi), shape)
+    written = np.bincount(cells, minlength=math.prod(shape))
+    if np.any(written != 1):
+        raise ValueError(
+            f"{path}: {np.count_nonzero(written == 0)} (snapshot, path, node) cells missing and "
+            f"{np.count_nonzero(written > 1)} written more than once, of {written.size}"
+        )
+    snapshots = np.empty(shape)
+    snapshots.flat[cells] = us
     return {
-        "snapshot_times": tuple(times),
-        "nodes": np.array(nodes),
+        "snapshot_times": tuple(t_index),
+        "nodes": np.array(list(x_index)),
         "snapshots": snapshots,
     }
 

@@ -21,7 +21,7 @@ import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,22 +32,18 @@ __all__ = [
     "SigmaSpec",
     "ModelParams",
     "Discretization",
-    "NoiseIncrement",
     "PathEnsemble",
     "SecondMomentEstimate",
     "sigma_eval",
-    "sample_noise",
-    "step",
-    "simulate_path",
     "run_ensemble",
-    "run_coupled_refinement",
-    "estimate_second_moment",
     "estimate_second_moment_pair",
     "tent_profile",
     "default_dt",
 ]
 
-_BLOCK = 128  # paths per work item; fixed so partitioning never depends on workers
+# paths per work item: fixed, so partitioning never depends on the worker
+# count; even, so an antithetic pair never straddles two blocks
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -205,28 +201,6 @@ def default_dt(op: DiscreteOperator) -> float:
 
 
 @dataclass(frozen=True)
-class NoiseIncrement:
-    """One time-step of cell white noise: independent N(0, dt dx) per node."""
-
-    values: np.ndarray
-
-
-def sample_noise(rng: np.random.Generator, grid: Grid, dt: float) -> NoiseIncrement:
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    return NoiseIncrement(values=rng.normal(0.0, math.sqrt(dt * grid.dx), size=grid.n))
-
-
-def step(u: np.ndarray, op: DiscreteOperator, params: ModelParams, dt: float, noise: NoiseIncrement) -> np.ndarray:
-    """One semi-implicit Euler-Maruyama step u+ = (I - dt A)^(-1)(u + lam sigma(u) dW/dx)."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (op.grid.n,) or noise.values.shape != u.shape:
-        raise ValueError("state/noise dimensions do not match the operator grid")
-    forced = u + params.lam * sigma_eval(params.sigma, u) * noise.values / op.grid.dx
-    return forced @ implicit_factor(op, dt).T
-
-
-@dataclass(frozen=True)
 class PathEnsemble:
     """Snapshot store: shape (n_snapshots, n_paths, n) plus per-path blow-up flags."""
 
@@ -301,6 +275,30 @@ def _path_generator(master_seed: int, k: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((master_seed, k))))
 
 
+def _map_blocks(fn: Callable, n_paths: int, worker_count: int) -> list:
+    """fn(block) over fixed _BLOCK-path ranges, serially or on threads; results in block order."""
+    blocks = [range(lo, min(lo + _BLOCK, n_paths)) for lo in range(0, n_paths, _BLOCK)]
+    if worker_count == 1 or len(blocks) == 1:
+        return [fn(blk) for blk in blocks]
+    with ThreadPoolExecutor(max_workers=worker_count) as pool:
+        return list(pool.map(fn, blocks))
+
+
+def _draw_sheet(master_seed: int, blk: range, steps: int, n: int, antithetic: bool) -> np.ndarray:
+    """Standard-normal sheet (len(blk), steps, n); path k reads stream (master_seed, k).
+
+    With ``antithetic`` the pair (2j, 2j+1) reads stream j once: row 2j holds
+    it and row 2j+1 its negation.
+    """
+    z = np.empty((len(blk), steps, n))
+    stride = 2 if antithetic else 1
+    for row in range(0, len(blk), stride):
+        _path_generator(master_seed, blk[row] // stride).standard_normal(out=z[row])
+        if antithetic:
+            np.negative(z[row], out=z[row + 1])
+    return z
+
+
 def _run_block(
     params: ModelParams,
     disc: Discretization,
@@ -309,27 +307,12 @@ def _run_block(
     master_seed: int,
     out: np.ndarray,
     flagged: np.ndarray,
-    antithetic: bool,
-    noise_map: Optional[Callable] = None,
-    draw_steps: Optional[int] = None,
 ) -> None:
     n = disc.grid.n
     steps = disc.n_steps()
     B = len(path_indices)
-    raw_steps = steps if draw_steps is None else draw_steps
-    noise = np.empty((B, raw_steps, n))
-    for row, k in enumerate(path_indices):
-        if antithetic:
-            draw = _path_generator(master_seed, k // 2).standard_normal((raw_steps, n))
-            noise[row] = draw if k % 2 == 0 else -draw
-        else:
-            noise[row] = _path_generator(master_seed, k).standard_normal((raw_steps, n))
-    if noise_map is None:
-        noise *= math.sqrt(disc.dt * disc.grid.dx)
-    else:
-        noise = noise_map(noise)
-        if noise.shape != (B, steps, n):
-            raise ValueError("noise_map must return increments matching the marching grid")
+    noise = _draw_sheet(master_seed, path_indices, steps, n, antithetic=False)
+    noise *= math.sqrt(disc.dt * disc.grid.dx)
 
     factor_T = implicit_factor(op, disc.dt).T
     snap_steps = disc.snapshot_steps()
@@ -367,40 +350,23 @@ def run_ensemble(
     n_paths: int,
     master_seed: int,
     worker_count: int = 1,
-    antithetic: bool = False,
 ) -> PathEnsemble:
-    """Simulate n_paths independent paths; deterministic in (master_seed, path index).
-
-    antithetic=True pairs path 2j+1 with the sign-flipped noise of path 2j
-    (variance reduction; requires even n_paths).
-    """
+    """Simulate n_paths independent paths; deterministic in (master_seed, path index)."""
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     if worker_count < 1:
         raise ValueError(f"worker_count must be >= 1, got {worker_count}")
-    if antithetic and n_paths % 2 != 0:
-        raise ValueError("antithetic sampling requires an even number of paths")
     params.check_grid(disc.grid)
     if disc.dt * op.lambda1 > 10.0:
         raise ValueError(
             f"dt lambda1 = {disc.dt * op.lambda1:.3g} > 10; refine dt (default_dt suggests {default_dt(op):.3g})"
         )
-    n = disc.grid.n
-    snaps = len(disc.snapshot_times)
-    out = np.empty((snaps, n_paths, n))
+    out = np.empty((len(disc.snapshot_times), n_paths, disc.grid.n))
     flagged = np.zeros(n_paths, dtype=bool)
-    blocks = [range(lo, min(lo + _BLOCK, n_paths)) for lo in range(0, n_paths, _BLOCK)]
-    if worker_count == 1 or len(blocks) == 1:
-        for blk in blocks:
-            _run_block(params, disc, op, blk, master_seed, out, flagged, antithetic)
-    else:
-        with ThreadPoolExecutor(max_workers=worker_count) as pool:
-            futures = [
-                pool.submit(_run_block, params, disc, op, blk, master_seed, out, flagged, antithetic)
-                for blk in blocks
-            ]
-            for f in futures:
-                f.result()
+    _map_blocks(
+        lambda blk: _run_block(params, disc, op, blk, master_seed, out, flagged),
+        n_paths, worker_count,
+    )
     return PathEnsemble(
         n_paths=n_paths,
         master_seed=master_seed,
@@ -410,79 +376,6 @@ def run_ensemble(
         params=params,
         disc=disc,
     )
-
-
-def simulate_path(params: ModelParams, disc: Discretization, op: DiscreteOperator, seed: int):
-    """Single path through the same block runner; returns (snapshots (n_snaps, n), flagged)."""
-    ens = run_ensemble(params, disc, op, n_paths=1, master_seed=seed, worker_count=1)
-    return ens.snapshots[:, 0, :], bool(ens.flagged[0])
-
-
-def run_coupled_refinement(
-    params: ModelParams,
-    disc: Discretization,
-    op: DiscreteOperator,
-    n_paths: int,
-    master_seed: int,
-    worker_count: int = 1,
-    antithetic: bool = False,
-) -> tuple:
-    """Run at dt and dt/2 on the same Brownian sheet (coarse dW = sum of fine pair).
-
-    Sharing the noise makes the Monte-Carlo error common to both resolutions,
-    so the difference against a deterministic reference isolates the time
-    discretization bias.  Returns (coarse, fine) ensembles.
-    """
-    fine = Discretization(
-        grid=disc.grid, dt=0.5 * disc.dt, t_end=disc.t_end, snapshot_times=disc.snapshot_times
-    )
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if antithetic and n_paths % 2 != 0:
-        raise ValueError("antithetic sampling requires an even number of paths")
-    params.check_grid(disc.grid)
-    n = disc.grid.n
-    results = []
-    fine_scale = math.sqrt(fine.dt * disc.grid.dx)
-    for which, d in (("fine", fine), ("coarse", disc)):
-        out = np.empty((len(d.snapshot_times), n_paths, n))
-        flagged = np.zeros(n_paths, dtype=bool)
-
-        def noise_map(z, which=which):
-            # z is the raw standard-normal fine sheet (B, 2 x coarse steps, n)
-            z = z * fine_scale
-            if which == "fine":
-                return z
-            return z[:, 0::2, :] + z[:, 1::2, :]
-
-        blocks = [range(lo, min(lo + _BLOCK, n_paths)) for lo in range(0, n_paths, _BLOCK)]
-
-        def run_blk(blk):
-            _run_block(
-                params, d, op, blk, master_seed, out, flagged, antithetic,
-                noise_map=noise_map, draw_steps=fine.n_steps(),
-            )
-
-        if worker_count == 1 or len(blocks) == 1:
-            for blk in blocks:
-                run_blk(blk)
-        else:
-            with ThreadPoolExecutor(max_workers=worker_count) as pool:
-                for f in [pool.submit(run_blk, blk) for blk in blocks]:
-                    f.result()
-        results.append(
-            PathEnsemble(
-                n_paths=n_paths,
-                master_seed=master_seed,
-                snapshot_times=d.snapshot_times,
-                snapshots=out,
-                flagged=flagged,
-                params=params,
-                disc=d,
-            )
-        )
-    fine_ens, coarse_ens = results
-    return coarse_ens, fine_ens
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +421,7 @@ class SecondMomentEstimate:
 def _conditional_forms(params, op, grid, dt, n_steps, cond_steps):
     """Adjoint quadratic forms A_x at t* and the exact chaos<=2 means.
 
-    Returns (M^T, c, g, A, cv_mean) with g the deterministic flow sampled at
+    Returns (M^T, g, A, cv_mean) with g the deterministic flow sampled at
     the conditioning steps and cv_mean[x] = E[(g* + ell + q)' A_x (g* + ell + q)].
     """
     lam_sig = params.lam * params.sigma.L_sigma
@@ -559,7 +452,7 @@ def _conditional_forms(params, op, grid, dt, n_steps, cond_steps):
         + np.einsum("xij,ij->x", A, Lam)
         + np.einsum("xij,ij->x", A, Q)
     )
-    return MT, c, g, A, cv_mean
+    return MT, g, A, cv_mean
 
 
 def _rb_branch(u0, noise, lam, dx, MT, g):
@@ -576,33 +469,49 @@ def _rb_branch(u0, noise, lam, dx, MT, g):
     return u, g[noise.shape[1]] + ell + q
 
 
-def _rb_run(params, op, grid, machinery, n_paths, master_seed, antithetic, worker_count):
-    """Accumulate residual sums per resolution; deterministic in worker count.
+def estimate_second_moment_pair(
+    params: ModelParams,
+    disc: Discretization,
+    op: DiscreteOperator,
+    n_paths: int,
+    master_seed: int,
+    worker_count: int = 1,
+) -> tuple:
+    """Estimate E|u(t_end, x)|^2 per node at dt and dt/2 on one Brownian sheet.
 
-    ``machinery`` holds one (MT, g, A, cv_mean, draw_steps, scale, stride)
-    tuple per resolution: the raw standard-normal sheet is drawn once with
-    ``draw_steps`` rows, and each resolution consumes it at its own stride
-    (stride 2 sums consecutive pairs, the coarse increments of a shared
-    fine sheet).
+    Antithetic pairs of paths are simulated to the conditioning time
+    t_end/8 (at least one coarse step) and the remainder is closed exactly;
+    see the module comment above.  The coarse increments are sums of
+    consecutive fine ones, so the sampling error is nearly common to both
+    resolutions and the pair of discrepancies against a deterministic
+    reference isolates the time-discretization bias.  Linear sigma and an
+    even n_paths only.  Returns (coarse, fine).
     """
-    n = grid.n
+    if params.sigma.kind != "linear":
+        raise ValueError(
+            "conditional second-moment estimation requires linear sigma; "
+            f"got kind={params.sigma.kind!r}"
+        )
+    params.check_grid(disc.grid)
+    if n_paths < 2 or n_paths % 2 != 0:
+        raise ValueError(f"antithetic pairing needs an even n_paths >= 2, got {n_paths}")
+    grid = disc.grid
+    steps = disc.n_steps()
+    cond = max(1, steps // 8)
+    fine = Discretization(
+        grid=grid, dt=0.5 * disc.dt, t_end=disc.t_end, snapshot_times=disc.snapshot_times
+    )
+    forms = (
+        _conditional_forms(params, op, grid, disc.dt, steps, cond),
+        _conditional_forms(params, op, grid, fine.dt, 2 * steps, 2 * cond),
+    )
+    scale = math.sqrt(fine.dt * grid.dx)
     lam = params.lam * params.sigma.L_sigma
-    blocks = [range(lo, min(lo + _BLOCK, n_paths)) for lo in range(0, n_paths, _BLOCK)]
-    partial = [None] * len(blocks)
-    draw_steps = machinery[-1][4]
 
-    def run_blk(bi):
-        blk = blocks[bi]
-        nb = len(blk)
-        z = np.empty((nb, draw_steps, n))
-        for row, k in enumerate(blk):
-            if antithetic:
-                zz = _path_generator(master_seed, k // 2).standard_normal((draw_steps, n))
-                z[row] = zz if k % 2 == 0 else -zz
-            else:
-                z[row] = _path_generator(master_seed, k).standard_normal((draw_steps, n))
+    def run_blk(blk):
+        z = _draw_sheet(master_seed, blk, 2 * cond, grid.n, antithetic=True)
         sums = []
-        for MT, g, A, _cv, _steps, scale, stride in machinery:
+        for (MT, g, A, _cv), stride in zip(forms, (2, 1)):
             w = (z if stride == 1 else z[:, 0::2, :] + z[:, 1::2, :]) * scale
             u, y = _rb_branch(params.u0, w, lam, grid.dx, MT, g)
             alive = np.all(np.isfinite(u), axis=1)
@@ -611,132 +520,25 @@ def _rb_run(params, op, grid, machinery, n_paths, master_seed, antithetic, worke
             )
             vals = vals[alive]
             sums.append((vals.sum(axis=0), (vals**2).sum(axis=0), int(alive.sum())))
-        partial[bi] = sums
+        return sums
 
-    if worker_count == 1 or len(blocks) == 1:
-        for bi in range(len(blocks)):
-            run_blk(bi)
-    else:
-        with ThreadPoolExecutor(max_workers=worker_count) as pool:
-            for f in [pool.submit(run_blk, bi) for bi in range(len(blocks))]:
-                f.result()
-
+    partial = _map_blocks(run_blk, n_paths, worker_count)
     out = []
-    for which in range(len(machinery)):
-        acc = np.zeros(n)
-        acc2 = np.zeros(n)
-        total = 0
-        for sums in partial:
-            s, s2, cnt = sums[which]
-            acc += s
-            acc2 += s2
-            total += cnt
+    for which, (d, (_MT, _g, _A, cv)) in enumerate(zip((disc, fine), forms)):
+        acc = sum(p[which][0] for p in partial)
+        acc2 = sum(p[which][1] for p in partial)
+        total = sum(p[which][2] for p in partial)
         mean = acc / total
         var = np.maximum(acc2 / total - mean**2, 0.0)
-        se = np.sqrt(var / total)
-        out.append((mean, se, total))
-    return out
-
-
-def _check_rb_args(params, disc, op, n_paths, conditioning_steps, antithetic):
-    if params.sigma.kind != "linear":
-        raise ValueError(
-            "conditional second-moment estimation requires linear sigma; "
-            f"got kind={params.sigma.kind!r}"
-        )
-    params.check_grid(disc.grid)
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if antithetic and n_paths % 2 != 0:
-        raise ValueError("antithetic sampling requires an even number of paths")
-    steps = disc.n_steps()
-    cond = conditioning_steps if conditioning_steps is not None else max(1, steps // 8)
-    if not (1 <= cond <= steps):
-        raise ValueError(f"conditioning_steps={cond} outside [1, {steps}]")
-    return cond
-
-
-def estimate_second_moment(
-    params: ModelParams,
-    disc: Discretization,
-    op: DiscreteOperator,
-    n_paths: int,
-    master_seed: int,
-    conditioning_steps: Optional[int] = None,
-    antithetic: bool = True,
-    worker_count: int = 1,
-) -> SecondMomentEstimate:
-    """Estimate E|u(t_end, x)|^2 per node by conditional Monte Carlo.
-
-    Simulates ``n_paths`` paths to the conditioning time (default t_end/8)
-    and closes the remainder exactly; see the module comment above for the
-    variance-reduction layout.  Linear sigma only.
-    """
-    cond = _check_rb_args(params, disc, op, n_paths, conditioning_steps, antithetic)
-    steps = disc.n_steps()
-    grid = disc.grid
-    MT, c, g, A, cv_mean = _conditional_forms(params, op, grid, disc.dt, steps, cond)
-    scale = math.sqrt(disc.dt * grid.dx)
-    machinery = [(MT, g, A, cv_mean, cond, scale, 1)]
-    ((mean, se, total),) = _rb_run(
-        params, op, grid, machinery, n_paths, master_seed, antithetic, worker_count
-    )
-    return SecondMomentEstimate(
-        t=disc.t_end,
-        dt=disc.dt,
-        values=mean + cv_mean,
-        stderr=se,
-        n_paths=n_paths,
-        flagged_count=n_paths - total,
-        conditioning_time=cond * disc.dt,
-    )
-
-
-def estimate_second_moment_pair(
-    params: ModelParams,
-    disc: Discretization,
-    op: DiscreteOperator,
-    n_paths: int,
-    master_seed: int,
-    conditioning_steps: Optional[int] = None,
-    antithetic: bool = True,
-    worker_count: int = 1,
-) -> tuple:
-    """Coupled estimates at dt and dt/2 sharing one Brownian sheet.
-
-    The common noise makes the sampling error nearly identical at the two
-    resolutions, so the pair of discrepancies against a deterministic
-    reference isolates the time-discretization bias and its decay under
-    refinement.  Returns (coarse, fine).
-    """
-    cond = _check_rb_args(params, disc, op, n_paths, conditioning_steps, antithetic)
-    steps = disc.n_steps()
-    grid = disc.grid
-    fine = Discretization(
-        grid=grid, dt=0.5 * disc.dt, t_end=disc.t_end, snapshot_times=disc.snapshot_times
-    )
-    MTc, cc, gc, Ac, cvc = _conditional_forms(params, op, grid, disc.dt, steps, cond)
-    MTf, cf, gf, Af, cvf = _conditional_forms(params, op, grid, fine.dt, 2 * steps, 2 * cond)
-    scale_f = math.sqrt(fine.dt * grid.dx)
-    machinery = [
-        (MTc, gc, Ac, cvc, 2 * cond, scale_f, 2),
-        (MTf, gf, Af, cvf, 2 * cond, scale_f, 1),
-    ]
-    res = _rb_run(params, op, grid, machinery, n_paths, master_seed, antithetic, worker_count)
-    out = []
-    for (mean, se, total), cv, d, ct in (
-        (res[0], cvc, disc, cond * disc.dt),
-        (res[1], cvf, fine, cond * disc.dt),
-    ):
         out.append(
             SecondMomentEstimate(
                 t=d.t_end,
                 dt=d.dt,
                 values=mean + cv,
-                stderr=se,
+                stderr=np.sqrt(var / total),
                 n_paths=n_paths,
                 flagged_count=n_paths - total,
-                conditioning_time=ct,
+                conditioning_time=cond * disc.dt,
             )
         )
     return out[0], out[1]

@@ -232,3 +232,76 @@ def test_ensemble_csv_roundtrip_is_bitwise(tmp_path, small_ensemble):
     assert np.array_equal(data["snapshots"], small_ensemble.snapshots)
     assert np.array_equal(data["nodes"], small_ensemble.grid.nodes)
     assert data["snapshot_times"] == tuple(float(t) for t in small_ensemble.snapshot_times)
+
+
+def test_read_ensemble_csv_rejects_incomplete_file(tmp_path, small_ensemble):
+    path = tmp_path / "ens.csv"
+    small_ensemble.write_csv(path)
+    lines = path.read_text().splitlines(keepends=True)
+    truncated = tmp_path / "truncated.csv"
+    truncated.write_text("".join(lines[:-10]))
+    with pytest.raises(ValueError, match="truncated.csv.*10 .* cells missing"):
+        cli.read_ensemble_csv(truncated)
+    doubled = tmp_path / "doubled.csv"
+    doubled.write_text("".join(lines[:-1] + [lines[-2]]))
+    with pytest.raises(ValueError, match="doubled.csv.*1 written more than once"):
+        cli.read_ensemble_csv(doubled)
+
+
+def test_custom_table_sigma_from_config_simulates(tmp_path):
+    out = tmp_path / "table"
+    doc = base_config(
+        out,
+        **{
+            "model.sigma": {
+                "kind": "custom-table", "l_sigma": 0.5, "L_sigma": 1.0,
+                "table_u": [0, 1, 2], "table_values": [0, 0.8, 1.2],
+            },
+        },
+    )
+    assert cli.main(["simulate", "--config", write_config(tmp_path, doc)]) == 0
+    meta = cli.read_json_file(out / "metadata.json")
+    assert meta["model"]["sigma_kind"] == "custom-table"
+    assert meta["flagged_count"] == 0
+
+
+def test_custom_table_sigma_outside_sandwich_is_config_error(tmp_path, capsys):
+    doc = base_config(
+        tmp_path / "o",
+        **{
+            "model.sigma": {
+                "kind": "custom-table", "l_sigma": 0.5, "L_sigma": 1.0,
+                "table_u": [0, 1, 2], "table_values": [0, 2.0, 2.5],
+            },
+        },
+    )
+    assert cli.main(["simulate", "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "model.sigma" in err
+    assert "sandwich" in err
+
+
+def test_mc_sweep_and_excitation_with_all_paths_flagged_write_partial_output(tmp_path):
+    out = tmp_path / "flagged"
+    doc = base_config(
+        out,
+        **{
+            "discretization.n": 16,
+            "discretization.t_end": 1.0,
+            "discretization.snapshot_times": [0.5, 1.0],
+            "ensemble.n_paths": 4,
+        },
+    )
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["sweep", "--config", cfg]) == 0
+    fits = cli.read_json_file(out / "fits.json")
+    omitted = [w for w in fits["warnings"] if "all 4 paths are flagged" in w]
+    assert any("lambda=128.0, t=1.0" in w for w in omitted)
+    rows = cli.read_sweep_csv(out / "sweep.csv").rows
+    assert len(rows) == 5 * 2 - len(omitted)
+    assert not any(r.lam == 128.0 and r.t == 1.0 for r in rows)
+
+    assert cli.main(["excitation", "--config", cfg]) == 0
+    payload = cli.read_json_file(out / "excitation.json")
+    assert any("lambda=128.0, t=1.0" in w for w in payload["warnings"])
+    assert "128.0" not in payload["phi"]

@@ -12,15 +12,11 @@ from conftest import make_params
 from fracheat import bounds
 from fracheat.sde import (
     Discretization,
-    NoiseIncrement,
     SigmaSpec,
-    estimate_second_moment,
+    _draw_sheet,
     estimate_second_moment_pair,
-    run_coupled_refinement,
     run_ensemble,
-    sample_noise,
     sigma_eval,
-    step,
     tent_profile,
 )
 
@@ -29,22 +25,24 @@ def small_disc(grid, dt=1.0 / 128.0, t_end=0.125):
     return Discretization(grid=grid, dt=dt, t_end=t_end, snapshot_times=(t_end,))
 
 
-def test_step_matches_manual_formula(desk_grid, desk_op, desk_params):
-    rng = np.random.default_rng(11)
-    u0 = tent_profile(desk_grid)
-    dt = 0.01
-    noise = sample_noise(rng, desk_grid, dt)
-    out = step(u0, desk_op, desk_params, dt, noise)
-    forced = u0 + desk_params.lam * desk_params.sigma.L_sigma * u0 * noise.values / desk_grid.dx
+def test_one_step_ensemble_matches_manual_formula(desk_grid, desk_op, desk_params):
+    dt, seed = 0.01, 11
+    disc = Discretization(grid=desk_grid, dt=dt, t_end=dt, snapshot_times=(dt,))
+    ens = run_ensemble(desk_params, disc, desk_op, n_paths=1, master_seed=seed)
+    # path 0 reads stream (seed, 0); its first row is the cell noise of step 1
+    z = np.random.default_rng(np.random.SeedSequence((seed, 0))).standard_normal(desk_grid.n)
+    u0 = desk_params.u0
+    dw = z * math.sqrt(dt * desk_grid.dx)
+    forced = u0 + desk_params.lam * sigma_eval(desk_params.sigma, u0) * dw / desk_grid.dx
     ref = np.linalg.solve(np.eye(desk_grid.n) - dt * desk_op.matrix, forced)
-    assert np.allclose(out, ref, rtol=1e-10, atol=1e-13)
-
-
-def test_noise_increment_variance(desk_grid):
-    rng = np.random.default_rng(12)
-    draws = np.array([sample_noise(rng, desk_grid, 0.02).values for _ in range(4000)])
-    var = draws.var()
-    assert var == pytest.approx(0.02 * desk_grid.dx, rel=0.05)
+    assert np.allclose(ens.snapshots[0, 0], ref, rtol=1e-10, atol=1e-13)
+    with pytest.raises(ValueError):
+        run_ensemble(
+            make_params(desk_grid, u0=np.ones(desk_grid.n - 1)), disc, desk_op,
+            n_paths=1, master_seed=seed,
+        )
+    with pytest.raises(ValueError):
+        Discretization(grid=desk_grid, dt=0.0, t_end=dt)
 
 
 def test_worker_count_never_changes_results(desk_grid, desk_op, desk_params):
@@ -88,20 +86,19 @@ def test_linear_scheme_homogeneity_is_bitexact(desk_grid, desk_op):
     assert np.array_equal(scaled.snapshots, 4.0 * base.snapshots)
 
 
-def test_antithetic_pairs_share_magnitude_of_noise(desk_grid, desk_op, desk_params):
-    disc = small_disc(desk_grid)
-    ens = run_ensemble(
-        desk_params, disc, desk_op, n_paths=8, master_seed=31, antithetic=True
-    )
-    plain = run_ensemble(
-        desk_params, disc, desk_op, n_paths=4, master_seed=31, antithetic=False
-    )
-    # pair j draws one sheet: even member 2j replays independent path j,
-    # odd member 2j+1 integrates the sign-flipped sheet and must differ
-    assert np.array_equal(ens.snapshots[:, 0::2, :], plain.snapshots)
-    assert not np.array_equal(ens.snapshots[:, 1::2, :], plain.snapshots)
+def test_draw_sheet_antithetic_rows_negate_plain_streams(desk_grid, desk_op, desk_params):
+    n = desk_grid.n
+    for start in (0, 128):
+        blk = range(start, start + 8)
+        pairs = _draw_sheet(31, blk, 5, n, antithetic=True)
+        plain = _draw_sheet(31, range(start // 2, start // 2 + 4), 5, n, antithetic=False)
+        # pair j reads stream j once: row 2j replays it, row 2j+1 is its exact negation
+        assert np.array_equal(pairs[0::2], plain)
+        assert np.array_equal(pairs[1::2], -plain)
     with pytest.raises(ValueError):
-        run_ensemble(desk_params, disc, desk_op, n_paths=7, master_seed=31, antithetic=True)
+        estimate_second_moment_pair(
+            desk_params, small_disc(desk_grid), desk_op, n_paths=7, master_seed=31
+        )
 
 
 def test_flagged_paths_are_counted_and_quarantined(desk_grid, desk_op):
@@ -117,21 +114,6 @@ def test_flagged_paths_are_counted_and_quarantined(desk_grid, desk_op):
     assert np.all(np.isfinite(surviving))
 
 
-def test_coupled_refinement_shares_noise(desk_grid, desk_op, desk_params):
-    disc = small_disc(desk_grid, dt=1.0 / 64.0)
-    coarse, fine = run_coupled_refinement(
-        desk_params, disc, desk_op, n_paths=12, master_seed=41
-    )
-    assert fine.disc.dt == pytest.approx(0.5 * coarse.disc.dt)
-    assert coarse.snapshot_times == fine.snapshot_times
-    # same driving sheet: resolutions are strongly correlated path by path,
-    # far above anything two independent ensembles of this size produce
-    a = coarse.snapshots[-1].ravel()
-    b = fine.snapshots[-1].ravel()
-    corr = np.corrcoef(a, b)[0, 1]
-    assert corr > 0.95
-
-
 def test_conditional_estimator_tracks_oracle(desk_grid, desk_op, desk_params):
     disc = Discretization(
         grid=desk_grid, dt=1.0 / 1024.0, t_end=0.5, snapshot_times=(0.5,)
@@ -139,7 +121,7 @@ def test_conditional_estimator_tracks_oracle(desk_grid, desk_op, desk_params):
     oracle = bounds.second_moment_volterra(
         desk_params, desk_op, desk_grid, T=0.5, steps=1024
     ).m[-1]
-    est = estimate_second_moment(
+    est, _ = estimate_second_moment_pair(
         desk_params, disc, desk_op, n_paths=400, master_seed=2024
     )
     assert est.flagged_count == 0
@@ -169,7 +151,7 @@ def test_conditional_estimator_rejects_nonlinear_sigma(desk_grid, desk_op):
     )
     disc = small_disc(desk_grid)
     with pytest.raises(ValueError):
-        estimate_second_moment(params, disc, desk_op, n_paths=4, master_seed=1)
+        estimate_second_moment_pair(params, disc, desk_op, n_paths=4, master_seed=1)
 
 
 def test_discretization_snapshot_snapping(desk_grid):
@@ -178,16 +160,6 @@ def test_discretization_snapshot_snapping(desk_grid):
     )
     for t in disc.snapshot_times:
         assert (t / disc.dt) == pytest.approx(round(t / disc.dt))
-
-
-def test_step_dimension_mismatch(desk_grid, desk_op, desk_params):
-    with pytest.raises(ValueError):
-        step(
-            np.zeros(desk_grid.n - 1), desk_op, desk_params, 0.01,
-            NoiseIncrement(values=np.zeros(desk_grid.n - 1)),
-        )
-    with pytest.raises(ValueError):
-        sample_noise(np.random.default_rng(0), desk_grid, 0.0)
 
 
 @settings(max_examples=40, deadline=None)
