@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_params
-from fracheat import bounds
+from fracheat import bounds, sde
 from fracheat.sde import (
     Discretization,
     SigmaSpec,
@@ -25,10 +25,15 @@ def small_disc(grid, dt=1.0 / 128.0, t_end=0.125):
     return Discretization(grid=grid, dt=dt, t_end=t_end, snapshot_times=(t_end,))
 
 
-def test_one_step_ensemble_matches_manual_formula(desk_grid, desk_op, desk_params):
+def one_step_disc(grid, dt):
+    return Discretization(grid=grid, dt=dt, t_end=dt, snapshot_times=(dt,))
+
+
+def test_step_matches_manual_formula(desk_grid, desk_op, desk_params):
     dt, seed = 0.01, 11
-    disc = Discretization(grid=desk_grid, dt=dt, t_end=dt, snapshot_times=(dt,))
-    ens = run_ensemble(desk_params, disc, desk_op, n_paths=1, master_seed=seed)
+    ens = run_ensemble(
+        desk_params, one_step_disc(desk_grid, dt), desk_op, n_paths=1, master_seed=seed
+    )
     # path 0 reads stream (seed, 0); its first row is the cell noise of step 1
     z = np.random.default_rng(np.random.SeedSequence((seed, 0))).standard_normal(desk_grid.n)
     u0 = desk_params.u0
@@ -36,13 +41,29 @@ def test_one_step_ensemble_matches_manual_formula(desk_grid, desk_op, desk_param
     forced = u0 + desk_params.lam * sigma_eval(desk_params.sigma, u0) * dw / desk_grid.dx
     ref = np.linalg.solve(np.eye(desk_grid.n) - dt * desk_op.matrix, forced)
     assert np.allclose(ens.snapshots[0, 0], ref, rtol=1e-10, atol=1e-13)
+
+
+def test_noise_increment_variance(desk_grid, desk_op, desk_params):
+    # undo one implicit step to recover the cell increments dW the scheme applied
+    dt = 0.02
+    ens = run_ensemble(
+        desk_params, one_step_disc(desk_grid, dt), desk_op, n_paths=500, master_seed=12
+    )
+    forced = ens.snapshots[-1] @ (np.eye(desk_grid.n) - dt * desk_op.matrix).T
+    u0 = desk_params.u0
+    dw = (forced - u0) * desk_grid.dx / (desk_params.lam * sigma_eval(desk_params.sigma, u0))
+    assert dw.var() == pytest.approx(dt * desk_grid.dx, rel=0.05)
+
+
+def test_step_dimension_mismatch(desk_grid, desk_op):
+    disc = one_step_disc(desk_grid, 0.01)
     with pytest.raises(ValueError):
         run_ensemble(
             make_params(desk_grid, u0=np.ones(desk_grid.n - 1)), disc, desk_op,
-            n_paths=1, master_seed=seed,
+            n_paths=1, master_seed=0,
         )
     with pytest.raises(ValueError):
-        Discretization(grid=desk_grid, dt=0.0, t_end=dt)
+        Discretization(grid=desk_grid, dt=0.0, t_end=0.01)
 
 
 def test_worker_count_never_changes_results(desk_grid, desk_op, desk_params):
@@ -143,6 +164,33 @@ def test_pair_estimator_layout(desk_grid, desk_op, desk_params):
     assert fine.dt == pytest.approx(0.5 * coarse.dt)
     assert coarse.conditioning_time == pytest.approx(fine.conditioning_time)
     assert coarse.values.shape == fine.values.shape == (desk_grid.n,)
+
+
+def test_coupled_refinement_shares_noise(desk_grid, desk_op, desk_params, monkeypatch):
+    # record the sheets and conditioning-time states each resolution integrates
+    seen = []
+
+    def spy(u0, noise, lam, dx, MT, g):
+        u, y = real_branch(u0, noise, lam, dx, MT, g)
+        seen.append((noise.copy(), u))
+        return u, y
+
+    real_branch = sde._rb_branch
+    monkeypatch.setattr(sde, "_rb_branch", spy)
+    disc = small_disc(desk_grid, dt=1.0 / 256.0)
+    coarse, fine = estimate_second_moment_pair(
+        desk_params, disc, desk_op, n_paths=12, master_seed=41
+    )
+    assert fine.dt == pytest.approx(0.5 * coarse.dt)
+    assert coarse.t == fine.t
+    (w_coarse, u_coarse), (w_fine, u_fine) = seen
+    assert w_fine.shape[1] == 2 * w_coarse.shape[1]
+    # one driving sheet: each coarse increment is the sum of two consecutive fine ones
+    assert np.allclose(w_coarse, w_fine[:, 0::2, :] + w_fine[:, 1::2, :], rtol=1e-12, atol=1e-15)
+    # so the resolutions are strongly correlated path by path, far above
+    # anything two independent ensembles of this size produce
+    corr = np.corrcoef(u_coarse.ravel(), u_fine.ravel())[0, 1]
+    assert corr > 0.95
 
 
 def test_conditional_estimator_rejects_nonlinear_sigma(desk_grid, desk_op):
