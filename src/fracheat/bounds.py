@@ -6,8 +6,8 @@ Three layers:
 1. Scalar renewal tools.  volterra_lower_solve integrates
    v(t) = a(t) + b int_0^t (t-s)^(beta-1) v(s) ds by product integration
    (the singular factor is integrated exactly per step against piecewise
-   constant v, right endpoint).  renewal_closed_form gives the constant-
-   forcing solution a F_beta(theta t), theta = (b Gamma(beta))^(1/beta).
+   constant v, right endpoint).  The constant-forcing solution is
+   a F_beta(theta t), theta = (b Gamma(beta))^(1/beta).
 
 2. The second-moment oracle.  For linear sigma the second moment
    m(t,x) = E u(t,x)^2 satisfies a closed 2-D Volterra equation with kernel
@@ -30,11 +30,9 @@ Three layers:
 
 from __future__ import annotations
 
-import json
 import math
-import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -46,8 +44,6 @@ __all__ = [
     "RenewalProblem",
     "VolterraSolution",
     "volterra_lower_solve",
-    "renewal_closed_form",
-    "log_renewal_closed_form",
     "SecondMomentTable",
     "second_moment_volterra",
     "ScalarGrowthModel",
@@ -56,24 +52,17 @@ __all__ = [
     "oracle_moment_curves",
     "EnvelopeConstants",
     "EnvelopeFitError",
-    "lower_envelope",
     "log_lower_envelope",
-    "upper_envelope",
     "log_upper_envelope",
     "fit_envelope_constants",
-    "write_envelope_json",
-    "read_envelope_json",
     "tail_log_slope",
 ]
 
-Forcing = Union[float, Sequence, np.ndarray]
-
-
 @dataclass(frozen=True)
 class RenewalProblem:
-    """v(t) >= a(t) + b int_0^t (t-s)^(beta-1) v(s) ds, with the derived rate theta."""
+    """v(t) >= a + b int_0^t (t-s)^(beta-1) v(s) ds, with the derived rate theta."""
 
-    a: Forcing
+    a: float
     b: float
     beta: float
     theta: float = float("nan")
@@ -92,19 +81,8 @@ class VolterraSolution(NamedTuple):
     v: np.ndarray
 
 
-def _forcing_on_grid(a: Forcing, t: np.ndarray) -> np.ndarray:
-    if callable(a):
-        return np.array([float(a(tk)) for tk in t])
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim == 0:
-        return np.full(t.size, float(arr))
-    if arr.shape != t.shape:
-        raise ValueError(f"tabulated forcing has {arr.size} entries, expected {t.size}")
-    return arr.copy()
-
-
 def volterra_lower_solve(prob: RenewalProblem, T: float, steps: int) -> VolterraSolution:
-    """Solve the renewal equation with equality on a uniform grid of `steps` steps.
+    """Solve the constant-forcing renewal equation with equality on a uniform grid of `steps` steps.
 
     Product-trapezoidal integration: per panel, the singular factor
     (t-s)^(beta-1) is integrated exactly against piecewise-linear v.  The
@@ -118,7 +96,7 @@ def volterra_lower_solve(prob: RenewalProblem, T: float, steps: int) -> Volterra
         raise ValueError(f"steps must be >= 64, got {steps}")
     beta, b = prob.beta, prob.b
     t = np.linspace(0.0, T, steps + 1)
-    a = _forcing_on_grid(prob.a, t)
+    a = float(prob.a)
     dt = T / steps
     d = np.arange(0, steps + 1, dtype=float)
     # exact moments over the lag-d panel [(d-1) dt, d dt] of tau^(beta-1):
@@ -136,35 +114,15 @@ def volterra_lower_solve(prob: RenewalProblem, T: float, steps: int) -> Volterra
             f"product-integration step not solvable: b w_self = {b * self_w:.3g} >= 1; refine steps"
         )
     v = np.empty(steps + 1)
-    v[0] = a[0]
+    v[0] = a
     denom = 1.0 - b * self_w
     for k in range(1, steps + 1):
         acc = cA[k - 1] * v[0]
         if k >= 2:
             # R[d-1] pairs with v_{k-d} for d = 1..k-1, i.e. v[k-1], ..., v[1]
             acc += np.dot(R[: k - 1], v[k - 1 : 0 : -1])
-        v[k] = (a[k] + b * acc) / denom
+        v[k] = (a + b * acc) / denom
     return VolterraSolution(t=t, v=v)
-
-
-def renewal_closed_form(a_const: float, b: float, beta: float, t: float) -> float:
-    """Constant-forcing equality solution a F_beta(theta t)."""
-    if a_const < 0.0:
-        raise ValueError(f"constant forcing must be >= 0, got {a_const}")
-    prob = RenewalProblem(a=a_const, b=b, beta=beta)
-    if prob.theta == 0.0 or a_const == 0.0:
-        return float(a_const)
-    return a_const * specfun.f_beta(beta, prob.theta * t)
-
-
-def log_renewal_closed_form(a_const: float, b: float, beta: float, t: float) -> float:
-    """log of renewal_closed_form; never overflows."""
-    if a_const <= 0.0:
-        raise ValueError(f"log form needs strictly positive forcing, got {a_const}")
-    prob = RenewalProblem(a=a_const, b=b, beta=beta)
-    if prob.theta == 0.0:
-        return math.log(a_const)
-    return math.log(a_const) + specfun.log_f_beta(beta, prob.theta * t)
 
 
 # ---------------------------------------------------------------------------
@@ -228,29 +186,9 @@ class SecondMomentTable:
     def sup(self) -> np.ndarray:
         return self.m.max(axis=1)
 
-    def inf_interior(self, mu: Optional[float] = None) -> np.ndarray:
-        x = self.x
-        mu = self.grid.mu if mu is None else mu
-        tol = 1e-12 * self.grid.L
-        inner = (x >= mu - tol) & (x <= self.grid.L - mu + tol)
-        if not np.any(inner):
-            raise ValueError(f"no nodes inside [{mu}, {self.grid.L - mu}]")
-        return self.m[:, inner].min(axis=1)
-
-    def at_time(self, t: float) -> np.ndarray:
-        k = int(round(t / (self.t[1] - self.t[0])))
-        if not (0 <= k < self.t.size) or abs(self.t[k] - t) > 1e-9 * max(1.0, t):
-            raise ValueError(f"t={t} is not on the oracle grid")
-        return self.m[k]
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,x,m\n")
-            for k in range(self.t.size):
-                for i in range(self.x.size):
-                    fh.write(
-                        f"{float(self.t[k])!r},{float(self.x[i])!r},{float(self.m[k, i])!r}\n"
-                    )
+    def inf_interior(self) -> np.ndarray:
+        """min over nodes in the grid's window [mu, L-mu] at each grid time."""
+        return self.m[:, self.grid.interior_indices()].min(axis=1)
 
 
 def second_moment_volterra(
@@ -319,9 +257,7 @@ class ScalarGrowthModel:
     c_inf: float
     a_sup: float
     c_sup: float
-    mu: float
     horizon: float
-    u_window: tuple
 
     def theta_inf(self, lam: float, l_sigma: float) -> float:
         return ((lam * l_sigma) ** 2 * self.c_inf * specfun.gamma(self.beta)) ** (1.0 / self.beta)
@@ -329,31 +265,25 @@ class ScalarGrowthModel:
     def theta_sup(self, lam: float, L_sigma: float) -> float:
         return ((lam * L_sigma) ** 2 * self.c_sup * specfun.gamma(self.beta)) ** (1.0 / self.beta)
 
-    def marching_resolves(self, lam: float, L_sigma: float, dt: float, cap: float = 0.25) -> bool:
-        # cap: marched curves are percent-accurate only while theta*dt stays
-        # well under one growth e-folding per step
-        return self.theta_sup(lam, L_sigma) * dt <= cap
+    def marching_resolves(self, lam: float, L_sigma: float, dt: float) -> bool:
+        # marched curves are percent-accurate only while theta*dt stays well
+        # under one growth e-folding per step
+        return self.theta_sup(lam, L_sigma) * dt <= 0.25
 
 
 def measure_growth_model(
-    op: DiscreteOperator,
-    grid: Grid,
-    params: ModelParams,
-    horizon: float = 1.0,
-    u_window: Optional[tuple] = None,
+    op: DiscreteOperator, grid: Grid, params: ModelParams, horizon: float = 1.0
 ) -> ScalarGrowthModel:
+    params.check_grid(grid)
     alpha = params.alpha
     beta = 1.0 - 1.0 / alpha
     dx = grid.dx
-    if u_window is None:
-        u_window = (2.0 * dx**alpha, 0.02)
-    u_lo, u_hi = u_window
-    if not (0.0 < u_lo < u_hi):
-        raise ValueError(f"invalid row-mass window {u_window}")
+    # row-mass window: above the lattice saturation lag, below the spectral-gap decay
+    u_lo, u_hi = 2.0 * dx**alpha, 0.02
+    if not u_lo < u_hi:
+        raise ValueError(f"grid too coarse for the row-mass window: 2 dx^alpha = {u_lo} >= {u_hi}")
     V2 = op.eigenvectors**2
-    x = grid.nodes
-    tol = 1e-12 * grid.L
-    inner = np.nonzero((x >= params.mu - tol) & (x <= grid.L - params.mu + tol))[0]
+    inner = grid.interior_indices()
     u = np.geomspace(u_lo, u_hi, 96)
     rowmass = (V2 @ np.exp(np.outer(op.eigenvalues, 2.0 * u))) / dx  # (n, len(u))
     scaled = rowmass * u ** (1.0 / alpha)
@@ -368,7 +298,7 @@ def measure_growth_model(
     if not (0.0 < c_inf <= c_sup and 0.0 < a_inf <= a_sup):
         raise ValueError(
             f"degenerate growth model: c=({c_inf}, {c_sup}), a=({a_inf}, {a_sup}); "
-            "check u0 positivity on the window and the row-mass window"
+            "check u0 positivity on the window"
         )
     return ScalarGrowthModel(
         alpha=alpha,
@@ -378,9 +308,7 @@ def measure_growth_model(
         c_inf=c_inf,
         a_sup=a_sup,
         c_sup=c_sup,
-        mu=params.mu,
         horizon=horizon,
-        u_window=(float(u_lo), float(u_hi)),
     )
 
 
@@ -414,22 +342,17 @@ def oracle_moment_curves(
     T: float,
     steps: int,
     model: Optional[ScalarGrowthModel] = None,
-    force_branch: Optional[str] = None,
 ) -> OracleCurves:
     """Hybrid second-moment oracle: marched when the time grid resolves the
     growth rate, measured closed-form renewal curves otherwise."""
     if params.sigma.kind != "linear":
         raise ValueError("oracle curves require linear sigma (closed second-moment equation)")
+    params.check_grid(grid)
     if model is None:
         model = measure_growth_model(op, grid, params, horizon=T)
     lam, lsig, Lsig = params.lam, params.sigma.l_sigma, params.sigma.L_sigma
     dt = T / steps
-    branch = force_branch
-    if branch is None:
-        branch = "marched" if model.marching_resolves(lam, Lsig, dt) else "renewal"
-    if branch not in ("marched", "renewal"):
-        raise ValueError(f"unknown oracle branch {branch!r}")
-    if branch == "marched":
+    if model.marching_resolves(lam, Lsig, dt):
         table = second_moment_volterra(params, op, grid, T, steps)
         return OracleCurves(
             alpha=params.alpha,
@@ -438,7 +361,7 @@ def oracle_moment_curves(
             L_sigma=Lsig,
             lambda1=op.lambda1,
             t=table.t,
-            log_inf=np.log(table.inf_interior(params.mu)),
+            log_inf=np.log(table.inf_interior()),
             log_sup=np.log(table.sup()),
             log_energy=np.log(table.energy()),
             branch="marched",
@@ -448,7 +371,7 @@ def oracle_moment_curves(
     th_sup = model.theta_sup(lam, Lsig)
     log_inf = math.log(model.a_inf) + np.array([specfun.log_f_beta(model.beta, th_inf * tk) for tk in t])
     log_sup = math.log(model.a_sup) + np.array([specfun.log_f_beta(model.beta, th_sup * tk) for tk in t])
-    log_energy = math.log(grid.L - 2.0 * params.mu) + log_inf
+    log_energy = math.log(grid.L - 2.0 * grid.mu) + log_inf
     return OracleCurves(
         alpha=params.alpha,
         lam=lam,
@@ -503,44 +426,20 @@ class EnvelopeFitError(ValueError):
     """Raised when oracle curves cannot be enclosed by the envelope family."""
 
 
-def lower_envelope(t: float, k: EnvelopeConstants, lam: float, l_sigma: float, alpha: float) -> float:
-    """kappa1 E_beta(lam^2 l_sigma^2 kappa2 t^beta), beta = 1 - 1/alpha."""
-    return float(k.kappa1) * specfun.mittag_leffler(*_lower_args(t, k, lam, l_sigma, alpha))
-
-
 def log_lower_envelope(t: float, k: EnvelopeConstants, lam: float, l_sigma: float, alpha: float) -> float:
-    return math.log(k.kappa1) + specfun.log_mittag_leffler(*_lower_args(t, k, lam, l_sigma, alpha))
-
-
-def _lower_args(t: float, k: EnvelopeConstants, lam: float, l_sigma: float, alpha: float):
+    """log of kappa1 E_beta(lam^2 l_sigma^2 kappa2 t^beta), beta = 1 - 1/alpha."""
     if t < 0.0:
         raise ValueError(f"envelope time must be >= 0, got {t}")
     beta = 1.0 - 1.0 / alpha
-    return beta, lam**2 * l_sigma**2 * k.kappa2 * t**beta
+    return math.log(k.kappa1) + specfun.log_mittag_leffler(beta, lam**2 * l_sigma**2 * k.kappa2 * t**beta)
 
 
 def log_upper_envelope(t: float, k: EnvelopeConstants, lam: float, L_sigma_: float, alpha: float) -> float:
+    """log of kappa3 exp(kappa4 (lam^2 L_sigma^2)^(alpha/(alpha-1)) t)."""
     if t < 0.0:
         raise ValueError(f"envelope time must be >= 0, got {t}")
     rate = (lam**2 * L_sigma_**2) ** (alpha / (alpha - 1.0))
     return math.log(k.kappa3) + k.kappa4 * rate * t
-
-
-def upper_envelope(t: float, k: EnvelopeConstants, lam: float, L_sigma_: float, alpha: float) -> float:
-    """kappa3 exp(kappa4 (lam^2 L_sigma^2)^(alpha/(alpha-1)) t).
-
-    On overflow this warns and returns inf (saturation is reported, never
-    silent); use log_upper_envelope for large rates.
-    """
-    log_val = log_upper_envelope(t, k, lam, L_sigma_, alpha)
-    if log_val > 700.0:
-        warnings.warn(
-            f"upper envelope overflows float range (log value {log_val:.3g}); "
-            "returning inf, use log_upper_envelope",
-            stacklevel=2,
-        )
-        return math.inf
-    return math.exp(log_val)
 
 
 def _fit_slopes(curves: Sequence[OracleCurves], which: str) -> dict:
@@ -654,24 +553,3 @@ def _verify_fit(k: EnvelopeConstants, curves: Sequence[OracleCurves], l_sigma: f
         head = ", ".join(f"(lam={v[0]}, t={v[1]:.3g})" for v in violations[:8])
         raise EnvelopeFitError(f"{len(violations)} envelope violations on the fitting set: {head}")
 
-
-def write_envelope_json(k: EnvelopeConstants, path) -> None:
-    doc = {
-        "kappa1": k.kappa1,
-        "kappa2": k.kappa2,
-        "kappa3": k.kappa3,
-        "kappa4": k.kappa4,
-        "lambda1": k.lambda1,
-        "lambda_L": k.lambda_L,
-        "lambda0": k.lambda0,
-        "alpha": k.alpha,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def read_envelope_json(path) -> EnvelopeConstants:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return EnvelopeConstants(**doc)

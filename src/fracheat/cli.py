@@ -326,9 +326,7 @@ def _snapshot_rows(
                 t=float(t),
                 phi_p=moments.estimate_energy(ens, t, cfg.p),
                 sup_moment=moments.estimate_sup_moment(ens, t, cfg.p),
-                inf_subinterval_moment=moments.estimate_inf_subinterval_moment(
-                    ens, t, cfg.p, cfg.mu
-                ),
+                inf_subinterval_moment=moments.estimate_inf_subinterval_moment(ens, t, cfg.p),
             )
         )
     return rows
@@ -375,7 +373,9 @@ def cmd_moments(cfg: ExperimentConfig) -> int:
 # sweep and excitation
 
 
-def _oracle_curves_per_lambda(cfg: ExperimentConfig, grid, op) -> dict:
+def _oracle_tables(cfg: ExperimentConfig) -> tuple[dict, list]:
+    """Oracle curves per lambda, and the excitation table (lambda, ln Phi_p at t_end)."""
+    grid, op = _operator(cfg)
     if cfg.sigma.kind != "linear":
         raise ConfigError("model.sigma.kind", "--oracle requires the linear coefficient")
     base = _params(cfg, grid, lam=1.0)
@@ -386,7 +386,48 @@ def _oracle_curves_per_lambda(cfg: ExperimentConfig, grid, op) -> dict:
             _params(cfg, grid, lam=lam), op, grid,
             T=cfg.t_end, steps=_ORACLE_STEPS, model=model,
         )
-    return curves
+    table = [(lam, 0.5 * float(curves[lam].log_energy[-1])) for lam in cfg.lambdas]
+    return curves, table
+
+
+def _mc_tables(cfg: ExperimentConfig, warnings: list) -> tuple[dict, int, list]:
+    """One ensemble per lambda: its snapshot rows, the flagged-path total, and
+    the excitation table (lambda, Phi_p at the last snapshot).  A lambda whose
+    last snapshot has no estimate is left out of the table."""
+    grid, op = _operator(cfg)
+    disc = _discretization(cfg, grid, op)
+    per_lambda_rows: dict = {}
+    flagged_total = 0
+    for lam in cfg.lambdas:
+        ens = run_ensemble(
+            _params(cfg, grid, lam=lam), disc, op,
+            n_paths=cfg.n_paths, master_seed=cfg.master_seed,
+            worker_count=cfg.worker_count,
+        )
+        flagged_total += ens.flagged_count
+        per_lambda_rows[lam] = _snapshot_rows(cfg, ens, lam, warnings)
+    t_last = disc.snapshot_times[-1]
+    table = [
+        (lam, rows[-1].phi_p.value)
+        for lam, rows in per_lambda_rows.items()
+        if rows and rows[-1].t == t_last
+    ]
+    return per_lambda_rows, flagged_total, table
+
+
+def _log_table(table: list) -> list:
+    return [(lam, math.log(v)) for lam, v in table if v > 0 and math.isfinite(v)]
+
+
+def _excitation_fit(fit, table: list, payload: dict):
+    """Run ``fit`` on the excitation table and record e_hat/e_ci, or a warning."""
+    try:
+        exc_fit = fit(table)
+    except ValueError as exc:
+        payload["warnings"].append(f"excitation fit skipped: {exc}")
+        return None
+    payload["e_hat"], payload["e_ci"] = exc_fit[0], list(exc_fit[1])
+    return exc_fit
 
 
 def _oracle_estimate(log_value: float) -> moments.MomentEstimate:
@@ -429,8 +470,7 @@ def _fit_payload(cfg: ExperimentConfig, mode: str) -> dict:
 
 
 def _sweep_oracle(cfg: ExperimentConfig) -> tuple[moments.SweepResult, dict, dict]:
-    grid, op = _operator(cfg)
-    curves = _oracle_curves_per_lambda(cfg, grid, op)
+    curves, table = _oracle_tables(cfg)
     rows = _oracle_rows(cfg, curves)
     payload = _fit_payload(cfg, "oracle")
 
@@ -444,16 +484,7 @@ def _sweep_oracle(cfg: ExperimentConfig) -> tuple[moments.SweepResult, dict, dic
     except ValueError as exc:
         payload["warnings"].append(f"growth-rate fit skipped: {exc}")
 
-    table = [
-        (lam, 0.5 * float(curves[lam].log_energy[-1])) for lam in cfg.lambdas
-    ]
-    exc_fit = None
-    try:
-        exc_fit = moments.fit_excitation_from_log(table)
-        payload["e_hat"], payload["e_ci"] = exc_fit[0], list(exc_fit[1])
-    except ValueError as exc:
-        payload["warnings"].append(f"excitation fit skipped: {exc}")
-
+    exc_fit = _excitation_fit(moments.fit_excitation_from_log, table, payload)
     result = moments.SweepResult(rows=rows, lyapunov_hat=lyap, excitation_hat=exc_fit)
     charts = _oracle_charts(cfg, curves, table, exc_fit, payload)
     return result, payload, charts
@@ -491,23 +522,9 @@ def _excitation_svg(cfg: ExperimentConfig, table, fit) -> str:
 
 
 def _sweep_mc(cfg: ExperimentConfig) -> tuple[moments.SweepResult, dict, dict]:
-    grid, op = _operator(cfg)
-    disc = _discretization(cfg, grid, op)
     payload = _fit_payload(cfg, "mc")
-    all_rows: list[moments.SweepRow] = []
-    per_lambda_rows: dict = {}
-    flagged_total = 0
-    for lam in cfg.lambdas:
-        ens = run_ensemble(
-            _params(cfg, grid, lam=lam), disc, op,
-            n_paths=cfg.n_paths, master_seed=cfg.master_seed,
-            worker_count=cfg.worker_count,
-        )
-        flagged_total += ens.flagged_count
-        rows = _snapshot_rows(cfg, ens, lam, payload["warnings"])
-        per_lambda_rows[lam] = rows
-        all_rows.extend(rows)
-    payload["flagged_total"] = flagged_total
+    per_lambda_rows, payload["flagged_total"], table = _mc_tables(cfg, payload["warnings"])
+    all_rows = [r for lam in cfg.lambdas for r in per_lambda_rows[lam]]
 
     lyap = None
     try:
@@ -517,19 +534,7 @@ def _sweep_mc(cfg: ExperimentConfig) -> tuple[moments.SweepResult, dict, dict]:
     except ValueError as exc:
         payload["warnings"].append(f"growth-rate fit skipped: {exc}")
 
-    t_last = disc.snapshot_times[-1]
-    table = [
-        (lam, rows[-1].phi_p.value)
-        for lam, rows in per_lambda_rows.items()
-        if rows and rows[-1].t == t_last
-    ]
-    exc_fit = None
-    try:
-        exc_fit = moments.fit_excitation(table)
-        payload["e_hat"], payload["e_ci"] = exc_fit[0], list(exc_fit[1])
-    except ValueError as exc:
-        payload["warnings"].append(f"excitation fit skipped: {exc}")
-
+    exc_fit = _excitation_fit(moments.fit_excitation, table, payload)
     result = moments.SweepResult(rows=all_rows, lyapunov_hat=lyap, excitation_hat=exc_fit)
     charts = {}
     try:
@@ -544,9 +549,19 @@ def _sweep_mc(cfg: ExperimentConfig) -> tuple[moments.SweepResult, dict, dict]:
     except ValueError as exc:
         payload["warnings"].append(f"moment chart skipped: {exc}")
     if exc_fit is not None:
-        log_table = [(lam, math.log(v)) for lam, v in table if v > 0 and math.isfinite(v)]
-        charts["excitation.svg"] = _excitation_svg(cfg, log_table, exc_fit)
+        charts["excitation.svg"] = _excitation_svg(cfg, _log_table(table), exc_fit)
     return result, payload, charts
+
+
+def _report(out: str, written: list, payload: dict) -> None:
+    print(f"wrote {', '.join(written)} in {out}")
+    for w in payload["warnings"]:
+        print(f"warning: {w}")
+    if payload["e_hat"] is not None:
+        print(
+            f"excitation index e_hat {payload['e_hat']:.4f} "
+            f"(reference {payload['reference_slope']:.4f})"
+        )
 
 
 def cmd_sweep(cfg: ExperimentConfig, oracle: bool) -> int:
@@ -561,14 +576,7 @@ def cmd_sweep(cfg: ExperimentConfig, oracle: bool) -> int:
         for name, text in charts.items():
             svgplot.write_svg(os.path.join(out, name), text)
             written.append(name)
-    print(f"wrote {', '.join(written)} in {out}")
-    for w in payload["warnings"]:
-        print(f"warning: {w}")
-    if payload["e_hat"] is not None:
-        print(
-            f"excitation index e_hat {payload['e_hat']:.4f} "
-            f"(reference {payload['reference_slope']:.4f})"
-        )
+    _report(out, written, payload)
     return 0
 
 
@@ -577,55 +585,24 @@ def cmd_excitation(cfg: ExperimentConfig, oracle: bool) -> int:
         raise ConfigError("sweep.count", "an excitation fit needs at least 5 lambda points")
     payload = _fit_payload(cfg, "oracle" if oracle else "mc")
     del payload["gamma_hat"], payload["gamma_ci"]
-    exc_fit = None
-    table = []
     if oracle:
-        grid, op = _operator(cfg)
-        curves = _oracle_curves_per_lambda(cfg, grid, op)
-        table = [(lam, 0.5 * float(curves[lam].log_energy[-1])) for lam in cfg.lambdas]
-        payload["log_phi"] = {repr(lam): lp for lam, lp in table}
-        try:
-            exc_fit = moments.fit_excitation_from_log(table)
-        except ValueError as exc:
-            payload["warnings"].append(f"excitation fit skipped: {exc}")
+        _, log_table = _oracle_tables(cfg)
+        payload["log_phi"] = {repr(lam): lp for lam, lp in log_table}
+        exc_fit = _excitation_fit(moments.fit_excitation_from_log, log_table, payload)
     else:
-        grid, op = _operator(cfg)
-        disc = _discretization(cfg, grid, op)
-        values = []
-        for lam in cfg.lambdas:
-            ens = run_ensemble(
-                _params(cfg, grid, lam=lam), disc, op,
-                n_paths=cfg.n_paths, master_seed=cfg.master_seed,
-                worker_count=cfg.worker_count,
-            )
-            if _all_flagged(ens, cfg.t_end):
-                payload["warnings"].append(_flagged_warning(ens, lam, cfg.t_end))
-                continue
-            values.append((lam, moments.estimate_energy(ens, cfg.t_end, cfg.p).value))
-        payload["phi"] = {repr(lam): v for lam, v in values}
-        try:
-            exc_fit = moments.fit_excitation(values)
-        except ValueError as exc:
-            payload["warnings"].append(f"excitation fit skipped: {exc}")
-        table = [(lam, math.log(v)) for lam, v in values if v > 0 and math.isfinite(v)]
-    if exc_fit is not None:
-        payload["e_hat"], payload["e_ci"] = exc_fit[0], list(exc_fit[1])
+        _, _, table = _mc_tables(cfg, payload["warnings"])
+        payload["phi"] = {repr(lam): v for lam, v in table}
+        exc_fit = _excitation_fit(moments.fit_excitation, table, payload)
+        log_table = _log_table(table)
     out = _outdir(cfg)
     _write_json(os.path.join(out, "excitation.json"), payload)
     written = ["excitation.json"]
     if cfg.emit_svg and exc_fit is not None:
         svgplot.write_svg(
-            os.path.join(out, "excitation.svg"), _excitation_svg(cfg, table, exc_fit)
+            os.path.join(out, "excitation.svg"), _excitation_svg(cfg, log_table, exc_fit)
         )
         written.append("excitation.svg")
-    print(f"wrote {', '.join(written)} in {out}")
-    for w in payload["warnings"]:
-        print(f"warning: {w}")
-    if payload["e_hat"] is not None:
-        print(
-            f"excitation index e_hat {payload['e_hat']:.4f} "
-            f"(reference {payload['reference_slope']:.4f})"
-        )
+    _report(out, written, payload)
     return 0
 
 

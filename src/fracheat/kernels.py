@@ -18,20 +18,14 @@ at a higher order; disagreement raises PrecisionError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .specfun import PrecisionError
 
 __all__ = [
-    "StableKernelTable",
     "stable_density",
-    "comparison_envelope",
     "check_domination",
-    "build_stable_table",
-    "tail_mass",
-    "fit_comparison_constants",
 ]
 
 _TRUNC = 14.0 * math.log(10.0)  # exp(-t xi^alpha) < 1e-14 beyond the cut
@@ -81,90 +75,6 @@ def stable_density(alpha: float, t: float, r: float, order: int = 10) -> float:
     return refined
 
 
-def comparison_envelope(alpha: float, t: float, r: float) -> float:
-    """Two-sided comparison shape t / (t^(1/alpha) + |r|)^(1+alpha) (constants free)."""
-    alpha = float(alpha)
-    t = float(t)
-    if not (math.isfinite(alpha) and 1.0 <= alpha <= 2.0):
-        raise ValueError(f"comparison_envelope requires alpha in [1, 2], got {alpha}")
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError(f"comparison_envelope requires t > 0, got {t}")
-    return t / (t ** (1.0 / alpha) + abs(float(r))) ** (1.0 + alpha)
-
-
-def tail_mass(alpha: float, R: float, kterms: int = 3) -> float:
-    """int_R^infinity p(1, r) dr from the large-r series of the stable density.
-
-    p(1, r) = (1/pi) sum_k (-1)^(k+1) Gamma(k alpha + 1)/k! sin(k pi alpha/2) r^(-1-k alpha);
-    truncation error after kterms is O(R^(-(kterms+1) alpha)).
-    """
-    total = 0.0
-    for k in range(1, kterms + 1):
-        coef = (-1.0) ** (k + 1) * math.gamma(k * alpha + 1.0) / math.factorial(k) * math.sin(k * math.pi * alpha / 2.0)
-        total += coef * R ** (-k * alpha) / (k * alpha)
-    return total / math.pi
-
-
-@dataclass(frozen=True)
-class StableKernelTable:
-    """Tabulated p(1, r) on a nonnegative grid, for reuse and CSV export."""
-
-    alpha: float
-    r_grid: np.ndarray
-    g_values: np.ndarray
-
-    def __post_init__(self) -> None:
-        r = np.asarray(self.r_grid, dtype=float)
-        g = np.asarray(self.g_values, dtype=float)
-        if r.ndim != 1 or r.shape != g.shape or r.size < 2:
-            raise ValueError("r_grid and g_values must be matching 1-d arrays with >= 2 points")
-        if r[0] < 0.0 or np.any(np.diff(r) <= 0.0):
-            raise ValueError("r_grid must be nonnegative and strictly increasing")
-
-    def trapezoid_mass(self, include_tail: bool = True) -> float:
-        """2 int_0^inf p(1, r) dr: trapezoid over the grid plus the analytic tail."""
-        trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0
-        mass = 2.0 * float(trapezoid(self.g_values, self.r_grid))
-        if include_tail:
-            mass += 2.0 * tail_mass(self.alpha, float(self.r_grid[-1]))
-        return mass
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("r,g\n")
-            for r, g in zip(self.r_grid, self.g_values):
-                fh.write(f"{float(r)!r},{float(g)!r}\n")
-
-
-def build_stable_table(alpha: float, r_max: float = 40.0, order: int = 10) -> StableKernelTable:
-    """Tabulate p(1, .) densely near the peak and more coarsely into the tail."""
-    alpha = float(alpha)
-    if not (math.isfinite(alpha) and 1.0 <= alpha <= 2.0):
-        raise ValueError(f"build_stable_table requires alpha in [1, 2], got {alpha}")
-    if not (math.isfinite(r_max) and r_max > 1.0):
-        raise ValueError(f"build_stable_table requires r_max > 1, got {r_max}")
-    near = np.arange(0.0, 10.0, 0.0025)
-    far = np.arange(10.0, r_max + 1e-12, 0.01)
-    r = np.concatenate([near, far]) if r_max > 10.0 else near[near <= r_max]
-    # One master Gauss-Legendre node set sized for the worst (largest) r,
-    # then a vectorized cosine transform over the whole grid.
-    nodes, weights = _gl_nodes(alpha, 1.0, float(r[-1]), order)
-    envelope = weights * np.exp(-(nodes**alpha))
-    g = np.empty_like(r)
-    chunk = 512
-    for lo in range(0, r.size, chunk):
-        hi = min(lo + chunk, r.size)
-        g[lo:hi] = np.cos(np.outer(r[lo:hi], nodes)) @ envelope
-    g /= math.pi
-    # spot-check the vectorized transform against the scalar path
-    for probe in (0.0, float(r[r.size // 2]), float(r[-1])):
-        direct = stable_density(alpha, 1.0, probe, order=order)
-        idx = int(np.argmin(np.abs(r - probe)))
-        if abs(g[idx] - direct) > 1e-9 * max(abs(direct), 1e-10):
-            raise PrecisionError(f"stable table disagrees with direct quadrature at r={probe}")
-    return StableKernelTable(alpha=alpha, r_grid=r, g_values=g)
-
-
 def check_domination(op, grid, cfg, t: float) -> float:
     """Max signed excess of the interval kernel over the free kernel at time t.
 
@@ -180,18 +90,3 @@ def check_domination(op, grid, cfg, t: float) -> float:
     dist = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
     return float(np.max(P - dens[dist]))
 
-
-def fit_comparison_constants(alpha: float, t_values, r_values) -> tuple[float, float]:
-    """Scan p/envelope over a (t, r) grid and return (min, max) ratios.
-
-    Both are finite and positive; they realize the two-sided comparison
-    bound constants on the scanned window.
-    """
-    ratios = []
-    for t in t_values:
-        for r in r_values:
-            ratios.append(stable_density(alpha, float(t), float(r)) / comparison_envelope(alpha, float(t), float(r)))
-    ratios = np.asarray(ratios)
-    if not np.all(np.isfinite(ratios)) or np.any(ratios <= 0.0):
-        raise PrecisionError("comparison-constant scan produced nonpositive or nonfinite ratios")
-    return float(ratios.min()), float(ratios.max())

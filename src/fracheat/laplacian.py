@@ -33,12 +33,9 @@ __all__ = [
     "normalization_constant",
     "build_grid",
     "assemble",
-    "spectrum",
     "heat_kernel_matrix",
     "apply_semigroup",
     "implicit_factor",
-    "write_matrix_csv",
-    "write_spectrum_csv",
 ]
 
 
@@ -92,32 +89,13 @@ def build_grid(L: float, n: int, mu: float) -> Grid:
 
 @dataclass(frozen=True)
 class OperatorConfig:
-    """Assembly parameters.
-
-    alpha: jump exponent, in (1, 2).
-    normalization: kernel constant; computed from alpha when omitted and
-        checked against the closed form when supplied.
-    quadrature_order: order of the local singular-cell treatment; 1 keeps
-        only the exactly integrated jump part, >= 2 adds the
-        second-difference curvature correction for the self cell.
-    """
+    """Assembly parameters: the jump exponent alpha, in (1, 2)."""
 
     alpha: float
-    normalization: float | None = None
-    quadrature_order: int = 2
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.alpha) and 1.0 < self.alpha < 2.0):
             raise ValueError(f"alpha must lie in (1, 2), got {self.alpha}")
-        if not (isinstance(self.quadrature_order, int) and self.quadrature_order >= 1):
-            raise ValueError(f"quadrature_order must be a positive integer, got {self.quadrature_order}")
-        exact = normalization_constant(self.alpha)
-        if self.normalization is None:
-            object.__setattr__(self, "normalization", exact)
-        elif not math.isfinite(self.normalization) or abs(self.normalization - exact) > 1e-10 * exact:
-            raise ValueError(
-                f"normalization {self.normalization} does not match the closed form {exact} for alpha={self.alpha}"
-            )
 
 
 @dataclass(frozen=True)
@@ -141,7 +119,7 @@ class DiscreteOperator:
 
 def assemble(grid: Grid, cfg: OperatorConfig) -> DiscreteOperator:
     alpha = cfg.alpha
-    c = cfg.normalization
+    c = normalization_constant(alpha)
     n, dx, L = grid.n, grid.dx, grid.L
     x = grid.nodes
     h = dx / 2.0
@@ -159,14 +137,13 @@ def assemble(grid: Grid, cfg: OperatorConfig) -> DiscreteOperator:
     tail = ((x - h) ** (-alpha) + (L - h - x) ** (-alpha)) / alpha
     np.fill_diagonal(A, -(A.sum(axis=1) + tail))
 
-    if cfg.quadrature_order >= 2:
-        # Principal value over the self cell: (f''(x)/2) * int_{|y|<h} y^2 |y|^(-1-alpha) dy
-        # with f'' replaced by the second difference (exterior values are zero).
-        coef = h ** (2.0 - alpha) / ((2.0 - alpha) * dx * dx)
-        idx = np.arange(n)
-        A[idx, idx] -= 2.0 * coef
-        A[idx[:-1], idx[:-1] + 1] += coef
-        A[idx[:-1] + 1, idx[:-1]] += coef
+    # Principal value over the self cell: (f''(x)/2) * int_{|y|<h} y^2 |y|^(-1-alpha) dy
+    # with f'' replaced by the second difference (exterior values are zero).
+    coef = h ** (2.0 - alpha) / ((2.0 - alpha) * dx * dx)
+    idx = np.arange(n)
+    A[idx, idx] -= 2.0 * coef
+    A[idx[:-1], idx[:-1] + 1] += coef
+    A[idx[:-1] + 1, idx[:-1]] += coef
 
     A *= c
     A = 0.5 * (A + A.T)  # symmetrize away rounding asymmetry
@@ -180,11 +157,6 @@ def assemble(grid: Grid, cfg: OperatorConfig) -> DiscreteOperator:
     return DiscreteOperator(
         matrix=A, eigenvalues=w, eigenvectors=V, lambda1=-float(w[-1]), grid=grid, config=cfg
     )
-
-
-def spectrum(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray, float]:
-    """(eigenvalues ascending, orthonormal eigenvector columns, lambda1)."""
-    return op.eigenvalues, op.eigenvectors, op.lambda1
 
 
 def heat_kernel_matrix(op: DiscreteOperator, t: float) -> np.ndarray:
@@ -220,18 +192,3 @@ def implicit_factor(op: DiscreteOperator, dt: float) -> np.ndarray:
         op._cache[("implicit", dt)] = cached
     return cached
 
-
-def write_matrix_csv(op: DiscreteOperator, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("i,j,value\n")
-        A = op.matrix
-        for i in range(A.shape[0]):
-            for j in range(A.shape[1]):
-                fh.write(f"{i},{j},{float(A[i, j])!r}\n")
-
-
-def write_spectrum_csv(op: DiscreteOperator, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("k,eigenvalue\n")
-        for idx, val in enumerate(op.eigenvalues):
-            fh.write(f"{idx},{float(val)!r}\n")

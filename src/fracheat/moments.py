@@ -27,34 +27,17 @@ import numpy as np
 from .sde import PathEnsemble
 
 __all__ = [
-    "MomentSpec",
     "MomentEstimate",
     "SweepRow",
     "SweepResult",
     "estimate_energy",
     "estimate_sup_moment",
     "estimate_inf_subinterval_moment",
-    "norm_diagnostic",
     "fit_lyapunov",
     "fit_lyapunov_from_log",
     "fit_excitation",
     "fit_excitation_from_log",
 ]
-
-
-@dataclass(frozen=True)
-class MomentSpec:
-    """Moment order p >= 2 plus the optional weight of the diagnostic norm
-
-    sup_t e^{gamma t} E ||u(t)||_inf^p.
-    """
-
-    p: float = 2.0
-    gamma_diag: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if not (self.p >= 2.0):
-            raise ValueError(f"moment order p={self.p} must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -122,18 +105,11 @@ def estimate_sup_moment(ensemble: PathEnsemble, t: float, p: float) -> MomentEst
     return MomentEstimate(value, stderr, n_eff, flagged)
 
 
-def estimate_inf_subinterval_moment(
-    ensemble: PathEnsemble, t: float, p: float, mu: float
-) -> MomentEstimate:
+def estimate_inf_subinterval_moment(ensemble: PathEnsemble, t: float, p: float) -> MomentEstimate:
     """Estimate inf over nodes in [mu, L-mu] of the per-node moment E|u(t,x)|^p."""
     if p < 2.0:
         raise ValueError(f"moment order p={p} must be >= 2")
-    grid = ensemble.grid
-    inner = np.nonzero(
-        (grid.nodes >= mu - 1e-12) & (grid.nodes <= grid.L - mu + 1e-12)
-    )[0]
-    if inner.size == 0:
-        raise ValueError(f"no grid nodes inside [{mu}, {grid.L - mu}]")
+    inner = ensemble.grid.interior_indices()
     u, n_eff, flagged = _clean_snapshot(ensemble, t)
     vals = np.abs(u[:, inner]) ** p
     means = vals.mean(axis=0)
@@ -141,16 +117,6 @@ def estimate_inf_subinterval_moment(
     value = float(means[j])
     stderr = float(np.std(vals[:, j], ddof=1) / math.sqrt(n_eff)) if n_eff > 1 else 0.0
     return MomentEstimate(value, stderr, n_eff, flagged)
-
-
-def norm_diagnostic(ensemble: PathEnsemble, spec: MomentSpec) -> float:
-    """Finite-horizon diagnostic sup_t e^{gamma t} E ||u(t)||_inf^p over snapshots."""
-    gamma = spec.gamma_diag if spec.gamma_diag is not None else 0.0
-    best = -math.inf
-    for t in ensemble.snapshot_times:
-        est = estimate_sup_moment(ensemble, t, spec.p)
-        best = max(best, math.exp(gamma * t) * est.value)
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -150,17 +150,14 @@ class ModelParams:
             )
 
     def check_grid(self, grid: Grid) -> None:
-        """u0 must be sampled on this grid and positive on the inner window [mu, L-mu]."""
+        """L and mu must be the grid's, and u0 sampled on it and positive on its window [mu, L-mu]."""
         if self.u0.shape != (grid.n,):
             raise ValueError(f"u0 has {self.u0.size} nodes but the grid has {grid.n}")
         if abs(self.L - grid.L) > 1e-12 * self.L:
             raise ValueError(f"params.L={self.L} does not match grid.L={grid.L}")
-        x = grid.nodes
-        tol = 1e-12 * self.L
-        inner = np.nonzero((x >= self.mu - tol) & (x <= self.L - self.mu + tol))[0]
-        if inner.size == 0:
-            raise ValueError(f"no grid nodes inside [{self.mu}, {self.L - self.mu}]")
-        if float(np.min(self.u0[inner])) <= 0.0:
+        if abs(self.mu - grid.mu) > 1e-12 * self.L:
+            raise ValueError(f"params.mu={self.mu} does not match grid.mu={grid.mu}")
+        if float(np.min(self.u0[grid.interior_indices()])) <= 0.0:
             raise ValueError(f"u0 must be strictly positive on [mu, L-mu] = [{self.mu}, {self.L - self.mu}]")
 
 

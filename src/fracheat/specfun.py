@@ -18,18 +18,15 @@ what the envelope-fitting code consumes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "MLEvalConfig",
     "PrecisionError",
     "gamma",
     "mittag_leffler",
     "log_mittag_leffler",
     "f_beta",
     "log_f_beta",
-    "ml_exponential_bound_check",
 ]
 
 
@@ -47,33 +44,12 @@ def _set_gamma_scale(scale: float) -> None:
     _gamma_scale = float(scale)
 
 
-@dataclass(frozen=True)
-class MLEvalConfig:
-    """Evaluation knobs for the series/asymptotic Mittag-Leffler branches.
-
-    series_terms_max: hard cap on summed series terms (>= 16).
-    switch_threshold: argument at which evaluation switches from the power
-        series to the exponential asymptotic expansion (> 1).  For small
-        beta the linear-space value overflows well below the default
-        threshold; lower it, or use the log-domain functions.
-    asymptotic_order_q: number of algebraic correction terms retained in
-        the asymptotic branch (>= 1).
-    """
-
-    series_terms_max: int = 4000
-    switch_threshold: float = 12.0
-    asymptotic_order_q: int = 3
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.series_terms_max, int) and self.series_terms_max >= 16):
-            raise ValueError(f"series_terms_max must be an integer >= 16, got {self.series_terms_max}")
-        if not (math.isfinite(self.switch_threshold) and self.switch_threshold > 1.0):
-            raise ValueError(f"switch_threshold must be > 1, got {self.switch_threshold}")
-        if not (isinstance(self.asymptotic_order_q, int) and self.asymptotic_order_q >= 1):
-            raise ValueError(f"asymptotic_order_q must be an integer >= 1, got {self.asymptotic_order_q}")
-
-
-_DEFAULT_CFG = MLEvalConfig()
+# The power series is summed (at most _SERIES_TERMS_MAX terms) below
+# _SWITCH_THRESHOLD; at or above it the exponential asymptotic expansion with
+# _ASYMPTOTIC_ORDER algebraic correction terms is used.
+_SERIES_TERMS_MAX = 4000
+_SWITCH_THRESHOLD = 12.0
+_ASYMPTOTIC_ORDER = 3
 
 
 def gamma(x: float) -> float:
@@ -101,22 +77,22 @@ def _recip_gamma(x: float) -> float:
     return 1.0 / (math.gamma(x) * _gamma_scale)
 
 
-def _series_exact_beta1(z: float, nmax: int) -> float:
+def _series_exact_beta1(z: float) -> float:
     # For beta = 1 the coefficients are exact factorials, so the alternating
     # series at negative z can be summed in rational arithmetic; float
     # summation tops out near 1e-13 relative at z = -5 from cancellation.
     zf = Fraction(z)
     acc = Fraction(1)
     term = Fraction(1)
-    for n in range(1, nmax):
+    for n in range(1, _SERIES_TERMS_MAX):
         term = term * zf / n
         acc += term
         if n >= 4 and abs(term) <= abs(acc) * Fraction(1, 10**22):
             return float(acc) / _gamma_scale  # every term carries a 1/Gamma factor
-    raise PrecisionError(f"Mittag-Leffler series (beta=1) did not converge in {nmax} terms at z={z}")
+    raise PrecisionError(f"Mittag-Leffler series (beta=1) did not converge in {_SERIES_TERMS_MAX} terms at z={z}")
 
 
-def _series_float(beta: float, z: float, nmax: int) -> float:
+def _series_float(beta: float, z: float) -> float:
     # term_n = z^n / Gamma(n beta + 1); consecutive-term ratios are computed in
     # the log domain, so the (scaled) Gamma normalization enters once, up front
     t0 = 1.0 / _gamma_scale
@@ -125,14 +101,14 @@ def _series_float(beta: float, z: float, nmax: int) -> float:
     lg_prev = 0.0  # lgamma(1)
     small_streak = 0
     running = t0
-    for n in range(1, nmax):
+    for n in range(1, _SERIES_TERMS_MAX):
         lg_next = math.lgamma(n * beta + 1.0)
         t *= z * math.exp(lg_prev - lg_next)
         lg_next, lg_prev = 0.0, lg_next
         if not math.isfinite(t) or abs(t) > 1e290:
             raise PrecisionError(
                 f"Mittag-Leffler series overflowed at term {n} (beta={beta}, z={z}); "
-                "lower switch_threshold or use log_mittag_leffler"
+                "use log_mittag_leffler"
             )
         terms.append(t)
         running += t
@@ -142,18 +118,18 @@ def _series_float(beta: float, z: float, nmax: int) -> float:
                 return math.fsum(terms)
         else:
             small_streak = 0
-    raise PrecisionError(f"Mittag-Leffler series did not converge in {nmax} terms (beta={beta}, z={z})")
+    raise PrecisionError(f"Mittag-Leffler series did not converge in {_SERIES_TERMS_MAX} terms (beta={beta}, z={z})")
 
 
-def _series(beta: float, z: float, nmax: int) -> float:
+def _series(beta: float, z: float) -> float:
     if beta == 1.0:
-        return _series_exact_beta1(z, max(nmax, 64))
-    return _series_float(beta, z, nmax)
+        return _series_exact_beta1(z)
+    return _series_float(beta, z)
 
 
-def _asymptotic_poly(beta: float, z: float, q: int) -> float:
-    # sum_{k=1..q} z^(-k) / Gamma(1 - beta*k); pole terms drop out.
-    return math.fsum(z ** (-k) * _recip_gamma(1.0 - beta * k) for k in range(1, q + 1))
+def _asymptotic_poly(beta: float, z: float) -> float:
+    # sum_{k=1.._ASYMPTOTIC_ORDER} z^(-k) / Gamma(1 - beta*k); pole terms drop out.
+    return math.fsum(z ** (-k) * _recip_gamma(1.0 - beta * k) for k in range(1, _ASYMPTOTIC_ORDER + 1))
 
 
 def _validate_beta_z(beta: float, z: float) -> tuple[float, float]:
@@ -166,42 +142,42 @@ def _validate_beta_z(beta: float, z: float) -> tuple[float, float]:
     return beta, z
 
 
-def mittag_leffler(beta: float, z: float, cfg: MLEvalConfig = _DEFAULT_CFG) -> float:
+def mittag_leffler(beta: float, z: float) -> float:
     """E_beta(z) for beta in (0, 2) and finite real z.
 
-    Power series below cfg.switch_threshold, exponential asymptotic
+    Power series below _SWITCH_THRESHOLD, exponential asymptotic
     expansion (1/beta) exp(z^(1/beta)) - sum_k z^(-k)/Gamma(1 - beta k)
     at or above it.  Raises PrecisionError when the value or the series
     leaves double range; log_mittag_leffler covers that regime.
     """
     beta, z = _validate_beta_z(beta, z)
-    if z < cfg.switch_threshold:
-        return _series(beta, z, cfg.series_terms_max)
+    if z < _SWITCH_THRESHOLD:
+        return _series(beta, z)
     rate = z ** (1.0 / beta)
     if rate > 700.0:
         raise PrecisionError(
             f"E_{beta}({z}) ~ exp({rate:.3g}) overflows double precision; use log_mittag_leffler"
         )
-    return math.exp(rate) / beta - _asymptotic_poly(beta, z, cfg.asymptotic_order_q)
+    return math.exp(rate) / beta - _asymptotic_poly(beta, z)
 
 
-def log_mittag_leffler(beta: float, z: float, cfg: MLEvalConfig = _DEFAULT_CFG) -> float:
+def log_mittag_leffler(beta: float, z: float) -> float:
     """log E_beta(z) for z >= 0, finite for arbitrarily large arguments."""
     beta, z = _validate_beta_z(beta, z)
     if z < 0.0:
         raise ValueError(f"log_mittag_leffler requires z >= 0, got {z}")
     rate = z ** (1.0 / beta) if z > 0.0 else 0.0
-    if z < cfg.switch_threshold and rate <= 650.0:
-        return math.log(_series(beta, z, cfg.series_terms_max))
+    if z < _SWITCH_THRESHOLD and rate <= 650.0:
+        return math.log(_series(beta, z))
     # log((1/beta) e^rate - poly) = rate - log(beta) + log1p(-beta * poly * e^-rate)
     correction = 0.0
     if rate < 745.0:  # below this exp(-rate) underflows and the term is exactly negligible
-        poly = _asymptotic_poly(beta, z, cfg.asymptotic_order_q)
+        poly = _asymptotic_poly(beta, z)
         correction = math.log1p(-beta * poly * math.exp(-rate))
     return rate - math.log(beta) + correction
 
 
-def f_beta(beta: float, z: float, cfg: MLEvalConfig = _DEFAULT_CFG) -> float:
+def f_beta(beta: float, z: float) -> float:
     """F_beta(z) = sum_n z^(n beta)/Gamma(n beta + 1) = E_beta(z^beta), z >= 0."""
     beta = float(beta)
     z = float(z)
@@ -212,12 +188,12 @@ def f_beta(beta: float, z: float, cfg: MLEvalConfig = _DEFAULT_CFG) -> float:
     if z == 0.0:
         return 1.0
     if beta < 2.0:
-        return mittag_leffler(beta, z**beta, cfg)
+        return mittag_leffler(beta, z**beta)
     # beta >= 2: the series in z^beta converges rapidly; no asymptotic branch needed.
-    return _series_float(beta, z**beta, cfg.series_terms_max)
+    return _series_float(beta, z**beta)
 
 
-def log_f_beta(beta: float, z: float, cfg: MLEvalConfig = _DEFAULT_CFG) -> float:
+def log_f_beta(beta: float, z: float) -> float:
     """log F_beta(z) for z >= 0; finite even when F_beta(z) ~ exp(z) overflows."""
     beta = float(beta)
     z = float(z)
@@ -228,39 +204,11 @@ def log_f_beta(beta: float, z: float, cfg: MLEvalConfig = _DEFAULT_CFG) -> float
     if z == 0.0:
         return 0.0
     # F_beta(z) = E_beta(y) with y = z^beta and y^(1/beta) = z exactly.
-    if beta * math.log(z) < math.log(cfg.switch_threshold) and z <= 650.0:
-        return math.log(_series(beta, z**beta, cfg.series_terms_max))
+    if beta * math.log(z) < math.log(_SWITCH_THRESHOLD) and z <= 650.0:
+        return math.log(_series(beta, z**beta))
     correction = 0.0
     if z < 745.0:
-        poly = _asymptotic_poly(beta, z**beta, cfg.asymptotic_order_q)
+        poly = _asymptotic_poly(beta, z**beta)
         correction = math.log1p(-beta * poly * math.exp(-z))
     return z - math.log(beta) + correction
 
-
-def ml_exponential_bound_check(tau: float, omega: float, t_grid) -> float:
-    """Smallest admissible constant c with E_tau(omega * t^tau) <= c * exp(omega^(1/tau) * t).
-
-    Returns the maximum of the ratio over the grid, evaluated in the log
-    domain so large rates do not overflow.  The ratio tends to 1/tau from
-    below as t grows, so the result is finite and grid-stable.
-    """
-    tau = float(tau)
-    omega = float(omega)
-    if not (math.isfinite(tau) and 0.0 < tau < 2.0):
-        raise ValueError(f"ml_exponential_bound_check requires tau in (0, 2), got {tau}")
-    if not (math.isfinite(omega) and omega > 0.0):
-        raise ValueError(f"ml_exponential_bound_check requires omega > 0, got {omega}")
-    ts = [float(t) for t in t_grid]
-    if not ts or any(b < a for a, b in zip(ts, ts[1:])):
-        raise ValueError("t_grid must be nonempty and sorted")
-    if ts[0] < 0.0:
-        raise ValueError("t_grid must be nonnegative")
-    rate = omega ** (1.0 / tau)
-    best = 0.0
-    for t in ts:
-        if t == 0.0:
-            ratio = 1.0
-        else:
-            ratio = math.exp(log_mittag_leffler(tau, omega * t**tau) - rate * t)
-        best = max(best, ratio)
-    return best

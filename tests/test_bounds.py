@@ -2,7 +2,6 @@
 growth-rate tables, and envelope constants."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -36,13 +35,6 @@ def test_constant_forcing_renewal_equality(a, b, beta, steps):
     for tk, vk in zip(sol.t, sol.v):
         ref = a * math.exp(specfun.log_f_beta(beta, prob.theta * tk))
         assert vk == pytest.approx(ref, rel=0.01)
-
-
-def test_renewal_closed_form_log_consistency():
-    for t in (0.1, 0.5, 1.0):
-        lin = bounds.renewal_closed_form(1.0, 1.5, 0.5, t)
-        logv = bounds.log_renewal_closed_form(1.0, 1.5, 0.5, t)
-        assert logv == pytest.approx(math.log(lin), abs=1e-11)
 
 
 def test_volterra_solution_monotone_for_constant_forcing():
@@ -90,17 +82,6 @@ def test_table_functional_orderings(desk_grid, desk_table):
         assert inf_k <= sup_k + 1e-15
         assert width * inf_k <= energy_k + 1e-15
         assert energy_k <= desk_grid.L * sup_k + 1e-15
-
-
-def test_table_csv_roundtrip(tmp_path, desk_table):
-    path = tmp_path / "table.csv"
-    desk_table.write_csv(path)
-    with open(path) as fh:
-        assert fh.readline().strip() == "t,x,m"
-        t0, x0, m0 = fh.readline().strip().split(",")
-    assert float(t0) == desk_table.t[0]
-    assert float(x0) == desk_table.x[0]
-    assert float(m0) == desk_table.m[0, 0]
 
 
 def test_growth_model_and_branch_selection(desk_grid, desk_op, desk_params):
@@ -153,24 +134,6 @@ def test_envelopes_sandwich_the_fitted_curves(fitted_constants):
         up = np.array([bounds.log_upper_envelope(t, k, c.lam, 1.0, 1.5) for t in c.t])
         assert np.all(lo <= c.log_inf + 1e-9)
         assert np.all(c.log_sup <= up + 1e-9)
-
-
-def test_envelope_json_roundtrip(tmp_path, fitted_constants):
-    k, _ = fitted_constants
-    path = tmp_path / "envelope.json"
-    bounds.write_envelope_json(k, path)
-    back = bounds.read_envelope_json(path)
-    assert back == k
-
-
-def test_upper_envelope_overflow_returns_inf_with_warning(fitted_constants):
-    k, _ = fitted_constants
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        val = bounds.upper_envelope(50.0, k, 1e6, 1.0, 1.5)
-    assert val == math.inf
-    assert any("log domain" in str(w.message) or "overflow" in str(w.message).lower()
-               for w in caught)
 
 
 def test_envelope_constants_validation():

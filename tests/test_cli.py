@@ -183,6 +183,27 @@ def test_excitation_command_oracle(tmp_path):
     ET.parse(out / "excitation.svg")
 
 
+def test_mc_excitation_reads_the_last_snapshot_when_t_end_is_not_one(tmp_path):
+    out = tmp_path / "exc"
+    doc = base_config(
+        out,
+        **{
+            "discretization.n": 16,
+            "discretization.snapshot_times": [0.125],
+            "ensemble.n_paths": 4,
+        },
+    )
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["sweep", "--config", cfg]) == 0
+    sweep_phi = {r.lam: r.phi_p.value for r in cli.read_sweep_csv(out / "sweep.csv").rows}
+    assert cli.main(["excitation", "--config", cfg]) == 0
+    payload = cli.read_json_file(out / "excitation.json")
+    assert payload["phi"]
+    assert {float(k): v for k, v in payload["phi"].items()} == {
+        lam: sweep_phi[lam] for lam in map(float, payload["phi"])
+    }
+
+
 def test_moments_command(tmp_path):
     out = tmp_path / "mom"
     cfg = write_config(tmp_path, base_config(out))

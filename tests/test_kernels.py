@@ -50,11 +50,29 @@ def test_self_similarity():
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
+def _gauss_legendre(f, lo, hi, panels, order=12):
+    gx, gw = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(lo, hi, panels + 1)
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        half, mid = 0.5 * (b - a), 0.5 * (b + a)
+        total += half * sum(w * f(mid + half * x) for x, w in zip(gx, gw))
+    return total
+
+
 def test_total_mass_with_tail_correction():
-    table = kernels.build_stable_table(ALPHA, r_max=12.0)
-    assert table.trapezoid_mass(include_tail=True) == pytest.approx(1.0, abs=1e-6)
+    R = 12.0
+    core = _gauss_legendre(lambda r: kernels.stable_density(ALPHA, 1.0, r), 0.0, R, 24)
+    # tail: r = R s^(-1/alpha) turns the r^(-1-k alpha) terms of the large-r
+    # series into polynomials in s on (0, 1]
+    tail = _gauss_legendre(
+        lambda s: kernels.stable_density(ALPHA, 1.0, R * s ** (-1.0 / ALPHA))
+        * (R / ALPHA) * s ** (-1.0 / ALPHA - 1.0),
+        0.0, 1.0, 1,
+    )
+    assert 2.0 * (core + tail) == pytest.approx(1.0, abs=1e-6)
     # without the tail the mass visibly undershoots: the correction is real
-    assert table.trapezoid_mass(include_tail=False) < 1.0 - 1e-4
+    assert 2.0 * core < 1.0 - 1e-4
 
 
 def test_density_positive_decreasing_in_r():
@@ -64,30 +82,6 @@ def test_density_positive_decreasing_in_r():
     assert all(b <= a + 1e-14 for a, b in zip(vals, vals[1:]))
 
 
-def test_tail_mass_matches_quadrature():
-    # integrate the density over the band [R1, R2]; the same mass is the
-    # difference of the two series tails
-    R1, R2 = 8.0, 38.0
-    rs = np.linspace(R1, R2, 1200)
-    vals = np.array([kernels.stable_density(ALPHA, 1.0, r) for r in rs])
-    quad = float(np.trapezoid(vals, rs))
-    band = kernels.tail_mass(ALPHA, R1) - kernels.tail_mass(ALPHA, R2)
-    assert band == pytest.approx(quad, rel=1e-3)
-
-
-def test_comparison_envelope_brackets_density():
-    lo, hi = kernels.fit_comparison_constants(
-        ALPHA, t_values=(0.5, 1.0, 2.0), r_values=np.linspace(0.0, 5.0, 40)
-    )
-    assert 0.0 < lo <= hi
-    for t in (0.5, 1.0, 2.0):
-        for r in (0.0, 1.0, 4.0):
-            ratio = kernels.stable_density(ALPHA, t, r) / kernels.comparison_envelope(
-                ALPHA, t, r
-            )
-            assert lo - 1e-12 <= ratio <= hi + 1e-12
-
-
 def test_semigroup_dominated_by_free_kernel(desk_grid, desk_op):
     cfg = OperatorConfig(alpha=ALPHA)
     peak = kernels.stable_density(ALPHA, 0.1, 0.0)
@@ -95,17 +89,6 @@ def test_semigroup_dominated_by_free_kernel(desk_grid, desk_op):
     assert excess <= 0.05 * peak
     excess_late = kernels.check_domination(desk_op, desk_grid, cfg, 1.0)
     assert excess_late <= 0.05 * kernels.stable_density(ALPHA, 1.0, 0.0)
-
-
-def test_table_roundtrip(tmp_path):
-    table = kernels.build_stable_table(ALPHA, r_max=2.0)
-    path = tmp_path / "kernel.csv"
-    table.write_csv(path)
-    with open(path) as fh:
-        assert fh.readline().strip() == "r,g"
-        first = fh.readline().strip().split(",")
-    assert float(first[0]) == table.r_grid[0]
-    assert float(first[1]) == table.g_values[0]
 
 
 def test_argument_validation():

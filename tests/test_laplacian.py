@@ -1,4 +1,4 @@
-"""Discrete fractional Dirichlet operator: spectra, semigroup, file output."""
+"""Discrete fractional Dirichlet operator: spectra, semigroup, grid window."""
 
 import math
 
@@ -13,8 +13,6 @@ from fracheat.laplacian import (
     heat_kernel_matrix,
     implicit_factor,
     normalization_constant,
-    write_matrix_csv,
-    write_spectrum_csv,
 )
 
 # Frozen principal eigenvalues (regression pins; the n-dependence is the
@@ -97,9 +95,13 @@ def test_grid_geometry():
     assert g.nodes.size == 10
     assert g.nodes[0] == pytest.approx(g.dx)
     assert g.nodes[-1] == pytest.approx(2.0 - g.dx)
-    inner = g.interior_indices()
-    assert np.all(g.nodes[inner] >= g.mu - 1e-12)
-    assert np.all(g.nodes[inner] <= g.L - g.mu + 1e-12)
+    # the [mu, L-mu] window: of the nodes 2/11 .. 20/11, 4/11 .. 18/11 lie in [0.3, 1.7]
+    assert g.interior_indices().tolist() == list(range(1, 9))
+    # nodes on mu and L - mu up to rounding belong to the window; the slack
+    # scales with L (at L = 30000.5 node 6 overshoots L - mu by 3.6e-12)
+    for L in (1.0, 30000.5):
+        g = build_grid(L=L, n=9, mu=0.3 * L)
+        assert g.interior_indices().tolist() == [2, 3, 4, 5, 6]
 
 
 def test_grid_validation():
@@ -118,19 +120,3 @@ def test_grid_validation():
 def test_normalization_constant_positive_and_smooth():
     values = [normalization_constant(a) for a in (1.05, 1.3, 1.5, 1.7, 1.95)]
     assert all(v > 0.0 and math.isfinite(v) for v in values)
-
-
-def test_csv_writers_parse_back(tmp_path, desk_op):
-    mpath = tmp_path / "matrix.csv"
-    spath = tmp_path / "spectrum.csv"
-    write_matrix_csv(desk_op, mpath)
-    write_spectrum_csv(desk_op, spath)
-    with open(mpath) as fh:
-        assert fh.readline().strip() == "i,j,value"
-        i, j, v = fh.readline().strip().split(",")
-        assert float(v) == desk_op.matrix[int(i), int(j)]
-    with open(spath) as fh:
-        assert fh.readline().strip() == "k,eigenvalue"
-        rows = [line.strip().split(",") for line in fh]
-    eigs = np.array([float(v) for _, v in rows])
-    assert np.array_equal(eigs, desk_op.eigenvalues)

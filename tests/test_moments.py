@@ -25,7 +25,7 @@ def test_constant_field_exact_values(small_ensemble, desk_grid):
     assert phi.n_effective == ens.n_paths
     sup = moments.estimate_sup_moment(ens, t, 4.0)
     assert sup.value == pytest.approx(1.0, rel=1e-12)
-    inf = moments.estimate_inf_subinterval_moment(ens, t, 2.0, desk_grid.mu)
+    inf = moments.estimate_inf_subinterval_moment(ens, t, 2.0)
     assert inf.value == pytest.approx(1.0, rel=1e-12)
 
 
@@ -43,7 +43,7 @@ def test_functional_orderings_on_real_paths(small_ensemble, desk_grid, p):
     for t in small_ensemble.snapshot_times:
         phi = moments.estimate_energy(small_ensemble, t, p)
         sup = moments.estimate_sup_moment(small_ensemble, t, p)
-        inf = moments.estimate_inf_subinterval_moment(small_ensemble, t, p, desk_grid.mu)
+        inf = moments.estimate_inf_subinterval_moment(small_ensemble, t, p)
         width = desk_grid.L - 2.0 * desk_grid.mu
         assert inf.value <= sup.value + 1e-12
         assert phi.value**p <= desk_grid.L * sup.value * (1.0 + 1e-12)
@@ -76,8 +76,6 @@ def test_all_flagged_is_an_error(small_ensemble):
 def test_moment_order_validation(small_ensemble):
     with pytest.raises(ValueError):
         moments.estimate_energy(small_ensemble, small_ensemble.snapshot_times[0], 1.5)
-    with pytest.raises(ValueError):
-        moments.MomentSpec(p=1.0)
     with pytest.raises(ValueError):
         moments.MomentEstimate(value=1.0, stderr=-0.1, n_effective=10)
 
@@ -134,7 +132,7 @@ def test_sweep_result_validation_and_csv(tmp_path, small_ensemble, desk_grid):
                     phi_p=moments.estimate_energy(small_ensemble, t, 2.0),
                     sup_moment=moments.estimate_sup_moment(small_ensemble, t, 2.0),
                     inf_subinterval_moment=moments.estimate_inf_subinterval_moment(
-                        small_ensemble, t, 2.0, desk_grid.mu
+                        small_ensemble, t, 2.0
                     ),
                 )
             )
@@ -146,14 +144,6 @@ def test_sweep_result_validation_and_csv(tmp_path, small_ensemble, desk_grid):
     assert len(text.splitlines()) == len(rows) + 1
     with pytest.raises(ValueError):
         moments.SweepResult(rows=list(reversed(rows)))
-
-
-def test_norm_diagnostic_uses_gamma_weight(small_ensemble):
-    flat = moments.norm_diagnostic(small_ensemble, moments.MomentSpec(p=2.0))
-    weighted = moments.norm_diagnostic(
-        small_ensemble, moments.MomentSpec(p=2.0, gamma_diag=10.0)
-    )
-    assert weighted > flat
 
 
 @settings(max_examples=25, deadline=None)

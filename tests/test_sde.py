@@ -1,6 +1,7 @@
 """Path simulation: scheme algebra, determinism, accounting, and the
 conditional second-moment estimator against the deterministic oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -64,6 +65,26 @@ def test_step_dimension_mismatch(desk_grid, desk_op):
         )
     with pytest.raises(ValueError):
         Discretization(grid=desk_grid, dt=0.0, t_end=0.01)
+
+
+def test_params_mu_must_match_grid_mu(desk_grid, desk_op, desk_params):
+    # the [mu, L-mu] window is the grid's; a different params.mu would be
+    # silently overridden, so every entry point that takes both rejects it
+    params = dataclasses.replace(desk_params, mu=0.2)
+    match = r"params\.mu=0\.2 does not match grid\.mu=0\.1"
+    with pytest.raises(ValueError, match=match):
+        run_ensemble(params, small_disc(desk_grid), desk_op, n_paths=2, master_seed=0)
+    with pytest.raises(ValueError, match=match):
+        estimate_second_moment_pair(params, small_disc(desk_grid), desk_op, n_paths=2, master_seed=0)
+    with pytest.raises(ValueError, match=match):
+        bounds.second_moment_volterra(params, desk_op, desk_grid, T=0.25, steps=16)
+    with pytest.raises(ValueError, match=match):
+        bounds.measure_growth_model(desk_op, desk_grid, params)
+    model = bounds.measure_growth_model(desk_op, desk_grid, desk_params)
+    with pytest.raises(ValueError, match=match):  # the renewal branch reads the window too
+        bounds.oracle_moment_curves(
+            dataclasses.replace(params, lam=64.0), desk_op, desk_grid, T=1.0, steps=256, model=model
+        )
 
 
 def test_worker_count_never_changes_results(desk_grid, desk_op, desk_params):
