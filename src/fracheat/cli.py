@@ -241,10 +241,12 @@ def _params(cfg: ExperimentConfig, grid: Grid, lam: Optional[float] = None) -> M
         else tent_profile(grid)
     )
     try:
-        return ModelParams(
+        params = ModelParams(
             alpha=cfg.alpha, L=cfg.L, lam=cfg.lam if lam is None else lam,
             sigma=cfg.sigma, u0=u0, mu=cfg.mu, p=cfg.p,
         )
+        params.check_grid(grid)
+        return params
     except ValueError as exc:
         raise ConfigError("model", str(exc)) from exc
 
@@ -314,21 +316,30 @@ def _snapshot_rows(
     cfg: ExperimentConfig, ens, lam: float, warnings: list
 ) -> list[moments.SweepRow]:
     """One row per snapshot; a snapshot where every path is flagged has
-    nothing to estimate, so it is omitted and reported in ``warnings``."""
+    nothing to estimate, so it is omitted and reported in ``warnings``, as
+    is a moment or standard error that overflowed to inf on finite paths."""
     rows = []
     for t in ens.snapshot_times:
         if _all_flagged(ens, t):
             warnings.append(_flagged_warning(ens, lam, t))
             continue
-        rows.append(
-            moments.SweepRow(
-                lam=lam,
-                t=float(t),
-                phi_p=moments.estimate_energy(ens, t, cfg.p),
-                sup_moment=moments.estimate_sup_moment(ens, t, cfg.p),
-                inf_subinterval_moment=moments.estimate_inf_subinterval_moment(ens, t, cfg.p),
-            )
+        row = moments.SweepRow(
+            lam=lam,
+            t=float(t),
+            phi_p=moments.estimate_energy(ens, t, cfg.p),
+            sup_moment=moments.estimate_sup_moment(ens, t, cfg.p),
+            inf_subinterval_moment=moments.estimate_inf_subinterval_moment(ens, t, cfg.p),
         )
+        over = [
+            name for name in ("phi_p", "sup_moment", "inf_subinterval_moment")
+            if math.isinf(getattr(row, name).value) or math.isinf(getattr(row, name).stderr)
+        ]
+        if over:
+            warnings.append(
+                f"{', '.join(over)} left double range at lambda={lam!r}, t={float(t)!r}; "
+                "the overflowed values and standard errors are reported as inf"
+            )
+        rows.append(row)
     return rows
 
 
@@ -379,7 +390,10 @@ def _oracle_tables(cfg: ExperimentConfig) -> tuple[dict, list]:
     if cfg.sigma.kind != "linear":
         raise ConfigError("model.sigma.kind", "--oracle requires the linear coefficient")
     base = _params(cfg, grid, lam=1.0)
-    model = bounds.measure_growth_model(op, grid, base, horizon=cfg.t_end)
+    try:
+        model = bounds.measure_growth_model(op, grid, base, horizon=cfg.t_end)
+    except ValueError as exc:  # base passed check_grid, so the row-mass window is empty at this n
+        raise ConfigError("discretization.n", str(exc)) from exc
     curves = {}
     for lam in cfg.lambdas:
         curves[lam] = bounds.oracle_moment_curves(
@@ -390,10 +404,11 @@ def _oracle_tables(cfg: ExperimentConfig) -> tuple[dict, list]:
     return curves, table
 
 
-def _mc_tables(cfg: ExperimentConfig, warnings: list) -> tuple[dict, int, list]:
-    """One ensemble per lambda: its snapshot rows, the flagged-path total, and
-    the excitation table (lambda, Phi_p at the last snapshot).  A lambda whose
-    last snapshot has no estimate is left out of the table."""
+def _mc_tables(cfg: ExperimentConfig, warnings: list) -> tuple[dict, int, list, float]:
+    """One ensemble per lambda: its snapshot rows, the flagged-path total,
+    the excitation table (lambda, Phi_p at the last snapshot) and the time of
+    that snapshot.  A lambda whose last snapshot has no estimate is left out
+    of the table."""
     grid, op = _operator(cfg)
     disc = _discretization(cfg, grid, op)
     per_lambda_rows: dict = {}
@@ -412,7 +427,7 @@ def _mc_tables(cfg: ExperimentConfig, warnings: list) -> tuple[dict, int, list]:
         for lam, rows in per_lambda_rows.items()
         if rows and rows[-1].t == t_last
     ]
-    return per_lambda_rows, flagged_total, table
+    return per_lambda_rows, flagged_total, table, t_last
 
 
 def _log_table(table: list) -> list:
@@ -503,11 +518,12 @@ def _oracle_charts(cfg, curves, table, exc_fit, payload) -> dict:
     except ValueError as exc:
         payload["warnings"].append(f"moment chart skipped: {exc}")
     if exc_fit is not None:
-        charts["excitation.svg"] = _excitation_svg(cfg, table, exc_fit)
+        charts["excitation.svg"] = _excitation_svg(cfg, table, exc_fit, cfg.t_end)
     return charts
 
 
-def _excitation_svg(cfg: ExperimentConfig, table, fit) -> str:
+def _excitation_svg(cfg: ExperimentConfig, table, fit, t: float) -> str:
+    """Chart of the fitted table, whose values were read at time ``t``."""
     pts = [(lam, lp) for lam, lp in table if lp > 1.0]
     log_lam = np.log([lam for lam, _ in pts])
     loglog = np.log([lp for _, lp in pts])
@@ -517,13 +533,13 @@ def _excitation_svg(cfg: ExperimentConfig, table, fit) -> str:
         log_lam, loglog,
         fitted_slope=slope, fitted_intercept=intercept,
         reference_slope=2.0 * cfg.alpha / (cfg.alpha - 1.0),
-        title=f"Excitation fit (alpha={cfg.alpha:g}, t={cfg.t_end:g})",
+        title=f"Excitation fit (alpha={cfg.alpha:g}, t={t:g})",
     )
 
 
 def _sweep_mc(cfg: ExperimentConfig) -> tuple[moments.SweepResult, dict, dict]:
     payload = _fit_payload(cfg, "mc")
-    per_lambda_rows, payload["flagged_total"], table = _mc_tables(cfg, payload["warnings"])
+    per_lambda_rows, payload["flagged_total"], table, t_fit = _mc_tables(cfg, payload["warnings"])
     all_rows = [r for lam in cfg.lambdas for r in per_lambda_rows[lam]]
 
     lyap = None
@@ -549,7 +565,7 @@ def _sweep_mc(cfg: ExperimentConfig) -> tuple[moments.SweepResult, dict, dict]:
     except ValueError as exc:
         payload["warnings"].append(f"moment chart skipped: {exc}")
     if exc_fit is not None:
-        charts["excitation.svg"] = _excitation_svg(cfg, _log_table(table), exc_fit)
+        charts["excitation.svg"] = _excitation_svg(cfg, _log_table(table), exc_fit, t_fit)
     return result, payload, charts
 
 
@@ -587,10 +603,11 @@ def cmd_excitation(cfg: ExperimentConfig, oracle: bool) -> int:
     del payload["gamma_hat"], payload["gamma_ci"]
     if oracle:
         _, log_table = _oracle_tables(cfg)
+        t_fit = cfg.t_end
         payload["log_phi"] = {repr(lam): lp for lam, lp in log_table}
         exc_fit = _excitation_fit(moments.fit_excitation_from_log, log_table, payload)
     else:
-        _, _, table = _mc_tables(cfg, payload["warnings"])
+        _, _, table, t_fit = _mc_tables(cfg, payload["warnings"])
         payload["phi"] = {repr(lam): v for lam, v in table}
         exc_fit = _excitation_fit(moments.fit_excitation, table, payload)
         log_table = _log_table(table)
@@ -599,7 +616,7 @@ def cmd_excitation(cfg: ExperimentConfig, oracle: bool) -> int:
     written = ["excitation.json"]
     if cfg.emit_svg and exc_fit is not None:
         svgplot.write_svg(
-            os.path.join(out, "excitation.svg"), _excitation_svg(cfg, log_table, exc_fit)
+            os.path.join(out, "excitation.svg"), _excitation_svg(cfg, log_table, exc_fit, t_fit)
         )
         written.append("excitation.svg")
     _report(out, written, payload)

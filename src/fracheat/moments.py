@@ -72,6 +72,19 @@ def _clean_snapshot(ensemble: PathEnsemble, t: float) -> tuple[np.ndarray, int, 
     return u[alive], n_eff, 1.0 - n_eff / n_total
 
 
+def _mean_and_stderr(s: np.ndarray, n_eff: int) -> tuple[float, float]:
+    """Sample mean of per-path values and its standard error.
+
+    Finite paths can still raise |u|^p past double range; such a mean is
+    reported as (inf, inf) rather than the NaN spread numpy would give.
+    Call under ``np.errstate(over="ignore", invalid="ignore")``.
+    """
+    mean = float(np.mean(s))
+    if math.isinf(mean):
+        return math.inf, math.inf
+    return mean, float(np.std(s, ddof=1) / math.sqrt(n_eff)) if n_eff > 1 else 0.0
+
+
 def estimate_energy(ensemble: PathEnsemble, t: float, p: float) -> MomentEstimate:
     """Estimate Phi_p(t) = (E integral |u(t,x)|^p dx)^{1/p}.
 
@@ -82,9 +95,11 @@ def estimate_energy(ensemble: PathEnsemble, t: float, p: float) -> MomentEstimat
     if p < 2.0:
         raise ValueError(f"moment order p={p} must be >= 2")
     u, n_eff, flagged = _clean_snapshot(ensemble, t)
-    s = ensemble.grid.dx * np.sum(np.abs(u) ** p, axis=1)
-    mean = float(np.mean(s))
-    se_mean = float(np.std(s, ddof=1) / math.sqrt(n_eff)) if n_eff > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = ensemble.grid.dx * np.sum(np.abs(u) ** p, axis=1)
+        mean, se_mean = _mean_and_stderr(s, n_eff)
+    if math.isinf(mean):
+        return MomentEstimate(math.inf, math.inf, n_eff, flagged)
     value = mean ** (1.0 / p)
     # d(m^{1/p})/dm = m^{1/p-1}/p
     stderr = se_mean * value / (p * mean) if mean > 0.0 else 0.0
@@ -99,9 +114,8 @@ def estimate_sup_moment(ensemble: PathEnsemble, t: float, p: float) -> MomentEst
     if p < 2.0:
         raise ValueError(f"moment order p={p} must be >= 2")
     u, n_eff, flagged = _clean_snapshot(ensemble, t)
-    s = np.max(np.abs(u), axis=1) ** p
-    value = float(np.mean(s))
-    stderr = float(np.std(s, ddof=1) / math.sqrt(n_eff)) if n_eff > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, stderr = _mean_and_stderr(np.max(np.abs(u), axis=1) ** p, n_eff)
     return MomentEstimate(value, stderr, n_eff, flagged)
 
 
@@ -111,11 +125,14 @@ def estimate_inf_subinterval_moment(ensemble: PathEnsemble, t: float, p: float) 
         raise ValueError(f"moment order p={p} must be >= 2")
     inner = ensemble.grid.interior_indices()
     u, n_eff, flagged = _clean_snapshot(ensemble, t)
-    vals = np.abs(u[:, inner]) ** p
-    means = vals.mean(axis=0)
-    j = int(np.argmin(means))
-    value = float(means[j])
-    stderr = float(np.std(vals[:, j], ddof=1) / math.sqrt(n_eff)) if n_eff > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.abs(u[:, inner]) ** p
+        means = vals.mean(axis=0)
+        j = int(np.argmin(means))
+        value = float(means[j])
+        stderr = _mean_and_stderr(vals[:, j], n_eff)[1]
+    if math.isinf(value):
+        return MomentEstimate(math.inf, math.inf, n_eff, flagged)
     return MomentEstimate(value, stderr, n_eff, flagged)
 
 

@@ -44,6 +44,8 @@ __all__ = [
 # paths per work item: fixed, so partitioning never depends on the worker
 # count; even, so an antithetic pair never straddles two blocks
 _BLOCK = 128
+# bound on one chunk of the quadratic-form contraction's outer products (1 MB)
+_CONTRACT_DOUBLES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -397,6 +399,15 @@ def run_ensemble(
 #     Wiener-chaos terms) is subtracted pathwise and its exact mean
 #     g'Ag + tr(A E[ll']) + tr(A E[qq']) is added back.
 #
+# Each A_x is symmetric: it starts as e_x e_x' and every adjoint step maps
+# A to M'AM with its diagonal scaled, which keeps A = A' (up to rounding,
+# ~1e-15 relative).  So the pathwise difference of the two quadratic forms
+# factors, u'A_x u - y'A_x y = (u-y)'A_x(u+y) (the cross terms u'A_x y and
+# y'A_x u cancel), and for all x at once it is one GEMM of the flattened
+# outer products (u-y)(u+y)' against A reshaped to (n, n^2).  The u, ell
+# and q recursions share the propagator M, so they march as one stacked
+# (3B, n) product per step.
+#
 # The A_x matrices depend on dt exactly as the simulation does, so the
 # estimator retains the scheme's full time-discretization bias; only
 # sampling noise is suppressed.
@@ -453,17 +464,49 @@ def _conditional_forms(params, op, grid, dt, n_steps, cond_steps):
 
 
 def _rb_branch(u0, noise, lam, dx, MT, g):
-    """March u, ell (first chaos), q (second chaos) through one noise sheet."""
-    nb = noise.shape[0]
-    u = np.tile(u0, (nb, 1))
-    ell = np.zeros_like(u)
-    q = np.zeros_like(u)
-    for s in range(noise.shape[1]):
+    """March u, ell (first chaos), q (second chaos) through one noise sheet.
+
+    The three ride in one (3, B, n) stack, each forced by lam * m * dW with
+    multiplier m = u, g[s] and the previous step's ell respectively, so a
+    step is one (3B, n) @ (n, n) product.
+    """
+    nb, steps, n = noise.shape
+    x = np.zeros((3, nb, n))
+    x[0] = u0
+    mult = np.empty_like(x)
+    forced = np.empty_like(x)
+    for s in range(steps):
         dW = noise[:, s, :] / dx
-        q = (q + lam * ell * dW) @ MT
-        ell = (ell + lam * g[s] * dW) @ MT
-        u = (u + lam * u * dW) @ MT
-    return u, g[noise.shape[1]] + ell + q
+        mult[0] = x[0]
+        mult[1] = g[s]
+        mult[2] = x[1]
+        np.multiply(lam, mult, out=forced)
+        forced *= dW
+        forced += x
+        np.matmul(forced.reshape(3 * nb, n), MT, out=x.reshape(3 * nb, n))
+    u, ell, q = x
+    return u, g[steps] + ell + q
+
+
+def _form_gaps(A, u, y):
+    """gaps[p, x] = u_p' A_x u_p - y_p' A_x y_p for symmetric A_x.
+
+    Evaluated as (u - y)_p' A_x (u + y)_p: the outer products of a chunk of
+    paths, flattened to (chunk, n^2), times A flattened to (n, n^2): one
+    GEMM per chunk, the chunk's outer products reusing one buffer of at most
+    _CONTRACT_DOUBLES doubles.
+    """
+    n_paths, n = u.shape
+    flat_T = A.reshape(n, n * n).T
+    diff, total = u - y, u + y
+    chunk = max(1, min(n_paths, _CONTRACT_DOUBLES // (n * n)))
+    outer = np.empty((chunk, n, n))
+    gaps = np.empty((n_paths, n))
+    for lo in range(0, n_paths, chunk):
+        m = min(chunk, n_paths - lo)
+        np.multiply(diff[lo : lo + m, :, None], total[lo : lo + m, None, :], out=outer[:m])
+        np.matmul(outer[:m].reshape(m, n * n), flat_T, out=gaps[lo : lo + m])
+    return gaps
 
 
 def estimate_second_moment_pair(
@@ -512,10 +555,7 @@ def estimate_second_moment_pair(
             w = (z if stride == 1 else z[:, 0::2, :] + z[:, 1::2, :]) * scale
             u, y = _rb_branch(params.u0, w, lam, grid.dx, MT, g)
             alive = np.all(np.isfinite(u), axis=1)
-            vals = np.einsum("pi,xij,pj->px", u, A, u, optimize=True) - np.einsum(
-                "pi,xij,pj->px", y, A, y, optimize=True
-            )
-            vals = vals[alive]
+            vals = _form_gaps(A, u, y)[alive]
             sums.append((vals.sum(axis=0), (vals**2).sum(axis=0), int(alive.sum())))
         return sums
 

@@ -2,6 +2,8 @@
 
 import copy
 import json
+import math
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -326,3 +328,64 @@ def test_mc_sweep_and_excitation_with_all_paths_flagged_write_partial_output(tmp
     payload = cli.read_json_file(out / "excitation.json")
     assert any("lambda=128.0, t=1.0" in w for w in payload["warnings"])
     assert "128.0" not in payload["phi"]
+
+
+def test_oracle_commands_on_a_grid_too_coarse_for_the_row_mass_window(tmp_path, capsys):
+    # at n=16, 2 dx^alpha > 0.02: the growth model's row-mass window is empty
+    cfg = write_config(tmp_path, base_config(tmp_path / "o", **{"discretization.n": 16}))
+    for command in ("sweep", "excitation"):
+        assert cli.main([command, "--config", cfg, "--oracle"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: discretization.n" in err
+        assert "row-mass window" in err
+
+
+def test_mc_excitation_chart_names_the_fitted_snapshot_time(tmp_path):
+    out = tmp_path / "exc"
+    doc = base_config(
+        out,
+        **{
+            "discretization.n": 16,
+            "discretization.snapshot_times": [0.125],
+            "ensemble.n_paths": 4,
+            "outputs.emit_svg": True,
+        },
+    )
+    cfg = write_config(tmp_path, doc)
+    for command in ("excitation", "sweep"):
+        assert cli.main([command, "--config", cfg]) == 0
+        texts = [el.text or "" for el in ET.parse(out / "excitation.svg").getroot().iter(f"{SVG_NS}text")]
+        titles = [s for s in texts if s.startswith("Excitation fit")]
+        assert titles == ["Excitation fit (alpha=1.5, t=0.125)"]
+
+
+def test_overflowed_moments_are_inf_and_named_in_the_warnings(tmp_path):
+    out = tmp_path / "over"
+    doc = base_config(
+        out,
+        **{
+            "model.lam": 128.0,
+            "discretization.n": 16,
+            "discretization.t_end": 1.0,
+            "discretization.snapshot_times": [0.5, 1.0],
+            "ensemble.n_paths": 4,
+        },
+    )
+    cfg = write_config(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["moments", "--config", cfg]) == 0
+        assert cli.main(["sweep", "--config", cfg]) == 0
+    summary = cli.read_json_file(out / "moments.json")
+    (est,) = summary["estimates"]  # t=1.0 has every path flagged
+    assert est["t"] == 0.5 and math.isinf(est["phi_p"]) and math.isinf(est["phi_p_se"])
+    assert any("left double range at lambda=128.0, t=0.5" in w for w in summary["warnings"])
+
+    fits = cli.read_json_file(out / "fits.json")
+    rows = cli.read_sweep_csv(out / "sweep.csv").rows
+    for r in rows:
+        ests = (r.phi_p, r.sup_moment, r.inf_subinterval_moment)
+        assert not any(math.isnan(e.stderr) for e in ests)
+        if any(math.isinf(e.value) or math.isinf(e.stderr) for e in ests):
+            assert any(f"left double range at lambda={r.lam!r}, t={r.t!r}" in w for w in fits["warnings"])
+    assert any(math.isinf(r.sup_moment.value) for r in rows)

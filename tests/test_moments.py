@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -158,3 +159,25 @@ def test_energy_homogeneity_property(small_ensemble, p, c):
         dataclasses.replace(small_ensemble, snapshots=c * small_ensemble.snapshots), t, p
     )
     assert scaled.value == pytest.approx(c * base.value, rel=1e-9)
+
+
+def test_overflowed_moments_are_inf_with_inf_stderr(small_ensemble):
+    # finite paths whose |u|^p leaves double range: inf, never a NaN spread
+    t = small_ensemble.snapshot_times[-1]
+    huge = with_snapshots(small_ensemble, 1e200 * np.abs(small_ensemble.snapshots) + 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        estimates = [
+            moments.estimate_energy(huge, t, 2.0),
+            moments.estimate_sup_moment(huge, t, 2.0),
+            moments.estimate_inf_subinterval_moment(huge, t, 2.0),
+        ]
+    for est in estimates:
+        assert math.isinf(est.value) and math.isinf(est.stderr)
+        assert est.n_effective == small_ensemble.n_paths
+    # a finite mean whose spread overflows keeps its value; the stderr is inf
+    spread = with_snapshots(small_ensemble, 1e150 * small_ensemble.snapshots)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sup = moments.estimate_sup_moment(spread, t, 2.0)
+    assert math.isfinite(sup.value) and math.isinf(sup.stderr)

@@ -214,6 +214,73 @@ def test_coupled_refinement_shares_noise(desk_grid, desk_op, desk_params, monkey
     assert corr > 0.95
 
 
+def desk_forms(grid, op, params):
+    """Adjoint forms at dt = 1/256 over 32 steps, conditioned at step 16."""
+    return sde._conditional_forms(params, op, grid, 1.0 / 256.0, 32, 16)
+
+
+def test_conditional_forms_are_symmetric(desk_grid, desk_op, desk_params):
+    # the contraction's (u-y)'A_x(u+y) identity rests on A_x = A_x'
+    _MT, _g, A, _cv = desk_forms(desk_grid, desk_op, desk_params)
+    asym = np.abs(A - A.transpose(0, 2, 1)).max(axis=(1, 2))
+    assert np.all(asym <= 1e-13 * np.abs(A).max(axis=(1, 2)))
+
+
+def test_form_gaps_match_the_two_quadratic_forms(desk_grid, desk_op, desk_params):
+    _MT, _g, A, _cv = desk_forms(desk_grid, desk_op, desk_params)
+    rng = np.random.default_rng(5)
+    # 200 paths: more than one contraction chunk, and not a multiple of it
+    u = desk_params.u0 + 0.3 * rng.standard_normal((200, desk_grid.n))
+    y = u + 0.05 * rng.standard_normal(u.shape)
+    uau = np.einsum("pi,xij,pj->px", u, A, u, optimize=True)
+    yay = np.einsum("pi,xij,pj->px", y, A, y, optimize=True)
+    gaps = sde._form_gaps(A, u, y)
+    scale = max(np.abs(uau).max(), np.abs(yay).max())
+    assert np.abs(gaps - (uau - yay)).max() <= 1e-12 * scale
+    # a flagged (non-finite) path spoils its own row only
+    u[7] = np.nan
+    spoiled = sde._form_gaps(A, u, y)
+    assert np.all(np.isnan(spoiled[7]))
+    assert np.array_equal(np.delete(spoiled, 7, axis=0), np.delete(gaps, 7, axis=0))
+
+
+def test_stacked_chaos_march_matches_three_matmul_march(desk_grid, desk_op, desk_params):
+    MT, g, _A, _cv = desk_forms(desk_grid, desk_op, desk_params)
+    dx, lam, steps = desk_grid.dx, 1.7, 16
+    rng = np.random.default_rng(8)
+    noise = rng.standard_normal((10, steps, desk_grid.n)) * math.sqrt(dx / 256.0)
+    # reference: one (B, n) @ (n, n) product per chaos term and step
+    u = np.tile(desk_params.u0, (10, 1))
+    ell = np.zeros_like(u)
+    q = np.zeros_like(u)
+    for s in range(steps):
+        dW = noise[:, s, :] / dx
+        q = (q + lam * ell * dW) @ MT
+        ell = (ell + lam * g[s] * dW) @ MT
+        u = (u + lam * u * dW) @ MT
+    y = g[steps] + ell + q
+    got_u, got_y = sde._rb_branch(desk_params.u0, noise, lam, dx, MT, g)
+    assert np.abs(got_u - u).max() <= 1e-12 * np.abs(u).max()
+    assert np.abs(got_y - y).max() <= 1e-12 * np.abs(y).max()
+
+
+def test_pair_estimator_worker_count_never_changes_results(desk_grid, desk_op, desk_params):
+    # 300 paths: three blocks, the last one partial
+    disc = small_disc(desk_grid, dt=1.0 / 256.0)
+    ref = None
+    for workers in (1, 2, 3):
+        pair = estimate_second_moment_pair(
+            desk_params, disc, desk_op, n_paths=300, master_seed=19, worker_count=workers
+        )
+        got = [(e.values, e.stderr, e.flagged_count) for e in pair]
+        if ref is None:
+            ref = got
+        for (values, stderr, flagged), (ref_values, ref_stderr, ref_flagged) in zip(got, ref):
+            assert np.array_equal(values, ref_values)
+            assert np.array_equal(stderr, ref_stderr)
+            assert flagged == ref_flagged
+
+
 def test_conditional_estimator_rejects_nonlinear_sigma(desk_grid, desk_op):
     params = make_params(
         desk_grid, sigma=SigmaSpec(kind="bounded-linear", l_sigma=0.5, L_sigma=1.0)
