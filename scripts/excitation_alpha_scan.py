@@ -1,9 +1,10 @@
 """Scan the fitted excitation index across alpha and compare to 2a/(a-1).
 
 For each alpha the deterministic second-moment oracle is evaluated on a
-geometric lambda grid and the index is fitted from log Phi_2(t_end) exactly
-as the CLI sweep does.  Writes a CSV (and optionally an SVG chart) of the
-fitted index, its confidence interval, and the reference curve.
+geometric lambda grid by ``bounds.oracle_sweep``, the same sweep that
+``fracheat excitation --oracle`` and acceptance check 8 run, and the index
+is fitted from ln Phi_2(t_end).  Writes a CSV (and optionally an SVG chart)
+of the fitted index, its confidence interval, and the reference curve.
 
 Usage: python scripts/excitation_alpha_scan.py --out out/alpha_scan [--svg]
 """
@@ -25,20 +26,15 @@ def fit_index_for_alpha(
 ) -> tuple:
     grid = build_grid(L=1.0, n=n, mu=0.1)
     op = assemble(grid, OperatorConfig(alpha=alpha))
-    sigma = SigmaSpec(kind="linear", l_sigma=1.0, L_sigma=1.0)
-    u0 = tent_profile(grid)
-
-    def params(lam: float) -> ModelParams:
-        return ModelParams(alpha=alpha, L=1.0, lam=lam, sigma=sigma, u0=u0, mu=0.1)
-
-    model = bounds.measure_growth_model(op, grid, params(1.0), horizon=t_end)
-    table = []
-    for lam in lambdas:
-        c = bounds.oracle_moment_curves(
-            params(float(lam)), op, grid, T=t_end, steps=steps, model=model
-        )
-        table.append((float(lam), 0.5 * float(c.log_energy[-1])))
-    return moments.fit_excitation_from_log(table)
+    base = ModelParams(
+        alpha=alpha, L=1.0, lam=1.0,
+        sigma=SigmaSpec(kind="linear", l_sigma=1.0, L_sigma=1.0),
+        u0=tent_profile(grid), mu=0.1,
+    )
+    curves = bounds.oracle_sweep(base, op, grid, lambdas, T=t_end, steps=steps)
+    return moments.fit_excitation_from_log(
+        [(lam, float(c.log_phi2()[-1])) for lam, c in curves.items()]
+    )
 
 
 def main() -> int:

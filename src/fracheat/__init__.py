@@ -30,8 +30,8 @@ from .moments import (
     estimate_energy,
     estimate_inf_subinterval_moment,
     estimate_sup_moment,
-    fit_excitation,
-    fit_lyapunov,
+    fit_excitation_from_log,
+    fit_lyapunov_from_log,
 )
 from .sde import (
     Discretization,
@@ -64,8 +64,8 @@ __all__ = [
     "estimate_energy",
     "estimate_inf_subinterval_moment",
     "estimate_sup_moment",
-    "fit_excitation",
-    "fit_lyapunov",
+    "fit_excitation_from_log",
+    "fit_lyapunov_from_log",
     "Discretization",
     "ModelParams",
     "PathEnsemble",

@@ -11,7 +11,6 @@ time resolutions).
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import tempfile
@@ -392,31 +391,16 @@ def check_envelope_sandwich() -> CheckResult:
 
 
 def _excitation_for_alpha(alpha: float) -> tuple[float, tuple[float, float]]:
-    if alpha == _DESK_ALPHA:
-        grid, op = _desk()
-        model = _desk_model()
-        mk = _desk_params
-    else:
-        grid, op_ = _desk()
+    grid, op = _desk()
+    if alpha != _DESK_ALPHA:
         op = assemble(grid, OperatorConfig(alpha=alpha))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            base = ModelParams(
-                alpha=alpha, L=grid.L, lam=1.0,
-                sigma=SigmaSpec(kind="linear", l_sigma=1.0, L_sigma=1.0),
-                u0=tent_profile(grid), mu=_DESK_MU, p=2.0,
-            )
-        model = bounds.measure_growth_model(op, grid, base, horizon=1.0)
-
-        def mk(lam: float) -> ModelParams:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # replace() re-runs the advisory
-                return replace(base, lam=lam)
-    table = []
-    for lam in (8.0, 16.0, 32.0, 64.0, 128.0):
-        c = bounds.oracle_moment_curves(mk(lam), op, grid, T=1.0, steps=256, model=model)
-        table.append((lam, 0.5 * float(c.log_energy[-1])))  # ln Phi_2 = ln(energy)/2
-    return moments.fit_excitation_from_log(table)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # replace() re-runs the p advisory
+        base = replace(_desk_params(1.0), alpha=alpha)
+    curves = bounds.oracle_sweep(base, op, grid, (8.0, 16.0, 32.0, 64.0, 128.0), T=1.0, steps=256)
+    return moments.fit_excitation_from_log(
+        [(lam, float(c.log_phi2()[-1])) for lam, c in curves.items()]
+    )
 
 
 def check_excitation_index() -> CheckResult:

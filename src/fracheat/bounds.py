@@ -31,13 +31,14 @@ Three layers:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import specfun
-from .laplacian import DiscreteOperator, Grid
+from .laplacian import DiscreteOperator, Grid, apply_semigroup
 from .sde import ModelParams
 
 __all__ = [
@@ -50,6 +51,7 @@ __all__ = [
     "measure_growth_model",
     "OracleCurves",
     "oracle_moment_curves",
+    "oracle_sweep",
     "EnvelopeConstants",
     "EnvelopeFitError",
     "log_lower_envelope",
@@ -207,11 +209,8 @@ def second_moment_volterra(
     if not (T > 0.0 and steps >= 16):
         raise ValueError(f"need T > 0 and steps >= 16, got T={T}, steps={steps}")
     n = grid.n
-    V = op.eigenvectors
-    w = op.eigenvalues
     t = np.linspace(0.0, T, steps + 1)
-    proj = V.T @ params.u0
-    g = (np.exp(np.outer(t, w)) * proj) @ V.T  # deterministic flow at all grid times
+    g = apply_semigroup(op, t, params.u0)  # deterministic flow at all grid times
     c = (params.lam * params.sigma.L_sigma) ** 2
     m = np.empty((steps + 1, n))
     m[0] = g[0] ** 2
@@ -290,9 +289,7 @@ def measure_growth_model(
     c_inf = float(scaled[inner].min())
     c_sup = float(scaled.max())
     # deterministic forcing floor/cap over the horizon
-    t_scan = np.linspace(0.0, horizon, 65)
-    proj = op.eigenvectors.T @ params.u0
-    gflow = (np.exp(np.outer(t_scan, op.eigenvalues)) * proj) @ op.eigenvectors.T
+    gflow = apply_semigroup(op, np.linspace(0.0, horizon, 65), params.u0)
     a_inf = float((gflow[:, inner] ** 2).min())
     a_sup = float((gflow**2).max())
     if not (0.0 < c_inf <= c_sup and 0.0 < a_inf <= a_sup):
@@ -333,6 +330,10 @@ class OracleCurves:
     log_sup: np.ndarray
     log_energy: np.ndarray
     branch: str
+
+    def log_phi2(self) -> np.ndarray:
+        """ln Phi_2 = ln(energy)/2 at each grid time."""
+        return 0.5 * self.log_energy
 
 
 def oracle_moment_curves(
@@ -384,6 +385,28 @@ def oracle_moment_curves(
         log_energy=log_energy,
         branch="renewal",
     )
+
+
+def oracle_sweep(
+    base: ModelParams,
+    op: DiscreteOperator,
+    grid: Grid,
+    lambdas: Sequence[float],
+    T: float,
+    steps: int,
+) -> dict[float, OracleCurves]:
+    """Oracle curves per noise level of ``lambdas``, keyed by level.
+
+    The growth model is measured once, on ``base`` (whose own lam is not
+    used), and shared by one oracle_moment_curves call per level.
+    """
+    model = measure_growth_model(op, grid, base, horizon=T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # replace() repeats base's p advisory
+        levels = [replace(base, lam=float(lam)) for lam in lambdas]
+    return {
+        p.lam: oracle_moment_curves(p, op, grid, T=T, steps=steps, model=model) for p in levels
+    }
 
 
 def tail_log_slope(t: np.ndarray, log_m: np.ndarray) -> float:

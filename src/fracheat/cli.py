@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -384,93 +385,78 @@ def cmd_moments(cfg: ExperimentConfig) -> int:
 # sweep and excitation
 
 
-def _oracle_tables(cfg: ExperimentConfig) -> tuple[dict, list]:
-    """Oracle curves per lambda, and the excitation table (lambda, ln Phi_p at t_end)."""
+def _oracle_rows(cfg: ExperimentConfig, curves: bounds.OracleCurves) -> list[moments.SweepRow]:
+    def estimate(log_value: float) -> moments.MomentEstimate:
+        value = math.exp(log_value) if log_value < 700.0 else math.inf
+        return moments.MomentEstimate(value=value, stderr=0.0, n_effective=0)
+
+    log_phi = curves.log_phi2()
+    rows = []
+    for t in cfg.snapshot_times:
+        i = int(np.argmin(np.abs(curves.t - t)))
+        rows.append(
+            moments.SweepRow(
+                lam=curves.lam,
+                t=float(curves.t[i]),
+                phi_p=estimate(float(log_phi[i])),
+                sup_moment=estimate(float(curves.log_sup[i])),
+                inf_subinterval_moment=estimate(float(curves.log_inf[i])),
+            )
+        )
+    return rows
+
+
+def _oracle_source(cfg: ExperimentConfig) -> tuple[dict, dict, list]:
+    """Oracle rows at the snapshot times and (t, ln Phi_2) tables on the
+    oracle's time grid, per lambda, and that grid."""
     grid, op = _operator(cfg)
     if cfg.sigma.kind != "linear":
         raise ConfigError("model.sigma.kind", "--oracle requires the linear coefficient")
+    if cfg.p != 2.0:
+        raise ConfigError(
+            "model.p", f"--oracle solves the second-moment equation, so p must be 2, got {cfg.p!r}"
+        )
     base = _params(cfg, grid, lam=1.0)
     try:
-        model = bounds.measure_growth_model(op, grid, base, horizon=cfg.t_end)
+        curves = bounds.oracle_sweep(base, op, grid, cfg.lambdas, T=cfg.t_end, steps=_ORACLE_STEPS)
     except ValueError as exc:  # base passed check_grid, so the row-mass window is empty at this n
         raise ConfigError("discretization.n", str(exc)) from exc
-    curves = {}
-    for lam in cfg.lambdas:
-        curves[lam] = bounds.oracle_moment_curves(
-            _params(cfg, grid, lam=lam), op, grid,
-            T=cfg.t_end, steps=_ORACLE_STEPS, model=model,
-        )
-    table = [(lam, 0.5 * float(curves[lam].log_energy[-1])) for lam in cfg.lambdas]
-    return curves, table
+    rows = {lam: _oracle_rows(cfg, c) for lam, c in curves.items()}
+    tables = {lam: list(zip(c.t.tolist(), c.log_phi2().tolist())) for lam, c in curves.items()}
+    return rows, tables, curves[cfg.lambdas[0]].t.tolist()
 
 
-def _mc_tables(cfg: ExperimentConfig, warnings: list) -> tuple[dict, int, list, float]:
-    """One ensemble per lambda: its snapshot rows, the flagged-path total,
-    the excitation table (lambda, Phi_p at the last snapshot) and the time of
-    that snapshot.  A lambda whose last snapshot has no estimate is left out
-    of the table."""
+def _mc_source(cfg: ExperimentConfig, payload: dict) -> tuple[dict, dict, list]:
+    """One ensemble per lambda: its snapshot rows and (t, ln Phi_p) table, and
+    the snapshot times.  Warnings and the flagged-path total go to ``payload``."""
     grid, op = _operator(cfg)
     disc = _discretization(cfg, grid, op)
-    per_lambda_rows: dict = {}
-    flagged_total = 0
+    rows: dict = {}
+    payload["flagged_total"] = 0
     for lam in cfg.lambdas:
         ens = run_ensemble(
             _params(cfg, grid, lam=lam), disc, op,
             n_paths=cfg.n_paths, master_seed=cfg.master_seed,
             worker_count=cfg.worker_count,
         )
-        flagged_total += ens.flagged_count
-        per_lambda_rows[lam] = _snapshot_rows(cfg, ens, lam, warnings)
-    t_last = disc.snapshot_times[-1]
-    table = [
-        (lam, rows[-1].phi_p.value)
-        for lam, rows in per_lambda_rows.items()
-        if rows and rows[-1].t == t_last
-    ]
-    return per_lambda_rows, flagged_total, table, t_last
+        payload["flagged_total"] += ens.flagged_count
+        rows[lam] = _snapshot_rows(cfg, ens, lam, payload["warnings"])
+    tables = {
+        lam: [(r.t, math.log(r.phi_p.value) if r.phi_p.value > 0.0 else -math.inf) for r in rs]
+        for lam, rs in rows.items()
+    }
+    return rows, tables, list(disc.snapshot_times)
 
 
-def _log_table(table: list) -> list:
-    return [(lam, math.log(v)) for lam, v in table if v > 0 and math.isfinite(v)]
-
-
-def _excitation_fit(fit, table: list, payload: dict):
-    """Run ``fit`` on the excitation table and record e_hat/e_ci, or a warning."""
-    try:
-        exc_fit = fit(table)
-    except ValueError as exc:
-        payload["warnings"].append(f"excitation fit skipped: {exc}")
-        return None
-    payload["e_hat"], payload["e_ci"] = exc_fit[0], list(exc_fit[1])
-    return exc_fit
-
-
-def _oracle_estimate(log_value: float) -> moments.MomentEstimate:
-    value = math.exp(log_value) if log_value < 700.0 else math.inf
-    return moments.MomentEstimate(value=value, stderr=0.0, n_effective=0)
-
-
-def _oracle_rows(cfg: ExperimentConfig, curves: dict) -> list[moments.SweepRow]:
-    rows = []
-    for lam in cfg.lambdas:
-        c = curves[lam]
-        for t in cfg.snapshot_times:
-            i = int(np.argmin(np.abs(c.t - t)))
-            rows.append(
-                moments.SweepRow(
-                    lam=lam,
-                    t=float(c.t[i]),
-                    phi_p=_oracle_estimate(0.5 * float(c.log_energy[i])),
-                    sup_moment=_oracle_estimate(float(c.log_sup[i])),
-                    inf_subinterval_moment=_oracle_estimate(float(c.log_inf[i])),
-                )
-            )
-    return rows
-
-
-def _fit_payload(cfg: ExperimentConfig, mode: str) -> dict:
-    return {
-        "mode": mode,
+def _sweep_source(cfg: ExperimentConfig, oracle: bool) -> tuple[dict, dict, dict, list]:
+    """The fit payload, and per lambda the sweep rows and the (t, ln Phi_p)
+    table, from the oracle or from Monte Carlo, with the time axis a
+    complete table covers.  A Monte Carlo table is shorter when every path
+    is flagged from some snapshot on."""
+    if len(cfg.lambdas) < 5:
+        raise ConfigError("sweep.count", "the excitation fit needs at least 5 lambda points")
+    payload = {
+        "mode": "oracle" if oracle else "mc",
         "p": cfg.p,
         "alpha": cfg.alpha,
         "reference_slope": 2.0 * cfg.alpha / (cfg.alpha - 1.0),
@@ -482,44 +468,21 @@ def _fit_payload(cfg: ExperimentConfig, mode: str) -> dict:
         "e_ci": None,
         "warnings": [],
     }
+    rows, tables, times = _oracle_source(cfg) if oracle else _mc_source(cfg, payload)
+    return payload, rows, tables, times
 
 
-def _sweep_oracle(cfg: ExperimentConfig) -> tuple[moments.SweepResult, dict, dict]:
-    curves, table = _oracle_tables(cfg)
-    rows = _oracle_rows(cfg, curves)
-    payload = _fit_payload(cfg, "oracle")
-
-    top = curves[cfg.lambdas[-1]]
-    lyap = None
+def _excitation_fit(tables: dict, times: list, payload: dict) -> tuple[list, Optional[tuple]]:
+    """The excitation table (lambda, ln Phi_p at the last time) of the
+    complete tables, and its fit, recorded as e_hat/e_ci or a warning."""
+    table = [(lam, tab[-1][1]) for lam, tab in tables.items() if len(tab) == len(times)]
     try:
-        lyap = moments.fit_lyapunov_from_log(
-            list(zip(top.t.tolist(), (0.5 * top.log_energy).tolist()))
-        )
-        payload["gamma_hat"], payload["gamma_ci"] = lyap[0], list(lyap[1])
+        fit = moments.fit_excitation_from_log(table)
     except ValueError as exc:
-        payload["warnings"].append(f"growth-rate fit skipped: {exc}")
-
-    exc_fit = _excitation_fit(moments.fit_excitation_from_log, table, payload)
-    result = moments.SweepResult(rows=rows, lyapunov_hat=lyap, excitation_hat=exc_fit)
-    charts = _oracle_charts(cfg, curves, table, exc_fit, payload)
-    return result, payload, charts
-
-
-def _oracle_charts(cfg, curves, table, exc_fit, payload) -> dict:
-    charts = {}
-    try:
-        phi_curves = [
-            (lam, np.exp(np.minimum(0.5 * curves[lam].log_energy, 700.0))) for lam in cfg.lambdas
-        ]
-        charts["sweep_phi.svg"] = svgplot.moment_chart(
-            curves[cfg.lambdas[0]].t, phi_curves, p=cfg.p,
-            title=f"Oracle moment growth (alpha={cfg.alpha:g})",
-        )
-    except ValueError as exc:
-        payload["warnings"].append(f"moment chart skipped: {exc}")
-    if exc_fit is not None:
-        charts["excitation.svg"] = _excitation_svg(cfg, table, exc_fit, cfg.t_end)
-    return charts
+        payload["warnings"].append(f"excitation fit skipped: {exc}")
+        return table, None
+    payload["e_hat"], payload["e_ci"] = fit[0], list(fit[1])
+    return table, fit
 
 
 def _excitation_svg(cfg: ExperimentConfig, table, fit, t: float) -> str:
@@ -537,36 +500,23 @@ def _excitation_svg(cfg: ExperimentConfig, table, fit, t: float) -> str:
     )
 
 
-def _sweep_mc(cfg: ExperimentConfig) -> tuple[moments.SweepResult, dict, dict]:
-    payload = _fit_payload(cfg, "mc")
-    per_lambda_rows, payload["flagged_total"], table, t_fit = _mc_tables(cfg, payload["warnings"])
-    all_rows = [r for lam in cfg.lambdas for r in per_lambda_rows[lam]]
-
-    lyap = None
+def _moment_svg(cfg: ExperimentConfig, tables: dict, times: list, payload: dict) -> Optional[str]:
+    """Phi_p of the complete tables against time.  A finite ln Phi_p past 700
+    is drawn at e^700; an infinite one left double range and is not drawn."""
+    curves = []
+    for lam, tab in tables.items():
+        if len(tab) == len(times):
+            log_phi = np.array([lp for _, lp in tab])
+            phi = np.exp(np.minimum(log_phi, 700.0))
+            curves.append((lam, np.where(log_phi == math.inf, math.inf, phi)))
+    source = "Oracle" if payload["mode"] == "oracle" else "Monte Carlo"
     try:
-        top_rows = per_lambda_rows[cfg.lambdas[-1]]
-        lyap = moments.fit_lyapunov([(r.t, r.phi_p.value) for r in top_rows])
-        payload["gamma_hat"], payload["gamma_ci"] = lyap[0], list(lyap[1])
-    except ValueError as exc:
-        payload["warnings"].append(f"growth-rate fit skipped: {exc}")
-
-    exc_fit = _excitation_fit(moments.fit_excitation, table, payload)
-    result = moments.SweepResult(rows=all_rows, lyapunov_hat=lyap, excitation_hat=exc_fit)
-    charts = {}
-    try:
-        t = np.array(cfg.snapshot_times)
-        complete = [lam for lam in cfg.lambdas if len(per_lambda_rows[lam]) == len(t)]
-        charts["sweep_phi.svg"] = svgplot.moment_chart(
-            t,
-            [(lam, np.array([r.phi_p.value for r in per_lambda_rows[lam]])) for lam in complete],
-            p=cfg.p,
-            title=f"Monte Carlo moment growth (alpha={cfg.alpha:g})",
+        return svgplot.moment_chart(
+            np.array(times), curves, p=cfg.p, title=f"{source} moment growth (alpha={cfg.alpha:g})"
         )
     except ValueError as exc:
         payload["warnings"].append(f"moment chart skipped: {exc}")
-    if exc_fit is not None:
-        charts["excitation.svg"] = _excitation_svg(cfg, _log_table(table), exc_fit, t_fit)
-    return result, payload, charts
+        return None
 
 
 def _report(out: str, written: list, payload: dict) -> None:
@@ -581,42 +531,48 @@ def _report(out: str, written: list, payload: dict) -> None:
 
 
 def cmd_sweep(cfg: ExperimentConfig, oracle: bool) -> int:
-    if len(cfg.lambdas) < 5:
-        raise ConfigError("sweep.count", "a sweep needs at least 5 lambda points")
-    result, payload, charts = _sweep_oracle(cfg) if oracle else _sweep_mc(cfg)
+    payload, rows, tables, times = _sweep_source(cfg, oracle)
+    lyap = None
+    try:
+        lyap = moments.fit_lyapunov_from_log(tables[cfg.lambdas[-1]])
+        payload["gamma_hat"], payload["gamma_ci"] = lyap[0], list(lyap[1])
+    except ValueError as exc:
+        payload["warnings"].append(f"growth-rate fit skipped: {exc}")
+    table, exc_fit = _excitation_fit(tables, times, payload)
+    charts = {"sweep_phi.svg": _moment_svg(cfg, tables, times, payload)}
+    if exc_fit is not None:
+        charts["excitation.svg"] = _excitation_svg(cfg, table, exc_fit, times[-1])
+    result = moments.SweepResult(
+        rows=[r for lam in cfg.lambdas for r in rows[lam]], lyapunov_hat=lyap, excitation_hat=exc_fit
+    )
     out = _outdir(cfg)
     result.write_csv(os.path.join(out, "sweep.csv"))
     _write_json(os.path.join(out, "fits.json"), payload)
     written = ["sweep.csv", "fits.json"]
     if cfg.emit_svg:
         for name, text in charts.items():
-            svgplot.write_svg(os.path.join(out, name), text)
-            written.append(name)
+            if text is not None:
+                svgplot.write_svg(os.path.join(out, name), text)
+                written.append(name)
     _report(out, written, payload)
     return 0
 
 
 def cmd_excitation(cfg: ExperimentConfig, oracle: bool) -> int:
-    if len(cfg.lambdas) < 5:
-        raise ConfigError("sweep.count", "an excitation fit needs at least 5 lambda points")
-    payload = _fit_payload(cfg, "oracle" if oracle else "mc")
-    del payload["gamma_hat"], payload["gamma_ci"]
+    payload, rows, tables, times = _sweep_source(cfg, oracle)
+    for key in ("gamma_hat", "gamma_ci", "flagged_total"):
+        payload.pop(key, None)
+    table, exc_fit = _excitation_fit(tables, times, payload)
     if oracle:
-        _, log_table = _oracle_tables(cfg)
-        t_fit = cfg.t_end
-        payload["log_phi"] = {repr(lam): lp for lam, lp in log_table}
-        exc_fit = _excitation_fit(moments.fit_excitation_from_log, log_table, payload)
-    else:
-        _, _, table, t_fit = _mc_tables(cfg, payload["warnings"])
-        payload["phi"] = {repr(lam): v for lam, v in table}
-        exc_fit = _excitation_fit(moments.fit_excitation, table, payload)
-        log_table = _log_table(table)
+        payload["log_phi"] = {repr(lam): lp for lam, lp in table}
+    else:  # the estimates themselves, not exp(ln Phi_p)
+        payload["phi"] = {repr(lam): rows[lam][-1].phi_p.value for lam, _ in table}
     out = _outdir(cfg)
     _write_json(os.path.join(out, "excitation.json"), payload)
     written = ["excitation.json"]
     if cfg.emit_svg and exc_fit is not None:
         svgplot.write_svg(
-            os.path.join(out, "excitation.svg"), _excitation_svg(cfg, log_table, exc_fit, t_fit)
+            os.path.join(out, "excitation.svg"), _excitation_svg(cfg, table, exc_fit, times[-1])
         )
         written.append("excitation.svg")
     _report(out, written, payload)
@@ -668,7 +624,7 @@ def read_ensemble_csv(path: str) -> dict:
     """
     t_index: dict = {}
     x_index: dict = {}
-    ti, ks, xi, us = [], [], [], []
+    ti, ks, xi, us = array("q"), array("q"), array("q"), array("d")
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "path,t,x,u":
@@ -678,7 +634,8 @@ def read_ensemble_csv(path: str) -> dict:
                 ps, ts, xs, u = line.rstrip("\n").split(",")
                 k, t, x = int(ps), float(ts), float(xs)
                 us.append(float(u))
-            except ValueError as exc:
+                ks.append(k)
+            except (ValueError, OverflowError) as exc:  # OverflowError: k outside int64
                 raise ValueError(f"{path} line {lineno}: {exc}") from exc
             i = t_index.setdefault(t, len(t_index))
             if i == 0 and k == 0:
@@ -686,11 +643,11 @@ def read_ensemble_csv(path: str) -> dict:
             if k < 0 or x not in x_index:
                 raise ValueError(f"{path} line {lineno}: path {k}, node x={x!r} is off the ensemble grid")
             ti.append(i)
-            ks.append(k)
             xi.append(x_index[x])
     if not us:
         raise ValueError(f"{path}: no data rows")
-    shape = (len(t_index), max(ks) + 1, len(x_index))
+    ti, ks, xi = (np.frombuffer(a, dtype=np.int64) for a in (ti, ks, xi))
+    shape = (len(t_index), int(ks.max()) + 1, len(x_index))
     cells = np.ravel_multi_index((ti, ks, xi), shape)
     written = np.bincount(cells, minlength=math.prod(shape))
     if np.any(written != 1):
@@ -699,7 +656,7 @@ def read_ensemble_csv(path: str) -> dict:
             f"{np.count_nonzero(written > 1)} written more than once, of {written.size}"
         )
     snapshots = np.empty(shape)
-    snapshots.flat[cells] = us
+    snapshots.flat[cells] = np.frombuffer(us)
     return {
         "snapshot_times": tuple(t_index),
         "nodes": np.array(list(x_index)),

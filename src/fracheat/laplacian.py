@@ -170,15 +170,14 @@ def heat_kernel_matrix(op: DiscreteOperator, t: float) -> np.ndarray:
     return (V * np.exp(t * w)) @ V.T / op.grid.dx
 
 
-def apply_semigroup(op: DiscreteOperator, t: float, v: np.ndarray) -> np.ndarray:
-    """exp(tA) v: the heat semigroup acting on node samples (P_D(t) v dx)."""
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"apply_semigroup requires t >= 0, got {t}")
-    v = np.asarray(v, dtype=float)
-    if v.shape[-1] != op.grid.n:
-        raise ValueError(f"profile has {v.shape[-1]} entries, grid has {op.grid.n} nodes")
+def apply_semigroup(op: DiscreteOperator, t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """exp(tA) v at each time of ``t``, one row per time: the heat semigroup
+    acting on node samples (P_D(t) v dx)."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t) & (t >= 0.0)):
+        raise ValueError(f"apply_semigroup requires times t >= 0, got {t}")
     V, w = op.eigenvectors, op.eigenvalues
-    return (v @ V * np.exp(t * w)) @ V.T
+    return (np.exp(np.outer(t, w)) * (V.T @ v)) @ V.T
 
 
 def implicit_factor(op: DiscreteOperator, dt: float) -> np.ndarray:

@@ -11,8 +11,8 @@ the excitation index (slope of log log Phi_p against log lambda on a
 geometric noise-level grid).
 
 Moment values grow like exp(c * lambda^{2 alpha/(alpha-1)} * t) and leave
-double precision long before the fits stop being meaningful, so every
-fit has a log-domain companion that accepts ln(moment) directly.
+double precision long before the fits stop being meaningful, so both fits
+take ln(moment) directly.
 """
 
 from __future__ import annotations
@@ -33,9 +33,7 @@ __all__ = [
     "estimate_energy",
     "estimate_sup_moment",
     "estimate_inf_subinterval_moment",
-    "fit_lyapunov",
     "fit_lyapunov_from_log",
-    "fit_excitation",
     "fit_excitation_from_log",
 ]
 
@@ -158,10 +156,10 @@ def _slope_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, tuple[float, float]
 def fit_lyapunov_from_log(
     series: Sequence[tuple[float, float]]
 ) -> tuple[float, tuple[float, float]]:
-    """Tail log-slope fit from points (t, ln moment).
+    """Lyapunov exponent: least-squares slope of ln(moment) vs t on the tail.
 
-    Uses the window [t_end/2, t_end] and requires at least five points
-    there.
+    ``series`` holds (t, ln moment) points.  Uses the window [t_end/2,
+    t_end], which needs at least five points, all finite.
     """
     pts = sorted(series)
     if not pts:
@@ -172,31 +170,12 @@ def fit_lyapunov_from_log(
         raise ValueError(
             f"need >= 5 points in the tail window [{0.5 * t_end}, {t_end}]; got {len(tail)}"
         )
+    for t, lv in tail:
+        if not math.isfinite(lv):
+            raise ValueError(f"ln moment {lv} at t={t} in the tail window is not finite")
     x = np.array([t for t, _ in tail])
     y = np.array([lv for _, lv in tail])
     return _slope_fit(x, y)
-
-
-def fit_lyapunov(
-    series: Sequence[tuple[float, float]]
-) -> tuple[float, tuple[float, float]]:
-    """Lyapunov exponent: least-squares slope of ln(moment) vs t on the tail.
-
-    ``series`` holds (t, moment) pairs; moments in the tail window must
-    be positive.
-    """
-    pts = sorted(series)
-    if not pts:
-        raise ValueError("empty moment series")
-    t_end = pts[-1][0]
-    logged = []
-    for t, m in pts:
-        if t < 0.5 * t_end:
-            continue
-        if not (m > 0.0):
-            raise ValueError(f"nonpositive moment {m} at t={t} in the tail window")
-        logged.append((t, math.log(m)))
-    return fit_lyapunov_from_log(logged)
 
 
 def _check_geometric(lams: np.ndarray) -> None:
@@ -210,13 +189,19 @@ def _check_geometric(lams: np.ndarray) -> None:
 def fit_excitation_from_log(
     table: Sequence[tuple[float, float]]
 ) -> tuple[float, tuple[float, float]]:
-    """Excitation-index fit from points (lambda, ln Phi_p at fixed t).
+    """Excitation index: slope of log log Phi_p vs log lambda.
 
-    Regresses log log Phi_p on log lambda over the largest-lambda half of
-    the geometric grid.  Every retained point must satisfy Phi_p > e,
-    i.e. ln Phi_p > 1, so the double logarithm is defined and positive.
+    ``table`` holds (lambda, ln Phi_p at fixed t) points on a geometric
+    lambda grid, every ln Phi_p finite.  The fit uses the largest-lambda
+    half, where every point must satisfy Phi_p > e, i.e. ln Phi_p > 1, so
+    the double logarithm is defined and positive.
     """
     pts = sorted(table)
+    for lam, logphi in pts:
+        if not math.isfinite(logphi):
+            raise ValueError(
+                f"Phi_p={math.exp(logphi)} at lambda={lam} is not a positive finite value"
+            )
     if len(pts) < 5:
         raise ValueError(f"need >= 5 lambda values; got {len(pts)}")
     lams = np.array([l for l, _ in pts])
@@ -233,23 +218,6 @@ def fit_excitation_from_log(
     x = np.log(np.array([l for l, _ in half]))
     y = np.log(np.array([lp for _, lp in half]))
     return _slope_fit(x, y)
-
-
-def fit_excitation(
-    table: Sequence[tuple[float, float]]
-) -> tuple[float, tuple[float, float]]:
-    """Excitation index: slope of log log Phi_p vs log lambda.
-
-    ``table`` holds (lambda, Phi_p) pairs on a geometric lambda grid; the
-    fit uses the largest-lambda half.  For values beyond double range use
-    :func:`fit_excitation_from_log`.
-    """
-    logged = []
-    for lam, phi in table:
-        if not (phi > 0.0) or not math.isfinite(phi):
-            raise ValueError(f"Phi_p={phi} at lambda={lam} is not a positive finite value")
-        logged.append((lam, math.log(phi)))
-    return fit_excitation_from_log(logged)
 
 
 # ---------------------------------------------------------------------------

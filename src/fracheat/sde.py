@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .laplacian import DiscreteOperator, Grid, implicit_factor
+from .laplacian import DiscreteOperator, Grid, apply_semigroup, implicit_factor
 
 __all__ = [
     "SigmaSpec",
@@ -436,9 +436,7 @@ def _conditional_forms(params, op, grid, dt, n_steps, cond_steps):
     M = implicit_factor(op, dt)
     MT = M.T
     c = lam_sig**2 * dt / grid.dx
-    proj = op.eigenvectors.T @ params.u0
-    tgrid = dt * np.arange(cond_steps + 1)
-    g = (np.exp(np.outer(tgrid, op.eigenvalues)) * proj) @ op.eigenvectors.T
+    g = apply_semigroup(op, dt * np.arange(cond_steps + 1), params.u0)
 
     n = grid.n
     idx = np.arange(n)

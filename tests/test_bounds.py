@@ -8,7 +8,7 @@ import pytest
 
 from conftest import make_params
 from fracheat import bounds, specfun
-from fracheat.laplacian import apply_semigroup
+from fracheat.laplacian import heat_kernel_matrix
 
 # Desk-scale regression pins (alpha=1.5, L=1, n=64, mu=0.1, lam=1, tent u0)
 ENERGY_AT_HALF = 0.007183856068648362
@@ -50,7 +50,7 @@ def test_zero_noise_oracle_is_squared_semigroup(desk_grid, desk_op):
     for k, t in enumerate(table.t):
         if t == 0.0:
             continue
-        g = apply_semigroup(desk_op, float(t), params.u0)
+        g = desk_grid.dx * (heat_kernel_matrix(desk_op, float(t)) @ params.u0)
         assert np.allclose(table.m[k], g**2, rtol=1e-10, atol=1e-14)
 
 

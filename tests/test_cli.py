@@ -155,6 +155,16 @@ def test_oracle_requires_linear_sigma(tmp_path, capsys):
     assert "model.sigma.kind" in capsys.readouterr().err
 
 
+def test_oracle_requires_p_2(tmp_path, capsys):
+    # the oracle solves the second-moment equation: Phi_2 must not be labelled Phi_6
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, base_config(out, **{"model.p": 6.0}))
+    for command in ("sweep", "excitation"):
+        assert cli.main([command, "--config", cfg, "--oracle"]) == 2
+        assert "config error: model.p" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mc_sweep_with_small_noise_warns_and_writes_partial_output(tmp_path):
     out = tmp_path / "mc"
     doc = base_config(
@@ -269,6 +279,11 @@ def test_read_ensemble_csv_rejects_incomplete_file(tmp_path, small_ensemble):
     doubled.write_text("".join(lines[:-1] + [lines[-2]]))
     with pytest.raises(ValueError, match="doubled.csv.*1 written more than once"):
         cli.read_ensemble_csv(doubled)
+    huge = tmp_path / "huge.csv"
+    # a path index past int64 on an otherwise valid last row
+    huge.write_text("".join(lines[:-1] + ["1" + "0" * 20 + lines[-1][lines[-1].index(","):]]))
+    with pytest.raises(ValueError, match=f"huge.csv line {len(lines)}: "):
+        cli.read_ensemble_csv(huge)
 
 
 def test_custom_table_sigma_from_config_simulates(tmp_path):

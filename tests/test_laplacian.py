@@ -74,9 +74,14 @@ def test_heat_kernel_positivity_and_mass(desk_grid, desk_op):
 def test_apply_semigroup_matches_kernel(desk_grid, desk_op):
     rng = np.random.default_rng(5)
     v = rng.normal(size=desk_grid.n)
-    direct = apply_semigroup(desk_op, 0.3, v)
-    via_kernel = desk_grid.dx * (heat_kernel_matrix(desk_op, 0.3) @ v)
-    assert np.allclose(direct, via_kernel, rtol=1e-10, atol=1e-12)
+    times = np.array([0.0, 0.1, 0.3])
+    direct = apply_semigroup(desk_op, times, v)
+    assert direct.shape == (times.size, desk_grid.n)
+    for row, t in zip(direct, times):
+        via_kernel = desk_grid.dx * (heat_kernel_matrix(desk_op, t) @ v)
+        assert np.allclose(row, via_kernel, rtol=1e-10, atol=1e-12)
+    with pytest.raises(ValueError):
+        apply_semigroup(desk_op, np.array([0.1, -0.1]), v)
 
 
 def test_implicit_factor_solves_backward_euler(desk_op, desk_grid):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -83,10 +84,10 @@ def test_moment_order_validation(small_ensemble):
 
 def test_lyapunov_fit_recovers_synthetic_rates():
     t = np.linspace(0.0, 2.0, 21)
-    growth = [(tk, 5.0 * math.exp(2.0 * tk)) for tk in t]
-    decay = [(tk, 3.0 * math.exp(-1.0 * tk)) for tk in t]
-    g, ci = moments.fit_lyapunov(growth)
-    d, _ = moments.fit_lyapunov(decay)
+    growth = [(tk, math.log(5.0) + 2.0 * tk) for tk in t]
+    decay = [(tk, math.log(3.0) - 1.0 * tk) for tk in t]
+    g, ci = moments.fit_lyapunov_from_log(growth)
+    d, _ = moments.fit_lyapunov_from_log(decay)
     assert g == pytest.approx(2.0, abs=1e-10)
     assert d == pytest.approx(-1.0, abs=1e-10)
     assert ci[0] <= g <= ci[1]
@@ -94,20 +95,30 @@ def test_lyapunov_fit_recovers_synthetic_rates():
 
 def test_lyapunov_fit_window_requirements():
     t = np.linspace(0.0, 2.0, 6)  # only 3 points land in [1, 2]
-    with pytest.raises(ValueError):
-        moments.fit_lyapunov([(tk, math.exp(tk)) for tk in t])
-    with pytest.raises(ValueError):
-        moments.fit_lyapunov([(tk, -1.0) for tk in np.linspace(0.0, 2.0, 21)])
+    with pytest.raises(ValueError, match="tail window"):
+        moments.fit_lyapunov_from_log([(tk, tk) for tk in t])
+    # ln of a zero moment: the error names the first such time in the window
+    with pytest.raises(ValueError, match="at t=1.0 in the tail window"):
+        moments.fit_lyapunov_from_log([(tk, -math.inf) for tk in np.linspace(0.0, 2.0, 21)])
+
+
+@pytest.mark.parametrize("bad", (math.inf, math.nan))
+def test_lyapunov_fit_rejects_non_finite_tail_values(bad):
+    # the last two moments overflowed: a ValueError naming t, never a NaN slope
+    t = np.linspace(0.0, 2.0, 21)
+    series = [(tk, 1.0 + 2.0 * tk) for tk in t[:-2]] + [(tk, bad) for tk in t[-2:]]
+    with pytest.raises(ValueError, match=re.escape(f"at t={float(t[-2])!r} in the tail window")):
+        moments.fit_lyapunov_from_log(series)
+    # a non-finite value outside the tail window is not used, so the fit stands
+    early = [(t[0], bad)] + [(tk, 1.0 + 2.0 * tk) for tk in t[1:]]
+    assert moments.fit_lyapunov_from_log(early)[0] == pytest.approx(2.0, abs=1e-10)
 
 
 def test_excitation_fit_exact_on_synthetic_power_law():
     lams = [4.0 * 2.0**k for k in range(6)]
-    table = [(lam, math.exp(0.3 * lam**1.2)) for lam in lams]
-    e, ci = moments.fit_excitation(table)
-    assert e == pytest.approx(1.2, abs=1e-9)
-    log_table = [(lam, 0.3 * lam**1.2) for lam in lams]
-    e_log, _ = moments.fit_excitation_from_log(log_table)
-    assert e_log == pytest.approx(1.2, abs=1e-12)
+    e, ci = moments.fit_excitation_from_log([(lam, 0.3 * lam**1.2) for lam in lams])
+    assert e == pytest.approx(1.2, abs=1e-12)
+    assert ci[0] <= e <= ci[1]
 
 
 def test_excitation_fit_requirements():
@@ -120,6 +131,15 @@ def test_excitation_fit_requirements():
     bad = [(lam, 5.0) for lam in lams[:-1]] + [(lams[-1], 0.5)]
     with pytest.raises(ValueError, match=str(lams[-1])):
         moments.fit_excitation_from_log(bad)
+
+
+@pytest.mark.parametrize(("bad", "shown"), ((math.inf, "inf"), (math.nan, "nan"), (-math.inf, "0.0")))
+def test_excitation_fit_rejects_non_finite_values(bad, shown):
+    # ln Phi_p = inf at the top lambda: a ValueError naming lambda, never a NaN slope
+    lams = [4.0 * 2.0**k for k in range(6)]
+    table = [(lam, 0.3 * lam**1.2) for lam in lams[:-1]] + [(lams[-1], bad)]
+    with pytest.raises(ValueError, match=re.escape(f"Phi_p={shown} at lambda={lams[-1]!r} ")):
+        moments.fit_excitation_from_log(table)
 
 
 def test_sweep_result_validation_and_csv(tmp_path, small_ensemble, desk_grid):

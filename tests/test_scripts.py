@@ -1,0 +1,82 @@
+"""The experiment scripts at small sizes, and the one oracle lambda-sweep
+that the alpha scan shares with the CLI and acceptance check 8."""
+
+import importlib.util
+import json
+import pathlib
+import sys
+
+import numpy as np
+import pytest
+
+from fracheat import acceptance, cli
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+# the README example config, whose model and grid are the acceptance desk problem
+README_CONFIG = {
+    "model": {
+        "alpha": 1.5,
+        "lam": 4.0,
+        "p": 2.0,
+        "sigma": {"kind": "linear", "l_sigma": 1.0, "L_sigma": 1.0},
+    },
+    "discretization": {
+        "n": 64,
+        "dt": 0.00390625,
+        "t_end": 1.0,
+        "snapshot_times": [0.25, 0.5, 1.0],
+    },
+    "sweep": {"lambda_min": 8.0, "lambda_max": 128.0, "count": 5},
+    "ensemble": {"n_paths": 400, "master_seed": 1, "worker_count": 2},
+    "outputs": {"directory": "out/demo", "emit_svg": False},
+}
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_main(monkeypatch, module, args):
+    monkeypatch.setattr(sys, "argv", [module.__file__, *args])
+    assert module.main() == 0
+
+
+def test_excitation_alpha_scan_smoke(tmp_path, monkeypatch):
+    scan = load_script("excitation_alpha_scan")
+    args = ["--alpha-min", "1.5", "--alpha-max", "1.9", "--alpha-count", "2",
+            "--n", "32", "--steps", "64", "--out", str(tmp_path), "--svg"]
+    run_main(monkeypatch, scan, args)
+    lines = (tmp_path / "alpha_scan.csv").read_text().splitlines()
+    assert lines[0] == "alpha,e_hat,ci_lo,ci_hi,reference"
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert [r[0] for r in rows] == [1.5, 1.9]
+    assert all(np.isfinite(r).all() and r[2] <= r[1] <= r[3] for r in rows)
+    assert (tmp_path / "alpha_scan.svg").exists()
+
+
+def test_mc_bias_study_smoke(tmp_path, monkeypatch):
+    study = load_script("mc_bias_study")
+    args = ["--n", "16", "--dt", "0.0078125", "--t-end", "0.125", "--paths", "32",
+            "--workers", "1", "--out", str(tmp_path)]
+    run_main(monkeypatch, study, args)
+    report = json.loads((tmp_path / "mc_bias.json").read_text())
+    assert report["n_paths"] == 32 and report["flagged"] == [0, 0]
+    assert np.isfinite(report["halving_ratio"])
+
+
+def test_cli_check_8_and_alpha_scan_share_one_oracle_sweep(tmp_path):
+    doc = dict(README_CONFIG, outputs={"directory": str(tmp_path / "exc"), "emit_svg": False})
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli.main(["excitation", "--config", str(cfg), "--oracle"]) == 0
+    e_cli = cli.read_json_file(tmp_path / "exc" / "excitation.json")["e_hat"]
+    e_check, _ = acceptance._excitation_for_alpha(1.5)
+    e_scan, _ = load_script("excitation_alpha_scan").fit_index_for_alpha(
+        1.5, np.geomspace(8.0, 128.0, 5), n=64, t_end=1.0, steps=256
+    )
+    assert e_check == pytest.approx(e_cli, rel=1e-12)
+    assert e_scan == pytest.approx(e_cli, rel=1e-12)
