@@ -539,9 +539,11 @@ def cmd_sweep(cfg: ExperimentConfig, oracle: bool) -> int:
     except ValueError as exc:
         payload["warnings"].append(f"growth-rate fit skipped: {exc}")
     table, exc_fit = _excitation_fit(tables, times, payload)
-    charts = {"sweep_phi.svg": _moment_svg(cfg, tables, times, payload)}
-    if exc_fit is not None:
-        charts["excitation.svg"] = _excitation_svg(cfg, table, exc_fit, times[-1])
+    charts = {}
+    if cfg.emit_svg:
+        charts["sweep_phi.svg"] = _moment_svg(cfg, tables, times, payload)
+        if exc_fit is not None:
+            charts["excitation.svg"] = _excitation_svg(cfg, table, exc_fit, times[-1])
     result = moments.SweepResult(
         rows=[r for lam in cfg.lambdas for r in rows[lam]], lyapunov_hat=lyap, excitation_hat=exc_fit
     )
@@ -549,11 +551,10 @@ def cmd_sweep(cfg: ExperimentConfig, oracle: bool) -> int:
     result.write_csv(os.path.join(out, "sweep.csv"))
     _write_json(os.path.join(out, "fits.json"), payload)
     written = ["sweep.csv", "fits.json"]
-    if cfg.emit_svg:
-        for name, text in charts.items():
-            if text is not None:
-                svgplot.write_svg(os.path.join(out, name), text)
-                written.append(name)
+    for name, text in charts.items():
+        if text is not None:
+            svgplot.write_svg(os.path.join(out, name), text)
+            written.append(name)
     _report(out, written, payload)
     return 0
 

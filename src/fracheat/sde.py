@@ -17,8 +17,16 @@ earlier snapshots, and show NaN afterwards; they are never silently dropped.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import dataclasses
+import functools
+import glob
 import json
 import math
+import os
+import sys
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -44,6 +52,9 @@ __all__ = [
 # paths per work item: fixed, so partitioning never depends on the worker
 # count; even, so an antithetic pair never straddles two blocks
 _BLOCK = 128
+# time steps of noise a path-engine block draws at once: its noise buffer is
+# _BLOCK * _NOISE_CHUNK * n doubles whatever the horizon
+_NOISE_CHUNK = 64
 # bound on one chunk of the quadratic-form contraction's outer products (1 MB)
 _CONTRACT_DOUBLES = 1 << 17
 
@@ -145,10 +156,15 @@ class ModelParams:
             raise ValueError(f"moment order p must be >= 2, got {self.p}")
         threshold = 2.0 / (self.alpha - 1.0)
         if self.p <= threshold:
+            # name the line constructing the params: past this method, the
+            # generated __init__ and any dataclasses.replace frames
+            level, frame = 3, sys._getframe(2)
+            while frame is not None and frame.f_code.co_filename == dataclasses.__file__:
+                level, frame = level + 1, frame.f_back
             warnings.warn(
                 f"p={self.p} is at or below 2/(alpha-1)={threshold:.4g}; the moment "
                 "growth/decay theorems assume p above this threshold",
-                stacklevel=2,
+                stacklevel=level,
             )
 
     def check_grid(self, grid: Grid) -> None:
@@ -274,28 +290,91 @@ def _path_generator(master_seed: int, k: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((master_seed, k))))
 
 
+class _OpenBlasThreads:
+    """The process-wide OpenBLAS thread count, pinned to 1 while any threaded block map runs.
+
+    Worker threads each running a multi-threaded BLAS call oversubscribe the
+    cores; one BLAS thread per worker does not.  Nested or concurrent pins
+    share one saved count, restored when the last pin ends.
+    """
+
+    def __init__(self, get: Callable[[], int], set_: Callable[[int], None]) -> None:
+        self.get, self.set = get, set_
+        self._lock = threading.Lock()
+        self._active = 0
+        self._saved = 1
+
+    @contextlib.contextmanager
+    def pinned_to_one(self):
+        with self._lock:
+            if self._active == 0:
+                self._saved = self.get()
+                self.set(1)
+            self._active += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._active -= 1
+                if self._active == 0:
+                    self.set(self._saved)
+
+
+@functools.cache
+def _openblas() -> Optional[_OpenBlasThreads]:
+    """Thread-count hook of the OpenBLAS bundled with numpy, or None when there is none."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return _OpenBlasThreads(get, set_)
+    return None
+
+
 def _map_blocks(fn: Callable, n_paths: int, worker_count: int) -> list:
-    """fn(block) over fixed _BLOCK-path ranges, serially or on threads; results in block order."""
+    """fn(block) over fixed _BLOCK-path ranges, serially or on threads; results in block order.
+
+    The threaded branch runs BLAS single-threaded and restores the previous
+    thread count afterwards; the serial branch leaves BLAS its own threads.
+    """
     blocks = [range(lo, min(lo + _BLOCK, n_paths)) for lo in range(0, n_paths, _BLOCK)]
     if worker_count == 1 or len(blocks) == 1:
         return [fn(blk) for blk in blocks]
-    with ThreadPoolExecutor(max_workers=worker_count) as pool:
-        return list(pool.map(fn, blocks))
+    blas = _openblas()
+    with blas.pinned_to_one() if blas else contextlib.nullcontext():
+        with ThreadPoolExecutor(max_workers=worker_count) as pool:
+            return list(pool.map(fn, blocks))
 
 
-def _draw_sheet(master_seed: int, blk: range, steps: int, n: int, antithetic: bool) -> np.ndarray:
-    """Standard-normal sheet (len(blk), steps, n); path k reads stream (master_seed, k).
+def _stream_generators(master_seed: int, blk: range, antithetic: bool) -> list:
+    """One generator per noise stream of a block: path k reads stream (master_seed, k).
 
-    With ``antithetic`` the pair (2j, 2j+1) reads stream j once: row 2j holds
-    it and row 2j+1 its negation.
+    With ``antithetic`` the pair (2j, 2j+1) shares stream j.
     """
-    z = np.empty((len(blk), steps, n))
     stride = 2 if antithetic else 1
-    for row in range(0, len(blk), stride):
-        _path_generator(master_seed, blk[row] // stride).standard_normal(out=z[row])
+    return [_path_generator(master_seed, k // stride) for k in blk[::stride]]
+
+
+def _draw_sheet(gens: list, out: np.ndarray, antithetic: bool) -> np.ndarray:
+    """Fill ``out`` (B, m, n) with the next m steps of standard normals of each stream.
+
+    Row k reads gens[k]; with ``antithetic`` row 2j reads gens[j] and row
+    2j+1 holds its negation.  Successive calls continue the streams, so a
+    horizon drawn in chunks equals the same horizon drawn at once.
+    """
+    stride = 2 if antithetic else 1
+    for j, gen in enumerate(gens):
+        row = stride * j
+        gen.standard_normal(out=out[row])
         if antithetic:
-            np.negative(z[row], out=z[row + 1])
-    return z
+            np.negative(out[row], out=out[row + 1])
+    return out
 
 
 def _run_block(
@@ -310,8 +389,9 @@ def _run_block(
     n = disc.grid.n
     steps = disc.n_steps()
     B = len(path_indices)
-    noise = _draw_sheet(master_seed, path_indices, steps, n, antithetic=False)
-    noise *= math.sqrt(disc.dt * disc.grid.dx)
+    gens = _stream_generators(master_seed, path_indices, antithetic=False)
+    noise = np.empty((B, min(_NOISE_CHUNK, steps), n))
+    scale = math.sqrt(disc.dt * disc.grid.dx)
 
     factor_T = implicit_factor(op, disc.dt).T
     snap_steps = disc.snapshot_steps()
@@ -331,14 +411,17 @@ def _run_block(
     record(0)
     # overflow here is an expected outcome (the path gets flagged), not an error
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(steps):
-            forced = u + lam * sigma_eval(params.sigma, u) * noise[:, s, :] / disc.grid.dx
-            u = forced @ factor_T
-            bad = alive & ~np.all(np.isfinite(u), axis=1)
-            if np.any(bad):
-                alive &= ~bad
-                u[bad] = 0.0  # quarantine so later matmuls stay finite; snapshots show NaN
-            record(s + 1)
+        for lo in range(0, steps, noise.shape[1]):
+            chunk = _draw_sheet(gens, noise[:, : steps - lo], antithetic=False)
+            chunk *= scale
+            for s in range(lo, lo + chunk.shape[1]):
+                forced = u + lam * sigma_eval(params.sigma, u) * chunk[:, s - lo, :] / disc.grid.dx
+                u = forced @ factor_T
+                bad = alive & ~np.all(np.isfinite(u), axis=1)
+                if np.any(bad):
+                    alive &= ~bad
+                    u[bad] = 0.0  # quarantine so later matmuls stay finite; snapshots show NaN
+                record(s + 1)
     flagged[path_indices.start : path_indices.stop] = ~alive
 
 
@@ -547,7 +630,10 @@ def estimate_second_moment_pair(
     lam = params.lam * params.sigma.L_sigma
 
     def run_blk(blk):
-        z = _draw_sheet(master_seed, blk, 2 * cond, grid.n, antithetic=True)
+        z = _draw_sheet(
+            _stream_generators(master_seed, blk, antithetic=True),
+            np.empty((len(blk), 2 * cond, grid.n)), antithetic=True,
+        )
         sums = []
         for (MT, g, A, _cv), stride in zip(forms, (2, 1)):
             w = (z if stride == 1 else z[:, 0::2, :] + z[:, 1::2, :]) * scale

@@ -139,6 +139,25 @@ def test_oracle_sweep_fits_and_svg(tmp_path):
     assert any("reference slope 6" in (s or "") for s in slope_labels)
 
 
+def test_sweep_builds_charts_only_when_svg_is_emitted(tmp_path, monkeypatch):
+    calls = []
+    real_chart = cli.svgplot.moment_chart
+
+    def counting_chart(*args, **kwargs):
+        calls.append(kwargs["title"])
+        return real_chart(*args, **kwargs)
+
+    monkeypatch.setattr(cli.svgplot, "moment_chart", counting_chart)
+    out = tmp_path / "nosvg"
+    cfg = write_config(tmp_path, base_config(out))
+    assert cli.main(["sweep", "--config", cfg, "--oracle"]) == 0
+    assert calls == []
+    assert not list(out.glob("*.svg"))
+    assert cli.main(["sweep", "--config", cfg, "--oracle", "--svg"]) == 0
+    assert len(calls) == 1
+    assert (out / "sweep_phi.svg").exists()
+
+
 def test_sweep_rejects_short_lambda_grid(tmp_path, capsys):
     cfg = write_config(tmp_path, base_config(tmp_path / "o", **{"sweep.count": 3}))
     assert cli.main(["sweep", "--config", cfg, "--oracle"]) == 2

@@ -3,6 +3,8 @@ conditional second-moment estimator against the deterministic oracle."""
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from fracheat.sde import (
     Discretization,
     SigmaSpec,
     _draw_sheet,
+    _stream_generators,
     estimate_second_moment_pair,
     run_ensemble,
     sigma_eval,
@@ -67,6 +70,18 @@ def test_step_dimension_mismatch(desk_grid, desk_op):
         Discretization(grid=desk_grid, dt=0.0, t_end=0.01)
 
 
+def test_p_threshold_warning_names_the_constructing_file(desk_grid):
+    # p=2 is below 2/(alpha-1)=4 at alpha 1.5; the warning points here, not at
+    # the dataclass-generated __init__ or at dataclasses.replace
+    with pytest.warns(UserWarning, match="2/\\(alpha-1\\)") as rec:
+        params = sde.ModelParams(
+            alpha=1.5, L=1.0, lam=1.0, sigma=SigmaSpec(kind="linear", l_sigma=1.0, L_sigma=1.0),
+            u0=tent_profile(desk_grid), mu=0.1,
+        )
+        dataclasses.replace(params, lam=2.0)
+    assert [w.filename for w in rec] == [__file__, __file__]
+
+
 def test_params_mu_must_match_grid_mu(desk_grid, desk_op, desk_params):
     # the [mu, L-mu] window is the grid's; a different params.mu would be
     # silently overridden, so every entry point that takes both rejects it
@@ -88,15 +103,85 @@ def test_params_mu_must_match_grid_mu(desk_grid, desk_op, desk_params):
 
 
 def test_worker_count_never_changes_results(desk_grid, desk_op, desk_params):
+    # 300 paths: three blocks, the last one partial, so the threaded branch runs
     disc = small_disc(desk_grid)
     ref = None
     for workers in (1, 2, 5):
         ens = run_ensemble(
-            desk_params, disc, desk_op, n_paths=30, master_seed=77, worker_count=workers
+            desk_params, disc, desk_op, n_paths=300, master_seed=77, worker_count=workers
         )
         if ref is None:
             ref = ens.snapshots
         assert np.array_equal(ens.snapshots, ref)
+
+
+def test_map_blocks_pins_blas_to_one_thread_and_restores_it():
+    blas = sde._openblas()
+    if blas is None:
+        pytest.skip("numpy's bundled OpenBLAS thread hook is not available")
+    before = blas.get()
+    blas.set(2)
+    try:
+        # the serial branch keeps BLAS's own threads; the threaded branch runs one
+        assert sde._map_blocks(lambda blk: blas.get(), 300, 1) == [2, 2, 2]
+        assert sde._map_blocks(lambda blk: blas.get(), 300, 2) == [1, 1, 1]
+        assert blas.get() == 2
+
+        def boom(blk):
+            raise RuntimeError(f"block {blk.start}")
+
+        with pytest.raises(RuntimeError):
+            sde._map_blocks(boom, 300, 2)
+        assert blas.get() == 2
+    finally:
+        blas.set(before)
+
+
+def test_concurrent_threaded_maps_share_one_saved_blas_count():
+    blas = sde._openblas()
+    if blas is None:
+        pytest.skip("numpy's bundled OpenBLAS thread hook is not available")
+    before, interval = blas.get(), sys.getswitchinterval()
+    blas.set(2)
+    seen = []
+    sys.setswitchinterval(1e-6)
+    try:
+        # four callers, each a threaded map with more workers than cores; a
+        # lost update of the saved count would leave BLAS at 1 thread
+        callers = [
+            threading.Thread(target=lambda: seen.extend(sde._map_blocks(lambda blk: blas.get(), 1280, 3)))
+            for _ in range(4)
+        ]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert seen == [1] * 40
+        assert blas.get() == 2
+    finally:
+        sys.setswitchinterval(interval)
+        blas.set(before)
+
+
+def test_map_blocks_without_blas_hook_is_bit_identical(desk_grid, desk_op, desk_params, monkeypatch):
+    disc = small_disc(desk_grid)
+    ref = run_ensemble(desk_params, disc, desk_op, n_paths=300, master_seed=8, worker_count=2)
+    monkeypatch.setattr(sde, "_openblas", lambda: None)
+    got = run_ensemble(desk_params, disc, desk_op, n_paths=300, master_seed=8, worker_count=2)
+    assert np.array_equal(got.snapshots, ref.snapshots)
+
+
+def test_noise_chunks_not_dividing_steps_match_whole_sheet(desk_grid, desk_op, desk_params, monkeypatch):
+    # 16 steps in chunks of 5; snapshots at, inside and after chunk boundaries
+    disc = Discretization(
+        grid=desk_grid, dt=1.0 / 128.0, t_end=0.125, snapshot_times=(5 / 128, 0.0625, 0.125)
+    )
+    monkeypatch.setattr(sde, "_NOISE_CHUNK", disc.n_steps())
+    whole = run_ensemble(desk_params, disc, desk_op, n_paths=20, master_seed=4)
+    monkeypatch.setattr(sde, "_NOISE_CHUNK", 5)
+    chunked = run_ensemble(desk_params, disc, desk_op, n_paths=20, master_seed=4)
+    assert np.array_equal(chunked.snapshots, whole.snapshots)
 
 
 def test_same_seed_same_paths_different_seed_differs(desk_grid, desk_op, desk_params):
@@ -132,8 +217,9 @@ def test_draw_sheet_antithetic_rows_negate_plain_streams(desk_grid, desk_op, des
     n = desk_grid.n
     for start in (0, 128):
         blk = range(start, start + 8)
-        pairs = _draw_sheet(31, blk, 5, n, antithetic=True)
-        plain = _draw_sheet(31, range(start // 2, start // 2 + 4), 5, n, antithetic=False)
+        pairs = _draw_sheet(_stream_generators(31, blk, True), np.empty((8, 5, n)), True)
+        plain_blk = range(start // 2, start // 2 + 4)
+        plain = _draw_sheet(_stream_generators(31, plain_blk, False), np.empty((4, 5, n)), False)
         # pair j reads stream j once: row 2j replays it, row 2j+1 is its exact negation
         assert np.array_equal(pairs[0::2], plain)
         assert np.array_equal(pairs[1::2], -plain)
