@@ -15,11 +15,12 @@ functions in this module.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
-from array import array
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -47,6 +48,9 @@ __all__ = [
 ]
 
 _ORACLE_STEPS = 256
+# data lines per np.loadtxt call in read_ensemble_csv
+_CSV_CHUNK_LINES = 1 << 16
+_CSV_ROW = np.dtype([("k", "i8"), ("t", "f8"), ("x", "f8"), ("u", "f8")])
 
 
 class ConfigError(Exception):
@@ -501,14 +505,11 @@ def _excitation_svg(cfg: ExperimentConfig, table, fit, t: float) -> str:
 
 
 def _moment_svg(cfg: ExperimentConfig, tables: dict, times: list, payload: dict) -> Optional[str]:
-    """Phi_p of the complete tables against time.  A finite ln Phi_p past 700
-    is drawn at e^700; an infinite one left double range and is not drawn."""
-    curves = []
-    for lam, tab in tables.items():
-        if len(tab) == len(times):
-            log_phi = np.array([lp for _, lp in tab])
-            phi = np.exp(np.minimum(log_phi, 700.0))
-            curves.append((lam, np.where(log_phi == math.inf, math.inf, phi)))
+    """ln Phi_p of the complete tables against time; an infinite ln Phi_p is
+    not drawn."""
+    curves = [
+        (lam, np.array([lp for _, lp in tab])) for lam, tab in tables.items() if len(tab) == len(times)
+    ]
     source = "Oracle" if payload["mode"] == "oracle" else "Monte Carlo"
     try:
         return svgplot.moment_chart(
@@ -615,54 +616,105 @@ def cmd_selftest(level: str, out_dir: str, mc_worker_count: int) -> int:
 # Readers: every writer in the artifact has a lossless counterpart here
 
 
+def _first_appearance(values: np.ndarray, index: dict) -> np.ndarray:
+    """int32 positions of ``values`` in ``index`` (value -> position in order
+    of first appearance), extending it with the values new in this chunk."""
+    uniq, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    for j in np.argsort(first):
+        index.setdefault(float(values[first[j]]), len(index))
+    return np.array([index[v] for v in uniq.tolist()], dtype=np.int32)[inverse]
+
+
+def _concat_chunks(chunks: list) -> np.ndarray:
+    """A column's chunks as one array.  Clearing the list frees the chunks
+    before the next column is joined."""
+    out = np.concatenate(chunks)
+    chunks.clear()
+    return out
+
+
+def _parse_rows(path, lines: list, lineno: int) -> np.ndarray:
+    """One chunk of ensemble CSV data lines, the first at file line
+    ``lineno``.  A chunk the C parser rejects, or one where it skipped blank
+    lines, is parsed again line by line so the error names its line."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt on an all-blank chunk
+        try:
+            rows = np.loadtxt(lines, delimiter=",", dtype=_CSV_ROW, comments=None, ndmin=1)
+            if len(rows) == len(lines):
+                return rows
+        except ValueError:
+            pass
+    rows = np.empty(len(lines), dtype=_CSV_ROW)
+    for j, line in enumerate(lines):
+        try:
+            ps, ts, xs, u = line.rstrip("\n").split(",")
+            rows[j] = int(ps), float(ts), float(xs), float(u)
+        except (ValueError, OverflowError) as exc:  # OverflowError: k outside int64
+            raise ValueError(f"{path} line {lineno + j}: {exc}") from exc
+    return rows
+
+
 def read_ensemble_csv(path: str) -> dict:
     """Parse an ensemble snapshot CSV back into arrays.
 
     Returns {"snapshot_times", "nodes", "snapshots"} with snapshots shaped
-    (n_snapshots, n_paths, n).  Values round-trip exactly (the writers emit
-    full-precision reprs).  Raises ValueError naming the file unless every
-    (snapshot, path, node) cell is written exactly once.
+    (n_snapshots, n_paths, n); times and nodes are numbered in order of first
+    appearance, so rows may come in any order.  Values round-trip exactly
+    (the writers emit full-precision reprs).  Raises ValueError naming the
+    file, and the line of any malformed, non-finite or off-grid row, unless
+    every (snapshot, path, node) cell is written exactly once.
     """
     t_index: dict = {}
     x_index: dict = {}
-    ti, ks, xi, us = array("q"), array("q"), array("q"), array("d")
+    ti, ks, xi, us = [], [], [], []
+    lineno = 2
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "path,t,x,u":
             raise ValueError(f"{path}: unexpected ensemble CSV header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            try:
-                ps, ts, xs, u = line.rstrip("\n").split(",")
-                k, t, x = int(ps), float(ts), float(xs)
-                us.append(float(u))
-                ks.append(k)
-            except (ValueError, OverflowError) as exc:  # OverflowError: k outside int64
-                raise ValueError(f"{path} line {lineno}: {exc}") from exc
-            i = t_index.setdefault(t, len(t_index))
-            if i == 0 and k == 0:
-                x_index.setdefault(x, len(x_index))
-            if k < 0 or x not in x_index:
-                raise ValueError(f"{path} line {lineno}: path {k}, node x={x!r} is off the ensemble grid")
-            ti.append(i)
-            xi.append(x_index[x])
+        while lines := list(itertools.islice(fh, _CSV_CHUNK_LINES)):
+            rows = _parse_rows(path, lines, lineno)
+            k, t, x = rows["k"], rows["t"], rows["x"]
+            bad = (k < 0) | ~np.isfinite(t) | ~np.isfinite(x)
+            if bad.any():
+                j = int(np.argmax(bad))
+                kj, tj, xj, _ = rows[j].tolist()
+                where = f"{path} line {lineno + j}"
+                if kj < 0:
+                    raise ValueError(f"{where}: path {kj}, node x={xj!r} is off the ensemble grid")
+                raise ValueError(f"{where}: time t={tj!r} and node x={xj!r} must be finite")
+            ti.append(_first_appearance(t, t_index))
+            xi.append(_first_appearance(x, x_index))
+            ks.append(k.copy())  # copies, so the 32-byte rows are freed
+            us.append(rows["u"].copy())
+            lineno += len(lines)
     if not us:
         raise ValueError(f"{path}: no data rows")
-    ti, ks, xi = (np.frombuffer(a, dtype=np.int64) for a in (ti, ks, xi))
-    shape = (len(t_index), int(ks.max()) + 1, len(x_index))
-    cells = np.ravel_multi_index((ti, ks, xi), shape)
-    written = np.bincount(cells, minlength=math.prod(shape))
-    if np.any(written != 1):
+    ti, ks, xi, us = map(_concat_chunks, (ti, ks, xi, us))
+    nodes = np.array(list(x_index))
+    # the nodes of path 0 at the first time are the grid
+    on_grid = np.zeros(nodes.size, dtype=bool)
+    on_grid[xi[(ti == 0) & (ks == 0)]] = True
+    if not on_grid.all():
+        r = int(np.argmax(~on_grid[xi]))
         raise ValueError(
-            f"{path}: {np.count_nonzero(written == 0)} (snapshot, path, node) cells missing and "
-            f"{np.count_nonzero(written > 1)} written more than once, of {written.size}"
+            f"{path} line {r + 2}: path {ks[r]}, node x={float(nodes[xi[r]])!r} is off the ensemble grid"
         )
-    snapshots = np.empty(shape)
-    snapshots.flat[cells] = np.frombuffer(us)
-    return {
-        "snapshot_times": tuple(t_index),
-        "nodes": np.array(list(x_index)),
-        "snapshots": snapshots,
-    }
+    shape = (len(t_index), int(ks.max()) + 1, nodes.size)
+    n_cells = math.prod(shape)
+    if n_cells == us.size:  # otherwise some cell is missing or written twice
+        cells = np.ravel_multi_index((ti, ks, xi), shape)
+        if np.all(np.bincount(cells, minlength=n_cells) == 1):
+            snapshots = np.empty(shape)
+            snapshots.flat[cells] = us
+            return {"snapshot_times": tuple(t_index), "nodes": nodes, "snapshots": snapshots}
+    # counted without a dense array: a stray path index can make n_cells huge
+    _, counts = np.unique(np.stack((ti, ks, xi), axis=1), axis=0, return_counts=True)
+    raise ValueError(
+        f"{path}: {n_cells - counts.size} (snapshot, path, node) cells missing and "
+        f"{np.count_nonzero(counts > 1)} written more than once, of {n_cells}"
+    )
 
 
 def read_sweep_csv(path: str) -> moments.SweepResult:

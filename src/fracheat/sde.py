@@ -57,6 +57,9 @@ _BLOCK = 128
 _NOISE_CHUNK = 64
 # bound on one chunk of the quadratic-form contraction's outer products (1 MB)
 _CONTRACT_DOUBLES = 1 << 17
+# ensemble CSV rows formatted per write: their strings are all the memory the
+# writer holds, so it stays flat in the number of paths
+_CSV_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -246,15 +249,20 @@ class PathEnsemble:
         raise ValueError(f"t={t} is not a snapshot time; have {self.snapshot_times}")
 
     def write_csv(self, path) -> None:
+        """One ``path,t,x,u`` row per (snapshot, path, node) with repr floats,
+        written in blocks of about ``_CSV_BLOCK_ROWS`` rows so memory stays
+        flat in the number of paths."""
+        nodes = [repr(float(v)) for v in self.disc.grid.nodes]
+        per_block = max(1, _CSV_BLOCK_ROWS // len(nodes))
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("path,t,x,u\n")
-            nodes = [float(v) for v in self.disc.grid.nodes]
             for k, t in enumerate(self.snapshot_times):
-                block = self.snapshots[k]
-                for p in range(self.n_paths):
-                    row = block[p]
-                    for i, x in enumerate(nodes):
-                        fh.write(f"{p},{float(t)!r},{x!r},{float(row[i])!r}\n")
+                tails = [f",{float(t)!r},{x}," for x in nodes]
+                for p0 in range(0, self.n_paths, per_block):
+                    block = self.snapshots[k, p0 : p0 + per_block]
+                    heads = [p + tail for p in map(str, range(p0, p0 + len(block))) for tail in tails]
+                    values = map(repr, block.ravel().tolist())
+                    fh.write("\n".join(map(str.__add__, heads, values)) + "\n")
 
     def write_metadata_json(self, path) -> None:
         meta = {

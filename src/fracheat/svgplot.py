@@ -26,8 +26,8 @@ _MARGIN = (70.0, 20.0, 42.0, 56.0)  # left, right, top, bottom
 
 @dataclass(frozen=True)
 class Series:
-    """One named curve; points with non-finite (or, on log axes, non-positive)
-    values are dropped rather than breaking the chart."""
+    """One named curve; points with non-finite values are dropped rather
+    than breaking the chart."""
 
     label: str
     x: np.ndarray
@@ -44,8 +44,7 @@ class Series:
 
 @dataclass(frozen=True)
 class RefLine:
-    """Straight line y = slope*x + intercept in chart coordinates (i.e. after
-    any log transform of the y axis)."""
+    """Straight line y = slope*x + intercept in chart coordinates."""
 
     slope: float
     intercept: float
@@ -87,7 +86,6 @@ def line_chart(
     title: str,
     xlabel: str,
     ylabel: str,
-    logy: bool = False,
     ref_lines: Sequence[RefLine] = (),
     markers: bool = False,
     width: int = 760,
@@ -102,10 +100,7 @@ def line_chart(
     cleaned: list[tuple[str, np.ndarray, np.ndarray]] = []
     for s in series:
         keep = np.isfinite(s.x) & np.isfinite(s.y)
-        if logy:
-            keep &= s.y > 0.0
-        y = np.log10(s.y[keep]) if logy else s.y[keep]
-        cleaned.append((s.label, s.x[keep], y))
+        cleaned.append((s.label, s.x[keep], s.y[keep]))
     xs = np.concatenate([c[1] for c in cleaned]) if cleaned else np.array([0.0])
     ys = np.concatenate([c[2] for c in cleaned])
     if xs.size == 0:
@@ -152,13 +147,12 @@ def line_chart(
         )
     for ty in _tick_values(y_lo, y_hi):
         Y = py(ty)
-        label = f"1e{ty:g}" if logy and abs(ty - round(ty)) < 1e-9 else _fmt(ty)
         out.append(
             f'<line x1="{ml:.2f}" y1="{Y:.2f}" x2="{ml + pw:.2f}" y2="{Y:.2f}" '
             'stroke="#dddddd" stroke-width="1"/>'
         )
         out.append(
-            f'<text x="{ml - 8:.2f}" y="{Y + 4:.2f}" text-anchor="end">{_escape(label)}</text>'
+            f'<text x="{ml - 8:.2f}" y="{Y + 4:.2f}" text-anchor="end">{_fmt(ty)}</text>'
         )
     out.append(
         f'<rect x="{ml:.2f}" y="{mt:.2f}" width="{pw:.2f}" height="{ph:.2f}" '
@@ -218,11 +212,15 @@ def moment_chart(
     p: float,
     title: str = "Moment growth",
 ) -> str:
-    """Phi_p against time, one curve per noise level, logarithmic y axis."""
-    series = [Series(label=f"lambda={lam:g}", x=np.asarray(t), y=np.asarray(v)) for lam, v in curves]
-    return line_chart(
-        series, title=title, xlabel="t", ylabel=f"Phi_{p:g} (log scale)", logy=True
-    )
+    """asinh(ln Phi_p) against time, one curve per noise level.
+
+    ``curves`` pairs each lambda with its ln Phi_p values.  ln Phi_p grows
+    like lambda^(2 alpha/(alpha-1)), so on a linear axis the largest lambda
+    would flatten every other curve.  asinh is linear near 0 and
+    logarithmic far from it, so decaying (ln Phi_p < 0) and fast-growing
+    curves both show."""
+    series = [Series(label=f"lambda={lam:g}", x=np.asarray(t), y=np.arcsinh(v)) for lam, v in curves]
+    return line_chart(series, title=title, xlabel="t", ylabel=f"asinh(ln Phi_{p:g})")
 
 
 def excitation_chart(

@@ -139,6 +139,41 @@ def test_oracle_sweep_fits_and_svg(tmp_path):
     assert any("reference slope 6" in (s or "") for s in slope_labels)
 
 
+def test_oracle_moment_chart_shows_growth_at_every_lambda(tmp_path):
+    # the README config: ln Phi_2(1) is 5101 at lambda 8 and 8.6e10 at lambda 128,
+    # far past the e^700 a chart of Phi_p itself can reach
+    out = tmp_path / "chart"
+    doc = base_config(
+        out,
+        **{
+            "model.lam": 4.0,
+            "discretization.n": 64,
+            "discretization.t_end": 1.0,
+            "discretization.snapshot_times": [0.25, 0.5, 1.0],
+            "outputs.emit_svg": True,
+        },
+    )
+    assert cli.main(["sweep", "--config", write_config(tmp_path, doc), "--oracle"]) == 0
+    chart = ET.parse(out / "sweep_phi.svg").getroot()
+    assert "asinh(ln Phi_2)" in [el.text for el in chart.iter(f"{SVG_NS}text")]
+    curves = [
+        np.array([float(pt.split(",")[1]) for pt in pl.get("points").split()])
+        for pl in chart.findall(f"{SVG_NS}polyline")
+    ]
+    assert len(curves) == 5
+    for y in curves:  # lambda 8 first; SVG y falls as ln Phi_p grows
+        assert y.size == 257
+        assert np.all(np.diff(y) < 0)
+    # small noise: ln Phi_p < 0 at every time and lambda, and still drawn
+    small = base_config(
+        tmp_path / "small",
+        **{"sweep.lambda_min": 0.05, "sweep.lambda_max": 0.8, "outputs.emit_svg": True},
+    )
+    assert cli.main(["sweep", "--config", write_config(tmp_path, small, "small.json"), "--oracle"]) == 0
+    chart = ET.parse(tmp_path / "small" / "sweep_phi.svg").getroot()
+    assert len(chart.findall(f"{SVG_NS}polyline")) == 5
+
+
 def test_sweep_builds_charts_only_when_svg_is_emitted(tmp_path, monkeypatch):
     calls = []
     real_chart = cli.svgplot.moment_chart
@@ -303,6 +338,75 @@ def test_read_ensemble_csv_rejects_incomplete_file(tmp_path, small_ensemble):
     huge.write_text("".join(lines[:-1] + ["1" + "0" * 20 + lines[-1][lines[-1].index(","):]]))
     with pytest.raises(ValueError, match=f"huge.csv line {len(lines)}: "):
         cli.read_ensemble_csv(huge)
+
+
+def test_read_ensemble_csv_names_the_bad_line_past_a_chunk_boundary(tmp_path, small_ensemble, monkeypatch):
+    # chunks of 5 data lines (file lines 2-6, 7-11, 12-16, ...): line 13 is
+    # the second line of the third chunk
+    monkeypatch.setattr(cli, "_CSV_CHUNK_LINES", 5)
+    path = tmp_path / "ens.csv"
+    small_ensemble.write_csv(path)
+    assert np.array_equal(cli.read_ensemble_csv(path)["snapshots"], small_ensemble.snapshots)
+    lines = path.read_text().splitlines(keepends=True)
+    n = 13
+    good = lines[n - 1]
+    for name, bad in {
+        "three_fields": good[: good.rindex(",")] + "\n",
+        "text_u": good[: good.rindex(",") + 1] + "abc\n",
+        "blank": "\n",
+        "comment": "#" + good,
+    }.items():
+        bad_file = tmp_path / f"{name}.csv"
+        bad_file.write_text("".join(lines[: n - 1] + [bad] + lines[n:]))
+        with pytest.raises(ValueError, match=f"{name}.csv line {n}: "):
+            cli.read_ensemble_csv(bad_file)
+
+
+@pytest.mark.parametrize(
+    "row", ["0,nan,0.25,1.0", "0,inf,0.25,1.0", "0,0.5,-inf,1.0", "0,0.5,nan,1.0"]
+)
+def test_read_ensemble_csv_rejects_non_finite_time_or_node(tmp_path, row):
+    path = tmp_path / "ens.csv"
+    path.write_text(f"path,t,x,u\n0,0.5,0.25,1.0\n{row}\n")
+    with pytest.raises(ValueError, match="ens.csv line 3: time t=.* and node x=.* must be finite"):
+        cli.read_ensemble_csv(path)
+
+
+def test_read_ensemble_csv_rejects_off_grid_rows(tmp_path, small_ensemble, monkeypatch):
+    monkeypatch.setattr(cli, "_CSV_CHUNK_LINES", 100)
+    path = tmp_path / "ens.csv"
+    small_ensemble.write_csv(path)
+    lines = path.read_text().splitlines(keepends=True)
+    n = 64 * 5 + 3  # path 5, node 1 of the first snapshot
+    k, t, x, u = lines[n - 1].split(",")
+    for name, row, off in (("negative", f"-1,{t},{x},{u}", f"path -1, node x={x}"),
+                           ("stray_node", f"{k},{t},0.123,{u}", "path 5, node x=0.123")):
+        bad_file = tmp_path / f"{name}.csv"
+        bad_file.write_text("".join(lines[: n - 1] + [row] + lines[n:]))
+        with pytest.raises(ValueError, match=f"{name}.csv line {n}: {off} is off the ensemble grid"):
+            cli.read_ensemble_csv(bad_file)
+    # a path index far past the others: counted without a 1e17-cell array
+    far = tmp_path / "far_path.csv"
+    far.write_text("".join(lines[:-1] + [str(10**15) + lines[-1][lines[-1].index(","):]]))
+    with pytest.raises(ValueError, match="far_path.csv: .* cells missing and 0 written more than once"):
+        cli.read_ensemble_csv(far)
+    header_only = tmp_path / "empty.csv"
+    header_only.write_text(lines[0])
+    with pytest.raises(ValueError, match="empty.csv: no data rows"):
+        cli.read_ensemble_csv(header_only)
+
+
+def test_read_ensemble_csv_accepts_rows_in_any_order(tmp_path, small_ensemble, monkeypatch):
+    monkeypatch.setattr(cli, "_CSV_CHUNK_LINES", 1000)
+    path = tmp_path / "ens.csv"
+    small_ensemble.write_csv(path)
+    header, *rows = path.read_text().splitlines(keepends=True)
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text(header + "".join(rows[i] for i in np.random.default_rng(0).permutation(len(rows))))
+    data = cli.read_ensemble_csv(shuffled)
+    t_order, x_order = np.argsort(data["snapshot_times"]), np.argsort(data["nodes"])
+    assert np.array_equal(data["nodes"][x_order], small_ensemble.grid.nodes)
+    assert np.array_equal(data["snapshots"][t_order][:, :, x_order], small_ensemble.snapshots)
 
 
 def test_custom_table_sigma_from_config_simulates(tmp_path):

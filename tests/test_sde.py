@@ -5,6 +5,7 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,6 +241,56 @@ def test_flagged_paths_are_counted_and_quarantined(desk_grid, desk_op):
     assert ens.flagged_fraction == ens.flagged_count / 24
     surviving = ens.snapshots[:, ~ens.flagged, :]
     assert np.all(np.isfinite(surviving))
+
+
+def synthetic_ensemble(grid, params, snapshots):
+    """A PathEnsemble around given snapshot values, one snapshot per row of
+    ``snapshots`` at times 1/8, 2/8, ..."""
+    n_snap, n_paths, _ = snapshots.shape
+    times = tuple(0.125 * (k + 1) for k in range(n_snap))
+    disc = Discretization(grid=grid, dt=0.125, t_end=times[-1], snapshot_times=times)
+    return sde.PathEnsemble(
+        n_paths=n_paths, master_seed=0, snapshot_times=disc.snapshot_times,
+        snapshots=snapshots, flagged=np.isnan(snapshots).any(axis=(0, 2)),
+        params=params, disc=disc,
+    )
+
+
+def test_write_csv_matches_the_per_row_format(tmp_path, desk_grid, desk_params):
+    # 150 paths of 64 nodes: two full blocks and a short one per snapshot
+    n_paths = 150
+    assert n_paths % (sde._CSV_BLOCK_ROWS // desk_grid.n) != 0
+    rng = np.random.default_rng(5)
+    scales = 10.0 ** rng.integers(-300, 300, (2, n_paths, 1))
+    snaps = rng.standard_normal((2, n_paths, desk_grid.n)) * scales
+    snaps[:, 3, :] = np.nan  # a flagged path
+    snaps[1, 70, :4] = (-0.0, 5e-324, 1e300, -1e300)
+    ens = synthetic_ensemble(desk_grid, desk_params, snaps)
+    path = tmp_path / "ens.csv"
+    ens.write_csv(path)
+    expected = ["path,t,x,u\n"]
+    for k, t in enumerate(ens.snapshot_times):
+        for p in range(n_paths):
+            row = snaps[k, p]
+            for i, x in enumerate(float(v) for v in desk_grid.nodes):
+                expected.append(f"{p},{float(t)!r},{x!r},{float(row[i])!r}\n")
+    assert path.read_text() == "".join(expected)
+    assert "\n70,0.25," + repr(float(desk_grid.nodes[0])) + ",-0.0\n" in path.read_text()
+
+
+def test_write_csv_memory_does_not_grow_with_paths(tmp_path, desk_grid, desk_params):
+    peaks = {}
+    for n_paths in (512, 4096):
+        snaps = np.random.default_rng(n_paths).standard_normal((1, n_paths, desk_grid.n))
+        ens = synthetic_ensemble(desk_grid, desk_params, snaps)
+        tracemalloc.start()
+        try:
+            ens.write_csv(tmp_path / f"ens{n_paths}.csv")
+            peaks[n_paths] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # 8x the paths: a writer that held the file's text would peak about 8x higher
+    assert peaks[4096] < 1.5 * peaks[512]
 
 
 def test_conditional_estimator_tracks_oracle(desk_grid, desk_op, desk_params):
