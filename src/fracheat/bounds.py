@@ -132,11 +132,21 @@ def volterra_lower_solve(prob: RenewalProblem, T: float, steps: int) -> Volterra
 # ---------------------------------------------------------------------------
 
 
+# time steps the oracle march advances per block: the history of the panels
+# completed before a block is added for all its steps as GEMMs
+_MARCH_BLOCK = 64
+# bound on one GEMM operand the oracle builds (0.5 MB): Gauss nodes of the
+# kernel table per batch, lags of the history sum per chunk
+_GEMM_DOUBLES = 1 << 16
+
+
 def _kernel_panel_integrals(op: DiscreteOperator, T: float, steps: int) -> np.ndarray:
-    """W[d] = int over panel [d dt, (d+1) dt] of K(u) du, K(u) = G(u)*G(u)/dx.
+    """W[:, d, :] = int over panel [d dt, (d+1) dt] of K(u) du, K(u) = G(u)*G(u)/dx.
 
     G(u) is the spectral semigroup matrix; K is the squared transition
-    density kernel of the second-moment equation.  Cached on the operator.
+    density kernel of the second-moment equation.  The layout (n, steps, n)
+    makes W.reshape(n, steps * n) the lag-stacked matrix the march
+    multiplies.  Cached on the operator.
     """
     key = ("volterra_kernel", float(T), int(steps))
     cached = op._cache.get(key)
@@ -148,23 +158,38 @@ def _kernel_panel_integrals(op: DiscreteOperator, T: float, steps: int) -> np.nd
     w = op.eigenvalues
     dt = T / steps
     gx, gw = np.polynomial.legendre.leggauss(8)
+    per_batch = max(1, _GEMM_DOUBLES // (gx.size * n * n))
 
-    def accumulate(lo: float, hi: float, out: np.ndarray) -> None:
+    def node_terms(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """(panels, nodes, n, n) weighted squares (half wt) G(u)*G(u) at each panel's Gauss nodes."""
         half = 0.5 * (hi - lo)
         mid = 0.5 * (hi + lo)
-        for node, wt in zip(gx, gw):
-            u = mid + half * node
-            G = (V * np.exp(u * w)) @ V.T
-            out += (half * wt) * (G * G)
+        u = (mid[:, None] + half[:, None] * gx).ravel()
+        decay = np.exp(np.outer(u, w))
+        # subnormal factors cannot move an O(1) kernel entry, and subnormal
+        # operands slow the GEMM several-fold
+        decay[decay < np.finfo(float).tiny] = 0.0
+        G = ((V * decay[:, None, :]).reshape(-1, n) @ V.T).reshape(lo.size, gx.size, n, n)
+        G *= G
+        G *= (half[:, None] * gw)[:, :, None, None]
+        return G
 
-    W = np.zeros((steps, n, n))
+    W = np.empty((n, steps, n))
     # first panel: the kernel relaxes from its t=0 saturation on the lattice
     # time scale dx^alpha, which can sit inside [0, dt]; grade geometrically.
     edges = np.concatenate([[0.0], dt * 0.5 ** np.arange(14, -1, -1.0)])
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        accumulate(lo, hi, W[0])
-    for d in range(1, steps):
-        accumulate(d * dt, (d + 1) * dt, W[d])
+    first = np.zeros((n, n))
+    for s in range(0, edges.size - 1, per_batch):
+        for term in node_terms(edges[:-1][s : s + per_batch], edges[1:][s : s + per_batch]).reshape(-1, n, n):
+            first += term
+    W[:, 0, :] = first
+    for d0 in range(1, steps, per_batch):
+        d = np.arange(d0, min(d0 + per_batch, steps), dtype=float)
+        terms = node_terms(d * dt, (d + 1.0) * dt)
+        acc = np.zeros(terms.shape[:1] + terms.shape[2:])
+        for q in range(gx.size):  # node by node, the order of a single-panel sum
+            acc += terms[:, q]
+        W[:, d0 : d0 + d.size, :] = acc.transpose(1, 0, 2)
     W /= dx
     op._cache[key] = W
     return W
@@ -201,7 +226,10 @@ def second_moment_volterra(
     m(t,x) = g(t,x)^2 + (lam L_sigma)^2 int_0^t int p_D(t-s,x,y)^2 m(s,y) dy ds
     with g the deterministic semigroup flow of u0.  Time quadrature: exact
     panel integrals of the matrix kernel against the trapezoidal average of
-    m on each panel; the diagonal panel is handled implicitly.
+    m on each panel; the diagonal panel is handled implicitly.  Targets are
+    marched in blocks of _MARCH_BLOCK steps: the panels finished before a
+    block enter all its targets as lag-chunked GEMMs, the panels inside it
+    step by step.
     """
     if params.sigma.kind != "linear":
         raise ValueError("the second-moment equation is closed only for linear sigma")
@@ -218,13 +246,34 @@ def second_moment_volterra(
         m[:] = g**2
         return SecondMomentTable(t=t, x=grid.nodes, m=m, lam=params.lam, alpha=params.alpha, grid=grid)
     W = _kernel_panel_integrals(op, T, steps)
-    solve_new = np.linalg.inv(np.eye(n) - 0.5 * c * W[0])
-    for k in range(1, steps + 1):
-        rhs = g[k] ** 2 + 0.5 * c * (W[0] @ m[k - 1])
-        if k >= 2:
-            mavg = 0.5 * (m[0 : k - 1] + m[1:k])  # panel averages, oldest first
-            rhs += c * np.einsum("dij,dj->i", W[k - 1 : 0 : -1], mavg)
-        m[k] = solve_new @ rhs
+    lags = W.reshape(n, steps * n)  # lags[:, d*n:(d+1)*n] is the lag-d panel integral
+    W0 = W[:, 0, :]
+    solve_new = np.linalg.inv(np.eye(n) - 0.5 * c * W0)
+    b = _MARCH_BLOCK
+    lag_chunk = max(1, _GEMM_DOUBLES // (b * n))
+    # panel averages 0.5 (m[p] + m[p+1]) in row b - 1 + p.  The leading zero
+    # rows stand for panels before t=0, and the rows of panels not yet marched
+    # are zero too, so the history GEMMs may read past either end.
+    avg = np.zeros((b - 1 + steps, n))
+    for k0 in range(1, steps + 1, b):
+        nb = min(b, steps + 1 - k0)
+        # history of panels 0..k0-2, finished before the block: target k0+j
+        # takes panel k0+j-1-d at lag d, so lag chunks are GEMMs
+        history = np.zeros((nb, n))
+        rows = (b + k0 - 2) + np.arange(nb)[:, None]
+        for d0 in range(1, k0 + nb - 1, lag_chunk):
+            d1 = min(d0 + lag_chunk, k0 + nb - 1)
+            shifted = avg[rows - np.arange(d0, d1)]  # (nb, lags, n)
+            history += shifted.reshape(nb, -1) @ lags[:, d0 * n : d1 * n].T
+        for j in range(nb):
+            k = k0 + j
+            rhs = g[k] ** 2 + 0.5 * c * (W0 @ m[k - 1])
+            if j:  # panels k0-1..k-2 of this block, lags 1..j
+                recent = avg[b + k - 3 : b + k0 - 3 : -1].ravel()
+                history[j] += lags[:, n : (j + 1) * n] @ recent
+            rhs += c * history[j]
+            m[k] = solve_new @ rhs
+            avg[b + k - 2] = 0.5 * (m[k - 1] + m[k])
     if not np.all(np.isfinite(m)):
         raise OverflowError(
             f"second-moment march overflowed at lam={params.lam}; use the renewal branch "

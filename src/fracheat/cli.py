@@ -719,27 +719,32 @@ def read_ensemble_csv(path: str) -> dict:
 
 def read_sweep_csv(path: str) -> moments.SweepResult:
     """Parse a sweep/moments CSV back into a SweepResult (rows only; fitted
-    exponents live in the JSON payloads)."""
+    exponents live in the JSON payloads).  Raises ValueError naming the file,
+    and the line of any row that is not ten numeric fields."""
     rows = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         expected = "lambda,t,phi_p,phi_p_se,sup_m,sup_m_se,inf_m,inf_m_se,n_eff,flagged"
         if header != expected:
-            raise ValueError(f"unexpected sweep CSV header {header!r}")
-        for line in fh:
+            raise ValueError(f"{path}: unexpected sweep CSV header {header!r}")
+        for lineno, line in enumerate(fh, start=2):
             f = line.rstrip("\n").split(",")
-            n_eff, flagged = int(f[8]), float(f[9])
-            rows.append(
-                moments.SweepRow(
-                    lam=float(f[0]),
-                    t=float(f[1]),
-                    phi_p=moments.MomentEstimate(float(f[2]), float(f[3]), n_eff, flagged),
-                    sup_moment=moments.MomentEstimate(float(f[4]), float(f[5]), n_eff, flagged),
-                    inf_subinterval_moment=moments.MomentEstimate(
-                        float(f[6]), float(f[7]), n_eff, flagged
-                    ),
+            if len(f) != 10:
+                raise ValueError(f"{path} line {lineno}: expected 10 fields, got {len(f)}")
+            try:
+                lam, t, phi, phi_se, sup, sup_se, inf, inf_se = map(float, f[:8])
+                n_eff, flagged = int(f[8]), float(f[9])
+                rows.append(
+                    moments.SweepRow(
+                        lam=lam,
+                        t=t,
+                        phi_p=moments.MomentEstimate(phi, phi_se, n_eff, flagged),
+                        sup_moment=moments.MomentEstimate(sup, sup_se, n_eff, flagged),
+                        inf_subinterval_moment=moments.MomentEstimate(inf, inf_se, n_eff, flagged),
+                    )
                 )
-            )
+            except ValueError as exc:  # a non-numeric field, a negative stderr or n_eff
+                raise ValueError(f"{path} line {lineno}: {exc}") from exc
     return moments.SweepResult(rows=rows)
 
 

@@ -2,13 +2,14 @@
 growth-rate tables, and envelope constants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import make_params
 from fracheat import bounds, specfun
-from fracheat.laplacian import heat_kernel_matrix
+from fracheat.laplacian import OperatorConfig, apply_semigroup, assemble, build_grid, heat_kernel_matrix
 
 # Desk-scale regression pins (alpha=1.5, L=1, n=64, mu=0.1, lam=1, tent u0)
 ENERGY_AT_HALF = 0.007183856068648362
@@ -61,6 +62,94 @@ def test_volterra_regression_and_self_convergence(desk_grid, desk_op, desk_param
     assert abs(e_fine - e_coarse) / e_fine < 5e-4
     assert e_fine == pytest.approx(ENERGY_AT_HALF, rel=1e-6)
     assert desk_table.sup()[-1] == pytest.approx(SUP_AT_HALF, rel=1e-6)
+
+
+def _panel_loop_table(op, T, steps):
+    """The kernel table panel by panel and node by node, (steps, n, n)."""
+    V, w, dt = op.eigenvectors, op.eigenvalues, T / steps
+    gx, gw = np.polynomial.legendre.leggauss(8)
+
+    def accumulate(lo, hi, out):
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (hi + lo)
+        for node, wt in zip(gx, gw):
+            G = (V * np.exp((mid + half * node) * w)) @ V.T
+            out += (half * wt) * (G * G)
+
+    W = np.zeros((steps, op.grid.n, op.grid.n))
+    edges = np.concatenate([[0.0], dt * 0.5 ** np.arange(14, -1, -1.0)])
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        accumulate(lo, hi, W[0])
+    for d in range(1, steps):
+        accumulate(d * dt, (d + 1) * dt, W[d])
+    return W / op.grid.dx
+
+
+def _stepwise_march(params, op, grid, T, steps):
+    """m marched one step at a time, summing the whole history at each step."""
+    W = bounds._kernel_panel_integrals(op, T, steps).transpose(1, 0, 2)  # (lag, n, n)
+    g = apply_semigroup(op, np.linspace(0.0, T, steps + 1), params.u0)
+    c = (params.lam * params.sigma.L_sigma) ** 2
+    m = np.empty((steps + 1, grid.n))
+    m[0] = g[0] ** 2
+    solve_new = np.linalg.inv(np.eye(grid.n) - 0.5 * c * W[0])
+    for k in range(1, steps + 1):
+        rhs = g[k] ** 2 + 0.5 * c * (W[0] @ m[k - 1])
+        if k >= 2:
+            mavg = 0.5 * (m[0 : k - 1] + m[1:k])  # panel averages, oldest first
+            rhs += c * np.einsum("dij,dj->i", W[k - 1 : 0 : -1], mavg)
+        m[k] = solve_new @ rhs
+    return m
+
+
+# one block of 16 targets, the edges of one 64-step block and of the 16-lag
+# history chunks at n=64 (at 66 steps the last chunk holds one lag), and
+# four blocks with a partial last one.  At lam=8 the march stays positive
+# only on fine steps; on coarse ones it swings through sign changes, where
+# relative agreement means nothing.
+@pytest.mark.parametrize("steps", [16, 63, 64, 65, 66, 200])
+@pytest.mark.parametrize(("lam", "dt"), [(1.0, 1.0 / 1024.0), (8.0, 1.0 / 16384.0)])
+def test_blocked_march_matches_stepwise_march(desk_grid, desk_op, steps, lam, dt):
+    params = make_params(desk_grid, lam=lam)
+    table = bounds.second_moment_volterra(params, desk_op, desk_grid, T=steps * dt, steps=steps)
+    ref = _stepwise_march(params, desk_op, desk_grid, T=steps * dt, steps=steps)
+    assert np.all(ref > 0.0)
+    np.testing.assert_allclose(table.m, ref, rtol=1e-13, atol=0.0)
+
+
+def test_overflowing_march_raises(desk_grid, desk_op):
+    params = make_params(desk_grid, lam=8.0)
+    with np.errstate(all="ignore"), pytest.raises(OverflowError, match="lam=8.0"):
+        bounds.second_moment_volterra(params, desk_op, desk_grid, T=1.0, steps=256)
+
+
+# 63 uniform panels: at n=64 the last of the 2-panel batches holds one
+# panel, as does the last batch of the 15 graded sub-panels (8 at n=32);
+# T=0.5 reaches subnormal exp factors.  At n=64, the size of every oracle
+# grid the suite marches, the table is the panel loop's bit for bit.  BLAS
+# computes a lone 32x32 product with another kernel than a batch of them,
+# which moves entries that cancel by up to 1.2e-13 relative.
+@pytest.mark.parametrize(("n", "rtol"), [(64, 0.0), (32, 1e-12)])
+def test_batched_kernel_table_matches_the_panel_loop(n, rtol):
+    op = assemble(build_grid(L=1.0, n=n, mu=0.1), OperatorConfig(alpha=1.5))
+    W = bounds._kernel_panel_integrals(op, T=0.5, steps=64)
+    assert W.shape == (n, 64, n)
+    ref = _panel_loop_table(op, T=0.5, steps=64)
+    np.testing.assert_allclose(W.transpose(1, 0, 2), ref, rtol=rtol, atol=0.0)
+    assert W.reshape(n, -1).base is W  # the march's lag matrix is a view
+
+
+def test_march_temporaries_stay_small(desk_grid, desk_op, desk_params, desk_table):
+    # desk_table has cached the T=0.5, 1024-step kernel table.  Measured:
+    # 2.2 MiB beyond m with 0.5 MB GEMM operands, 9.2 MiB with 4 MB ones.
+    tracemalloc.start()
+    try:
+        table = bounds.second_moment_volterra(desk_params, desk_op, desk_grid, T=0.5, steps=1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    extra_mib = (peak - table.m.nbytes) / 2**20
+    assert extra_mib <= 3.0, f"march allocated {extra_mib:.2f} MiB beyond m"
 
 
 def test_second_moment_monotone_in_lambda(desk_grid, desk_op):

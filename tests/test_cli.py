@@ -396,6 +396,28 @@ def test_read_ensemble_csv_rejects_off_grid_rows(tmp_path, small_ensemble, monke
         cli.read_ensemble_csv(header_only)
 
 
+SWEEP_HEADER = "lambda,t,phi_p,phi_p_se,sup_m,sup_m_se,inf_m,inf_m_se,n_eff,flagged\n"
+SWEEP_ROW = "8.0,0.25,1.5,0.0,2.5,0.0,0.5,0.0,0,0.0\n"
+
+
+@pytest.mark.parametrize(
+    ("text", "error"),
+    [
+        (SWEEP_HEADER + SWEEP_ROW + "8.0,0.5\n", "sweep.csv line 3: expected 10 fields, got 2"),
+        (SWEEP_HEADER + SWEEP_ROW.replace("2.5", "abc2.5"), "sweep.csv line 2: could not convert .*'abc2.5'"),
+        ("wrong\n" + SWEEP_ROW, "sweep.csv: unexpected sweep CSV header 'wrong'"),
+    ],
+    ids=["short-row", "non-numeric", "header"],
+)
+def test_read_sweep_csv_names_file_and_line(tmp_path, text, error):
+    path = tmp_path / "sweep.csv"
+    path.write_text(SWEEP_HEADER + SWEEP_ROW)
+    assert cli.read_sweep_csv(path).to_csv() == SWEEP_HEADER + SWEEP_ROW
+    path.write_text(text)
+    with pytest.raises(ValueError, match=error):
+        cli.read_sweep_csv(path)
+
+
 def test_read_ensemble_csv_accepts_rows_in_any_order(tmp_path, small_ensemble, monkeypatch):
     monkeypatch.setattr(cli, "_CSV_CHUNK_LINES", 1000)
     path = tmp_path / "ens.csv"
