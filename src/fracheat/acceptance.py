@@ -232,7 +232,7 @@ def check_operator_spectrum() -> CheckResult:
         op256 = assemble(g256, cfg)
         worst_frac = 0.0
         for t in (0.01, 0.1, 1.0):
-            excess = kernels.check_domination(op256, g256, cfg, t)
+            excess = kernels.check_domination(op256, t)
             peak = kernels.stable_density(_DESK_ALPHA, t, 0.0)
             worst_frac = max(worst_frac, excess / peak)
         ok_dom = worst_frac <= TOL_DOMINATION

@@ -279,6 +279,12 @@ def second_moment_volterra(
             f"second-moment march overflowed at lam={params.lam}; use the renewal branch "
             "of oracle_moment_curves for this noise level"
         )
+    if np.any(m < 0.0):
+        raise ValueError(
+            f"second-moment march went negative at lam={params.lam}, steps={steps}: the step does "
+            "not resolve the growth rate; refine steps or use the renewal branch of "
+            "oracle_moment_curves"
+        )
     return SecondMomentTable(t=t, x=grid.nodes, m=m, lam=params.lam, alpha=params.alpha, grid=grid)
 
 

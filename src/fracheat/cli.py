@@ -533,10 +533,9 @@ def _report(out: str, written: list, payload: dict) -> None:
 
 def cmd_sweep(cfg: ExperimentConfig, oracle: bool) -> int:
     payload, rows, tables, times = _sweep_source(cfg, oracle)
-    lyap = None
     try:
-        lyap = moments.fit_lyapunov_from_log(tables[cfg.lambdas[-1]])
-        payload["gamma_hat"], payload["gamma_ci"] = lyap[0], list(lyap[1])
+        gamma_hat, gamma_ci = moments.fit_lyapunov_from_log(tables[cfg.lambdas[-1]])
+        payload["gamma_hat"], payload["gamma_ci"] = gamma_hat, list(gamma_ci)
     except ValueError as exc:
         payload["warnings"].append(f"growth-rate fit skipped: {exc}")
     table, exc_fit = _excitation_fit(tables, times, payload)
@@ -545,9 +544,7 @@ def cmd_sweep(cfg: ExperimentConfig, oracle: bool) -> int:
         charts["sweep_phi.svg"] = _moment_svg(cfg, tables, times, payload)
         if exc_fit is not None:
             charts["excitation.svg"] = _excitation_svg(cfg, table, exc_fit, times[-1])
-    result = moments.SweepResult(
-        rows=[r for lam in cfg.lambdas for r in rows[lam]], lyapunov_hat=lyap, excitation_hat=exc_fit
-    )
+    result = moments.SweepResult(rows=[r for lam in cfg.lambdas for r in rows[lam]])
     out = _outdir(cfg)
     result.write_csv(os.path.join(out, "sweep.csv"))
     _write_json(os.path.join(out, "fits.json"), payload)

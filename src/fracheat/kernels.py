@@ -75,7 +75,7 @@ def stable_density(alpha: float, t: float, r: float, order: int = 10) -> float:
     return refined
 
 
-def check_domination(op, grid, cfg, t: float) -> float:
+def check_domination(op, t: float) -> float:
     """Max signed excess of the interval kernel over the free kernel at time t.
 
     Positive return = violation somewhere on the node grid.  The free kernel
@@ -85,8 +85,8 @@ def check_domination(op, grid, cfg, t: float) -> float:
     from .laplacian import heat_kernel_matrix
 
     P = heat_kernel_matrix(op, t)
-    n, dx = grid.n, grid.dx
-    dens = np.array([stable_density(cfg.alpha, t, k * dx) for k in range(n)])
+    n, dx = op.grid.n, op.grid.dx
+    dens = np.array([stable_density(op.config.alpha, t, k * dx) for k in range(n)])
     dist = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
     return float(np.max(P - dens[dist]))
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -235,11 +235,9 @@ class SweepRow:
 
 @dataclass
 class SweepResult:
-    """Moment estimates over a (lambda, t) sweep, plus optional fitted exponents."""
+    """Moment estimates over a (lambda, t) sweep."""
 
     rows: list[SweepRow] = field(default_factory=list)
-    lyapunov_hat: Optional[tuple[float, tuple[float, float]]] = None
-    excitation_hat: Optional[tuple[float, tuple[float, float]]] = None
 
     def __post_init__(self) -> None:
         keys = [(r.lam, r.t) for r in self.rows]

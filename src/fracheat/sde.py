@@ -52,8 +52,10 @@ __all__ = [
 # paths per work item: fixed, so partitioning never depends on the worker
 # count; even, so an antithetic pair never straddles two blocks
 _BLOCK = 128
-# time steps of noise a path-engine block draws at once: its noise buffer is
-# _BLOCK * _NOISE_CHUNK * n doubles whatever the horizon
+# time steps of noise a block draws at once: its noise buffer is
+# _BLOCK * _NOISE_CHUNK * n doubles whatever the horizon; even, so a coarse
+# increment of the pair estimator (two consecutive fine ones) never straddles
+# two chunks
 _NOISE_CHUNK = 64
 # bound on one chunk of the quadratic-form contraction's outer products (1 MB)
 _CONTRACT_DOUBLES = 1 << 17
@@ -360,29 +362,26 @@ def _map_blocks(fn: Callable, n_paths: int, worker_count: int) -> list:
             return list(pool.map(fn, blocks))
 
 
-def _stream_generators(master_seed: int, blk: range, antithetic: bool) -> list:
-    """One generator per noise stream of a block: path k reads stream (master_seed, k).
+def _noise_chunks(master_seed: int, blk: range, steps: int, n: int, antithetic: bool):
+    """Yield (first step, chunk): a block's standard normals, _NOISE_CHUNK steps at a time.
 
-    With ``antithetic`` the pair (2j, 2j+1) shares stream j.
+    Row k of each (B, m, n) chunk reads stream (master_seed, k); with
+    ``antithetic`` the pair (2j, 2j+1) shares stream j and row 2j+1 holds the
+    negation of row 2j.  Every chunk is a view of one reused buffer, so the
+    noise held is B * _NOISE_CHUNK * n doubles whatever ``steps`` is, and the
+    chunks continue the streams: any chunk length gives the same numbers.
     """
     stride = 2 if antithetic else 1
-    return [_path_generator(master_seed, k // stride) for k in blk[::stride]]
-
-
-def _draw_sheet(gens: list, out: np.ndarray, antithetic: bool) -> np.ndarray:
-    """Fill ``out`` (B, m, n) with the next m steps of standard normals of each stream.
-
-    Row k reads gens[k]; with ``antithetic`` row 2j reads gens[j] and row
-    2j+1 holds its negation.  Successive calls continue the streams, so a
-    horizon drawn in chunks equals the same horizon drawn at once.
-    """
-    stride = 2 if antithetic else 1
-    for j, gen in enumerate(gens):
-        row = stride * j
-        gen.standard_normal(out=out[row])
-        if antithetic:
-            np.negative(out[row], out=out[row + 1])
-    return out
+    gens = [_path_generator(master_seed, k // stride) for k in blk[::stride]]
+    buf = np.empty((len(blk), min(_NOISE_CHUNK, steps), n))
+    for lo in range(0, steps, buf.shape[1]):
+        chunk = buf[:, : steps - lo]
+        for j, gen in enumerate(gens):
+            row = stride * j
+            gen.standard_normal(out=chunk[row])
+            if antithetic:
+                np.negative(chunk[row], out=chunk[row + 1])
+        yield lo, chunk
 
 
 def _run_block(
@@ -397,8 +396,6 @@ def _run_block(
     n = disc.grid.n
     steps = disc.n_steps()
     B = len(path_indices)
-    gens = _stream_generators(master_seed, path_indices, antithetic=False)
-    noise = np.empty((B, min(_NOISE_CHUNK, steps), n))
     scale = math.sqrt(disc.dt * disc.grid.dx)
 
     factor_T = implicit_factor(op, disc.dt).T
@@ -419,8 +416,7 @@ def _run_block(
     record(0)
     # overflow here is an expected outcome (the path gets flagged), not an error
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, steps, noise.shape[1]):
-            chunk = _draw_sheet(gens, noise[:, : steps - lo], antithetic=False)
+        for lo, chunk in _noise_chunks(master_seed, path_indices, steps, n, antithetic=False):
             chunk *= scale
             for s in range(lo, lo + chunk.shape[1]):
                 forced = u + lam * sigma_eval(params.sigma, u) * chunk[:, s - lo, :] / disc.grid.dx
@@ -552,16 +548,14 @@ def _conditional_forms(params, op, grid, dt, n_steps, cond_steps):
     return MT, g, A, cv_mean
 
 
-def _rb_branch(u0, noise, lam, dx, MT, g):
-    """March u, ell (first chaos), q (second chaos) through one noise sheet.
+def _rb_branch(x, noise, lam, dx, MT, g):
+    """March u, ell (first chaos), q (second chaos) in place through a noise chunk.
 
-    The three ride in one (3, B, n) stack, each forced by lam * m * dW with
-    multiplier m = u, g[s] and the previous step's ell respectively, so a
-    step is one (3B, n) @ (n, n) product.
+    The three ride in one (3, B, n) stack ``x``, each forced by lam * m * dW
+    with multiplier m = u, g[s] and the previous step's ell respectively, so
+    a step is one (3B, n) @ (n, n) product; g starts at the chunk's first step.
     """
     nb, steps, n = noise.shape
-    x = np.zeros((3, nb, n))
-    x[0] = u0
     mult = np.empty_like(x)
     forced = np.empty_like(x)
     for s in range(steps):
@@ -573,8 +567,6 @@ def _rb_branch(u0, noise, lam, dx, MT, g):
         forced *= dW
         forced += x
         np.matmul(forced.reshape(3 * nb, n), MT, out=x.reshape(3 * nb, n))
-    u, ell, q = x
-    return u, g[steps] + ell + q
 
 
 def _form_gaps(A, u, y):
@@ -638,16 +630,18 @@ def estimate_second_moment_pair(
     lam = params.lam * params.sigma.L_sigma
 
     def run_blk(blk):
-        z = _draw_sheet(
-            _stream_generators(master_seed, blk, antithetic=True),
-            np.empty((len(blk), 2 * cond, grid.n)), antithetic=True,
-        )
+        # coarse and fine (u, ell, q) stacks, marched together chunk by chunk
+        x = np.zeros((2, 3, len(blk), grid.n))
+        x[:, 0] = params.u0
+        for lo, z in _noise_chunks(master_seed, blk, 2 * cond, grid.n, antithetic=True):
+            coarse = (z[:, 0::2, :] + z[:, 1::2, :]) * scale
+            z *= scale
+            for xs, w, s0, (MT, g, _A, _cv) in zip(x, (coarse, z), (lo // 2, lo), forms):
+                _rb_branch(xs, w, lam, grid.dx, MT, g[s0:])
         sums = []
-        for (MT, g, A, _cv), stride in zip(forms, (2, 1)):
-            w = (z if stride == 1 else z[:, 0::2, :] + z[:, 1::2, :]) * scale
-            u, y = _rb_branch(params.u0, w, lam, grid.dx, MT, g)
+        for (u, ell, q), (_MT, g, A, _cv) in zip(x, forms):
             alive = np.all(np.isfinite(u), axis=1)
-            vals = _form_gaps(A, u, y)[alive]
+            vals = _form_gaps(A, u, g[-1] + ell + q)[alive]
             sums.append((vals.sum(axis=0), (vals**2).sum(axis=0), int(alive.sum())))
         return sums
 

@@ -34,16 +34,6 @@ class PrecisionError(ArithmeticError):
     """Requested accuracy is unattainable with the given configuration."""
 
 
-# Test hook: the selftest negative control perturbs this to verify that a
-# corrupted Gamma is caught and attributed.  Must be 1.0 in normal use.
-_gamma_scale = 1.0
-
-
-def _set_gamma_scale(scale: float) -> None:
-    global _gamma_scale
-    _gamma_scale = float(scale)
-
-
 # The power series is summed (at most _SERIES_TERMS_MAX terms) below
 # _SWITCH_THRESHOLD; at or above it the exponential asymptotic expansion with
 # _ASYMPTOTIC_ORDER algebraic correction terms is used.
@@ -61,7 +51,7 @@ def gamma(x: float) -> float:
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"gamma requires a finite positive argument, got {x}")
-    return math.gamma(x) * _gamma_scale
+    return math.gamma(x)
 
 
 def _recip_gamma(x: float) -> float:
@@ -70,11 +60,9 @@ def _recip_gamma(x: float) -> float:
     The asymptotic correction terms divide by Gamma(1 - beta*k), which can
     land on a pole (e.g. beta = 1/2, k = 2); the reciprocal vanishes there.
     """
-    if x > 0.0:
-        return 1.0 / (math.gamma(x) * _gamma_scale)
-    if x == math.floor(x):
+    if x <= 0.0 and x == math.floor(x):
         return 0.0
-    return 1.0 / (math.gamma(x) * _gamma_scale)
+    return 1.0 / math.gamma(x)
 
 
 def _series_exact_beta1(z: float) -> float:
@@ -88,19 +76,18 @@ def _series_exact_beta1(z: float) -> float:
         term = term * zf / n
         acc += term
         if n >= 4 and abs(term) <= abs(acc) * Fraction(1, 10**22):
-            return float(acc) / _gamma_scale  # every term carries a 1/Gamma factor
+            return float(acc)
     raise PrecisionError(f"Mittag-Leffler series (beta=1) did not converge in {_SERIES_TERMS_MAX} terms at z={z}")
 
 
 def _series_float(beta: float, z: float) -> float:
     # term_n = z^n / Gamma(n beta + 1); consecutive-term ratios are computed in
-    # the log domain, so the (scaled) Gamma normalization enters once, up front
-    t0 = 1.0 / _gamma_scale
-    terms = [t0]
-    t = t0
+    # the log domain, starting from term_0 = 1
+    terms = [1.0]
+    t = 1.0
     lg_prev = 0.0  # lgamma(1)
     small_streak = 0
-    running = t0
+    running = 1.0
     for n in range(1, _SERIES_TERMS_MAX):
         lg_next = math.lgamma(n * beta + 1.0)
         t *= z * math.exp(lg_prev - lg_next)

@@ -123,6 +123,14 @@ def test_overflowing_march_raises(desk_grid, desk_op):
         bounds.second_moment_volterra(params, desk_op, desk_grid, T=1.0, steps=256)
 
 
+def test_negative_march_raises(desk_grid, desk_op):
+    # 16 steps cannot resolve the growth at lam=8: the march swings through
+    # sign changes while every entry stays finite
+    params = make_params(desk_grid, lam=8.0)
+    with pytest.raises(ValueError, match=r"lam=8\.0, steps=16.*renewal branch"):
+        bounds.second_moment_volterra(params, desk_op, desk_grid, T=0.25, steps=16)
+
+
 # 63 uniform panels: at n=64 the last of the 2-panel batches holds one
 # panel, as does the last batch of the 15 graded sub-panels (8 at n=32);
 # T=0.5 reaches subnormal exp factors.  At n=64, the size of every oracle

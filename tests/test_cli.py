@@ -297,13 +297,14 @@ def test_selftest_quick_passes_and_reports(tmp_path, capsys):
     assert "PASS" in out
 
 
-def test_selftest_corrupted_gamma_fails_naming_special_functions(tmp_path):
+def test_selftest_corrupted_gamma_fails_naming_special_functions(tmp_path, monkeypatch):
+    # every Mittag-Leffler series term carries a 1/Gamma factor: scale them all
     saved_cache = copy.copy(acceptance._CACHE)
-    specfun._set_gamma_scale(1.0 + 1e-6)
+    series = specfun._series
+    monkeypatch.setattr(specfun, "_series", lambda beta, z: series(beta, z) * (1.0 + 1e-6))
     try:
         rc = cli.main(["selftest", "quick", "--out", str(tmp_path)])
     finally:
-        specfun._set_gamma_scale(1.0)
         acceptance._CACHE.clear()
         acceptance._CACHE.update(saved_cache)
     report = cli.read_json_file(tmp_path / "selftest.json")

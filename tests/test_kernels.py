@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fracheat import kernels
-from fracheat.laplacian import OperatorConfig
 
 ALPHA = 1.5
 
@@ -82,12 +81,11 @@ def test_density_positive_decreasing_in_r():
     assert all(b <= a + 1e-14 for a, b in zip(vals, vals[1:]))
 
 
-def test_semigroup_dominated_by_free_kernel(desk_grid, desk_op):
-    cfg = OperatorConfig(alpha=ALPHA)
+def test_semigroup_dominated_by_free_kernel(desk_op):
     peak = kernels.stable_density(ALPHA, 0.1, 0.0)
-    excess = kernels.check_domination(desk_op, desk_grid, cfg, 0.1)
+    excess = kernels.check_domination(desk_op, 0.1)
     assert excess <= 0.05 * peak
-    excess_late = kernels.check_domination(desk_op, desk_grid, cfg, 1.0)
+    excess_late = kernels.check_domination(desk_op, 1.0)
     assert excess_late <= 0.05 * kernels.stable_density(ALPHA, 1.0, 0.0)
 
 

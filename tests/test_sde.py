@@ -13,12 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_params
-from fracheat import bounds, sde
+from fracheat import bounds, laplacian, sde
 from fracheat.sde import (
     Discretization,
     SigmaSpec,
-    _draw_sheet,
-    _stream_generators,
+    _noise_chunks,
     estimate_second_moment_pair,
     run_ensemble,
     sigma_eval,
@@ -218,9 +217,9 @@ def test_draw_sheet_antithetic_rows_negate_plain_streams(desk_grid, desk_op, des
     n = desk_grid.n
     for start in (0, 128):
         blk = range(start, start + 8)
-        pairs = _draw_sheet(_stream_generators(31, blk, True), np.empty((8, 5, n)), True)
+        [(_, pairs)] = _noise_chunks(31, blk, 5, n, True)
         plain_blk = range(start // 2, start // 2 + 4)
-        plain = _draw_sheet(_stream_generators(31, plain_blk, False), np.empty((4, 5, n)), False)
+        [(_, plain)] = _noise_chunks(31, plain_blk, 5, n, False)
         # pair j reads stream j once: row 2j replays it, row 2j+1 is its exact negation
         assert np.array_equal(pairs[0::2], plain)
         assert np.array_equal(pairs[1::2], -plain)
@@ -325,13 +324,13 @@ def test_pair_estimator_layout(desk_grid, desk_op, desk_params):
 
 
 def test_coupled_refinement_shares_noise(desk_grid, desk_op, desk_params, monkeypatch):
-    # record the sheets and conditioning-time states each resolution integrates
+    # record the noise and conditioning-time states each resolution integrates
+    # (2 cond = 8 fine steps: one noise chunk)
     seen = []
 
-    def spy(u0, noise, lam, dx, MT, g):
-        u, y = real_branch(u0, noise, lam, dx, MT, g)
-        seen.append((noise.copy(), u))
-        return u, y
+    def spy(x, noise, lam, dx, MT, g):
+        real_branch(x, noise, lam, dx, MT, g)
+        seen.append((noise.copy(), x[0].copy()))
 
     real_branch = sde._rb_branch
     monkeypatch.setattr(sde, "_rb_branch", spy)
@@ -396,9 +395,49 @@ def test_stacked_chaos_march_matches_three_matmul_march(desk_grid, desk_op, desk
         ell = (ell + lam * g[s] * dW) @ MT
         u = (u + lam * u * dW) @ MT
     y = g[steps] + ell + q
-    got_u, got_y = sde._rb_branch(desk_params.u0, noise, lam, dx, MT, g)
+    # the stepper marches in place, chunk by chunk, g read from each chunk's first step
+    x = np.zeros((3, 10, desk_grid.n))
+    x[0] = desk_params.u0
+    for lo, hi in ((0, 6), (6, steps)):
+        sde._rb_branch(x, noise[:, lo:hi], lam, dx, MT, g[lo:])
+    got_u, got_y = x[0], g[steps] + x[1] + x[2]
     assert np.abs(got_u - u).max() <= 1e-12 * np.abs(u).max()
     assert np.abs(got_y - y).max() <= 1e-12 * np.abs(y).max()
+
+
+def test_pair_estimator_noise_chunk_length_never_changes_results(desk_grid, desk_op, desk_params, monkeypatch):
+    # 2 cond = 32 fine steps: one chunk, chunks of 6 (not dividing 32) and of 2
+    disc = small_disc(desk_grid, dt=1.0 / 256.0, t_end=0.5)
+    ref = None
+    for chunk in (32, 6, 2):
+        monkeypatch.setattr(sde, "_NOISE_CHUNK", chunk)
+        pair = estimate_second_moment_pair(desk_params, disc, desk_op, n_paths=130, master_seed=23)
+        got = [(e.values, e.stderr, e.flagged_count) for e in pair]
+        if ref is None:
+            ref = got
+        for (values, stderr, flagged), (ref_values, ref_stderr, ref_flagged) in zip(got, ref):
+            assert np.array_equal(values, ref_values)
+            assert np.array_equal(stderr, ref_stderr)
+            assert flagged == ref_flagged
+
+
+def test_pair_estimator_memory_does_not_grow_with_t_end():
+    grid = laplacian.build_grid(L=1.0, n=16, mu=0.1)
+    op = laplacian.assemble(grid, laplacian.OperatorConfig(alpha=1.5))
+    params = make_params(grid)
+    # a short run first fills the operator's caches at dt and dt/2
+    estimate_second_moment_pair(params, small_disc(grid, dt=1.0 / 256.0), op, n_paths=128, master_seed=6)
+    peaks = {}
+    for t_end in (1.0, 4.0):
+        disc = small_disc(grid, dt=1.0 / 256.0, t_end=t_end)
+        tracemalloc.start()
+        try:
+            estimate_second_moment_pair(params, disc, op, n_paths=128, master_seed=6)
+            peaks[t_end] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # 4x the horizon: noise held for the whole conditioning time would peak about 4x higher
+    assert max(peaks.values()) < 1.25 * min(peaks.values())
 
 
 def test_pair_estimator_worker_count_never_changes_results(desk_grid, desk_op, desk_params):

@@ -107,17 +107,6 @@ def test_argument_validation(beta, z):
         specfun.mittag_leffler(beta, z)
 
 
-def test_gamma_scale_hook_roundtrip():
-    base = specfun.mittag_leffler(0.5, 1.0)
-    specfun._set_gamma_scale(1.0 + 1e-6)
-    try:
-        corrupted = specfun.mittag_leffler(0.5, 1.0)
-    finally:
-        specfun._set_gamma_scale(1.0)
-    assert abs(corrupted - base) > 1e-7
-    assert specfun.mittag_leffler(0.5, 1.0) == base
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     beta=st.floats(min_value=0.25, max_value=1.75),
