@@ -486,14 +486,29 @@ def run_ensemble(
 #     Wiener-chaos terms) is subtracted pathwise and its exact mean
 #     g'Ag + tr(A E[ll']) + tr(A E[qq']) is added back.
 #
-# Each A_x is symmetric: it starts as e_x e_x' and every adjoint step maps
-# A to M'AM with its diagonal scaled, which keeps A = A' (up to rounding,
-# ~1e-15 relative).  So the pathwise difference of the two quadratic forms
-# factors, u'A_x u - y'A_x y = (u-y)'A_x(u+y) (the cross terms u'A_x y and
-# y'A_x u cancel), and for all x at once it is one GEMM of the flattened
-# outer products (u-y)(u+y)' against A reshaped to (n, n^2).  The u, ell
-# and q recursions share the propagator M, so they march as one stacked
-# (3B, n) product per step.
+# The forms march in the eigenbasis of the operator.  M = V diag(r) V' with
+# r = 1/(1 - dt w), so with S_x = V'A_x V one adjoint step A -> M'AM +
+# c diag(diag(M'AM)), started from S_x = V'e_x e_x'V, reads
+#
+#     S <- S * (r r'),    d = diag(V S V'),    S <- S + c V' diag(d) V.
+#
+# Each S_x is symmetric, and is kept as its packed upper triangle a <= b.
+# With W[i, (a, b)] = V_ia V_ib both halves of the diagonal bump are GEMMs
+# over all marched rows at once: d = S @ W_d' (W_d weighs an off-diagonal
+# pair twice) and S += (c d) @ W.  A step costs about n^4 flops for all x,
+# against 4 n^4 for the n node-basis products M'A_x M, and allocates no
+# (n, n, n) array.  Reflection: the operator of `assemble` commutes with the
+# reversal J of the nodes (a uniform grid on a symmetric interval), so
+# J M J = M and A_{n-1-x} = J A_x J.  Only rows x < ceil(n/2) march; the
+# rest are mirrored once A = V S V' is back in node coordinates.
+#
+# So each A_x = V S_x V' is symmetric (up to rounding, ~1e-15 relative),
+# and the pathwise difference of the two quadratic forms factors,
+# u'A_x u - y'A_x y = (u-y)'A_x(u+y) (the cross terms u'A_x y and y'A_x u
+# cancel).  For all x at once it is one GEMM of the flattened outer products
+# (u-y)(u+y)' against A reshaped to (n, n^2).  The u, ell and q recursions
+# share the propagator M, so they march as one stacked (3B, n) product per
+# step.
 #
 # The A_x matrices depend on dt exactly as the simulation does, so the
 # estimator retains the scheme's full time-discretization bias; only
@@ -518,6 +533,7 @@ def _conditional_forms(params, op, grid, dt, n_steps, cond_steps):
 
     Returns (M^T, g, A, cv_mean) with g the deterministic flow sampled at
     the conditioning steps and cv_mean[x] = E[(g* + ell + q)' A_x (g* + ell + q)].
+    Raises OverflowError when the forms or their means leave the double range.
     """
     lam_sig = params.lam * params.sigma.L_sigma
     M = implicit_factor(op, dt)
@@ -525,14 +541,33 @@ def _conditional_forms(params, op, grid, dt, n_steps, cond_steps):
     c = lam_sig**2 * dt / grid.dx
     g = apply_semigroup(op, dt * np.arange(cond_steps + 1), params.u0)
 
+    # the adjoint march in the eigenbasis, rows x < half as packed upper triangles
     n = grid.n
-    idx = np.arange(n)
-    A = np.zeros((n, n, n))
-    A[idx, idx, idx] = 1.0
-    for _ in range(n_steps - cond_steps):
-        B = MT[None, :, :] @ A @ M[None, :, :]
-        B[:, idx, idx] *= 1.0 + c
-        A = B
+    half = (n + 1) // 2
+    march = n_steps - cond_steps
+    V = np.ascontiguousarray(op.eigenvectors)
+    r = 1.0 / (1.0 - dt * op.eigenvalues)
+    ia, ib = np.triu_indices(n)
+    W = np.ascontiguousarray((V.T[ia] * V.T[ib]).T)  # W[i, (a, b)] = V_ia V_ib
+    W_dT = np.ascontiguousarray((np.where(ia == ib, 1.0, 2.0) * W).T)
+    rr = r[ia] * r[ib]
+    S = W[:half].copy()  # e_x e_x'
+    D = np.empty((half, n))
+    T = np.empty_like(S)
+    overflow = f"conditional forms overflowed at lam={params.lam}, dt={dt} in adjoint step"
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(march):
+            S *= rr
+            np.matmul(S, W_dT, out=D)  # diag of the node-basis forms
+            if not np.all(np.isfinite(D)):
+                raise OverflowError(f"{overflow} {k + 1} of {march}; lower lam or t_end")
+            D *= c
+            np.matmul(D, W, out=T)
+            S += T
+    if not np.all(np.isfinite(S)):
+        raise OverflowError(f"{overflow} {march} of {march}; lower lam or t_end")
+    del W, W_dT, D, T
+    A = _node_forms(S, V, ia, ib)
 
     Lam = np.zeros((n, n))
     Q = np.zeros((n, n))
@@ -540,12 +575,30 @@ def _conditional_forms(params, op, grid, dt, n_steps, cond_steps):
         Q = M @ (Q + c * np.diag(np.diag(Lam))) @ MT
         Lam = M @ (Lam + c * np.diag(g[k] ** 2)) @ MT
     gs = g[cond_steps]
-    cv_mean = (
-        np.einsum("i,xij,j->x", gs, A, gs)
-        + np.einsum("xij,ij->x", A, Lam)
-        + np.einsum("xij,ij->x", A, Q)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        cv_mean = A.reshape(n, n * n) @ (np.outer(gs, gs) + Lam + Q).ravel()
+    if not np.all(np.isfinite(cv_mean)):
+        raise OverflowError(
+            f"control-variate mean of the conditional forms overflowed at lam={params.lam}, "
+            f"dt={dt} over {cond_steps} conditioning and {march} adjoint steps; lower lam or t_end"
+        )
     return MT, g, A, cv_mean
+
+
+def _node_forms(S, V, ia, ib):
+    """(n, n, n) node-basis forms A_x = V S_x V' from the packed eigenbasis rows
+    x < ceil(n/2); the other rows are their reflections A_{n-1-x} = J A_x J."""
+    half, n = S.shape[0], V.shape[0]
+    full = np.empty((half, n, n))
+    full[:, ia, ib] = S
+    full[:, ib, ia] = S
+    left = V @ full
+    del full
+    A = np.empty((n, n, n))
+    np.matmul(left, V.T, out=A[:half])
+    del left
+    A[half:] = A[n - 1 - half :: -1, ::-1, ::-1]
+    return A
 
 
 def _rb_branch(x, noise, lam, dx, MT, g):

@@ -93,6 +93,15 @@ def test_implicit_factor_solves_backward_euler(desk_op, desk_grid):
     assert np.allclose(F @ b, ref, rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize(("alpha", "L", "n"), [(1.5, 1.0, 64), (1.2, 2.0, 17), (1.9, 0.5, 33)])
+def test_implicit_factor_is_reflection_symmetric(alpha, L, n):
+    # the conditional forms of sde march half the nodes and mirror the rest:
+    # that needs J M J = M for the reversal J
+    op = assemble(build_grid(L=L, n=n, mu=0.1 * L), OperatorConfig(alpha=alpha))
+    M = implicit_factor(op, 1.0 / 1024.0)
+    assert np.abs(M[::-1, ::-1] - M).max() <= 1e-13 * np.abs(M).max()
+
+
 def test_grid_geometry():
     # n interior nodes at (i+1) dx with dx = L/(n+1); endpoints stay exterior
     g = build_grid(L=2.0, n=10, mu=0.3)

@@ -362,6 +362,81 @@ def test_conditional_forms_are_symmetric(desk_grid, desk_op, desk_params):
     assert np.all(asym <= 1e-13 * np.abs(A).max(axis=(1, 2)))
 
 
+def node_basis_forms(params, op, grid, dt, n_steps, cond_steps):
+    """Reference A_x and cv_mean: the batched node-basis march M'AM over all n rows."""
+    M = laplacian.implicit_factor(op, dt)
+    c = (params.lam * params.sigma.L_sigma) ** 2 * dt / grid.dx
+    g = laplacian.apply_semigroup(op, dt * np.arange(cond_steps + 1), params.u0)
+    n = grid.n
+    idx = np.arange(n)
+    A = np.zeros((n, n, n))
+    A[idx, idx, idx] = 1.0
+    for _ in range(n_steps - cond_steps):
+        B = M.T[None, :, :] @ A @ M[None, :, :]
+        B[:, idx, idx] *= 1.0 + c
+        A = B
+    Lam = np.zeros((n, n))
+    Q = np.zeros((n, n))
+    for k in range(cond_steps):
+        Q = M @ (Q + c * np.diag(np.diag(Lam))) @ M.T
+        Lam = M @ (Lam + c * np.diag(g[k] ** 2)) @ M.T
+    gs = g[cond_steps]
+    cv_mean = (
+        np.einsum("i,xij,j->x", gs, A, gs)
+        + np.einsum("xij,ij->x", A, Lam)
+        + np.einsum("xij,ij->x", A, Q)
+    )
+    return A, cv_mean
+
+
+# check 4's two resolutions (dt 1/1024 and 1/2048 to T = 0.5, conditioned at
+# T/8) on grids of odd and even n: the mirrored rows are exercised both ways
+@pytest.mark.parametrize(
+    ("n", "dt", "n_steps", "cond_steps"),
+    [
+        (16, 1.0 / 1024.0, 512, 64),
+        (17, 1.0 / 2048.0, 1024, 128),
+        (64, 1.0 / 1024.0, 512, 64),
+        (64, 1.0 / 2048.0, 1024, 128),
+    ],
+)
+def test_eigenbasis_forms_match_the_node_basis_march(n, dt, n_steps, cond_steps):
+    grid = laplacian.build_grid(L=1.0, n=n, mu=0.1)
+    op = laplacian.assemble(grid, laplacian.OperatorConfig(alpha=1.5))
+    params = make_params(grid)
+    ref_A, ref_cv = node_basis_forms(params, op, grid, dt, n_steps, cond_steps)
+    _MT, _g, A, cv = sde._conditional_forms(params, op, grid, dt, n_steps, cond_steps)
+    scale = np.abs(ref_A).max(axis=(1, 2))
+    assert np.all(np.abs(A - ref_A).max(axis=(1, 2)) <= 1e-11 * scale)
+    assert np.all(np.abs(cv - ref_cv) <= 1e-11 * np.abs(ref_cv))
+
+
+@pytest.mark.parametrize("lam", [16.0, 32.0, 64.0])
+def test_conditional_forms_overflow_fails_loudly(desk_grid, desk_op, lam):
+    # check 4's grid and steps: from lam 16 on the forms leave the double range
+    params = make_params(desk_grid, lam=lam)
+    disc = Discretization(grid=desk_grid, dt=1.0 / 1024.0, t_end=0.5, snapshot_times=(0.5,))
+    with pytest.raises(OverflowError, match=rf"lam={lam}, dt=0\.0009765625 in adjoint step \d+ of 448"):
+        estimate_second_moment_pair(params, disc, desk_op, n_paths=128, master_seed=3)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_conditional_forms_peak_memory(n):
+    grid = laplacian.build_grid(L=1.0, n=n, mu=0.1)
+    op = laplacian.assemble(grid, laplacian.OperatorConfig(alpha=1.5))
+    params = make_params(grid)
+    dt = 1.0 / 1024.0
+    laplacian.implicit_factor(op, dt)  # the cached factor is not the forms' memory
+    tracemalloc.start()
+    try:
+        _MT, _g, A, _cv = sde._conditional_forms(params, op, grid, dt, 4, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A itself plus at most twice its size in march tables and temporaries
+    assert peak <= 3 * A.nbytes
+
+
 def test_form_gaps_match_the_two_quadratic_forms(desk_grid, desk_op, desk_params):
     _MT, _g, A, _cv = desk_forms(desk_grid, desk_op, desk_params)
     rng = np.random.default_rng(5)
