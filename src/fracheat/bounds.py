@@ -13,10 +13,14 @@ Three layers:
    m(t,x) = E u(t,x)^2 satisfies a closed 2-D Volterra equation with kernel
    p_D(t-s,x,y)^2; second_moment_volterra marches it on the operator grid
    with panel-exact matrix kernel integrals.  The discrete kernel saturates
-   near the diagonal at 1/dx below time lags ~ dx^alpha, so the panel
+   near the diagonal at 1/dx below time lags ~ dx^alpha, so the near panel
    integrals are computed from the kernel itself (Gauss-Legendre per panel,
    geometrically graded first panel) instead of imposing the continuum
    (t-s)^(-1/alpha) weight, which would overcorrect the resolved lattice.
+   On the lattice the kernel is a finite sum of exponentials,
+   K(u) = sum_ab e^((w_a+w_b) u) (v_a*v_b)(v_a*v_b)'/dx, so the far history
+   advances by an exact recursion per eigen-pair (Lubich & Schaedle, SIAM
+   J. Sci. Comput. 24 (2002) 161) and no kernel table is kept.
 
 3. Envelope plumbing.  The growth rate theta(lambda) scales like
    lambda^(2 alpha/(alpha-1)); marching resolves it only while
@@ -132,66 +136,45 @@ def volterra_lower_solve(prob: RenewalProblem, T: float, steps: int) -> Volterra
 # ---------------------------------------------------------------------------
 
 
-# time steps the oracle march advances per block: the history of the panels
-# completed before a block is added for all its steps as GEMMs
-_MARCH_BLOCK = 64
-# bound on one GEMM operand the oracle builds (0.5 MB): Gauss nodes of the
-# kernel table per batch, lags of the history sum per chunk
-_GEMM_DOUBLES = 1 << 16
+# lags whose panel integrals the march applies in node space, for pointwise
+# accuracy at the boundary nodes.  Later lags run as a recursion in
+# eigen-pair coordinates, whose readout sum_ab V_ia H_ab V_ib cancels where m
+# is small: at lam 8, dt 1/16384, 200 steps, m at node 0 sits 500-1000x below
+# its row max, and the recursion from lag 1 leaves it 1.3e-13 relative off
+# the node-space march; from lag 17 on, 4.7e-15.
+_NEAR_LAGS = 16
 
 
-def _kernel_panel_integrals(op: DiscreteOperator, T: float, steps: int) -> np.ndarray:
-    """W[:, d, :] = int over panel [d dt, (d+1) dt] of K(u) du, K(u) = G(u)*G(u)/dx.
+def _near_panel_integrals(op: DiscreteOperator, dt: float) -> np.ndarray:
+    """W[:, d, :] = int over panel [d dt, (d+1) dt] of K(u) du for d = 0.._NEAR_LAGS.
 
-    G(u) is the spectral semigroup matrix; K is the squared transition
-    density kernel of the second-moment equation.  The layout (n, steps, n)
-    makes W.reshape(n, steps * n) the lag-stacked matrix the march
-    multiplies.  Cached on the operator.
+    K(u) = G(u)*G(u)/dx, with G(u) the spectral semigroup matrix, is the
+    squared transition density kernel of the second-moment equation; each
+    panel takes the 8-point Gauss-Legendre rule.  The layout (n, lags, n)
+    makes W[:, 1:].reshape(n, _NEAR_LAGS * n) the lag-stacked matrix the
+    march multiplies.
     """
-    key = ("volterra_kernel", float(T), int(steps))
-    cached = op._cache.get(key)
-    if cached is not None:
-        return cached
     n = op.grid.n
-    dx = op.grid.dx
     V = op.eigenvectors
     w = op.eigenvalues
-    dt = T / steps
     gx, gw = np.polynomial.legendre.leggauss(8)
-    per_batch = max(1, _GEMM_DOUBLES // (gx.size * n * n))
-
-    def node_terms(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """(panels, nodes, n, n) weighted squares (half wt) G(u)*G(u) at each panel's Gauss nodes."""
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        u = (mid[:, None] + half[:, None] * gx).ravel()
-        decay = np.exp(np.outer(u, w))
-        # subnormal factors cannot move an O(1) kernel entry, and subnormal
-        # operands slow the GEMM several-fold
-        decay[decay < np.finfo(float).tiny] = 0.0
-        G = ((V * decay[:, None, :]).reshape(-1, n) @ V.T).reshape(lo.size, gx.size, n, n)
-        G *= G
-        G *= (half[:, None] * gw)[:, :, None, None]
-        return G
-
-    W = np.empty((n, steps, n))
     # first panel: the kernel relaxes from its t=0 saturation on the lattice
     # time scale dx^alpha, which can sit inside [0, dt]; grade geometrically.
     edges = np.concatenate([[0.0], dt * 0.5 ** np.arange(14, -1, -1.0)])
-    first = np.zeros((n, n))
-    for s in range(0, edges.size - 1, per_batch):
-        for term in node_terms(edges[:-1][s : s + per_batch], edges[1:][s : s + per_batch]).reshape(-1, n, n):
-            first += term
-    W[:, 0, :] = first
-    for d0 in range(1, steps, per_batch):
-        d = np.arange(d0, min(d0 + per_batch, steps), dtype=float)
-        terms = node_terms(d * dt, (d + 1.0) * dt)
-        acc = np.zeros(terms.shape[:1] + terms.shape[2:])
-        for q in range(gx.size):  # node by node, the order of a single-panel sum
-            acc += terms[:, q]
-        W[:, d0 : d0 + d.size, :] = acc.transpose(1, 0, 2)
-    W /= dx
-    op._cache[key] = W
+    panels = [(0, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    panels += [(d, d * dt, (d + 1) * dt) for d in range(1, _NEAR_LAGS + 1)]
+    W = np.zeros((n, _NEAR_LAGS + 1, n))
+    for d, lo, hi in panels:
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (hi + lo)
+        for node, wt in zip(gx, gw):
+            decay = np.exp((mid + half * node) * w)
+            # subnormal factors cannot move an O(1) kernel entry, and subnormal
+            # operands slow the GEMM several-fold
+            decay[decay < np.finfo(float).tiny] = 0.0
+            G = (V * decay) @ V.T
+            W[:, d, :] += (half * wt) * (G * G)
+    W /= op.grid.dx
     return W
 
 
@@ -226,10 +209,12 @@ def second_moment_volterra(
     m(t,x) = g(t,x)^2 + (lam L_sigma)^2 int_0^t int p_D(t-s,x,y)^2 m(s,y) dy ds
     with g the deterministic semigroup flow of u0.  Time quadrature: exact
     panel integrals of the matrix kernel against the trapezoidal average of
-    m on each panel; the diagonal panel is handled implicitly.  Targets are
-    marched in blocks of _MARCH_BLOCK steps: the panels finished before a
-    block enter all its targets as lag-chunked GEMMs, the panels inside it
-    step by step.
+    m on each panel; the diagonal panel is handled implicitly.  Lags up to
+    _NEAR_LAGS take node-space panel integrals, one GEMM per step.  Later
+    lags take the kernel's exact sum over eigen-pairs (a, b), where the
+    lag-d panel integral e^(s d dt) expm1(s dt)/s, s = w_a + w_b, is
+    geometric in d: their history H_ab advances by one product per step.
+    Nothing is cached; the march holds m, g and O(n^2) more.
     """
     if params.sigma.kind != "linear":
         raise ValueError("the second-moment equation is closed only for linear sigma")
@@ -237,6 +222,7 @@ def second_moment_volterra(
     if not (T > 0.0 and steps >= 16):
         raise ValueError(f"need T > 0 and steps >= 16, got T={T}, steps={steps}")
     n = grid.n
+    dt = T / steps
     t = np.linspace(0.0, T, steps + 1)
     g = apply_semigroup(op, t, params.u0)  # deterministic flow at all grid times
     c = (params.lam * params.sigma.L_sigma) ** 2
@@ -245,35 +231,27 @@ def second_moment_volterra(
     if c == 0.0:
         m[:] = g**2
         return SecondMomentTable(t=t, x=grid.nodes, m=m, lam=params.lam, alpha=params.alpha, grid=grid)
-    W = _kernel_panel_integrals(op, T, steps)
-    lags = W.reshape(n, steps * n)  # lags[:, d*n:(d+1)*n] is the lag-d panel integral
+    W = _near_panel_integrals(op, dt)
     W0 = W[:, 0, :]
+    near = W[:, 1:, :].reshape(n, _NEAR_LAGS * n)
     solve_new = np.linalg.inv(np.eye(n) - 0.5 * c * W0)
-    b = _MARCH_BLOCK
-    lag_chunk = max(1, _GEMM_DOUBLES // (b * n))
-    # panel averages 0.5 (m[p] + m[p+1]) in row b - 1 + p.  The leading zero
-    # rows stand for panels before t=0, and the rows of panels not yet marched
-    # are zero too, so the history GEMMs may read past either end.
-    avg = np.zeros((b - 1 + steps, n))
-    for k0 in range(1, steps + 1, b):
-        nb = min(b, steps + 1 - k0)
-        # history of panels 0..k0-2, finished before the block: target k0+j
-        # takes panel k0+j-1-d at lag d, so lag chunks are GEMMs
-        history = np.zeros((nb, n))
-        rows = (b + k0 - 2) + np.arange(nb)[:, None]
-        for d0 in range(1, k0 + nb - 1, lag_chunk):
-            d1 = min(d0 + lag_chunk, k0 + nb - 1)
-            shifted = avg[rows - np.arange(d0, d1)]  # (nb, lags, n)
-            history += shifted.reshape(nb, -1) @ lags[:, d0 * n : d1 * n].T
-        for j in range(nb):
-            k = k0 + j
-            rhs = g[k] ** 2 + 0.5 * c * (W0 @ m[k - 1])
-            if j:  # panels k0-1..k-2 of this block, lags 1..j
-                recent = avg[b + k - 3 : b + k0 - 3 : -1].ravel()
-                history[j] += lags[:, n : (j + 1) * n] @ recent
-            rhs += c * history[j]
-            m[k] = solve_new @ rhs
-            avg[b + k - 2] = 0.5 * (m[k - 1] + m[k])
+    V = op.eigenvectors
+    s = np.add.outer(op.eigenvalues, op.eigenvalues)
+    rho = np.exp(s * dt)
+    omega = np.exp((_NEAR_LAGS + 1) * dt * s) * np.expm1(s * dt) / s
+    H = np.zeros((n, n))
+    # recent[d - 1] is the trapezoidal average of m over the panel at lag d;
+    # rows of panels before t=0 stay zero
+    recent = np.zeros((_NEAR_LAGS + 1, n))
+    for k in range(1, steps + 1):
+        H *= rho
+        H += omega * ((V.T * recent[_NEAR_LAGS]) @ V)
+        rhs = g[k] ** 2 + 0.5 * c * (W0 @ m[k - 1])
+        rhs += c * (near @ recent[:_NEAR_LAGS].ravel())
+        rhs += (c / grid.dx) * ((V @ H) * V).sum(axis=1)
+        m[k] = solve_new @ rhs
+        recent[1:] = recent[:-1]
+        recent[0] = 0.5 * (m[k - 1] + m[k])
     if not np.all(np.isfinite(m)):
         raise OverflowError(
             f"second-moment march overflowed at lam={params.lam}; use the renewal branch "

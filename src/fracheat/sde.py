@@ -704,6 +704,11 @@ def estimate_second_moment_pair(
         acc = sum(p[which][0] for p in partial)
         acc2 = sum(p[which][1] for p in partial)
         total = sum(p[which][2] for p in partial)
+        if not np.all(np.isfinite(acc2)):
+            raise OverflowError(
+                f"squared form gaps of the estimator overflowed at lam={params.lam}, dt={d.dt}; "
+                "lower lam or t_end"
+            )
         mean = acc / total
         var = np.maximum(acc2 / total - mean**2, 0.0)
         out.append(

@@ -87,7 +87,7 @@ def _panel_loop_table(op, T, steps):
 
 def _stepwise_march(params, op, grid, T, steps):
     """m marched one step at a time, summing the whole history at each step."""
-    W = bounds._kernel_panel_integrals(op, T, steps).transpose(1, 0, 2)  # (lag, n, n)
+    W = _panel_loop_table(op, T, steps)  # (lag, n, n)
     g = apply_semigroup(op, np.linspace(0.0, T, steps + 1), params.u0)
     c = (params.lam * params.sigma.L_sigma) ** 2
     m = np.empty((steps + 1, grid.n))
@@ -102,12 +102,12 @@ def _stepwise_march(params, op, grid, T, steps):
     return m
 
 
-# one block of 16 targets, the edges of one 64-step block and of the 16-lag
-# history chunks at n=64 (at 66 steps the last chunk holds one lag), and
-# four blocks with a partial last one.  At lam=8 the march stays positive
-# only on fine steps; on coarse ones it swings through sign changes, where
-# relative agreement means nothing.
-@pytest.mark.parametrize("steps", [16, 63, 64, 65, 66, 200])
+# 16 and 17 steps reach only the node-space lags 0..16; 18 is the first
+# step count with a panel at lag 17, the first of the eigen-pair recursion.
+# The longer marches run that recursion over many steps.  At lam=8 the
+# march stays positive only on fine steps; on coarse ones it swings through
+# sign changes, where relative agreement means nothing.
+@pytest.mark.parametrize("steps", [16, 17, 18, 63, 64, 65, 66, 200])
 @pytest.mark.parametrize(("lam", "dt"), [(1.0, 1.0 / 1024.0), (8.0, 1.0 / 16384.0)])
 def test_blocked_march_matches_stepwise_march(desk_grid, desk_op, steps, lam, dt):
     params = make_params(desk_grid, lam=lam)
@@ -131,28 +131,36 @@ def test_negative_march_raises(desk_grid, desk_op):
         bounds.second_moment_volterra(params, desk_op, desk_grid, T=0.25, steps=16)
 
 
-# 63 uniform panels: at n=64 the last of the 2-panel batches holds one
-# panel, as does the last batch of the 15 graded sub-panels (8 at n=32);
-# T=0.5 reaches subnormal exp factors.  At n=64, the size of every oracle
-# grid the suite marches, the table is the panel loop's bit for bit.  BLAS
-# computes a lone 32x32 product with another kernel than a batch of them,
-# which moves entries that cancel by up to 1.2e-13 relative.
+# The 16 uniform panels and the 15 graded sub-panels at T/steps = 1/128
+# reach subnormal exp factors.  The helper takes the loop's products node by
+# node: at n=64, the size of every oracle grid the suite marches, and at
+# n=32 it matched bit for bit when measured.  n=32 allows 1e-12, since BLAS
+# may pick its kernel by size and move entries that cancel.
 @pytest.mark.parametrize(("n", "rtol"), [(64, 0.0), (32, 1e-12)])
 def test_batched_kernel_table_matches_the_panel_loop(n, rtol):
     op = assemble(build_grid(L=1.0, n=n, mu=0.1), OperatorConfig(alpha=1.5))
-    W = bounds._kernel_panel_integrals(op, T=0.5, steps=64)
-    assert W.shape == (n, 64, n)
-    ref = _panel_loop_table(op, T=0.5, steps=64)
+    W = bounds._near_panel_integrals(op, dt=0.5 / 64)
+    assert W.shape == (n, 17, n)
+    ref = _panel_loop_table(op, T=0.5, steps=64)[:17]
     np.testing.assert_allclose(W.transpose(1, 0, 2), ref, rtol=rtol, atol=0.0)
     assert W.reshape(n, -1).base is W  # the march's lag matrix is a view
 
 
-def test_march_temporaries_stay_small(desk_grid, desk_op, desk_params, desk_table):
-    # desk_table has cached the T=0.5, 1024-step kernel table.  Measured:
-    # 2.2 MiB beyond m with 0.5 MB GEMM operands, 9.2 MiB with 4 MB ones.
+def test_march_caches_nothing_on_the_operator(desk_grid, desk_params):
+    op = assemble(desk_grid, OperatorConfig(alpha=1.5))
+    before = dict(op._cache)
+    bounds.second_moment_volterra(desk_params, op, desk_grid, T=0.25, steps=64)
+    bounds.second_moment_volterra(desk_params, op, desk_grid, T=0.5, steps=128)
+    assert op._cache.keys() == before.keys()
+    assert all(op._cache[k] is v for k, v in before.items())
+
+
+def test_march_temporaries_stay_small(desk_grid, desk_params):
+    # a cold call on a fresh operator.  Measured: 1.3 MiB beyond m.
+    op = assemble(desk_grid, OperatorConfig(alpha=1.5))
     tracemalloc.start()
     try:
-        table = bounds.second_moment_volterra(desk_params, desk_op, desk_grid, T=0.5, steps=1024)
+        table = bounds.second_moment_volterra(desk_params, op, desk_grid, T=0.5, steps=1024)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

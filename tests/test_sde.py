@@ -420,6 +420,15 @@ def test_conditional_forms_overflow_fails_loudly(desk_grid, desk_op, lam):
         estimate_second_moment_pair(params, disc, desk_op, n_paths=128, master_seed=3)
 
 
+def test_estimator_overflow_fails_loudly(desk_grid, desk_op):
+    # check 4's grid at lam 8: the forms stay finite, but the squared form
+    # gaps of the paths overflow in the stderr sums
+    params = make_params(desk_grid, lam=8.0)
+    disc = Discretization(grid=desk_grid, dt=1.0 / 1024.0, t_end=0.5, snapshot_times=(0.5,))
+    with np.errstate(all="ignore"), pytest.raises(OverflowError, match=r"lam=8\.0, dt=0\.0009765625"):
+        estimate_second_moment_pair(params, disc, desk_op, n_paths=16, master_seed=0)
+
+
 @pytest.mark.parametrize("n", [64, 128])
 def test_conditional_forms_peak_memory(n):
     grid = laplacian.build_grid(L=1.0, n=n, mu=0.1)
