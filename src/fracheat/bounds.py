@@ -403,8 +403,8 @@ def oracle_moment_curves(
     t = np.linspace(0.0, T, steps + 1)
     th_inf = model.theta_inf(lam, lsig)
     th_sup = model.theta_sup(lam, Lsig)
-    log_inf = math.log(model.a_inf) + np.array([specfun.log_f_beta(model.beta, th_inf * tk) for tk in t])
-    log_sup = math.log(model.a_sup) + np.array([specfun.log_f_beta(model.beta, th_sup * tk) for tk in t])
+    log_inf = math.log(model.a_inf) + specfun.log_f_beta(model.beta, th_inf * t)
+    log_sup = math.log(model.a_sup) + specfun.log_f_beta(model.beta, th_sup * t)
     log_energy = math.log(grid.L - 2.0 * grid.mu) + log_inf
     return OracleCurves(
         alpha=params.alpha,
@@ -498,6 +498,16 @@ def log_upper_envelope(t: float, k: EnvelopeConstants, lam: float, L_sigma_: flo
     return math.log(k.kappa3) + k.kappa4 * rate * t
 
 
+def _log_ml_curve(c: OracleCurves, beta: float, l_sigma: float, kappa2: float) -> np.ndarray:
+    """ln E_beta(lam^2 l_sigma^2 kappa2 t^beta) at the curve's times, one array call.
+
+    t^beta is taken point by point with the scalar pow, as log_lower_envelope
+    forms it; numpy's vector pow can differ from it in the last bit.
+    """
+    t_beta = np.array([tk**beta for tk in c.t.tolist()])
+    return specfun.log_mittag_leffler(beta, c.lam**2 * l_sigma**2 * kappa2 * t_beta)
+
+
 def _fit_slopes(curves: Sequence[OracleCurves], which: str) -> dict:
     return {c.lam: tail_log_slope(c.t, getattr(c, which)) for c in curves}
 
@@ -543,11 +553,7 @@ def fit_envelope_constants(
     kappa2 = slope_inf**beta / (top.lam**2 * l_sigma**2)
 
     # kappa1: minimal ratio across all cells (tight at the argmin)
-    log_ratio_min = math.inf
-    for c in curves:
-        for tk, lv in zip(c.t, c.log_inf):
-            log_env = specfun.log_mittag_leffler(beta, c.lam**2 * l_sigma**2 * kappa2 * tk**beta)
-            log_ratio_min = min(log_ratio_min, lv - log_env)
+    log_ratio_min = min(float(np.min(c.log_inf - _log_ml_curve(c, beta, l_sigma, kappa2))) for c in curves)
     kappa1 = math.exp(log_ratio_min)
 
     sup_slopes = _fit_slopes(curves, "log_sup")
@@ -598,13 +604,13 @@ def _verify_fit(k: EnvelopeConstants, curves: Sequence[OracleCurves], l_sigma: f
     expo = k.alpha / (k.alpha - 1.0)
     violations = []
     for c in curves:
-        for tk, lo, hi in zip(c.t, c.log_inf, c.log_sup):
-            log_low = math.log(k.kappa1) + specfun.log_mittag_leffler(
-                beta, c.lam**2 * l_sigma**2 * k.kappa2 * tk**beta
-            )
-            log_up = math.log(k.kappa3) + k.kappa4 * (c.lam**2 * L_sigma_**2) ** expo * tk
-            if log_low > lo + 1e-9 or log_up < hi - 1e-9:
-                violations.append((c.lam, float(tk), float(log_low - lo), float(hi - log_up)))
+        log_low = math.log(k.kappa1) + _log_ml_curve(c, beta, l_sigma, k.kappa2)
+        log_up = math.log(k.kappa3) + k.kappa4 * (c.lam**2 * L_sigma_**2) ** expo * c.t
+        bad = (log_low > c.log_inf + 1e-9) | (log_up < c.log_sup - 1e-9)
+        violations += [
+            (c.lam, float(c.t[i]), float(log_low[i] - c.log_inf[i]), float(c.log_sup[i] - log_up[i]))
+            for i in np.flatnonzero(bad).tolist()
+        ]
     if violations:
         head = ", ".join(f"(lam={v[0]}, t={v[1]:.3g})" for v in violations[:8])
         raise EnvelopeFitError(f"{len(violations)} envelope violations on the fitting set: {head}")

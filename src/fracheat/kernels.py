@@ -17,6 +17,7 @@ at a higher order; disagreement raises PrecisionError.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -31,6 +32,15 @@ __all__ = [
 _TRUNC = 14.0 * math.log(10.0)  # exp(-t xi^alpha) < 1e-14 beyond the cut
 
 
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The order-point Gauss-Legendre rule on [-1, 1], computed once per order; read-only."""
+    gx, gw = np.polynomial.legendre.leggauss(order)
+    gx.flags.writeable = False
+    gw.flags.writeable = False
+    return gx, gw
+
+
 def _gl_nodes(alpha: float, t: float, r: float, order: int) -> tuple[np.ndarray, np.ndarray]:
     xi_max = (_TRUNC / t) ** (1.0 / alpha)
     n_panels = int(np.clip(math.ceil(2.0 * xi_max * abs(r) / math.pi), 24, 200_000))
@@ -39,7 +49,7 @@ def _gl_nodes(alpha: float, t: float, r: float, order: int) -> tuple[np.ndarray,
     # first panel geometrically so Gauss-Legendre keeps spectral accuracy.
     graded = edges[1] * 0.5 ** np.arange(16, 0, -1)
     edges = np.concatenate([[0.0], graded, edges[1:]])
-    gx, gw = np.polynomial.legendre.leggauss(order)
+    gx, gw = _gauss_legendre(order)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()

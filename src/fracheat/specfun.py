@@ -13,12 +13,24 @@ singular kernel.  Arguments grow like lambda^2 * t^beta, so for large
 noise levels the values leave double-precision range; the log-domain
 companions (log_mittag_leffler, log_f_beta) stay finite there and are
 what the envelope-fitting code consumes.
+
+The log-domain companions take a scalar (float out) or an array of z >= 0
+(array of the same shape out), so a whole curve is one call.  Their series
+rows share one table of term ratios e_n = Gamma((n-1) beta + 1) /
+Gamma(n beta + 1) per call, extended as rows need more terms: the terms of
+each row are a running product of y e_n, summed with the scalar series'
+stopping rule and fsum, so every element equals the scalar evaluation bit
+for bit.  z is taken in chunks of 512 points and rows in blocks of 64 KiB,
+and no table is kept between calls.  The series/asymptotic switch applies
+per element.  mittag_leffler and f_beta stay scalar (they also cover z < 0).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 __all__ = [
     "PrecisionError",
@@ -40,6 +52,11 @@ class PrecisionError(ArithmeticError):
 _SERIES_TERMS_MAX = 4000
 _SWITCH_THRESHOLD = 12.0
 _ASYMPTOTIC_ORDER = 3
+# The array path takes z in chunks of _CHUNK_POINTS and evaluates series
+# rows in blocks of at most _CHUNK_DOUBLES doubles (64 KiB), which bounds
+# each of its temporaries.
+_CHUNK_DOUBLES = 1 << 13
+_CHUNK_POINTS = 512
 
 
 def gamma(x: float) -> float:
@@ -114,16 +131,88 @@ def _series(beta: float, z: float) -> float:
     return _series_float(beta, z)
 
 
+class _RatioTable:
+    """e_n = exp(lgamma((n-1) beta + 1) - lgamma(n beta + 1)), n = 1..K, for one array call.
+
+    Formed with math.lgamma and math.exp exactly as _series_float forms its
+    term ratios, and extended when a row needs more terms.  It lives only
+    for its call, so the array path holds no memory between calls.
+    """
+
+    def __init__(self, beta: float) -> None:
+        self.beta = beta
+        self.lg = [0.0]  # lgamma(n beta + 1) for n = 0, 1, ...
+        self.e = np.empty(0)
+
+    def first(self, K: int) -> np.ndarray:
+        if self.e.size < K:
+            lg = self.lg
+            lg += [math.lgamma(n * self.beta + 1.0) for n in range(len(lg), K + 1)]
+            self.e = np.array([math.exp(lg[n - 1] - lg[n]) for n in range(1, K + 1)])
+        return self.e[:K]
+
+
+def _series_rows(beta: float, y: np.ndarray, ratios: _RatioTable) -> np.ndarray:
+    """E_beta(y) by the power series for each y >= 0 of a 1-D array.
+
+    Row i holds the terms 1, y_i e_1, (y_i e_1)(y_i e_2), ..., the same
+    products _series_float forms, with its running sum and stopping rule;
+    rows that have not stopped after K terms are redone with 2K.
+    """
+    if beta == 1.0:
+        return np.array([_series_exact_beta1(v) for v in y.tolist()])
+    out = np.empty(y.size)
+    pending = np.arange(y.size)
+    K = 64
+    while pending.size:
+        e = ratios.first(K)
+        rows = max(1, _CHUNK_DOUBLES // (K + 1))
+        left = []
+        for lo in range(0, pending.size, rows):
+            idx = pending[lo : lo + rows]
+            terms = np.empty((idx.size, K + 1))
+            terms[:, 0] = 1.0
+            np.multiply(y[idx, None], e, out=terms[:, 1:])
+            np.multiply.accumulate(terms, axis=1, out=terms)
+            small = terms <= 1e-17 * np.maximum(np.cumsum(terms, axis=1), 1e-250)
+            stop = small[:, 4:] & small[:, 3:-1]  # column j: terms j+3 and j+4 both small
+            done = stop.any(axis=1)
+            last = np.where(done, stop.argmax(axis=1) + 4, K)
+            huge = ~(terms <= 1e290) & (np.arange(K + 1) <= last[:, None])
+            if huge.any():
+                i, n = np.argwhere(huge)[0]
+                raise PrecisionError(
+                    f"Mittag-Leffler series overflowed at term {n} (beta={beta}, z={y[idx[i]]}); "
+                    "use log_mittag_leffler"
+                )
+            for i in np.flatnonzero(done).tolist():
+                out[idx[i]] = math.fsum(terms[i, : last[i] + 1].tolist())
+            left.append(idx[~done])
+        pending = np.concatenate(left)
+        if pending.size and K == _SERIES_TERMS_MAX - 1:
+            raise PrecisionError(
+                f"Mittag-Leffler series did not converge in {_SERIES_TERMS_MAX} terms "
+                f"(beta={beta}, z={y[pending[0]]})"
+            )
+        K = min(2 * K, _SERIES_TERMS_MAX - 1)
+    return out
+
+
 def _asymptotic_poly(beta: float, z: float) -> float:
     # sum_{k=1.._ASYMPTOTIC_ORDER} z^(-k) / Gamma(1 - beta*k); pole terms drop out.
     return math.fsum(z ** (-k) * _recip_gamma(1.0 - beta * k) for k in range(1, _ASYMPTOTIC_ORDER + 1))
 
 
-def _validate_beta_z(beta: float, z: float) -> tuple[float, float]:
+def _beta_in_range(name: str, beta: float) -> float:
     beta = float(beta)
-    z = float(z)
     if not (math.isfinite(beta) and 0.0 < beta < 2.0):
-        raise ValueError(f"mittag_leffler requires beta in (0, 2), got {beta}")
+        raise ValueError(f"{name} requires beta in (0, 2), got {beta}")
+    return beta
+
+
+def _validate_beta_z(beta: float, z: float) -> tuple[float, float]:
+    beta = _beta_in_range("mittag_leffler", beta)
+    z = float(z)
     if not math.isfinite(z):
         raise ValueError(f"mittag_leffler requires finite z, got {z}")
     return beta, z
@@ -148,20 +237,69 @@ def mittag_leffler(beta: float, z: float) -> float:
     return math.exp(rate) / beta - _asymptotic_poly(beta, z)
 
 
-def log_mittag_leffler(beta: float, z: float) -> float:
-    """log E_beta(z) for z >= 0, finite for arbitrarily large arguments."""
-    beta, z = _validate_beta_z(beta, z)
-    if z < 0.0:
-        raise ValueError(f"log_mittag_leffler requires z >= 0, got {z}")
-    rate = z ** (1.0 / beta) if z > 0.0 else 0.0
-    if z < _SWITCH_THRESHOLD and rate <= 650.0:
-        return math.log(_series(beta, z))
-    # log((1/beta) e^rate - poly) = rate - log(beta) + log1p(-beta * poly * e^-rate)
-    correction = 0.0
-    if rate < 745.0:  # below this exp(-rate) underflows and the term is exactly negligible
-        poly = _asymptotic_poly(beta, z)
-        correction = math.log1p(-beta * poly * math.exp(-rate))
-    return rate - math.log(beta) + correction
+def _log_rows(
+    beta: float, y: np.ndarray, rate: np.ndarray, series: np.ndarray, ratios: _RatioTable
+) -> np.ndarray:
+    """ln E_beta(y) per element, with rate = y^(1/beta) and the series mask given.
+
+    Series elements take ln of the series sum; the others the asymptotic
+    rate - ln(beta) + ln1p(-beta poly e^-rate), whose correction is exactly
+    negligible from rate 745 on.  Transcendental functions are applied
+    element by element with math, so values equal the scalar evaluation.
+    """
+    out = np.empty(y.size)
+    if series.any():
+        out[series] = [math.log(v) for v in _series_rows(beta, y[series], ratios).tolist()]
+    asym = ~series
+    out[asym] = rate[asym] - math.log(beta)
+    near = asym & (rate < 745.0)
+    out[near] += [
+        math.log1p(-beta * _asymptotic_poly(beta, v) * math.exp(-r))
+        for v, r in zip(y[near].tolist(), rate[near].tolist())
+    ]
+    return out
+
+
+def _nonneg_z(name: str, beta: float, z) -> np.ndarray:
+    """z as a flat float array, or ValueError naming beta and the first bad element."""
+    flat = np.asarray(z, dtype=float).ravel()
+    bad = np.flatnonzero(~(np.isfinite(flat) & (flat >= 0.0)))
+    if bad.size:
+        where = f" at index {bad[0]}" if np.ndim(z) else ""
+        raise ValueError(f"{name} requires finite z >= 0, got z={flat[bad[0]]}{where} (beta={beta})")
+    return flat
+
+
+def _shaped(z, out: np.ndarray):
+    return float(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
+
+
+def _by_chunks(fn, beta: float, zs: np.ndarray) -> np.ndarray:
+    """fn(beta, chunk, ratios) over consecutive chunks of zs, so its
+    per-element lists and temporaries stay small; the chunks share one
+    table of term ratios."""
+    out = np.empty(zs.size)
+    ratios = _RatioTable(beta)
+    for lo in range(0, zs.size, _CHUNK_POINTS):
+        out[lo : lo + _CHUNK_POINTS] = fn(beta, zs[lo : lo + _CHUNK_POINTS], ratios)
+    return out
+
+
+def _log_ml_chunk(beta: float, zs: np.ndarray, ratios: _RatioTable) -> np.ndarray:
+    p = 1.0 / beta
+    rate = np.array([v**p if v > 0.0 else 0.0 for v in zs.tolist()])
+    series = (zs < _SWITCH_THRESHOLD) & (rate <= 650.0)
+    return _log_rows(beta, zs, rate, series, ratios)
+
+
+def log_mittag_leffler(beta: float, z):
+    """log E_beta(z) for z >= 0, finite for arbitrarily large arguments.
+
+    z is a scalar (float out) or an array (array of its shape out).
+    """
+    beta = _beta_in_range("log_mittag_leffler", beta)
+    zs = _nonneg_z("log_mittag_leffler", beta, z)
+    return _shaped(z, _by_chunks(_log_ml_chunk, beta, zs))
 
 
 def f_beta(beta: float, z: float) -> float:
@@ -180,22 +318,20 @@ def f_beta(beta: float, z: float) -> float:
     return _series_float(beta, z**beta)
 
 
-def log_f_beta(beta: float, z: float) -> float:
-    """log F_beta(z) for z >= 0; finite even when F_beta(z) ~ exp(z) overflows."""
-    beta = float(beta)
-    z = float(z)
-    if not (math.isfinite(beta) and 0.0 < beta < 2.0):
-        raise ValueError(f"log_f_beta requires beta in (0, 2), got {beta}")
-    if not math.isfinite(z) or z < 0.0:
-        raise ValueError(f"log_f_beta requires finite z >= 0, got {z}")
-    if z == 0.0:
-        return 0.0
-    # F_beta(z) = E_beta(y) with y = z^beta and y^(1/beta) = z exactly.
-    if beta * math.log(z) < math.log(_SWITCH_THRESHOLD) and z <= 650.0:
-        return math.log(_series(beta, z**beta))
-    correction = 0.0
-    if z < 745.0:
-        poly = _asymptotic_poly(beta, z**beta)
-        correction = math.log1p(-beta * poly * math.exp(-z))
-    return z - math.log(beta) + correction
+def _log_f_chunk(beta: float, zs: np.ndarray, ratios: _RatioTable) -> np.ndarray:
+    zl = zs.tolist()
+    y = np.array([v**beta for v in zl])
+    log_switch = math.log(_SWITCH_THRESHOLD)
+    series = np.array([v == 0.0 or (beta * math.log(v) < log_switch and v <= 650.0) for v in zl], dtype=bool)
+    return _log_rows(beta, y, zs, series, ratios)
 
+
+def log_f_beta(beta: float, z):
+    """log F_beta(z) for z >= 0; finite even when F_beta(z) ~ exp(z) overflows.
+
+    z is a scalar (float out) or an array (array of its shape out).
+    F_beta(z) = E_beta(y) with y = z^beta and y^(1/beta) = z exactly.
+    """
+    beta = _beta_in_range("log_f_beta", beta)
+    zs = _nonneg_z("log_f_beta", beta, z)
+    return _shaped(z, _by_chunks(_log_f_chunk, beta, zs))

@@ -3,12 +3,13 @@ growth-rate tables, and envelope constants."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import make_params
-from fracheat import bounds, specfun
+from fracheat import acceptance, bounds, specfun
 from fracheat.laplacian import OperatorConfig, apply_semigroup, assemble, build_grid, heat_kernel_matrix
 
 # Desk-scale regression pins (alpha=1.5, L=1, n=64, mu=0.1, lam=1, tent u0)
@@ -241,6 +242,22 @@ def test_envelopes_sandwich_the_fitted_curves(fitted_constants):
         assert np.all(c.log_sup <= up + 1e-9)
 
 
+def test_verify_fit_counts_and_names_every_violation(fitted_constants):
+    k, curves = fitted_constants
+    bad = replace(k, kappa1=1.5 * k.kappa1, kappa3=0.5 * k.kappa3)
+    expected = []
+    for c in curves:
+        for t, lo, hi in zip(c.t, c.log_inf, c.log_sup):
+            low = bounds.log_lower_envelope(t, bad, c.lam, 1.0, 1.5)
+            up = bounds.log_upper_envelope(t, bad, c.lam, 1.0, 1.5)
+            if low > lo + 1e-9 or up < hi - 1e-9:
+                expected.append((c.lam, t))
+    assert expected
+    with pytest.raises(bounds.EnvelopeFitError, match=rf"^{len(expected)} envelope violations") as err:
+        bounds._verify_fit(bad, curves, 1.0, 1.0)
+    assert ", ".join(f"(lam={lam}, t={t:.3g})" for lam, t in expected[:8]) in str(err.value)
+
+
 def test_envelope_constants_validation():
     with pytest.raises(ValueError):
         bounds.EnvelopeConstants(
@@ -261,3 +278,22 @@ def test_renewal_problem_validation():
         bounds.RenewalProblem(a=1.0, b=1.0, beta=-0.5)
     with pytest.raises(ValueError):
         bounds.volterra_lower_solve(bounds.RenewalProblem(a=1.0, b=1.0, beta=0.5), T=1.0, steps=8)
+
+
+def test_renewal_callers_make_no_scalar_series_calls(monkeypatch):
+    # check 2, the renewal curves and the envelope fit evaluate each curve
+    # with one array call; evaluated point by point they made 8764 scalar
+    # series calls here
+    calls = []
+    series_float = specfun._series_float
+    monkeypatch.setattr(specfun, "_series_float", lambda beta, z: calls.append(z) or series_float(beta, z))
+    assert acceptance.check_renewal_equality().passed
+    grid, op = acceptance._desk()
+    model = acceptance._desk_model()
+    curves = [
+        bounds.oracle_moment_curves(acceptance._desk_params(lam), op, grid, T=1.0, steps=256, model=model)
+        for lam in (2.0, 8.0, 32.0)
+    ]
+    assert [c.branch for c in curves] == ["marched", "renewal", "renewal"]
+    bounds.fit_envelope_constants(curves, alpha=1.5, l_sigma=1.0, L_sigma_=1.0)
+    assert len(calls) == 0

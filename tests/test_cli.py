@@ -313,6 +313,25 @@ def test_selftest_corrupted_gamma_fails_naming_special_functions(tmp_path, monke
     assert "special-functions" in failed
 
 
+def test_selftest_corrupted_series_table_fails_renewal_equality(tmp_path, monkeypatch):
+    # scale every term ratio of the array path.  Check 2 compares against
+    # these series within 1%: 1 + 1e-6 moves its worst gap only from
+    # 0.4760% to 0.4760%, 1 + 1e-3 to 5.6%.  Check 1 runs the scalar series.
+    saved_cache = copy.copy(acceptance._CACHE)
+    first = specfun._RatioTable.first
+    monkeypatch.setattr(specfun._RatioTable, "first", lambda self, K: first(self, K) * (1.0 + 1e-3))
+    try:
+        rc = cli.main(["selftest", "quick", "--out", str(tmp_path)])
+    finally:
+        acceptance._CACHE.clear()
+        acceptance._CACHE.update(saved_cache)
+    report = cli.read_json_file(tmp_path / "selftest.json")
+    assert rc == 1
+    failed = {c["name"] for c in report["checks"] if not c["passed"]}
+    assert "renewal-equality" in failed
+    assert "special-functions" not in failed
+
+
 def test_ensemble_csv_roundtrip_is_bitwise(tmp_path, small_ensemble):
     path = tmp_path / "ens.csv"
     small_ensemble.write_csv(path)

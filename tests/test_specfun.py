@@ -119,3 +119,166 @@ def test_monotone_and_at_least_one_on_nonnegative_axis(beta, z1, z2):
     v_hi = specfun.mittag_leffler(beta, hi)
     assert v_lo >= 1.0 - 1e-12
     assert v_hi >= v_lo - 1e-12 * max(1.0, abs(v_hi))
+
+
+# ---------------------------------------------------------------------------
+# Array path of log_f_beta / log_mittag_leffler against the scalar series
+
+
+def scalar_log_mittag_leffler(beta: float, z: float) -> float:
+    """ln E_beta(z), z >= 0, one argument at a time through the scalar series."""
+    rate = z ** (1.0 / beta) if z > 0.0 else 0.0
+    if z < specfun._SWITCH_THRESHOLD and rate <= 650.0:
+        return math.log(specfun._series(beta, z))
+    correction = 0.0
+    if rate < 745.0:
+        poly = specfun._asymptotic_poly(beta, z)
+        correction = math.log1p(-beta * poly * math.exp(-rate))
+    return rate - math.log(beta) + correction
+
+
+def scalar_log_f_beta(beta: float, z: float) -> float:
+    """ln F_beta(z) = ln E_beta(z^beta), z >= 0, one argument at a time."""
+    if z == 0.0:
+        return 0.0
+    if beta * math.log(z) < math.log(specfun._SWITCH_THRESHOLD) and z <= 650.0:
+        return math.log(specfun._series(beta, z**beta))
+    correction = 0.0
+    if z < 745.0:
+        poly = specfun._asymptotic_poly(beta, z**beta)
+        correction = math.log1p(-beta * poly * math.exp(-z))
+    return z - math.log(beta) + correction
+
+
+def _edges(points):
+    return [v for p in points for v in (np.nextafter(p, -np.inf), p, np.nextafter(p, np.inf))]
+
+
+# z = 0; both sides of the series/asymptotic switch, of the 650 series cap
+# and of the 745 cutoff of the asymptotic correction
+def _f_beta_args(beta):
+    special = [0.0, 5e-324, 1e-300] + _edges([12.0 ** (1.0 / beta), 650.0, 745.0])
+    return np.array(special + list(np.linspace(0.0, 650.0, 161)) + [1e4])
+
+
+def _mittag_leffler_args(beta):
+    special = [0.0, 5e-324, 1e-300] + _edges([specfun._SWITCH_THRESHOLD, 650.0**beta, 745.0**beta])
+    return np.array(special + list(np.linspace(0.0, 650.0**beta, 161)) + [1e4**beta])
+
+
+def _check_1_args():
+    # the non-negative arguments of acceptance check 1
+    betas = (1.0 / 3.0, 0.5, 2.0 / 3.0)
+    zs = np.linspace(0.05, 12.0, 40)
+    f_args = {b: zs for b in betas}
+    ml_args = {b: np.concatenate([[0.0], zs**b]) for b in betas}
+    ml_args[0.5] = np.append(ml_args[0.5], 1.0)
+    ml_args[1.0] = np.linspace(0.0, 5.0, 101)
+    return f_args, ml_args
+
+
+def _check_2_args():
+    # theta t on check 2's grid, for its two renewal problems
+    t = np.linspace(0.0, 1.0, 4097)
+    out = {}
+    for b, beta in ((1.0, 1.0 / 3.0), (2.0, 0.5)):
+        theta = (b * math.gamma(beta)) ** (1.0 / beta)
+        out[beta] = theta * t
+    return out
+
+
+def assert_matches_scalar(fn, scalar_fn, beta, z):
+    got = fn(beta, z)
+    ref = np.array([scalar_fn(beta, float(v)) for v in z])
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+    # the array path forms every term, sum and logarithm as the scalar path does
+    np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("beta", BETAS)
+def test_array_path_matches_scalar_on_zero_to_650(beta):
+    assert_matches_scalar(specfun.log_f_beta, scalar_log_f_beta, beta, _f_beta_args(beta))
+    assert_matches_scalar(
+        specfun.log_mittag_leffler, scalar_log_mittag_leffler, beta, _mittag_leffler_args(beta)
+    )
+
+
+def test_array_path_matches_scalar_on_check_1_arguments():
+    f_args, ml_args = _check_1_args()
+    for beta, z in f_args.items():
+        assert_matches_scalar(specfun.log_f_beta, scalar_log_f_beta, beta, z)
+    for beta, z in ml_args.items():
+        assert_matches_scalar(specfun.log_mittag_leffler, scalar_log_mittag_leffler, beta, z)
+
+
+@pytest.mark.parametrize(("beta", "z"), list(_check_2_args().items()))
+def test_array_path_matches_scalar_on_check_2_arguments(beta, z):
+    assert_matches_scalar(specfun.log_f_beta, scalar_log_f_beta, beta, z)
+
+
+def test_chunking_does_not_change_values(monkeypatch):
+    # 5000 arguments span ten chunks of z, whose last one grows the shared
+    # ratio table to rows of 2000-4000 terms; with 7 points and 1000 doubles
+    # per chunk the rows run 15 down to one at a time
+    z = np.concatenate([np.linspace(0.0, 60.0, 4990), np.linspace(600.0, 650.0, 10)])
+    whole = specfun.log_f_beta(1.0 / 3.0, z)
+    each = np.array([specfun.log_f_beta(1.0 / 3.0, v) for v in z[::10]])
+    np.testing.assert_array_equal(whole[::10], each)
+    monkeypatch.setattr(specfun, "_CHUNK_POINTS", 7)
+    monkeypatch.setattr(specfun, "_CHUNK_DOUBLES", 1000)
+    np.testing.assert_array_equal(specfun.log_f_beta(1.0 / 3.0, z), whole)
+
+
+def test_array_path_shapes_and_types():
+    assert type(specfun.log_f_beta(0.5, 2.0)) is float
+    assert type(specfun.log_f_beta(0.5, np.float64(2.0))) is float
+    assert type(specfun.log_mittag_leffler(0.5, np.array(2.0))) is float
+    assert specfun.log_f_beta(0.5, 0.0) == 0.0
+    for fn in (specfun.log_f_beta, specfun.log_mittag_leffler):
+        empty = fn(0.5, np.array([]))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+        grid = np.arange(6.0).reshape(2, 3)
+        vals = fn(0.5, grid)
+        assert vals.shape == (2, 3)
+        assert vals[1, 2] == fn(0.5, 5.0)
+        assert fn(0.5, [1.0, 2.0]).shape == (2,)
+
+
+@pytest.mark.parametrize("fn", [specfun.log_f_beta, specfun.log_mittag_leffler])
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_array_path_rejects_bad_elements_by_name(fn, bad):
+    with pytest.raises(ValueError, match=rf"z={bad} at index 2 \(beta=0\.5\)"):
+        fn(0.5, np.array([0.0, 1.0, bad, 3.0]))
+    with pytest.raises(ValueError, match=rf"z={bad} \(beta=0\.5\)"):
+        fn(0.5, bad)
+
+
+def test_array_path_temporaries_stay_small():
+    import tracemalloc
+
+    # rows of 2000-4000 terms; evaluated unchunked they allocate 9.8 MiB
+    z = np.linspace(550.0, 650.0, 100)
+    tracemalloc.start()
+    try:
+        specfun.log_f_beta(1.0 / 3.0, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20  # 0.38 MiB with 512-point chunks and 64 KiB blocks
+
+
+def test_array_path_keeps_nothing_between_calls():
+    import tracemalloc
+
+    z = np.linspace(0.0, 650.0, 200)
+    specfun.log_f_beta(0.4, z)  # one-time interpreter and numpy state
+    tracemalloc.start()
+    try:
+        for beta in (0.3, 0.6):
+            specfun.log_f_beta(beta, z)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # a ratio table kept per beta would hold 32 KiB each
+    assert kept < 16 * 2**10
