@@ -64,6 +64,12 @@ __all__ = [
     "tail_log_slope",
 ]
 
+
+def _renewal_rate(b: float, beta: float) -> float:
+    """theta = (b Gamma(beta))^(1/beta), the rate of the renewal solution a F_beta(theta t)."""
+    return (b * specfun.gamma(beta)) ** (1.0 / beta)
+
+
 @dataclass(frozen=True)
 class RenewalProblem:
     """v(t) >= a + b int_0^t (t-s)^(beta-1) v(s) ds, with the derived rate theta."""
@@ -78,7 +84,7 @@ class RenewalProblem:
             raise ValueError(f"coefficient b must be >= 0, got {self.b}")
         if not (math.isfinite(self.beta) and self.beta > 0.0):
             raise ValueError(f"exponent beta must be > 0, got {self.beta}")
-        theta = (self.b * specfun.gamma(self.beta)) ** (1.0 / self.beta) if self.b > 0.0 else 0.0
+        theta = _renewal_rate(self.b, self.beta) if self.b > 0.0 else 0.0
         object.__setattr__(self, "theta", theta)
 
 
@@ -292,10 +298,10 @@ class ScalarGrowthModel:
     horizon: float
 
     def theta_inf(self, lam: float, l_sigma: float) -> float:
-        return ((lam * l_sigma) ** 2 * self.c_inf * specfun.gamma(self.beta)) ** (1.0 / self.beta)
+        return _renewal_rate((lam * l_sigma) ** 2 * self.c_inf, self.beta)
 
     def theta_sup(self, lam: float, L_sigma: float) -> float:
-        return ((lam * L_sigma) ** 2 * self.c_sup * specfun.gamma(self.beta)) ** (1.0 / self.beta)
+        return _renewal_rate((lam * L_sigma) ** 2 * self.c_sup, self.beta)
 
     def marching_resolves(self, lam: float, L_sigma: float, dt: float) -> bool:
         # marched curves are percent-accurate only while theta*dt stays well
@@ -482,52 +488,62 @@ class EnvelopeFitError(ValueError):
     """Raised when oracle curves cannot be enclosed by the envelope family."""
 
 
-def log_lower_envelope(t: float, k: EnvelopeConstants, lam: float, l_sigma: float, alpha: float) -> float:
-    """log of kappa1 E_beta(lam^2 l_sigma^2 kappa2 t^beta), beta = 1 - 1/alpha."""
-    if t < 0.0:
-        raise ValueError(f"envelope time must be >= 0, got {t}")
-    beta = 1.0 - 1.0 / alpha
-    return math.log(k.kappa1) + specfun.log_mittag_leffler(beta, lam**2 * l_sigma**2 * k.kappa2 * t**beta)
+def _envelope_times(t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
+        raise ValueError(f"envelope time must be >= 0, got {t[t < 0.0][0]}")
+    return t
 
 
-def log_upper_envelope(t: float, k: EnvelopeConstants, lam: float, L_sigma_: float, alpha: float) -> float:
-    """log of kappa3 exp(kappa4 (lam^2 L_sigma^2)^(alpha/(alpha-1)) t)."""
-    if t < 0.0:
-        raise ValueError(f"envelope time must be >= 0, got {t}")
-    rate = (lam**2 * L_sigma_**2) ** (alpha / (alpha - 1.0))
-    return math.log(k.kappa3) + k.kappa4 * rate * t
+def _log_ml_profile(t: np.ndarray, lam: float, l_sigma: float, kappa2: float, beta: float):
+    """ln E_beta(lam^2 l_sigma^2 kappa2 t^beta): the lower envelope without kappa1.
 
-
-def _log_ml_curve(c: OracleCurves, beta: float, l_sigma: float, kappa2: float) -> np.ndarray:
-    """ln E_beta(lam^2 l_sigma^2 kappa2 t^beta) at the curve's times, one array call.
-
-    t^beta is taken point by point with the scalar pow, as log_lower_envelope
-    forms it; numpy's vector pow can differ from it in the last bit.
+    t^beta is taken element by element with the scalar pow; numpy's vector
+    pow can differ from it in the last bit.
     """
-    t_beta = np.array([tk**beta for tk in c.t.tolist()])
-    return specfun.log_mittag_leffler(beta, c.lam**2 * l_sigma**2 * kappa2 * t_beta)
+    t_beta = np.array([v**beta for v in t.ravel().tolist()]).reshape(t.shape)
+    return specfun.log_mittag_leffler(beta, lam**2 * l_sigma**2 * kappa2 * t_beta)
+
+
+def _upper_rate(lam: float, L_sigma: float, alpha: float) -> float:
+    """(lam^2 L_sigma^2)^(alpha/(alpha-1)): the upper envelope's rate without kappa4."""
+    return (lam**2 * L_sigma**2) ** (alpha / (alpha - 1.0))
+
+
+def log_lower_envelope(t, k: EnvelopeConstants, lam: float, l_sigma: float):
+    """log of kappa1 E_beta(lam^2 l_sigma^2 kappa2 t^beta), beta = 1 - 1/k.alpha.
+
+    t is a time >= 0 (float out) or an array of them (array of its shape out).
+    """
+    t = _envelope_times(t)
+    return math.log(k.kappa1) + _log_ml_profile(t, lam, l_sigma, k.kappa2, 1.0 - 1.0 / k.alpha)
+
+
+def log_upper_envelope(t, k: EnvelopeConstants, lam: float, L_sigma: float):
+    """log of kappa3 exp(kappa4 (lam^2 L_sigma^2)^(alpha/(alpha-1)) t), alpha = k.alpha.
+
+    t is a time >= 0 (float out) or an array of them (array of its shape out).
+    """
+    t = _envelope_times(t)
+    return math.log(k.kappa3) + k.kappa4 * _upper_rate(lam, L_sigma, k.alpha) * t
 
 
 def _fit_slopes(curves: Sequence[OracleCurves], which: str) -> dict:
     return {c.lam: tail_log_slope(c.t, getattr(c, which)) for c in curves}
 
 
-def fit_envelope_constants(
-    oracle_table: Sequence[OracleCurves],
-    alpha: float,
-    l_sigma: float,
-    L_sigma_: float,
-) -> EnvelopeConstants:
+def fit_envelope_constants(oracle_table: Sequence[OracleCurves]) -> EnvelopeConstants:
     """Tight fit of the envelope constants on a set of oracle curves.
 
-    kappa2 from the tail slope of the largest-lambda inf curve (the envelope
-    argument is exact for the renewal family); kappa1 as the minimal
-    inf-curve / Mittag-Leffler ratio so the lower envelope touches the data;
-    kappa4 from the sup-curve tail slopes, kappa3 by the analogous maximal
-    ratio.  lambda_L is the largest tabulated lambda with negative sup
-    slope, or the kappa4 crossing with the spectral decay 2 lambda1 if all
-    tabulated levels grow; lambda0 is the smallest tabulated lambda whose
-    slope exceeds half its fitted lower-envelope rate.
+    alpha, l_sigma and L_sigma are read from the curves, which must agree
+    on them.  kappa2 from the tail slope of the largest-lambda inf curve
+    (the envelope argument is exact for the renewal family); kappa1 as the
+    minimal inf-curve / Mittag-Leffler ratio so the lower envelope touches
+    the data; kappa4 from the sup-curve tail slopes, kappa3 by the analogous
+    maximal ratio.  lambda_L is the largest tabulated lambda with negative
+    sup slope, or the kappa4 crossing with the spectral decay 2 lambda1 if
+    all tabulated levels grow; lambda0 is the smallest tabulated lambda
+    whose slope exceeds half its fitted lower-envelope rate.
     """
     curves = sorted(oracle_table, key=lambda c: c.lam)
     if len(curves) < 3:
@@ -536,11 +552,16 @@ def fit_envelope_constants(
         raise EnvelopeFitError("each oracle curve needs >= 8 time points")
     if any(c.lam <= 0.0 for c in curves):
         raise EnvelopeFitError("noise levels must be positive")
+    shared = (curves[0].alpha, curves[0].l_sigma, curves[0].L_sigma)
+    for c in curves:
+        if (c.alpha, c.l_sigma, c.L_sigma) != shared:
+            raise EnvelopeFitError(
+                f"curve at lam={c.lam} has (alpha, l_sigma, L_sigma) = {(c.alpha, c.l_sigma, c.L_sigma)}, "
+                f"expected {shared} as at lam={curves[0].lam}"
+            )
+    alpha, l_sigma, L_sigma = shared
     beta = 1.0 - 1.0 / alpha
     expo = alpha / (alpha - 1.0)
-    for c in curves:
-        if c.alpha != alpha:
-            raise EnvelopeFitError(f"curve at lam={c.lam} has alpha={c.alpha}, expected {alpha}")
     lam1 = curves[0].lambda1
 
     top = curves[-1]
@@ -553,7 +574,9 @@ def fit_envelope_constants(
     kappa2 = slope_inf**beta / (top.lam**2 * l_sigma**2)
 
     # kappa1: minimal ratio across all cells (tight at the argmin)
-    log_ratio_min = min(float(np.min(c.log_inf - _log_ml_curve(c, beta, l_sigma, kappa2))) for c in curves)
+    log_ratio_min = min(
+        float(np.min(c.log_inf - _log_ml_profile(c.t, c.lam, l_sigma, kappa2, beta))) for c in curves
+    )
     kappa1 = math.exp(log_ratio_min)
 
     sup_slopes = _fit_slopes(curves, "log_sup")
@@ -563,11 +586,10 @@ def fit_envelope_constants(
             f"no growing sup curve in the table (slopes {sup_slopes}); "
             "cannot identify the exponential rate kappa4"
         )
-    kappa4 = max(s / (lam**2 * L_sigma_**2) ** expo for lam, s in growing.items())
-    log_ratio_max = -math.inf
-    for c in curves:
-        rate = kappa4 * (c.lam**2 * L_sigma_**2) ** expo
-        log_ratio_max = max(float(np.max(c.log_sup - rate * c.t)), log_ratio_max)
+    kappa4 = max(s / _upper_rate(lam, L_sigma, alpha) for lam, s in growing.items())
+    log_ratio_max = max(
+        float(np.max(c.log_sup - kappa4 * _upper_rate(c.lam, L_sigma, alpha) * c.t)) for c in curves
+    )
     kappa3 = math.exp(log_ratio_max)
 
     decaying = [lam for lam, s in sup_slopes.items() if s < 0.0]
@@ -575,7 +597,7 @@ def fit_envelope_constants(
         lambda_L = max(decaying)
     else:
         # kappa4 rate crossing the spectral decay 2 lambda1
-        lambda_L = ((2.0 * lam1 / kappa4) ** (1.0 / expo)) ** 0.5 / L_sigma_
+        lambda_L = ((2.0 * lam1 / kappa4) ** (1.0 / expo)) ** 0.5 / L_sigma
         lambda_L = min(lambda_L, curves[0].lam)
     exceeding = [
         lam
@@ -595,17 +617,15 @@ def fit_envelope_constants(
         lambda0=lambda0,
         alpha=alpha,
     )
-    _verify_fit(constants, curves, l_sigma, L_sigma_)
+    _verify_fit(constants, curves)
     return constants
 
 
-def _verify_fit(k: EnvelopeConstants, curves: Sequence[OracleCurves], l_sigma: float, L_sigma_: float) -> None:
-    beta = 1.0 - 1.0 / k.alpha
-    expo = k.alpha / (k.alpha - 1.0)
+def _verify_fit(k: EnvelopeConstants, curves: Sequence[OracleCurves]) -> None:
     violations = []
     for c in curves:
-        log_low = math.log(k.kappa1) + _log_ml_curve(c, beta, l_sigma, k.kappa2)
-        log_up = math.log(k.kappa3) + k.kappa4 * (c.lam**2 * L_sigma_**2) ** expo * c.t
+        log_low = log_lower_envelope(c.t, k, c.lam, c.l_sigma)
+        log_up = log_upper_envelope(c.t, k, c.lam, c.L_sigma)
         bad = (log_low > c.log_inf + 1e-9) | (log_up < c.log_sup - 1e-9)
         violations += [
             (c.lam, float(c.t[i]), float(log_low[i] - c.log_inf[i]), float(c.log_sup[i] - log_up[i]))
@@ -614,4 +634,3 @@ def _verify_fit(k: EnvelopeConstants, curves: Sequence[OracleCurves], l_sigma: f
     if violations:
         head = ", ".join(f"(lam={v[0]}, t={v[1]:.3g})" for v in violations[:8])
         raise EnvelopeFitError(f"{len(violations)} envelope violations on the fitting set: {head}")
-

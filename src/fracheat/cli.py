@@ -155,7 +155,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
     u0 = _get(doc, "model.u0", "tent")
     if u0 == "tent":
         u0_values: Optional[tuple] = None
-    elif isinstance(u0, list) and all(isinstance(v, (int, float)) for v in u0):
+    elif isinstance(u0, list) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in u0
+    ):
         if len(u0) != n:
             raise ConfigError("model.u0", f"need {n} values to match the grid, got {len(u0)}")
         u0_values = tuple(float(v) for v in u0)
@@ -170,7 +172,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError("discretization.snapshot_times", "expected a non-empty list of times")
     snap_t = []
     for v in snaps:
-        if not isinstance(v, (int, float)) or not 0.0 < v <= t_end * (1 + 1e-12):
+        number = isinstance(v, (int, float)) and not isinstance(v, bool)
+        if not number or not 0.0 < v <= t_end * (1 + 1e-12):
             raise ConfigError(
                 "discretization.snapshot_times", f"times must lie in (0, t_end], got {v!r}"
             )

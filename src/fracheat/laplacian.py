@@ -22,7 +22,7 @@ and nonpositive row sums, so the semigroup it generates is positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,7 +114,6 @@ class DiscreteOperator:
     lambda1: float
     grid: Grid
     config: OperatorConfig
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def assemble(grid: Grid, cfg: OperatorConfig) -> DiscreteOperator:
@@ -181,13 +180,9 @@ def apply_semigroup(op: DiscreteOperator, t: np.ndarray, v: np.ndarray) -> np.nd
 
 
 def implicit_factor(op: DiscreteOperator, dt: float) -> np.ndarray:
-    """(I - dt A)^(-1) via the eigendecomposition, cached per dt."""
+    """(I - dt A)^(-1) via the eigendecomposition."""
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"implicit_factor requires dt > 0, got {dt}")
-    cached = op._cache.get(("implicit", dt))
-    if cached is None:
-        V, w = op.eigenvectors, op.eigenvalues
-        cached = (V / (1.0 - dt * w)) @ V.T
-        op._cache[("implicit", dt)] = cached
-    return cached
+    V, w = op.eigenvectors, op.eigenvalues
+    return (V / (1.0 - dt * w)) @ V.T
 

@@ -1,7 +1,7 @@
 """Monte-Carlo time stepping for the fractional stochastic heat equation.
 
 Scheme: semi-implicit Euler-Maruyama.  The drift is integrated implicitly
-through the cached spectral factor (I - dt A)^(-1) (unconditionally stable;
+through the spectral factor (I - dt A)^(-1) (unconditionally stable;
 the stiffest eigenvalue grows like (n/L)^alpha, so explicit stepping would
 force dt ~ n^(-alpha)).  The cell white-noise increment enters explicitly as
 lambda sigma(u_i) dW_i / dx with dW_i ~ N(0, dt dx), the weak finite-difference
@@ -347,6 +347,12 @@ def _openblas() -> Optional[_OpenBlasThreads]:
     return None
 
 
+def _blas_pinned(threaded: bool):
+    """A context pinning BLAS to one thread when ``threaded``, else leaving it as it is."""
+    blas = _openblas() if threaded else None
+    return blas.pinned_to_one() if blas else contextlib.nullcontext()
+
+
 def _map_blocks(fn: Callable, n_paths: int, worker_count: int) -> list:
     """fn(block) over fixed _BLOCK-path ranges, serially or on threads; results in block order.
 
@@ -356,8 +362,7 @@ def _map_blocks(fn: Callable, n_paths: int, worker_count: int) -> list:
     blocks = [range(lo, min(lo + _BLOCK, n_paths)) for lo in range(0, n_paths, _BLOCK)]
     if worker_count == 1 or len(blocks) == 1:
         return [fn(blk) for blk in blocks]
-    blas = _openblas()
-    with blas.pinned_to_one() if blas else contextlib.nullcontext():
+    with _blas_pinned(True):
         with ThreadPoolExecutor(max_workers=worker_count) as pool:
             return list(pool.map(fn, blocks))
 
@@ -387,7 +392,7 @@ def _noise_chunks(master_seed: int, blk: range, steps: int, n: int, antithetic: 
 def _run_block(
     params: ModelParams,
     disc: Discretization,
-    op: DiscreteOperator,
+    factor_T: np.ndarray,
     path_indices: range,
     master_seed: int,
     out: np.ndarray,
@@ -397,8 +402,6 @@ def _run_block(
     steps = disc.n_steps()
     B = len(path_indices)
     scale = math.sqrt(disc.dt * disc.grid.dx)
-
-    factor_T = implicit_factor(op, disc.dt).T
     snap_steps = disc.snapshot_steps()
     snap_lookup = {s: i for i, s in enumerate(snap_steps)}
     u = np.tile(params.u0, (B, 1))
@@ -449,8 +452,12 @@ def run_ensemble(
         )
     out = np.empty((len(disc.snapshot_times), n_paths, disc.grid.n))
     flagged = np.zeros(n_paths, dtype=bool)
+    # a threaded BLAS call just before the workers start leaves OpenBLAS
+    # threads spinning on their cores: about 40 ms per call at n=128
+    with _blas_pinned(worker_count > 1):
+        factor_T = implicit_factor(op, disc.dt).T
     _map_blocks(
-        lambda blk: _run_block(params, disc, op, blk, master_seed, out, flagged),
+        lambda blk: _run_block(params, disc, factor_T, blk, master_seed, out, flagged),
         n_paths, worker_count,
     )
     return PathEnsemble(

@@ -14,15 +14,16 @@ noise levels the values leave double-precision range; the log-domain
 companions (log_mittag_leffler, log_f_beta) stay finite there and are
 what the envelope-fitting code consumes.
 
-The log-domain companions take a scalar (float out) or an array of z >= 0
-(array of the same shape out), so a whole curve is one call.  Their series
-rows share one table of term ratios e_n = Gamma((n-1) beta + 1) /
-Gamma(n beta + 1) per call, extended as rows need more terms: the terms of
-each row are a running product of y e_n, summed with the scalar series'
-stopping rule and fsum, so every element equals the scalar evaluation bit
-for bit.  z is taken in chunks of 512 points and rows in blocks of 64 KiB,
-and no table is kept between calls.  The series/asymptotic switch applies
-per element.  mittag_leffler and f_beta stay scalar (they also cover z < 0).
+All four functions take a scalar (float out) or an array (array of the
+same shape out), so a whole curve is one call; mittag_leffler also takes
+z < 0.  Their series rows share one table of term ratios
+e_n = Gamma((n-1) beta + 1) / Gamma(n beta + 1) per call, extended as rows
+need more terms: the terms of each row are a running product of y e_n,
+summed with fsum once two consecutive terms fall below 1e-17 of the running
+sum.  Powers and transcendentals are taken element by element with math, so
+an element's value does not depend on the array it came in.  z is taken in
+chunks of 512 points and rows in blocks of 64 KiB, and no table is kept
+between calls.  The series/asymptotic switch applies per element.
 """
 
 from __future__ import annotations
@@ -97,46 +98,12 @@ def _series_exact_beta1(z: float) -> float:
     raise PrecisionError(f"Mittag-Leffler series (beta=1) did not converge in {_SERIES_TERMS_MAX} terms at z={z}")
 
 
-def _series_float(beta: float, z: float) -> float:
-    # term_n = z^n / Gamma(n beta + 1); consecutive-term ratios are computed in
-    # the log domain, starting from term_0 = 1
-    terms = [1.0]
-    t = 1.0
-    lg_prev = 0.0  # lgamma(1)
-    small_streak = 0
-    running = 1.0
-    for n in range(1, _SERIES_TERMS_MAX):
-        lg_next = math.lgamma(n * beta + 1.0)
-        t *= z * math.exp(lg_prev - lg_next)
-        lg_next, lg_prev = 0.0, lg_next
-        if not math.isfinite(t) or abs(t) > 1e290:
-            raise PrecisionError(
-                f"Mittag-Leffler series overflowed at term {n} (beta={beta}, z={z}); "
-                "use log_mittag_leffler"
-            )
-        terms.append(t)
-        running += t
-        if abs(t) <= 1e-17 * max(abs(running), 1e-250):
-            small_streak += 1
-            if small_streak >= 2 and n >= 4:
-                return math.fsum(terms)
-        else:
-            small_streak = 0
-    raise PrecisionError(f"Mittag-Leffler series did not converge in {_SERIES_TERMS_MAX} terms (beta={beta}, z={z})")
-
-
-def _series(beta: float, z: float) -> float:
-    if beta == 1.0:
-        return _series_exact_beta1(z)
-    return _series_float(beta, z)
-
-
 class _RatioTable:
     """e_n = exp(lgamma((n-1) beta + 1) - lgamma(n beta + 1)), n = 1..K, for one array call.
 
-    Formed with math.lgamma and math.exp exactly as _series_float forms its
-    term ratios, and extended when a row needs more terms.  It lives only
-    for its call, so the array path holds no memory between calls.
+    Formed element by element with math.lgamma and math.exp, and extended
+    when a row needs more terms.  It lives only for its call, so the array
+    path holds no memory between calls.
     """
 
     def __init__(self, beta: float) -> None:
@@ -153,11 +120,14 @@ class _RatioTable:
 
 
 def _series_rows(beta: float, y: np.ndarray, ratios: _RatioTable) -> np.ndarray:
-    """E_beta(y) by the power series for each y >= 0 of a 1-D array.
+    """E_beta(y) by the power series for each finite y of a 1-D array.
 
-    Row i holds the terms 1, y_i e_1, (y_i e_1)(y_i e_2), ..., the same
-    products _series_float forms, with its running sum and stopping rule;
-    rows that have not stopped after K terms are redone with 2K.
+    Row i holds the terms 1, y_i e_1, (y_i e_1)(y_i e_2), ... and their
+    running sums.  A row stops at the first n >= 4 whose terms n-1 and n are
+    both at most 1e-17 |running sum|, and is summed with fsum; rows that have
+    not stopped after K terms are redone with 2K.  A term beyond 1e290 in
+    magnitude before the stop raises PrecisionError.  At beta = 1 the sum is
+    exact (_series_exact_beta1).
     """
     if beta == 1.0:
         return np.array([_series_exact_beta1(v) for v in y.tolist()])
@@ -173,12 +143,15 @@ def _series_rows(beta: float, y: np.ndarray, ratios: _RatioTable) -> np.ndarray:
             terms = np.empty((idx.size, K + 1))
             terms[:, 0] = 1.0
             np.multiply(y[idx, None], e, out=terms[:, 1:])
-            np.multiply.accumulate(terms, axis=1, out=terms)
-            small = terms <= 1e-17 * np.maximum(np.cumsum(terms, axis=1), 1e-250)
+            # an overflowing row is reported as PrecisionError below
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply.accumulate(terms, axis=1, out=terms)
+                mag = np.abs(terms)
+                small = mag <= 1e-17 * np.maximum(np.abs(np.cumsum(terms, axis=1)), 1e-250)
             stop = small[:, 4:] & small[:, 3:-1]  # column j: terms j+3 and j+4 both small
             done = stop.any(axis=1)
             last = np.where(done, stop.argmax(axis=1) + 4, K)
-            huge = ~(terms <= 1e290) & (np.arange(K + 1) <= last[:, None])
+            huge = ~(mag <= 1e290) & (np.arange(K + 1) <= last[:, None])
             if huge.any():
                 i, n = np.argwhere(huge)[0]
                 raise PrecisionError(
@@ -210,31 +183,34 @@ def _beta_in_range(name: str, beta: float) -> float:
     return beta
 
 
-def _validate_beta_z(beta: float, z: float) -> tuple[float, float]:
-    beta = _beta_in_range("mittag_leffler", beta)
-    z = float(z)
-    if not math.isfinite(z):
-        raise ValueError(f"mittag_leffler requires finite z, got {z}")
-    return beta, z
+def _ml_chunk(beta: float, zs: np.ndarray, ratios: _RatioTable) -> np.ndarray:
+    out = np.empty(zs.size)
+    series = zs < _SWITCH_THRESHOLD
+    out[series] = _series_rows(beta, zs[series], ratios)
+    p = 1.0 / beta
+    big = zs[~series].tolist()
+    rates = [v**p for v in big]
+    for v, rate in zip(big, rates):
+        if rate > 700.0:
+            raise PrecisionError(
+                f"E_{beta}({v}) ~ exp({rate:.3g}) overflows double precision; use log_mittag_leffler"
+            )
+    out[~series] = [math.exp(rate) / beta - _asymptotic_poly(beta, v) for v, rate in zip(big, rates)]
+    return out
 
 
-def mittag_leffler(beta: float, z: float) -> float:
+def mittag_leffler(beta: float, z):
     """E_beta(z) for beta in (0, 2) and finite real z.
 
-    Power series below _SWITCH_THRESHOLD, exponential asymptotic
-    expansion (1/beta) exp(z^(1/beta)) - sum_k z^(-k)/Gamma(1 - beta k)
-    at or above it.  Raises PrecisionError when the value or the series
+    z is a scalar (float out) or an array (array of its shape out).  Power
+    series below _SWITCH_THRESHOLD, exponential asymptotic expansion
+    (1/beta) exp(z^(1/beta)) - sum_k z^(-k)/Gamma(1 - beta k) at or above
+    it, per element.  Raises PrecisionError when a value or a series term
     leaves double range; log_mittag_leffler covers that regime.
     """
-    beta, z = _validate_beta_z(beta, z)
-    if z < _SWITCH_THRESHOLD:
-        return _series(beta, z)
-    rate = z ** (1.0 / beta)
-    if rate > 700.0:
-        raise PrecisionError(
-            f"E_{beta}({z}) ~ exp({rate:.3g}) overflows double precision; use log_mittag_leffler"
-        )
-    return math.exp(rate) / beta - _asymptotic_poly(beta, z)
+    beta = _beta_in_range("mittag_leffler", beta)
+    zs = _checked_z("mittag_leffler", beta, z, nonneg=False)
+    return _shaped(z, _by_chunks(_ml_chunk, beta, zs))
 
 
 def _log_rows(
@@ -245,7 +221,7 @@ def _log_rows(
     Series elements take ln of the series sum; the others the asymptotic
     rate - ln(beta) + ln1p(-beta poly e^-rate), whose correction is exactly
     negligible from rate 745 on.  Transcendental functions are applied
-    element by element with math, so values equal the scalar evaluation.
+    element by element with math, as mittag_leffler applies them.
     """
     out = np.empty(y.size)
     if series.any():
@@ -260,13 +236,15 @@ def _log_rows(
     return out
 
 
-def _nonneg_z(name: str, beta: float, z) -> np.ndarray:
+def _checked_z(name: str, beta: float, z, nonneg: bool) -> np.ndarray:
     """z as a flat float array, or ValueError naming beta and the first bad element."""
     flat = np.asarray(z, dtype=float).ravel()
-    bad = np.flatnonzero(~(np.isfinite(flat) & (flat >= 0.0)))
+    ok = np.isfinite(flat) & (flat >= 0.0) if nonneg else np.isfinite(flat)
+    bad = np.flatnonzero(~ok)
     if bad.size:
         where = f" at index {bad[0]}" if np.ndim(z) else ""
-        raise ValueError(f"{name} requires finite z >= 0, got z={flat[bad[0]]}{where} (beta={beta})")
+        need = "finite z >= 0" if nonneg else "finite z"
+        raise ValueError(f"{name} requires {need}, got z={flat[bad[0]]}{where} (beta={beta})")
     return flat
 
 
@@ -298,24 +276,19 @@ def log_mittag_leffler(beta: float, z):
     z is a scalar (float out) or an array (array of its shape out).
     """
     beta = _beta_in_range("log_mittag_leffler", beta)
-    zs = _nonneg_z("log_mittag_leffler", beta, z)
+    zs = _checked_z("log_mittag_leffler", beta, z, nonneg=True)
     return _shaped(z, _by_chunks(_log_ml_chunk, beta, zs))
 
 
-def f_beta(beta: float, z: float) -> float:
-    """F_beta(z) = sum_n z^(n beta)/Gamma(n beta + 1) = E_beta(z^beta), z >= 0."""
-    beta = float(beta)
-    z = float(z)
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise ValueError(f"f_beta requires beta > 0, got {beta}")
-    if not math.isfinite(z) or z < 0.0:
-        raise ValueError(f"f_beta requires finite z >= 0, got {z}")
-    if z == 0.0:
-        return 1.0
-    if beta < 2.0:
-        return mittag_leffler(beta, z**beta)
-    # beta >= 2: the series in z^beta converges rapidly; no asymptotic branch needed.
-    return _series_float(beta, z**beta)
+def f_beta(beta: float, z):
+    """F_beta(z) = sum_n z^(n beta)/Gamma(n beta + 1) = E_beta(z^beta), z >= 0.
+
+    z is a scalar (float out) or an array (array of its shape out).
+    """
+    beta = _beta_in_range("f_beta", beta)
+    zs = _checked_z("f_beta", beta, z, nonneg=True)
+    y = np.array([v**beta for v in zs.tolist()])
+    return _shaped(z, _by_chunks(_ml_chunk, beta, y))
 
 
 def _log_f_chunk(beta: float, zs: np.ndarray, ratios: _RatioTable) -> np.ndarray:
@@ -333,5 +306,5 @@ def log_f_beta(beta: float, z):
     F_beta(z) = E_beta(y) with y = z^beta and y^(1/beta) = z exactly.
     """
     beta = _beta_in_range("log_f_beta", beta)
-    zs = _nonneg_z("log_f_beta", beta, z)
+    zs = _checked_z("log_f_beta", beta, z, nonneg=True)
     return _shaped(z, _by_chunks(_log_f_chunk, beta, zs))

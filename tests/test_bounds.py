@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import make_params
-from fracheat import acceptance, bounds, specfun
+from fracheat import bounds, specfun
 from fracheat.laplacian import OperatorConfig, apply_semigroup, assemble, build_grid, heat_kernel_matrix
 
 # Desk-scale regression pins (alpha=1.5, L=1, n=64, mu=0.1, lam=1, tent u0)
@@ -149,11 +149,11 @@ def test_batched_kernel_table_matches_the_panel_loop(n, rtol):
 
 def test_march_caches_nothing_on_the_operator(desk_grid, desk_params):
     op = assemble(desk_grid, OperatorConfig(alpha=1.5))
-    before = dict(op._cache)
+    before = dict(vars(op))
     bounds.second_moment_volterra(desk_params, op, desk_grid, T=0.25, steps=64)
     bounds.second_moment_volterra(desk_params, op, desk_grid, T=0.5, steps=128)
-    assert op._cache.keys() == before.keys()
-    assert all(op._cache[k] is v for k, v in before.items())
+    assert vars(op).keys() == before.keys()
+    assert all(vars(op)[k] is v for k, v in before.items())
 
 
 def test_march_temporaries_stay_small(desk_grid, desk_params):
@@ -222,7 +222,7 @@ def fitted_constants(desk_grid, desk_op, desk_params):
         )
         for lam in (2.0, 8.0, 32.0)
     ]
-    return bounds.fit_envelope_constants(curves, alpha=1.5, l_sigma=1.0, L_sigma_=1.0), curves
+    return bounds.fit_envelope_constants(curves), curves
 
 
 def test_envelope_constants_structure(fitted_constants):
@@ -236,8 +236,11 @@ def test_envelope_constants_structure(fitted_constants):
 def test_envelopes_sandwich_the_fitted_curves(fitted_constants):
     k, curves = fitted_constants
     for c in curves:
-        lo = np.array([bounds.log_lower_envelope(t, k, c.lam, 1.0, 1.5) for t in c.t])
-        up = np.array([bounds.log_upper_envelope(t, k, c.lam, 1.0, 1.5) for t in c.t])
+        lo = np.array([bounds.log_lower_envelope(t, k, c.lam, 1.0) for t in c.t])
+        up = np.array([bounds.log_upper_envelope(t, k, c.lam, 1.0) for t in c.t])
+        # one call per curve gives the per-point values
+        np.testing.assert_array_equal(bounds.log_lower_envelope(c.t, k, c.lam, 1.0), lo)
+        np.testing.assert_array_equal(bounds.log_upper_envelope(c.t, k, c.lam, 1.0), up)
         assert np.all(lo <= c.log_inf + 1e-9)
         assert np.all(c.log_sup <= up + 1e-9)
 
@@ -248,14 +251,28 @@ def test_verify_fit_counts_and_names_every_violation(fitted_constants):
     expected = []
     for c in curves:
         for t, lo, hi in zip(c.t, c.log_inf, c.log_sup):
-            low = bounds.log_lower_envelope(t, bad, c.lam, 1.0, 1.5)
-            up = bounds.log_upper_envelope(t, bad, c.lam, 1.0, 1.5)
+            low = bounds.log_lower_envelope(t, bad, c.lam, 1.0)
+            up = bounds.log_upper_envelope(t, bad, c.lam, 1.0)
             if low > lo + 1e-9 or up < hi - 1e-9:
                 expected.append((c.lam, t))
     assert expected
     with pytest.raises(bounds.EnvelopeFitError, match=rf"^{len(expected)} envelope violations") as err:
-        bounds._verify_fit(bad, curves, 1.0, 1.0)
+        bounds._verify_fit(bad, curves)
     assert ", ".join(f"(lam={lam}, t={t:.3g})" for lam, t in expected[:8]) in str(err.value)
+
+
+def test_fit_rejects_curves_that_disagree_on_sigma(fitted_constants):
+    _, curves = fitted_constants
+    mixed = [curves[0], replace(curves[1], l_sigma=2.0), curves[2]]
+    with pytest.raises(bounds.EnvelopeFitError, match=r"curve at lam=8\.0 has .*expected \(1\.5, 1\.0, 1\.0\) as at lam=2\.0"):
+        bounds.fit_envelope_constants(mixed)
+
+
+def test_envelope_rejects_negative_times(fitted_constants):
+    k, _ = fitted_constants
+    for fn in (bounds.log_lower_envelope, bounds.log_upper_envelope):
+        with pytest.raises(ValueError, match=r"envelope time must be >= 0, got -0\.5"):
+            fn(np.array([0.0, -0.5]), k, 2.0, 1.0)
 
 
 def test_envelope_constants_validation():
@@ -278,22 +295,3 @@ def test_renewal_problem_validation():
         bounds.RenewalProblem(a=1.0, b=1.0, beta=-0.5)
     with pytest.raises(ValueError):
         bounds.volterra_lower_solve(bounds.RenewalProblem(a=1.0, b=1.0, beta=0.5), T=1.0, steps=8)
-
-
-def test_renewal_callers_make_no_scalar_series_calls(monkeypatch):
-    # check 2, the renewal curves and the envelope fit evaluate each curve
-    # with one array call; evaluated point by point they made 8764 scalar
-    # series calls here
-    calls = []
-    series_float = specfun._series_float
-    monkeypatch.setattr(specfun, "_series_float", lambda beta, z: calls.append(z) or series_float(beta, z))
-    assert acceptance.check_renewal_equality().passed
-    grid, op = acceptance._desk()
-    model = acceptance._desk_model()
-    curves = [
-        bounds.oracle_moment_curves(acceptance._desk_params(lam), op, grid, T=1.0, steps=256, model=model)
-        for lam in (2.0, 8.0, 32.0)
-    ]
-    assert [c.branch for c in curves] == ["marched", "renewal", "renewal"]
-    bounds.fit_envelope_constants(curves, alpha=1.5, l_sigma=1.0, L_sigma_=1.0)
-    assert len(calls) == 0

@@ -137,6 +137,27 @@ def test_map_blocks_pins_blas_to_one_thread_and_restores_it():
         blas.set(before)
 
 
+def test_threaded_ensemble_forms_its_factor_on_one_blas_thread(desk_grid, desk_op, desk_params, monkeypatch):
+    # a multi-threaded factor product right before the workers start cost
+    # about 40 ms per call at n=128, in OpenBLAS threads left spinning
+    blas = sde._openblas()
+    if blas is None:
+        pytest.skip("numpy's bundled OpenBLAS thread hook is not available")
+    seen = []
+    factor = sde.implicit_factor
+    monkeypatch.setattr(sde, "implicit_factor", lambda op, dt: seen.append(blas.get()) or factor(op, dt))
+    disc = Discretization(grid=desk_grid, dt=1.0 / 256.0, t_end=1.0 / 64.0, snapshot_times=(1.0 / 64.0,))
+    before = blas.get()
+    blas.set(2)
+    try:
+        for workers in (1, 2):
+            run_ensemble(desk_params, disc, desk_op, n_paths=300, master_seed=5, worker_count=workers)
+        assert seen == [2, 1]
+        assert blas.get() == 2
+    finally:
+        blas.set(before)
+
+
 def test_concurrent_threaded_maps_share_one_saved_blas_count():
     blas = sde._openblas()
     if blas is None:
@@ -435,7 +456,6 @@ def test_conditional_forms_peak_memory(n):
     op = laplacian.assemble(grid, laplacian.OperatorConfig(alpha=1.5))
     params = make_params(grid)
     dt = 1.0 / 1024.0
-    laplacian.implicit_factor(op, dt)  # the cached factor is not the forms' memory
     tracemalloc.start()
     try:
         _MT, _g, A, _cv = sde._conditional_forms(params, op, grid, dt, 4, 2)

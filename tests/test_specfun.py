@@ -6,6 +6,7 @@ written independently of the production evaluator.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -122,14 +123,57 @@ def test_monotone_and_at_least_one_on_nonnegative_axis(beta, z1, z2):
 
 
 # ---------------------------------------------------------------------------
-# Array path of log_f_beta / log_mittag_leffler against the scalar series
+# The array path against the scalar series, one argument at a time
+
+
+def scalar_series(beta: float, z: float) -> float:
+    """E_beta(z) by the power series for one finite z, term by term."""
+    if beta == 1.0:
+        return specfun._series_exact_beta1(z)
+    # term_n = z^n / Gamma(n beta + 1); consecutive-term ratios are computed in
+    # the log domain, starting from term_0 = 1
+    terms = [1.0]
+    t = 1.0
+    lg_prev = 0.0  # lgamma(1)
+    small_streak = 0
+    running = 1.0
+    for n in range(1, specfun._SERIES_TERMS_MAX):
+        lg_next = math.lgamma(n * beta + 1.0)
+        t *= z * math.exp(lg_prev - lg_next)
+        lg_prev = lg_next
+        if not math.isfinite(t) or abs(t) > 1e290:
+            raise specfun.PrecisionError(f"series overflowed at term {n} (beta={beta}, z={z})")
+        terms.append(t)
+        running += t
+        if abs(t) <= 1e-17 * max(abs(running), 1e-250):
+            small_streak += 1
+            if small_streak >= 2 and n >= 4:
+                return math.fsum(terms)
+        else:
+            small_streak = 0
+    raise specfun.PrecisionError(f"series did not converge (beta={beta}, z={z})")
+
+
+def scalar_mittag_leffler(beta: float, z: float) -> float:
+    """E_beta(z) for one finite z: the series below the switch, else the asymptotic expansion."""
+    if z < specfun._SWITCH_THRESHOLD:
+        return scalar_series(beta, z)
+    rate = z ** (1.0 / beta)
+    if rate > 700.0:
+        raise specfun.PrecisionError(f"E_{beta}({z}) overflows")
+    return math.exp(rate) / beta - specfun._asymptotic_poly(beta, z)
+
+
+def scalar_f_beta(beta: float, z: float) -> float:
+    """F_beta(z) = E_beta(z^beta) for one z >= 0."""
+    return 1.0 if z == 0.0 else scalar_mittag_leffler(beta, z**beta)
 
 
 def scalar_log_mittag_leffler(beta: float, z: float) -> float:
     """ln E_beta(z), z >= 0, one argument at a time through the scalar series."""
     rate = z ** (1.0 / beta) if z > 0.0 else 0.0
     if z < specfun._SWITCH_THRESHOLD and rate <= 650.0:
-        return math.log(specfun._series(beta, z))
+        return math.log(scalar_series(beta, z))
     correction = 0.0
     if rate < 745.0:
         poly = specfun._asymptotic_poly(beta, z)
@@ -142,7 +186,7 @@ def scalar_log_f_beta(beta: float, z: float) -> float:
     if z == 0.0:
         return 0.0
     if beta * math.log(z) < math.log(specfun._SWITCH_THRESHOLD) and z <= 650.0:
-        return math.log(specfun._series(beta, z**beta))
+        return math.log(scalar_series(beta, z**beta))
     correction = 0.0
     if z < 745.0:
         poly = specfun._asymptotic_poly(beta, z**beta)
@@ -187,6 +231,12 @@ def _check_2_args():
     return out
 
 
+def _signed_args():
+    # both sides of zero and of the switch; the most negative of these
+    # overflow the series at beta 1/3
+    return np.concatenate([np.linspace(-12.0, 12.0, 241), _edges([0.0, specfun._SWITCH_THRESHOLD])])
+
+
 def assert_matches_scalar(fn, scalar_fn, beta, z):
     got = fn(beta, z)
     ref = np.array([scalar_fn(beta, float(v)) for v in z])
@@ -212,6 +262,44 @@ def test_array_path_matches_scalar_on_check_1_arguments():
         assert_matches_scalar(specfun.log_mittag_leffler, scalar_log_mittag_leffler, beta, z)
 
 
+def test_linear_functions_match_scalar_on_check_1_arguments():
+    f_args, ml_args = _check_1_args()
+    ml_args[1.0] = np.linspace(-5.0, 5.0, 201)
+    for beta, z in f_args.items():
+        assert_matches_scalar(specfun.f_beta, scalar_f_beta, beta, z)
+        y = np.array([v**beta for v in z.tolist()])  # check 1's right-hand side
+        assert_matches_scalar(specfun.mittag_leffler, scalar_mittag_leffler, beta, y)
+    for beta, z in ml_args.items():
+        assert_matches_scalar(specfun.mittag_leffler, scalar_mittag_leffler, beta, z)
+
+
+@pytest.mark.parametrize("beta", BETAS)
+def test_mittag_leffler_matches_scalar_on_signed_z(beta):
+    z = _signed_args()
+    raised = []
+    for v in z.tolist():
+        try:
+            scalar_mittag_leffler(beta, v)
+        except specfun.PrecisionError:
+            raised.append(v)
+    if beta == 1.0 / 3.0:
+        assert raised  # the test reaches the overflow
+    for v in raised:
+        with pytest.raises(specfun.PrecisionError):
+            specfun.mittag_leffler(beta, np.array([0.0, v]))
+    kept = z[~np.isin(z, raised)]
+    assert_matches_scalar(specfun.mittag_leffler, scalar_mittag_leffler, beta, kept)
+
+
+def test_series_overflow_raises_without_numpy_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(specfun.PrecisionError, match="overflowed at term"):
+            specfun.mittag_leffler(1.0 / 3.0, -1e300)
+        with pytest.raises(specfun.PrecisionError, match="overflowed at term"):
+            specfun.mittag_leffler(1.0 / 3.0, np.linspace(-12.0, -11.0, 5))
+
+
 @pytest.mark.parametrize(("beta", "z"), list(_check_2_args().items()))
 def test_array_path_matches_scalar_on_check_2_arguments(beta, z):
     assert_matches_scalar(specfun.log_f_beta, scalar_log_f_beta, beta, z)
@@ -230,12 +318,20 @@ def test_chunking_does_not_change_values(monkeypatch):
     np.testing.assert_array_equal(specfun.log_f_beta(1.0 / 3.0, z), whole)
 
 
+ALL_FOUR = (specfun.log_f_beta, specfun.log_mittag_leffler, specfun.f_beta, specfun.mittag_leffler)
+
+
 def test_array_path_shapes_and_types():
     assert type(specfun.log_f_beta(0.5, 2.0)) is float
     assert type(specfun.log_f_beta(0.5, np.float64(2.0))) is float
     assert type(specfun.log_mittag_leffler(0.5, np.array(2.0))) is float
+    assert type(specfun.f_beta(0.5, 2.0)) is float
+    assert type(specfun.mittag_leffler(0.5, np.float64(-2.0))) is float
     assert specfun.log_f_beta(0.5, 0.0) == 0.0
-    for fn in (specfun.log_f_beta, specfun.log_mittag_leffler):
+    assert specfun.f_beta(0.5, 0.0) == 1.0
+    signed = specfun.mittag_leffler(0.5, np.array([[-3.0, -1.0], [0.0, 2.0]]))
+    assert signed.shape == (2, 2) and signed[0, 0] == specfun.mittag_leffler(0.5, -3.0)
+    for fn in ALL_FOUR:
         empty = fn(0.5, np.array([]))
         assert isinstance(empty, np.ndarray) and empty.shape == (0,)
         grid = np.arange(6.0).reshape(2, 3)
@@ -245,9 +341,12 @@ def test_array_path_shapes_and_types():
         assert fn(0.5, [1.0, 2.0]).shape == (2,)
 
 
-@pytest.mark.parametrize("fn", [specfun.log_f_beta, specfun.log_mittag_leffler])
+@pytest.mark.parametrize("fn", ALL_FOUR)
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
 def test_array_path_rejects_bad_elements_by_name(fn, bad):
+    if fn is specfun.mittag_leffler and bad == -1.0:
+        assert fn(0.5, bad) == scalar_mittag_leffler(0.5, bad)  # E_beta takes z < 0
+        return
     with pytest.raises(ValueError, match=rf"z={bad} at index 2 \(beta=0\.5\)"):
         fn(0.5, np.array([0.0, 1.0, bad, 3.0]))
     with pytest.raises(ValueError, match=rf"z={bad} \(beta=0\.5\)"):
