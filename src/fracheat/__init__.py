@@ -13,7 +13,7 @@ from .bounds import (
     OracleCurves,
     RenewalProblem,
     fit_envelope_constants,
-    oracle_moment_curves,
+    oracle_sweep,
     second_moment_volterra,
     volterra_lower_solve,
 )
@@ -51,7 +51,7 @@ __all__ = [
     "OracleCurves",
     "RenewalProblem",
     "fit_envelope_constants",
-    "oracle_moment_curves",
+    "oracle_sweep",
     "second_moment_volterra",
     "volterra_lower_solve",
     "DiscreteOperator",

@@ -27,7 +27,9 @@ Three layers:
    theta dt stays moderate.  Beyond that, oracle_moment_curves switches to
    closed-form renewal curves in the log domain, with rate constants
    measured from the operator's own kernel row masses (Chapman-Kolmogorov
-   gives sum_j dx P(u)_ij^2 = P(2u)_ii exactly).  fit_envelope_constants
+   gives sum_j dx P(u)_ij^2 = P(2u)_ii exactly).  oracle_sweep measures
+   that growth model once per horizon and passes it to one
+   oracle_moment_curves call per noise level.  fit_envelope_constants
    turns oracle curves into the kappa constants of the two envelopes by a
    tight fit, to be verified on held-out noise levels.
 """
@@ -37,7 +39,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -189,10 +191,7 @@ class SecondMomentTable:
     """m(t_k, x_i) = E u(t_k, x_i)^2 on the marching grid."""
 
     t: np.ndarray
-    x: np.ndarray
     m: np.ndarray
-    lam: float
-    alpha: float
     grid: Grid
 
     def energy(self) -> np.ndarray:
@@ -236,7 +235,7 @@ def second_moment_volterra(
     m[0] = g[0] ** 2
     if c == 0.0:
         m[:] = g**2
-        return SecondMomentTable(t=t, x=grid.nodes, m=m, lam=params.lam, alpha=params.alpha, grid=grid)
+        return SecondMomentTable(t=t, m=m, grid=grid)
     W = _near_panel_integrals(op, dt)
     W0 = W[:, 0, :]
     near = W[:, 1:, :].reshape(n, _NEAR_LAGS * n)
@@ -269,7 +268,7 @@ def second_moment_volterra(
             "not resolve the growth rate; refine steps or use the renewal branch of "
             "oracle_moment_curves"
         )
-    return SecondMomentTable(t=t, x=grid.nodes, m=m, lam=params.lam, alpha=params.alpha, grid=grid)
+    return SecondMomentTable(t=t, m=m, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +284,15 @@ class ScalarGrowthModel:
     power law c u^(-1/alpha) on the window where the lattice resolves it
     (above the saturation lag ~ dx^alpha, below the spectral-gap decay).
     c_inf / c_sup are the min/max of r_i(u) u^(1/alpha) there; a_inf / a_sup
-    floor and cap the squared deterministic forcing over [0, horizon].
+    floor and cap the squared deterministic forcing over the horizon
+    measure_growth_model was given.
     """
 
-    alpha: float
     beta: float
-    lambda1: float
     a_inf: float
     c_inf: float
     a_sup: float
     c_sup: float
-    horizon: float
 
     def theta_inf(self, lam: float, l_sigma: float) -> float:
         return _renewal_rate((lam * l_sigma) ** 2 * self.c_inf, self.beta)
@@ -310,11 +307,10 @@ class ScalarGrowthModel:
 
 
 def measure_growth_model(
-    op: DiscreteOperator, grid: Grid, params: ModelParams, horizon: float = 1.0
+    op: DiscreteOperator, grid: Grid, params: ModelParams, horizon: float
 ) -> ScalarGrowthModel:
     params.check_grid(grid)
     alpha = params.alpha
-    beta = 1.0 - 1.0 / alpha
     dx = grid.dx
     # row-mass window: above the lattice saturation lag, below the spectral-gap decay
     u_lo, u_hi = 2.0 * dx**alpha, 0.02
@@ -337,14 +333,7 @@ def measure_growth_model(
             "check u0 positivity on the window"
         )
     return ScalarGrowthModel(
-        alpha=alpha,
-        beta=beta,
-        lambda1=op.lambda1,
-        a_inf=a_inf,
-        c_inf=c_inf,
-        a_sup=a_sup,
-        c_sup=c_sup,
-        horizon=horizon,
+        beta=1.0 - 1.0 / alpha, a_inf=a_inf, c_inf=c_inf, a_sup=a_sup, c_sup=c_sup
     )
 
 
@@ -381,15 +370,14 @@ def oracle_moment_curves(
     grid: Grid,
     T: float,
     steps: int,
-    model: Optional[ScalarGrowthModel] = None,
+    model: ScalarGrowthModel,
 ) -> OracleCurves:
     """Hybrid second-moment oracle: marched when the time grid resolves the
-    growth rate, measured closed-form renewal curves otherwise."""
+    growth rate, closed-form renewal curves with the rates of ``model``
+    (measured for horizon T) otherwise."""
     if params.sigma.kind != "linear":
         raise ValueError("oracle curves require linear sigma (closed second-moment equation)")
     params.check_grid(grid)
-    if model is None:
-        model = measure_growth_model(op, grid, params, horizon=T)
     lam, lsig, Lsig = params.lam, params.sigma.l_sigma, params.sigma.L_sigma
     dt = T / steps
     if model.marching_resolves(lam, Lsig, dt):

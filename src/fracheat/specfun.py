@@ -16,7 +16,8 @@ what the envelope-fitting code consumes.
 
 All four functions take a scalar (float out) or an array (array of the
 same shape out), so a whole curve is one call; mittag_leffler also takes
-z < 0.  Their series rows share one table of term ratios
+z < 0, where it raises PrecisionError once the alternating series cancels
+more than four digits.  Their series rows share one table of term ratios
 e_n = Gamma((n-1) beta + 1) / Gamma(n beta + 1) per call, extended as rows
 need more terms: the terms of each row are a running product of y e_n,
 summed with fsum once two consecutive terms fall below 1e-17 of the running
@@ -53,6 +54,9 @@ class PrecisionError(ArithmeticError):
 _SERIES_TERMS_MAX = 4000
 _SWITCH_THRESHOLD = 12.0
 _ASYMPTOTIC_ORDER = 3
+# At z < 0 the series alternates; a row whose terms sum in magnitude to more
+# than _CANCELLATION_MAX times its value has lost too many digits and raises.
+_CANCELLATION_MAX = 1e4
 # The array path takes z in chunks of _CHUNK_POINTS and evaluates series
 # rows in blocks of at most _CHUNK_DOUBLES doubles (64 KiB), which bounds
 # each of its temporaries.
@@ -126,8 +130,9 @@ def _series_rows(beta: float, y: np.ndarray, ratios: _RatioTable) -> np.ndarray:
     running sums.  A row stops at the first n >= 4 whose terms n-1 and n are
     both at most 1e-17 |running sum|, and is summed with fsum; rows that have
     not stopped after K terms are redone with 2K.  A term beyond 1e290 in
-    magnitude before the stop raises PrecisionError.  At beta = 1 the sum is
-    exact (_series_exact_beta1).
+    magnitude before the stop raises PrecisionError, as does a row at y < 0
+    whose sum of |terms| exceeds _CANCELLATION_MAX times |sum|.  At beta = 1
+    the sum is exact (_series_exact_beta1).
     """
     if beta == 1.0:
         return np.array([_series_exact_beta1(v) for v in y.tolist()])
@@ -159,7 +164,12 @@ def _series_rows(beta: float, y: np.ndarray, ratios: _RatioTable) -> np.ndarray:
                     "use log_mittag_leffler"
                 )
             for i in np.flatnonzero(done).tolist():
-                out[idx[i]] = math.fsum(terms[i, : last[i] + 1].tolist())
+                total = out[idx[i]] = math.fsum(terms[i, : last[i] + 1].tolist())
+                if y[idx[i]] < 0.0 and mag[i, : last[i] + 1].sum() > _CANCELLATION_MAX * abs(total):
+                    raise PrecisionError(
+                        f"Mittag-Leffler series cancels at beta={beta}, z={y[idx[i]]}: its terms "
+                        f"sum to more than {_CANCELLATION_MAX:g} times |E_beta(z)| in magnitude"
+                    )
             left.append(idx[~done])
         pending = np.concatenate(left)
         if pending.size and K == _SERIES_TERMS_MAX - 1:
@@ -206,7 +216,9 @@ def mittag_leffler(beta: float, z):
     series below _SWITCH_THRESHOLD, exponential asymptotic expansion
     (1/beta) exp(z^(1/beta)) - sum_k z^(-k)/Gamma(1 - beta k) at or above
     it, per element.  Raises PrecisionError when a value or a series term
-    leaves double range; log_mittag_leffler covers that regime.
+    leaves double range, which log_mittag_leffler covers for z >= 0, and
+    when the alternating series at z < 0 cancels beyond 1e4 (beta < 1:
+    from about z = -1.9 at beta 1/3, -2.6 at 1/2, -3.6 at 2/3).
     """
     beta = _beta_in_range("mittag_leffler", beta)
     zs = _checked_z("mittag_leffler", beta, z, nonneg=False)

@@ -8,7 +8,7 @@ message on failure.
 
 import pytest
 
-from fracheat import acceptance
+from fracheat import acceptance, bounds
 
 
 def test_01_special_function_identities():
@@ -55,3 +55,19 @@ def test_08_excitation_index_two_alphas():
 def test_09_determinism_and_flag_accounting():
     r = acceptance.check_determinism_accounting()
     assert r.passed, r.detail
+
+
+def test_quick_suite_computes_each_oracle_curve_once(monkeypatch):
+    # checks 5-8 share one desk sweep; a level read by two checks is computed once
+    keys = []
+    real = bounds.oracle_moment_curves
+
+    def spy(params, op, grid, T, steps, model):
+        keys.append((params.alpha, params.lam, T, steps))
+        return real(params, op, grid, T=T, steps=steps, model=model)
+
+    monkeypatch.setattr(acceptance, "_CACHE", {})
+    monkeypatch.setattr(bounds, "oracle_moment_curves", spy)
+    assert all(r.passed for r in acceptance.run_selftest("quick"))
+    assert len(keys) == 17
+    assert len(set(keys)) == len(keys)

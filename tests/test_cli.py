@@ -306,6 +306,7 @@ def test_selftest_quick_passes_and_reports(tmp_path, capsys):
 def test_selftest_corrupted_gamma_fails_naming_special_functions(tmp_path, monkeypatch):
     # every Mittag-Leffler series term ratio is a ratio of Gamma values: scale them all
     saved_cache = copy.copy(acceptance._CACHE)
+    acceptance._CACHE.clear()  # no clean curve cached by an earlier test may stand in
     first = specfun._RatioTable.first
     monkeypatch.setattr(specfun._RatioTable, "first", lambda self, K: first(self, K) * (1.0 + 1e-6))
     try:
@@ -324,6 +325,7 @@ def test_selftest_corrupted_series_table_fails_renewal_equality(tmp_path, monkey
     # these series within 1%: 1 + 1e-6 moves its worst gap only from
     # 0.4760% to 0.4760%, 1 + 1e-3 to 5.6%.
     saved_cache = copy.copy(acceptance._CACHE)
+    acceptance._CACHE.clear()  # no clean curve cached by an earlier test may stand in
     first = specfun._RatioTable.first
     monkeypatch.setattr(specfun._RatioTable, "first", lambda self, K: first(self, K) * (1.0 + 1e-3))
     try:

@@ -94,8 +94,8 @@ def test_params_mu_must_match_grid_mu(desk_grid, desk_op, desk_params):
     with pytest.raises(ValueError, match=match):
         bounds.second_moment_volterra(params, desk_op, desk_grid, T=0.25, steps=16)
     with pytest.raises(ValueError, match=match):
-        bounds.measure_growth_model(desk_op, desk_grid, params)
-    model = bounds.measure_growth_model(desk_op, desk_grid, desk_params)
+        bounds.measure_growth_model(desk_op, desk_grid, params, horizon=1.0)
+    model = bounds.measure_growth_model(desk_op, desk_grid, desk_params, horizon=1.0)
     with pytest.raises(ValueError, match=match):  # the renewal branch reads the window too
         bounds.oracle_moment_curves(
             dataclasses.replace(params, lam=64.0), desk_op, desk_grid, T=1.0, steps=256, model=model

@@ -287,8 +287,37 @@ def test_mittag_leffler_matches_scalar_on_signed_z(beta):
     for v in raised:
         with pytest.raises(specfun.PrecisionError):
             specfun.mittag_leffler(beta, np.array([0.0, v]))
-    kept = z[~np.isin(z, raised)]
+    # the array path also refuses the arguments whose alternating series cancels
+    cancelled = []
+    for v in z[~np.isin(z, raised)].tolist():
+        try:
+            specfun.mittag_leffler(beta, v)
+        except specfun.PrecisionError as exc:
+            assert v < 0.0 and "cancels" in str(exc)
+            cancelled.append(v)
+    assert cancelled
+    kept = z[~np.isin(z, raised + cancelled)]
     assert_matches_scalar(specfun.mittag_leffler, scalar_mittag_leffler, beta, kept)
+
+
+def test_mittag_leffler_half_matches_erfc_or_raises_on_negative_z():
+    # E_{1/2}(z) = exp(z^2) erfc(-z): every value the series returns on
+    # [-6, 0] holds to 1.5e-12 relative; from about z = -2.63 on it raises
+    returned = 0
+    for v in np.linspace(-6.0, 0.0, 601).tolist():
+        ref = math.exp(v * v) * math.erfc(-v)
+        try:
+            got = specfun.mittag_leffler(0.5, v)
+        except specfun.PrecisionError as exc:
+            assert v < -2.6
+            assert "beta=0.5" in str(exc) and f"z={v}" in str(exc)
+            continue
+        returned += 1
+        assert abs(got - ref) <= 1.5e-12 * ref
+    assert returned == 263  # z = -2.62 .. 0 in steps of 0.01
+    for beta, z in ((0.5, -5.0), (1.0 / 3.0, -4.0), (2.0 / 3.0, -3.6)):
+        with pytest.raises(specfun.PrecisionError, match=rf"cancels at beta={beta}, z={z}"):
+            specfun.mittag_leffler(beta, np.array([1.0, z, 0.0]))
 
 
 def test_series_overflow_raises_without_numpy_warnings():
@@ -329,8 +358,8 @@ def test_array_path_shapes_and_types():
     assert type(specfun.mittag_leffler(0.5, np.float64(-2.0))) is float
     assert specfun.log_f_beta(0.5, 0.0) == 0.0
     assert specfun.f_beta(0.5, 0.0) == 1.0
-    signed = specfun.mittag_leffler(0.5, np.array([[-3.0, -1.0], [0.0, 2.0]]))
-    assert signed.shape == (2, 2) and signed[0, 0] == specfun.mittag_leffler(0.5, -3.0)
+    signed = specfun.mittag_leffler(0.5, np.array([[-2.5, -1.0], [0.0, 2.0]]))
+    assert signed.shape == (2, 2) and signed[0, 0] == specfun.mittag_leffler(0.5, -2.5)
     for fn in ALL_FOUR:
         empty = fn(0.5, np.array([]))
         assert isinstance(empty, np.ndarray) and empty.shape == (0,)
