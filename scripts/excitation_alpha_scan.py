@@ -3,7 +3,8 @@
 For each alpha the deterministic second-moment oracle is evaluated on a
 geometric lambda grid by ``bounds.oracle_sweep``, the same sweep that
 ``fracheat excitation --oracle`` and acceptance check 8 run, and the index
-is fitted from ln Phi_2(t_end).  Writes a CSV (and optionally an SVG chart)
+is fitted from ln Phi_2(t_end).  The sweep takes alpha, L and mu from the
+operator, with tent u0, linear sigma and p = 2.  Writes a CSV (and optionally an SVG chart)
 of the fitted index, its confidence interval, and the reference curve.
 
 Usage: python scripts/excitation_alpha_scan.py --out out/alpha_scan [--svg]
@@ -18,7 +19,7 @@ import numpy as np
 
 from fracheat import bounds, moments, svgplot
 from fracheat.laplacian import OperatorConfig, assemble, build_grid
-from fracheat.sde import ModelParams, SigmaSpec, tent_profile
+from fracheat.sde import SigmaSpec, tent_profile
 
 
 def fit_index_for_alpha(
@@ -26,12 +27,8 @@ def fit_index_for_alpha(
 ) -> tuple:
     grid = build_grid(L=1.0, n=n, mu=0.1)
     op = assemble(grid, OperatorConfig(alpha=alpha))
-    base = ModelParams(
-        alpha=alpha, L=1.0, lam=1.0,
-        sigma=SigmaSpec(kind="linear", l_sigma=1.0, L_sigma=1.0),
-        u0=tent_profile(grid), mu=0.1,
-    )
-    curves = bounds.oracle_sweep(base, op, grid, lambdas, T=t_end, steps=steps)
+    sigma = SigmaSpec(kind="linear", l_sigma=1.0, L_sigma=1.0)
+    curves = bounds.oracle_sweep(op, tent_profile(grid), sigma, lambdas, T=t_end, steps=steps)
     return moments.fit_excitation_from_log(
         [(lam, float(c.log_phi2()[-1])) for lam, c in curves.items()]
     )

@@ -4,9 +4,9 @@ Each check returns a CheckResult with the measured numbers in ``detail`` so
 failures are diagnosable from the selftest report alone.  Tolerances are
 module constants, pinned here and nowhere else.
 
-Tiers: QUICK_CHECKS run in well under a minute on a laptop; FULL_CHECKS add
-the Monte-Carlo cross-check of the second-moment oracle (10^4 paths at two
-time resolutions).
+Tiers: QUICK_CHECKS run in well under a minute on a laptop; the full tier
+adds the Monte-Carlo cross-check of the second-moment oracle (10^4 paths at
+two time resolutions).
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ import math
 import os
 import tempfile
 import time
-import warnings
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from .sde import (
     tent_profile,
 )
 
-__all__ = ["CheckResult", "run_selftest", "QUICK_CHECKS", "FULL_CHECKS"]
+__all__ = ["CheckResult", "run_selftest", "QUICK_CHECKS"]
 
 # Pinned tolerances (one place only)
 TOL_E1 = 1e-12              # E_1(z) vs exp(z) on [-5, 5]
@@ -61,6 +60,7 @@ _DESK_ALPHA = 1.5
 _DESK_N = 64
 _DESK_MU = 0.1
 _DESK_LAMBDAS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
+_LINEAR = SigmaSpec(kind="linear", l_sigma=1.0, L_sigma=1.0)
 _MC_SEED = 31415            # check-4 master seed (estimator passes for
                             # every seed tested; this one is noise-neutral)
 
@@ -97,20 +97,12 @@ def _desk() -> tuple[Grid, DiscreteOperator]:
     return _CACHE["desk"]
 
 
-def _desk_params(lam: float, u0: Optional[np.ndarray] = None) -> ModelParams:
+def _desk_params() -> ModelParams:
+    """The desk problem at lam 1: tent u0, linear sigma, p = 2."""
     grid, _ = _desk()
-    sigma = SigmaSpec(kind="linear", l_sigma=1.0, L_sigma=1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # p-threshold advisory
-        return ModelParams(
-            alpha=_DESK_ALPHA,
-            L=grid.L,
-            lam=lam,
-            sigma=sigma,
-            u0=u0 if u0 is not None else tent_profile(grid),
-            mu=_DESK_MU,
-            p=2.0,
-        )
+    return ModelParams(
+        alpha=_DESK_ALPHA, L=grid.L, lam=1.0, sigma=_LINEAR, u0=tent_profile(grid), mu=_DESK_MU, p=2.0
+    )
 
 
 def _desk_sweep() -> dict[float, bounds.OracleCurves]:
@@ -118,7 +110,7 @@ def _desk_sweep() -> dict[float, bounds.OracleCurves]:
     if "desk_sweep" not in _CACHE:
         grid, op = _desk()
         _CACHE["desk_sweep"] = bounds.oracle_sweep(
-            _desk_params(1.0), op, grid, _DESK_LAMBDAS, T=1.0, steps=256
+            op, tent_profile(grid), _LINEAR, _DESK_LAMBDAS, T=1.0, steps=256
         )
     return _CACHE["desk_sweep"]
 
@@ -203,10 +195,8 @@ def check_renewal_equality() -> CheckResult:
 def check_operator_spectrum() -> CheckResult:
     def body():
         cfg = OperatorConfig(alpha=_DESK_ALPHA)
-        lam1 = {}
-        for n in (128, 256):
-            g = build_grid(L=1.0, n=n, mu=_DESK_MU)
-            lam1[n] = assemble(g, cfg).lambda1
+        op256 = assemble(build_grid(L=1.0, n=256, mu=_DESK_MU), cfg)
+        lam1 = {128: assemble(build_grid(L=1.0, n=128, mu=_DESK_MU), cfg).lambda1, 256: op256.lambda1}
         conv = abs(lam1[128] - lam1[256]) / lam1[256]
         ok_conv = conv <= TOL_LAMBDA1_GRID
 
@@ -222,8 +212,6 @@ def check_operator_spectrum() -> CheckResult:
         defect = float(np.max(np.abs(grid.dx * (P1 @ P1.T) - P2)))
         ok_ck = defect <= TOL_CHAPMAN
 
-        g256 = build_grid(L=1.0, n=256, mu=_DESK_MU)
-        op256 = assemble(g256, cfg)
         worst_frac = 0.0
         for t in (0.01, 0.1, 1.0):
             excess = kernels.check_domination(op256, t)
@@ -249,7 +237,7 @@ def check_operator_spectrum() -> CheckResult:
 def check_mc_oracle(worker_count: int = 2) -> CheckResult:
     def body():
         grid, op = _desk()
-        params = _desk_params(1.0)
+        params = _desk_params()
         disc = Discretization(grid=grid, dt=1.0 / 1024.0, t_end=0.5, snapshot_times=(0.5,))
         oracle = bounds.second_moment_volterra(params, op, grid, T=0.5, steps=1024).m[-1]
         coarse, fine = estimate_second_moment_pair(
@@ -283,7 +271,7 @@ def check_small_noise_stability() -> CheckResult:
         grid, op = _desk()
         lam_L = _envelope_fit().lambda_L
         below = [lam for lam in (0.25, 0.5, 1.0, 1.8) if lam < lam_L]
-        curves = bounds.oracle_sweep(_desk_params(1.0), op, grid, below, T=2.0, steps=512)
+        curves = bounds.oracle_sweep(op, tent_profile(grid), _LINEAR, below, T=2.0, steps=512)
         slopes = {lam: bounds.tail_log_slope(c.t, c.log_sup) for lam, c in curves.items()}
         ok_neg = all(s < 0.0 for s in slopes.values())
 
@@ -291,7 +279,7 @@ def check_small_noise_stability() -> CheckResult:
         if phi1[np.argmax(np.abs(phi1))] < 0:
             phi1 = -phi1
         phi1 /= phi1.max()
-        c0 = bounds.oracle_sweep(_desk_params(0.0, u0=phi1), op, grid, (0.0,), T=2.0, steps=512)[0.0]
+        c0 = bounds.oracle_sweep(op, phi1, _LINEAR, (0.0,), T=2.0, steps=512)[0.0]
         slope0 = bounds.tail_log_slope(c0.t, c0.log_sup)
         rel0 = abs(slope0 + 2.0 * op.lambda1) / (2.0 * op.lambda1)
         ok0 = rel0 <= TOL_DECAY_SLOPE
@@ -369,11 +357,8 @@ def _excitation_for_alpha(alpha: float) -> tuple[float, tuple[float, float]]:
         curves = _desk_sweep()
     else:
         grid, _ = _desk()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # replace() re-runs the p advisory
-            base = replace(_desk_params(1.0), alpha=alpha)
         op = assemble(grid, OperatorConfig(alpha=alpha))
-        curves = bounds.oracle_sweep(base, op, grid, lambdas, T=1.0, steps=256)
+        curves = bounds.oracle_sweep(op, tent_profile(grid), _LINEAR, lambdas, T=1.0, steps=256)
     return moments.fit_excitation_from_log(
         [(lam, float(curves[lam].log_phi2()[-1])) for lam in lambdas]
     )
@@ -403,7 +388,7 @@ def check_excitation_index() -> CheckResult:
 def check_determinism_accounting() -> CheckResult:
     def body():
         grid, op = _desk()
-        params = _desk_params(1.0)
+        params = _desk_params()
         disc = Discretization(
             grid=grid, dt=1.0 / 256.0, t_end=0.25, snapshot_times=(0.125, 0.25)
         )
@@ -445,7 +430,6 @@ QUICK_CHECKS: tuple = (
     check_excitation_index,
     check_determinism_accounting,
 )
-FULL_CHECKS: tuple = QUICK_CHECKS + (check_mc_oracle,)
 
 
 def run_selftest(level: str = "quick", mc_worker_count: int = 2) -> list[CheckResult]:

@@ -37,15 +37,14 @@ Three layers:
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import specfun
 from .laplacian import DiscreteOperator, Grid, apply_semigroup
-from .sde import ModelParams
+from .sde import ModelParams, SigmaSpec
 
 __all__ = [
     "RenewalProblem",
@@ -79,15 +78,16 @@ class RenewalProblem:
     a: float
     b: float
     beta: float
-    theta: float = float("nan")
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.b) and self.b >= 0.0):
             raise ValueError(f"coefficient b must be >= 0, got {self.b}")
         if not (math.isfinite(self.beta) and self.beta > 0.0):
             raise ValueError(f"exponent beta must be > 0, got {self.beta}")
-        theta = _renewal_rate(self.b, self.beta) if self.b > 0.0 else 0.0
-        object.__setattr__(self, "theta", theta)
+
+    @property
+    def theta(self) -> float:
+        return _renewal_rate(self.b, self.beta) if self.b > 0.0 else 0.0
 
 
 class VolterraSolution(NamedTuple):
@@ -219,11 +219,14 @@ def second_moment_volterra(
     lags take the kernel's exact sum over eigen-pairs (a, b), where the
     lag-d panel integral e^(s d dt) expm1(s dt)/s, s = w_a + w_b, is
     geometric in d: their history H_ab advances by one product per step.
-    Nothing is cached; the march holds m, g and O(n^2) more.
+    Nothing is cached; the march holds m, g and O(n^2) more.  ``grid``
+    must be ``op.grid``.
     """
     if params.sigma.kind != "linear":
         raise ValueError("the second-moment equation is closed only for linear sigma")
-    params.check_grid(grid)
+    if grid != op.grid:
+        raise ValueError(f"grid={grid} is not the operator's grid {op.grid}")
+    params.check_operator(op)
     if not (T > 0.0 and steps >= 16):
         raise ValueError(f"need T > 0 and steps >= 16, got T={T}, steps={steps}")
     n = grid.n
@@ -306,10 +309,9 @@ class ScalarGrowthModel:
         return self.theta_sup(lam, L_sigma) * dt <= 0.25
 
 
-def measure_growth_model(
-    op: DiscreteOperator, grid: Grid, params: ModelParams, horizon: float
-) -> ScalarGrowthModel:
-    params.check_grid(grid)
+def measure_growth_model(op: DiscreteOperator, params: ModelParams, horizon: float) -> ScalarGrowthModel:
+    params.check_operator(op)
+    grid = op.grid
     alpha = params.alpha
     dx = grid.dx
     # row-mass window: above the lattice saturation lag, below the spectral-gap decay
@@ -365,23 +367,18 @@ class OracleCurves:
 
 
 def oracle_moment_curves(
-    params: ModelParams,
-    op: DiscreteOperator,
-    grid: Grid,
-    T: float,
-    steps: int,
-    model: ScalarGrowthModel,
+    params: ModelParams, op: DiscreteOperator, T: float, steps: int, model: ScalarGrowthModel
 ) -> OracleCurves:
     """Hybrid second-moment oracle: marched when the time grid resolves the
     growth rate, closed-form renewal curves with the rates of ``model``
     (measured for horizon T) otherwise."""
     if params.sigma.kind != "linear":
         raise ValueError("oracle curves require linear sigma (closed second-moment equation)")
-    params.check_grid(grid)
+    params.check_operator(op)
     lam, lsig, Lsig = params.lam, params.sigma.l_sigma, params.sigma.L_sigma
     dt = T / steps
     if model.marching_resolves(lam, Lsig, dt):
-        table = second_moment_volterra(params, op, grid, T, steps)
+        table = second_moment_volterra(params, op, op.grid, T, steps)
         return OracleCurves(
             alpha=params.alpha,
             lam=lam,
@@ -399,7 +396,7 @@ def oracle_moment_curves(
     th_sup = model.theta_sup(lam, Lsig)
     log_inf = math.log(model.a_inf) + specfun.log_f_beta(model.beta, th_inf * t)
     log_sup = math.log(model.a_sup) + specfun.log_f_beta(model.beta, th_sup * t)
-    log_energy = math.log(grid.L - 2.0 * grid.mu) + log_inf
+    log_energy = math.log(op.grid.L - 2.0 * op.grid.mu) + log_inf
     return OracleCurves(
         alpha=params.alpha,
         lam=lam,
@@ -415,25 +412,27 @@ def oracle_moment_curves(
 
 
 def oracle_sweep(
-    base: ModelParams,
     op: DiscreteOperator,
-    grid: Grid,
+    u0: np.ndarray,
+    sigma: SigmaSpec,
     lambdas: Sequence[float],
     T: float,
     steps: int,
 ) -> dict[float, OracleCurves]:
     """Oracle curves per noise level of ``lambdas``, keyed by level.
 
-    The growth model is measured once, on ``base`` (whose own lam is not
-    used), and shared by one oracle_moment_curves call per level.
+    Each level's ModelParams takes alpha, L and mu from ``op``, and p = 2.
+    The growth model, which reads no noise level, is measured once and
+    shared by one oracle_moment_curves call per level.
     """
-    model = measure_growth_model(op, grid, base, horizon=T)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # replace() repeats base's p advisory
-        levels = [replace(base, lam=float(lam)) for lam in lambdas]
-    return {
-        p.lam: oracle_moment_curves(p, op, grid, T=T, steps=steps, model=model) for p in levels
-    }
+
+    def level(lam: float) -> ModelParams:
+        return ModelParams(
+            alpha=op.config.alpha, L=op.grid.L, lam=float(lam), sigma=sigma, u0=u0, mu=op.grid.mu, p=2.0
+        )
+
+    model = measure_growth_model(op, level(0.0), horizon=T)
+    return {float(lam): oracle_moment_curves(level(lam), op, T, steps, model) for lam in lambdas}
 
 
 def tail_log_slope(t: np.ndarray, log_m: np.ndarray) -> float:
@@ -459,17 +458,13 @@ class EnvelopeConstants:
     kappa2: float
     kappa3: float
     kappa4: float
-    lambda1: float
     lambda_L: float
-    lambda0: float
     alpha: float
 
     def __post_init__(self) -> None:
-        vals = (self.kappa1, self.kappa2, self.kappa3, self.kappa4, self.lambda1, self.lambda_L, self.lambda0)
+        vals = (self.kappa1, self.kappa2, self.kappa3, self.kappa4, self.lambda_L)
         if not all(math.isfinite(v) and v > 0.0 for v in vals):
             raise ValueError(f"envelope constants must all be positive and finite, got {self}")
-        if self.lambda_L > self.lambda0:
-            raise ValueError(f"lambda_L={self.lambda_L} must not exceed lambda0={self.lambda0}")
 
 
 class EnvelopeFitError(ValueError):
@@ -530,8 +525,7 @@ def fit_envelope_constants(oracle_table: Sequence[OracleCurves]) -> EnvelopeCons
     the data; kappa4 from the sup-curve tail slopes, kappa3 by the analogous
     maximal ratio.  lambda_L is the largest tabulated lambda with negative
     sup slope, or the kappa4 crossing with the spectral decay 2 lambda1 if
-    all tabulated levels grow; lambda0 is the smallest tabulated lambda
-    whose slope exceeds half its fitted lower-envelope rate.
+    all tabulated levels grow.
     """
     curves = sorted(oracle_table, key=lambda c: c.lam)
     if len(curves) < 3:
@@ -587,23 +581,9 @@ def fit_envelope_constants(oracle_table: Sequence[OracleCurves]) -> EnvelopeCons
         # kappa4 rate crossing the spectral decay 2 lambda1
         lambda_L = ((2.0 * lam1 / kappa4) ** (1.0 / expo)) ** 0.5 / L_sigma
         lambda_L = min(lambda_L, curves[0].lam)
-    exceeding = [
-        lam
-        for lam, s in sup_slopes.items()
-        if s > 0.5 * (kappa2 * lam**2 * l_sigma**2) ** expo
-    ]
-    lambda0 = min(exceeding) if exceeding else curves[-1].lam
-    lambda0 = max(lambda0, lambda_L)
 
     constants = EnvelopeConstants(
-        kappa1=kappa1,
-        kappa2=kappa2,
-        kappa3=kappa3,
-        kappa4=kappa4,
-        lambda1=lam1,
-        lambda_L=lambda_L,
-        lambda0=lambda0,
-        alpha=alpha,
+        kappa1=kappa1, kappa2=kappa2, kappa3=kappa3, kappa4=kappa4, lambda_L=lambda_L, alpha=alpha
     )
     _verify_fit(constants, curves)
     return constants

@@ -242,18 +242,18 @@ def _operator(cfg: ExperimentConfig) -> tuple[Grid, DiscreteOperator]:
     return grid, op
 
 
-def _params(cfg: ExperimentConfig, grid: Grid, lam: Optional[float] = None) -> ModelParams:
+def _params(cfg: ExperimentConfig, op: DiscreteOperator, lam: Optional[float] = None) -> ModelParams:
     u0 = (
         np.array(cfg.u0_values, dtype=float)
         if cfg.u0_values is not None
-        else tent_profile(grid)
+        else tent_profile(op.grid)
     )
     try:
         params = ModelParams(
             alpha=cfg.alpha, L=cfg.L, lam=cfg.lam if lam is None else lam,
             sigma=cfg.sigma, u0=u0, mu=cfg.mu, p=cfg.p,
         )
-        params.check_grid(grid)
+        params.check_operator(op)
         return params
     except ValueError as exc:
         raise ConfigError("model", str(exc)) from exc
@@ -289,7 +289,7 @@ def _write_json(path: str, payload: dict) -> None:
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     grid, op = _operator(cfg)
-    params = _params(cfg, grid)
+    params = _params(cfg, op)
     disc = _discretization(cfg, grid, op)
     ens = run_ensemble(
         params, disc, op,
@@ -353,7 +353,7 @@ def _snapshot_rows(
 
 def cmd_moments(cfg: ExperimentConfig) -> int:
     grid, op = _operator(cfg)
-    params = _params(cfg, grid)
+    params = _params(cfg, op)
     disc = _discretization(cfg, grid, op)
     ens = run_ensemble(
         params, disc, op,
@@ -416,17 +416,17 @@ def _oracle_rows(cfg: ExperimentConfig, curves: bounds.OracleCurves) -> list[mom
 def _oracle_source(cfg: ExperimentConfig) -> tuple[dict, dict, list]:
     """Oracle rows at the snapshot times and (t, ln Phi_2) tables on the
     oracle's time grid, per lambda, and that grid."""
-    grid, op = _operator(cfg)
+    _, op = _operator(cfg)
     if cfg.sigma.kind != "linear":
         raise ConfigError("model.sigma.kind", "--oracle requires the linear coefficient")
     if cfg.p != 2.0:
         raise ConfigError(
             "model.p", f"--oracle solves the second-moment equation, so p must be 2, got {cfg.p!r}"
         )
-    base = _params(cfg, grid, lam=1.0)
+    u0 = _params(cfg, op, lam=cfg.lambdas[0]).u0  # a bad u0 is a ConfigError here
     try:
-        curves = bounds.oracle_sweep(base, op, grid, cfg.lambdas, T=cfg.t_end, steps=_ORACLE_STEPS)
-    except ValueError as exc:  # base passed check_grid, so the row-mass window is empty at this n
+        curves = bounds.oracle_sweep(op, u0, cfg.sigma, cfg.lambdas, T=cfg.t_end, steps=_ORACLE_STEPS)
+    except ValueError as exc:  # u0 passed check_operator, so the row-mass window is empty at this n
         raise ConfigError("discretization.n", str(exc)) from exc
     rows = {lam: _oracle_rows(cfg, c) for lam, c in curves.items()}
     tables = {lam: list(zip(c.t.tolist(), c.log_phi2().tolist())) for lam, c in curves.items()}
@@ -442,7 +442,7 @@ def _mc_source(cfg: ExperimentConfig, payload: dict) -> tuple[dict, dict, list]:
     payload["flagged_total"] = 0
     for lam in cfg.lambdas:
         ens = run_ensemble(
-            _params(cfg, grid, lam=lam), disc, op,
+            _params(cfg, op, lam=lam), disc, op,
             n_paths=cfg.n_paths, master_seed=cfg.master_seed,
             worker_count=cfg.worker_count,
         )

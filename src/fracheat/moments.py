@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import io
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -59,6 +60,20 @@ class MomentEstimate:
             raise ValueError("n_effective must be nonnegative")
 
 
+def _check_order(ensemble: PathEnsemble, p: float) -> None:
+    """Reject p < 2, and warn, naming the estimator's caller, when p is at
+    or below 2/(alpha-1), the threshold the moment theorems assume."""
+    if p < 2.0:
+        raise ValueError(f"moment order p={p} must be >= 2")
+    threshold = 2.0 / (ensemble.params.alpha - 1.0)
+    if p <= threshold:
+        warnings.warn(
+            f"p={p} is at or below 2/(alpha-1)={threshold:.4g}; the moment "
+            "growth/decay theorems assume p above this threshold",
+            stacklevel=3,
+        )
+
+
 def _clean_snapshot(ensemble: PathEnsemble, t: float) -> tuple[np.ndarray, int, float]:
     """Snapshot at time t with flagged (non-finite) paths removed."""
     u = ensemble.snapshot(t)
@@ -90,8 +105,7 @@ def estimate_energy(ensemble: PathEnsemble, t: float, p: float) -> MomentEstimat
     of the per-path integral is propagated through the 1/p power by the
     delta method.
     """
-    if p < 2.0:
-        raise ValueError(f"moment order p={p} must be >= 2")
+    _check_order(ensemble, p)
     u, n_eff, flagged = _clean_snapshot(ensemble, t)
     with np.errstate(over="ignore", invalid="ignore"):
         s = ensemble.grid.dx * np.sum(np.abs(u) ** p, axis=1)
@@ -109,8 +123,7 @@ def estimate_sup_moment(ensemble: PathEnsemble, t: float, p: float) -> MomentEst
 
     Reported as the p-th moment itself, without the 1/p root.
     """
-    if p < 2.0:
-        raise ValueError(f"moment order p={p} must be >= 2")
+    _check_order(ensemble, p)
     u, n_eff, flagged = _clean_snapshot(ensemble, t)
     with np.errstate(over="ignore", invalid="ignore"):
         value, stderr = _mean_and_stderr(np.max(np.abs(u), axis=1) ** p, n_eff)
@@ -119,8 +132,7 @@ def estimate_sup_moment(ensemble: PathEnsemble, t: float, p: float) -> MomentEst
 
 def estimate_inf_subinterval_moment(ensemble: PathEnsemble, t: float, p: float) -> MomentEstimate:
     """Estimate inf over nodes in [mu, L-mu] of the per-node moment E|u(t,x)|^p."""
-    if p < 2.0:
-        raise ValueError(f"moment order p={p} must be >= 2")
+    _check_order(ensemble, p)
     inner = ensemble.grid.interior_indices()
     u, n_eff, flagged = _clean_snapshot(ensemble, t)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -19,15 +19,12 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import dataclasses
 import functools
 import glob
 import json
 import math
 import os
-import sys
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -159,23 +156,15 @@ class ModelParams:
         object.__setattr__(self, "u0", u0)
         if self.p < 2.0:
             raise ValueError(f"moment order p must be >= 2, got {self.p}")
-        threshold = 2.0 / (self.alpha - 1.0)
-        if self.p <= threshold:
-            # name the line constructing the params: past this method, the
-            # generated __init__ and any dataclasses.replace frames
-            level, frame = 3, sys._getframe(2)
-            while frame is not None and frame.f_code.co_filename == dataclasses.__file__:
-                level, frame = level + 1, frame.f_back
-            warnings.warn(
-                f"p={self.p} is at or below 2/(alpha-1)={threshold:.4g}; the moment "
-                "growth/decay theorems assume p above this threshold",
-                stacklevel=level,
-            )
 
-    def check_grid(self, grid: Grid) -> None:
-        """L and mu must be the grid's, and u0 sampled on it and positive on its window [mu, L-mu]."""
+    def check_operator(self, op: DiscreteOperator) -> None:
+        """alpha must be the operator's, L and mu its grid's, and u0 sampled on
+        that grid and positive on its window [mu, L-mu]."""
+        grid = op.grid
         if self.u0.shape != (grid.n,):
             raise ValueError(f"u0 has {self.u0.size} nodes but the grid has {grid.n}")
+        if self.alpha != op.config.alpha:
+            raise ValueError(f"params.alpha={self.alpha} does not match op.config.alpha={op.config.alpha}")
         if abs(self.L - grid.L) > 1e-12 * self.L:
             raise ValueError(f"params.L={self.L} does not match grid.L={grid.L}")
         if abs(self.mu - grid.mu) > 1e-12 * self.L:
@@ -389,6 +378,23 @@ def _noise_chunks(master_seed: int, blk: range, steps: int, n: int, antithetic: 
         yield lo, chunk
 
 
+def _check_mc_inputs(
+    params: ModelParams, disc: Discretization, op: DiscreteOperator, n_paths: int, worker_count: int
+) -> None:
+    """The input rules both Monte Carlo engines share."""
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    if worker_count < 1:
+        raise ValueError(f"worker_count must be >= 1, got {worker_count}")
+    if disc.grid != op.grid:
+        raise ValueError(f"disc.grid={disc.grid} is not the operator's grid {op.grid}")
+    params.check_operator(op)
+    if disc.dt * op.lambda1 > 10.0:
+        raise ValueError(
+            f"dt lambda1 = {disc.dt * op.lambda1:.3g} > 10; refine dt (default_dt suggests {default_dt(op):.3g})"
+        )
+
+
 def _run_block(
     params: ModelParams,
     disc: Discretization,
@@ -441,15 +447,7 @@ def run_ensemble(
     worker_count: int = 1,
 ) -> PathEnsemble:
     """Simulate n_paths independent paths; deterministic in (master_seed, path index)."""
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if worker_count < 1:
-        raise ValueError(f"worker_count must be >= 1, got {worker_count}")
-    params.check_grid(disc.grid)
-    if disc.dt * op.lambda1 > 10.0:
-        raise ValueError(
-            f"dt lambda1 = {disc.dt * op.lambda1:.3g} > 10; refine dt (default_dt suggests {default_dt(op):.3g})"
-        )
+    _check_mc_inputs(params, disc, op, n_paths, worker_count)
     out = np.empty((len(disc.snapshot_times), n_paths, disc.grid.n))
     flagged = np.zeros(n_paths, dtype=bool)
     # a threaded BLAS call just before the workers start leaves OpenBLAS
@@ -673,8 +671,8 @@ def estimate_second_moment_pair(
             "conditional second-moment estimation requires linear sigma; "
             f"got kind={params.sigma.kind!r}"
         )
-    params.check_grid(disc.grid)
-    if n_paths < 2 or n_paths % 2 != 0:
+    _check_mc_inputs(params, disc, op, n_paths, worker_count)
+    if n_paths % 2 != 0:
         raise ValueError(f"antithetic pairing needs an even n_paths >= 2, got {n_paths}")
     grid = disc.grid
     steps = disc.n_steps()

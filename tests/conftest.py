@@ -1,7 +1,5 @@
 """Shared fixtures: the desk-scale operator and a small reusable ensemble."""
 
-import warnings
-
 import pytest
 
 from fracheat.laplacian import OperatorConfig, assemble, build_grid
@@ -31,17 +29,15 @@ def desk_op(desk_grid):
 def make_params(grid, lam=1.0, u0=None, p=2.0, sigma=None):
     if sigma is None:
         sigma = SigmaSpec(kind="linear", l_sigma=1.0, L_sigma=1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return ModelParams(
-            alpha=DESK_ALPHA,
-            L=grid.L,
-            lam=lam,
-            sigma=sigma,
-            u0=u0 if u0 is not None else tent_profile(grid),
-            mu=grid.mu,
-            p=p,
-        )
+    return ModelParams(
+        alpha=DESK_ALPHA,
+        L=grid.L,
+        lam=lam,
+        sigma=sigma,
+        u0=u0 if u0 is not None else tent_profile(grid),
+        mu=grid.mu,
+        p=p,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -62,9 +62,9 @@ def test_quick_suite_computes_each_oracle_curve_once(monkeypatch):
     keys = []
     real = bounds.oracle_moment_curves
 
-    def spy(params, op, grid, T, steps, model):
+    def spy(params, op, T, steps, model):
         keys.append((params.alpha, params.lam, T, steps))
-        return real(params, op, grid, T=T, steps=steps, model=model)
+        return real(params, op, T=T, steps=steps, model=model)
 
     monkeypatch.setattr(acceptance, "_CACHE", {})
     monkeypatch.setattr(bounds, "oracle_moment_curves", spy)

@@ -11,6 +11,7 @@ import pytest
 from conftest import make_params
 from fracheat import bounds, specfun
 from fracheat.laplacian import OperatorConfig, apply_semigroup, assemble, build_grid, heat_kernel_matrix
+from fracheat.sde import SigmaSpec, tent_profile
 
 # Desk-scale regression pins (alpha=1.5, L=1, n=64, mu=0.1, lam=1, tent u0)
 ENERGY_AT_HALF = 0.007183856068648362
@@ -25,6 +26,13 @@ def desk_table(desk_grid, desk_op, desk_params):
 def test_renewal_theta_definition():
     prob = bounds.RenewalProblem(a=1.0, b=2.0, beta=0.5)
     assert prob.theta == pytest.approx((2.0 * specfun.gamma(0.5)) ** 2.0, rel=1e-14)
+
+
+def test_renewal_theta_is_derived_not_given():
+    # theta follows from b and beta; a given one would be silently replaced
+    with pytest.raises(TypeError, match="theta"):
+        bounds.RenewalProblem(a=1.0, b=1.0, beta=0.5, theta=5.0)
+    assert bounds.RenewalProblem(a=1.0, b=0.0, beta=0.5).theta == 0.0
 
 
 # the singular panel slows convergence for small beta, hence the finer grid
@@ -169,6 +177,29 @@ def test_march_temporaries_stay_small(desk_grid, desk_params):
     assert extra_mib <= 3.0, f"march allocated {extra_mib:.2f} MiB beyond m"
 
 
+def test_march_rejects_a_grid_that_is_not_the_operators(desk_params, desk_op):
+    other = build_grid(L=1.0, n=64, mu=0.2)
+    with pytest.raises(ValueError, match=r"grid=.* is not the operator's grid"):
+        bounds.second_moment_volterra(desk_params, desk_op, other, T=0.25, steps=16)
+
+
+def test_oracle_sweep_equals_curves_on_hand_built_params(desk_grid, desk_op):
+    # the sweep builds each level from the operator: alpha, L and mu, with p = 2
+    u0 = tent_profile(desk_grid)
+    sigma = SigmaSpec(kind="linear", l_sigma=1.0, L_sigma=1.0)
+    swept = bounds.oracle_sweep(desk_op, u0, sigma, (0.5, 64.0), T=1.0, steps=256)
+    model = bounds.measure_growth_model(desk_op, make_params(desk_grid), horizon=1.0)
+    assert list(swept) == [0.5, 64.0]
+    assert [c.branch for c in swept.values()] == ["marched", "renewal"]
+    for lam, got in swept.items():
+        ref = bounds.oracle_moment_curves(make_params(desk_grid, lam=lam), desk_op, 1.0, 256, model)
+        assert (got.alpha, got.lam, got.l_sigma, got.L_sigma, got.lambda1, got.branch) == (
+            ref.alpha, ref.lam, ref.l_sigma, ref.L_sigma, ref.lambda1, ref.branch
+        )
+        for name in ("t", "log_inf", "log_sup", "log_energy"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+
+
 def test_second_moment_monotone_in_lambda(desk_grid, desk_op):
     m1 = bounds.second_moment_volterra(
         make_params(desk_grid, lam=1.0), desk_op, desk_grid, T=0.25, steps=128
@@ -191,14 +222,14 @@ def test_table_functional_orderings(desk_grid, desk_table):
 
 
 def test_growth_model_and_branch_selection(desk_grid, desk_op, desk_params):
-    model = bounds.measure_growth_model(desk_op, desk_grid, desk_params, horizon=1.0)
+    model = bounds.measure_growth_model(desk_op, desk_params, horizon=1.0)
     assert model.marching_resolves(1.0, 1.0, dt=1.0 / 256.0)
     assert not model.marching_resolves(128.0, 1.0, dt=1.0 / 256.0)
     low = bounds.oracle_moment_curves(
-        make_params(desk_grid, lam=0.5), desk_op, desk_grid, T=1.0, steps=256, model=model
+        make_params(desk_grid, lam=0.5), desk_op, T=1.0, steps=256, model=model
     )
     high = bounds.oracle_moment_curves(
-        make_params(desk_grid, lam=64.0), desk_op, desk_grid, T=1.0, steps=256, model=model
+        make_params(desk_grid, lam=64.0), desk_op, T=1.0, steps=256, model=model
     )
     assert low.branch == "marched"
     assert high.branch == "renewal"
@@ -215,10 +246,10 @@ def test_tail_log_slope_recovers_exact_line():
 
 @pytest.fixture(scope="module")
 def fitted_constants(desk_grid, desk_op, desk_params):
-    model = bounds.measure_growth_model(desk_op, desk_grid, desk_params, horizon=1.0)
+    model = bounds.measure_growth_model(desk_op, desk_params, horizon=1.0)
     curves = [
         bounds.oracle_moment_curves(
-            make_params(desk_grid, lam=lam), desk_op, desk_grid, T=1.0, steps=256, model=model
+            make_params(desk_grid, lam=lam), desk_op, T=1.0, steps=256, model=model
         )
         for lam in (2.0, 8.0, 32.0)
     ]
@@ -227,9 +258,8 @@ def fitted_constants(desk_grid, desk_op, desk_params):
 
 def test_envelope_constants_structure(fitted_constants):
     k, _ = fitted_constants
-    for v in (k.kappa1, k.kappa2, k.kappa3, k.kappa4, k.lambda1, k.lambda_L, k.lambda0):
+    for v in (k.kappa1, k.kappa2, k.kappa3, k.kappa4, k.lambda_L):
         assert v > 0.0 and math.isfinite(v)
-    assert k.lambda_L <= k.lambda0
     assert k.alpha == 1.5
 
 
@@ -278,13 +308,11 @@ def test_envelope_rejects_negative_times(fitted_constants):
 def test_envelope_constants_validation():
     with pytest.raises(ValueError):
         bounds.EnvelopeConstants(
-            kappa1=-1.0, kappa2=1.0, kappa3=1.0, kappa4=1.0,
-            lambda1=4.7, lambda_L=1.0, lambda0=2.0, alpha=1.5,
+            kappa1=-1.0, kappa2=1.0, kappa3=1.0, kappa4=1.0, lambda_L=1.0, alpha=1.5
         )
     with pytest.raises(ValueError):
         bounds.EnvelopeConstants(
-            kappa1=1.0, kappa2=1.0, kappa3=1.0, kappa4=1.0,
-            lambda1=4.7, lambda_L=3.0, lambda0=2.0, alpha=1.5,
+            kappa1=1.0, kappa2=1.0, kappa3=1.0, kappa4=1.0, lambda_L=math.inf, alpha=1.5
         )
 
 

@@ -3,12 +3,16 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import fracheat
 from fracheat import acceptance, cli, specfun
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -113,6 +117,22 @@ def test_flag_overrides_take_precedence(tmp_path):
     meta = cli.read_json_file(out2 / "metadata.json")
     assert meta["master_seed"] == 99
     assert not out.exists()
+
+
+def test_simulate_and_oracle_sweep_print_no_p_advisory(tmp_path):
+    # neither consumes p: the advisory belongs to the moment estimators.  A
+    # fresh interpreter, so no test-suite warning filter hides it
+    cfg = write_config(tmp_path, base_config(tmp_path / "out"))
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(fracheat.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for args in (["simulate"], ["sweep", "--oracle"]):
+        proc = subprocess.run(
+            [sys.executable, "-W", "always::UserWarning", "-m", "fracheat", *args, "--config", cfg],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "", proc.stderr
 
 
 def test_oracle_sweep_fits_and_svg(tmp_path):

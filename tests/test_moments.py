@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracheat import moments
+from conftest import make_params
+from fracheat import bounds, moments
 
 
 def with_snapshots(ensemble, snapshots):
@@ -80,6 +81,24 @@ def test_moment_order_validation(small_ensemble):
         moments.estimate_energy(small_ensemble, small_ensemble.snapshot_times[0], 1.5)
     with pytest.raises(ValueError):
         moments.MomentEstimate(value=1.0, stderr=-0.1, n_effective=10)
+
+
+def test_p_threshold_warning_names_the_estimators_caller(small_ensemble, desk_grid, desk_op):
+    # p=2 is at or below 2/(alpha-1)=4 at alpha 1.5: each estimator warns and
+    # names this file, the line that asked for the moment
+    t = small_ensemble.snapshot_times[0]
+    with pytest.warns(UserWarning, match="2/\\(alpha-1\\)=4; ") as rec:
+        moments.estimate_energy(small_ensemble, t, 2.0)
+        moments.estimate_sup_moment(small_ensemble, t, 2.0)
+        moments.estimate_inf_subinterval_moment(small_ensemble, t, 2.0)
+    assert [w.filename for w in rec] == [__file__] * 3
+    # p above the threshold is quiet, and nothing that only carries p warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        moments.estimate_sup_moment(small_ensemble, t, 4.5)
+        params = make_params(desk_grid, p=2.0)
+        dataclasses.replace(params, lam=2.0)
+        bounds.oracle_sweep(desk_op, params.u0, params.sigma, (1.0,), T=0.25, steps=64)
 
 
 def test_lyapunov_fit_recovers_synthetic_rates():

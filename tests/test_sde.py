@@ -70,36 +70,60 @@ def test_step_dimension_mismatch(desk_grid, desk_op):
         Discretization(grid=desk_grid, dt=0.0, t_end=0.01)
 
 
-def test_p_threshold_warning_names_the_constructing_file(desk_grid):
-    # p=2 is below 2/(alpha-1)=4 at alpha 1.5; the warning points here, not at
-    # the dataclass-generated __init__ or at dataclasses.replace
-    with pytest.warns(UserWarning, match="2/\\(alpha-1\\)") as rec:
-        params = sde.ModelParams(
-            alpha=1.5, L=1.0, lam=1.0, sigma=SigmaSpec(kind="linear", l_sigma=1.0, L_sigma=1.0),
-            u0=tent_profile(desk_grid), mu=0.1,
-        )
-        dataclasses.replace(params, lam=2.0)
-    assert [w.filename for w in rec] == [__file__, __file__]
-
-
 def test_params_mu_must_match_grid_mu(desk_grid, desk_op, desk_params):
     # the [mu, L-mu] window is the grid's; a different params.mu would be
     # silently overridden, so every entry point that takes both rejects it
-    params = dataclasses.replace(desk_params, mu=0.2)
-    match = r"params\.mu=0\.2 does not match grid\.mu=0\.1"
+    _assert_every_entry_point_rejects(
+        dataclasses.replace(desk_params, mu=0.2), desk_grid, desk_op, desk_params,
+        r"params\.mu=0\.2 does not match grid\.mu=0\.1",
+    )
+
+
+def test_params_L_must_match_grid_L(desk_grid, desk_op, desk_params):
+    _assert_every_entry_point_rejects(
+        dataclasses.replace(desk_params, L=2.0), desk_grid, desk_op, desk_params,
+        r"params\.L=2\.0 does not match grid\.L=1\.0",
+    )
+
+
+def test_params_alpha_must_match_the_operators(desk_grid, desk_op, desk_params):
+    # an alpha-1.9 record would run on the alpha-1.5 operator, and
+    # metadata.json would echo 1.9
+    _assert_every_entry_point_rejects(
+        dataclasses.replace(desk_params, alpha=1.9), desk_grid, desk_op, desk_params,
+        r"params\.alpha=1\.9 does not match op\.config\.alpha=1\.5",
+    )
+
+
+def _assert_every_entry_point_rejects(params, grid, op, good, match):
     with pytest.raises(ValueError, match=match):
-        run_ensemble(params, small_disc(desk_grid), desk_op, n_paths=2, master_seed=0)
+        run_ensemble(params, small_disc(grid), op, n_paths=2, master_seed=0)
     with pytest.raises(ValueError, match=match):
-        estimate_second_moment_pair(params, small_disc(desk_grid), desk_op, n_paths=2, master_seed=0)
+        estimate_second_moment_pair(params, small_disc(grid), op, n_paths=2, master_seed=0)
     with pytest.raises(ValueError, match=match):
-        bounds.second_moment_volterra(params, desk_op, desk_grid, T=0.25, steps=16)
+        bounds.second_moment_volterra(params, op, grid, T=0.25, steps=16)
     with pytest.raises(ValueError, match=match):
-        bounds.measure_growth_model(desk_op, desk_grid, params, horizon=1.0)
-    model = bounds.measure_growth_model(desk_op, desk_grid, desk_params, horizon=1.0)
+        bounds.measure_growth_model(op, params, horizon=1.0)
+    model = bounds.measure_growth_model(op, good, horizon=1.0)
     with pytest.raises(ValueError, match=match):  # the renewal branch reads the window too
         bounds.oracle_moment_curves(
-            dataclasses.replace(params, lam=64.0), desk_op, desk_grid, T=1.0, steps=256, model=model
+            dataclasses.replace(params, lam=64.0), op, T=1.0, steps=256, model=model
         )
+
+
+@pytest.mark.parametrize("engine", [run_ensemble, estimate_second_moment_pair])
+def test_engines_share_one_input_check(engine, desk_grid, desk_op, desk_params):
+    disc = small_disc(desk_grid)
+    with pytest.raises(ValueError, match="worker_count must be >= 1, got 0"):
+        engine(desk_params, disc, desk_op, n_paths=2, master_seed=0, worker_count=0)
+    with pytest.raises(ValueError, match="n_paths must be >= 1, got 0"):
+        engine(desk_params, disc, desk_op, n_paths=0, master_seed=0)
+    # the engines march disc.grid with the operator's matrices: they must agree
+    wide = small_disc(laplacian.build_grid(L=2.0, n=desk_grid.n, mu=desk_grid.mu))
+    with pytest.raises(ValueError, match=r"disc\.grid=.* is not the operator's grid"):
+        engine(desk_params, wide, desk_op, n_paths=2, master_seed=0)
+    with pytest.raises(ValueError, match=r"dt lambda1 = .* > 10"):
+        engine(desk_params, small_disc(desk_grid, dt=2.5, t_end=2.5), desk_op, n_paths=2, master_seed=0)
 
 
 def test_worker_count_never_changes_results(desk_grid, desk_op, desk_params):
