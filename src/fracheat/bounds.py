@@ -379,24 +379,17 @@ def oracle_moment_curves(
     dt = T / steps
     if model.marching_resolves(lam, Lsig, dt):
         table = second_moment_volterra(params, op, op.grid, T, steps)
-        return OracleCurves(
-            alpha=params.alpha,
-            lam=lam,
-            l_sigma=lsig,
-            L_sigma=Lsig,
-            lambda1=op.lambda1,
-            t=table.t,
-            log_inf=np.log(table.inf_interior()),
-            log_sup=np.log(table.sup()),
-            log_energy=np.log(table.energy()),
-            branch="marched",
-        )
-    t = np.linspace(0.0, T, steps + 1)
-    th_inf = model.theta_inf(lam, lsig)
-    th_sup = model.theta_sup(lam, Lsig)
-    log_inf = math.log(model.a_inf) + specfun.log_f_beta(model.beta, th_inf * t)
-    log_sup = math.log(model.a_sup) + specfun.log_f_beta(model.beta, th_sup * t)
-    log_energy = math.log(op.grid.L - 2.0 * op.grid.mu) + log_inf
+        t, branch = table.t, "marched"
+        log_inf = np.log(table.inf_interior())
+        log_sup = np.log(table.sup())
+        log_energy = np.log(table.energy())
+    else:
+        t, branch = np.linspace(0.0, T, steps + 1), "renewal"
+        th_inf = model.theta_inf(lam, lsig)
+        th_sup = model.theta_sup(lam, Lsig)
+        log_inf = math.log(model.a_inf) + specfun.log_f_beta(model.beta, th_inf * t)
+        log_sup = math.log(model.a_sup) + specfun.log_f_beta(model.beta, th_sup * t)
+        log_energy = math.log(op.grid.L - 2.0 * op.grid.mu) + log_inf
     return OracleCurves(
         alpha=params.alpha,
         lam=lam,
@@ -407,7 +400,7 @@ def oracle_moment_curves(
         log_inf=log_inf,
         log_sup=log_sup,
         log_energy=log_energy,
-        branch="renewal",
+        branch=branch,
     )
 
 

@@ -21,13 +21,13 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import acceptance, bounds, moments, svgplot
-from .laplacian import DiscreteOperator, Grid, OperatorConfig, assemble, build_grid
+from .laplacian import DiscreteOperator, OperatorConfig, assemble, build_grid
 from .sde import (
     Discretization,
     ModelParams,
@@ -48,6 +48,12 @@ __all__ = [
 ]
 
 _ORACLE_STEPS = 256
+# the moment estimators, called from one line so the p advisory prints once
+# per command; a flat tuple, which the perfbench span recorder can patch
+_ESTIMATORS = (
+    moments.estimate_energy, moments.estimate_sup_moment, moments.estimate_inf_subinterval_moment
+)
+_ESTIMATED = ("phi_p", "sup_moment", "inf_subinterval_moment")  # the SweepRow fields they fill
 # data lines per np.loadtxt call in read_ensemble_csv
 _CSV_CHUNK_LINES = 1 << 16
 _CSV_ROW = np.dtype([("k", "i8"), ("t", "f8"), ("x", "f8"), ("u", "f8")])
@@ -233,16 +239,15 @@ def load_config(path: str) -> ExperimentConfig:
 # Shared experiment assembly
 
 
-def _operator(cfg: ExperimentConfig) -> tuple[Grid, DiscreteOperator]:
+def _operator(cfg: ExperimentConfig) -> DiscreteOperator:
     try:
         grid = build_grid(L=cfg.L, n=cfg.n, mu=cfg.mu)
-        op = assemble(grid, OperatorConfig(alpha=cfg.alpha))
+        return assemble(grid, OperatorConfig(alpha=cfg.alpha))
     except ValueError as exc:
         raise ConfigError("model", str(exc)) from exc
-    return grid, op
 
 
-def _params(cfg: ExperimentConfig, op: DiscreteOperator, lam: Optional[float] = None) -> ModelParams:
+def _params(cfg: ExperimentConfig, op: DiscreteOperator, lam: float) -> ModelParams:
     u0 = (
         np.array(cfg.u0_values, dtype=float)
         if cfg.u0_values is not None
@@ -250,7 +255,7 @@ def _params(cfg: ExperimentConfig, op: DiscreteOperator, lam: Optional[float] = 
     )
     try:
         params = ModelParams(
-            alpha=cfg.alpha, L=cfg.L, lam=cfg.lam if lam is None else lam,
+            alpha=cfg.alpha, L=cfg.L, lam=lam,
             sigma=cfg.sigma, u0=u0, mu=cfg.mu, p=cfg.p,
         )
         params.check_operator(op)
@@ -259,14 +264,21 @@ def _params(cfg: ExperimentConfig, op: DiscreteOperator, lam: Optional[float] = 
         raise ConfigError("model", str(exc)) from exc
 
 
-def _discretization(cfg: ExperimentConfig, grid: Grid, op: DiscreteOperator) -> Discretization:
+def _discretization(cfg: ExperimentConfig, op: DiscreteOperator) -> Discretization:
     dt = cfg.dt if cfg.dt is not None else default_dt(op)
     try:
         return Discretization(
-            grid=grid, dt=dt, t_end=cfg.t_end, snapshot_times=cfg.snapshot_times
+            grid=op.grid, dt=dt, t_end=cfg.t_end, snapshot_times=cfg.snapshot_times
         )
     except ValueError as exc:
         raise ConfigError("discretization", str(exc)) from exc
+
+
+def _ensemble(cfg: ExperimentConfig, op: DiscreteOperator, disc: Discretization, lam: float):
+    return run_ensemble(
+        _params(cfg, op, lam), disc, op,
+        n_paths=cfg.n_paths, master_seed=cfg.master_seed, worker_count=cfg.worker_count,
+    )
 
 
 def _outdir(cfg: ExperimentConfig) -> str:
@@ -288,13 +300,8 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
-    grid, op = _operator(cfg)
-    params = _params(cfg, op)
-    disc = _discretization(cfg, grid, op)
-    ens = run_ensemble(
-        params, disc, op,
-        n_paths=cfg.n_paths, master_seed=cfg.master_seed, worker_count=cfg.worker_count,
-    )
+    op = _operator(cfg)
+    ens = _ensemble(cfg, op, _discretization(cfg, op), cfg.lam)
     out = _outdir(cfg)
     csv_path = os.path.join(out, "ensemble.csv")
     meta_path = os.path.join(out, "metadata.json")
@@ -312,14 +319,6 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 # moments
 
 
-def _all_flagged(ens, t: float) -> bool:
-    return not np.any(np.all(np.isfinite(ens.snapshot(t)), axis=1))
-
-
-def _flagged_warning(ens, lam: float, t: float) -> str:
-    return f"all {ens.n_paths} paths are flagged at lambda={lam!r}, t={float(t)!r}; estimate omitted"
-
-
 def _snapshot_rows(
     cfg: ExperimentConfig, ens, lam: float, warnings: list
 ) -> list[moments.SweepRow]:
@@ -328,45 +327,33 @@ def _snapshot_rows(
     is a moment or standard error that overflowed to inf on finite paths."""
     rows = []
     for t in ens.snapshot_times:
-        if _all_flagged(ens, t):
-            warnings.append(_flagged_warning(ens, lam, t))
+        if not np.any(np.all(np.isfinite(ens.snapshot(t)), axis=1)):
+            warnings.append(
+                f"all {ens.n_paths} paths are flagged at lambda={lam!r}, t={float(t)!r}; estimate omitted"
+            )
             continue
-        row = moments.SweepRow(
-            lam=lam,
-            t=float(t),
-            phi_p=moments.estimate_energy(ens, t, cfg.p),
-            sup_moment=moments.estimate_sup_moment(ens, t, cfg.p),
-            inf_subinterval_moment=moments.estimate_inf_subinterval_moment(ens, t, cfg.p),
-        )
-        over = [
-            name for name in ("phi_p", "sup_moment", "inf_subinterval_moment")
-            if math.isinf(getattr(row, name).value) or math.isinf(getattr(row, name).stderr)
-        ]
+        est = dict(zip(_ESTIMATED, [estimate(ens, t, cfg.p) for estimate in _ESTIMATORS]))
+        over = [name for name, e in est.items() if math.isinf(e.value) or math.isinf(e.stderr)]
         if over:
             warnings.append(
                 f"{', '.join(over)} left double range at lambda={lam!r}, t={float(t)!r}; "
                 "the overflowed values and standard errors are reported as inf"
             )
-        rows.append(row)
+        rows.append(moments.SweepRow(lam=lam, t=float(t), **est))
     return rows
 
 
 def cmd_moments(cfg: ExperimentConfig) -> int:
-    grid, op = _operator(cfg)
-    params = _params(cfg, op)
-    disc = _discretization(cfg, grid, op)
-    ens = run_ensemble(
-        params, disc, op,
-        n_paths=cfg.n_paths, master_seed=cfg.master_seed, worker_count=cfg.worker_count,
-    )
+    op = _operator(cfg)
+    ens = _ensemble(cfg, op, _discretization(cfg, op), cfg.lam)
     warnings: list = []
-    rows = _snapshot_rows(cfg, ens, params.lam, warnings)
+    rows = _snapshot_rows(cfg, ens, cfg.lam, warnings)
     result = moments.SweepResult(rows=rows)
     out = _outdir(cfg)
     csv_path = os.path.join(out, "moments.csv")
     result.write_csv(csv_path)
     summary = {
-        "lambda": params.lam,
+        "lambda": cfg.lam,
         "p": cfg.p,
         "flagged_count": ens.flagged_count,
         "estimates": [
@@ -397,103 +384,104 @@ def _oracle_rows(cfg: ExperimentConfig, curves: bounds.OracleCurves) -> list[mom
         value = math.exp(log_value) if log_value < 700.0 else math.inf
         return moments.MomentEstimate(value=value, stderr=0.0, n_effective=0)
 
-    log_phi = curves.log_phi2()
+    logs = dict(zip(_ESTIMATED, (curves.log_phi2(), curves.log_sup, curves.log_inf)))
     rows = []
     for t in cfg.snapshot_times:
         i = int(np.argmin(np.abs(curves.t - t)))
-        rows.append(
-            moments.SweepRow(
-                lam=curves.lam,
-                t=float(curves.t[i]),
-                phi_p=estimate(float(log_phi[i])),
-                sup_moment=estimate(float(curves.log_sup[i])),
-                inf_subinterval_moment=estimate(float(curves.log_inf[i])),
-            )
-        )
+        est = {name: estimate(float(log[i])) for name, log in logs.items()}
+        rows.append(moments.SweepRow(lam=curves.lam, t=float(curves.t[i]), **est))
     return rows
 
 
-def _oracle_source(cfg: ExperimentConfig) -> tuple[dict, dict, list]:
-    """Oracle rows at the snapshot times and (t, ln Phi_2) tables on the
-    oracle's time grid, per lambda, and that grid."""
-    _, op = _operator(cfg)
+class _Sweep(NamedTuple):
+    """Per lambda, the sweep rows and the (t, ln Phi_p) table, from the
+    oracle or from Monte Carlo, with the time axis a complete table covers.
+    A Monte Carlo table is shorter when every path is flagged from some
+    snapshot on."""
+
+    rows: dict
+    tables: dict
+    times: list
+    warnings: list
+    flagged_total: Optional[int]  # None for the oracle
+
+    def complete(self) -> dict:
+        return {lam: tab for lam, tab in self.tables.items() if len(tab) == len(self.times)}
+
+
+def _oracle_source(cfg: ExperimentConfig) -> _Sweep:
+    op = _operator(cfg)
     if cfg.sigma.kind != "linear":
         raise ConfigError("model.sigma.kind", "--oracle requires the linear coefficient")
     if cfg.p != 2.0:
         raise ConfigError(
             "model.p", f"--oracle solves the second-moment equation, so p must be 2, got {cfg.p!r}"
         )
-    u0 = _params(cfg, op, lam=cfg.lambdas[0]).u0  # a bad u0 is a ConfigError here
+    u0 = _params(cfg, op, cfg.lambdas[0]).u0  # a bad u0 is a ConfigError here
     try:
         curves = bounds.oracle_sweep(op, u0, cfg.sigma, cfg.lambdas, T=cfg.t_end, steps=_ORACLE_STEPS)
     except ValueError as exc:  # u0 passed check_operator, so the row-mass window is empty at this n
         raise ConfigError("discretization.n", str(exc)) from exc
     rows = {lam: _oracle_rows(cfg, c) for lam, c in curves.items()}
     tables = {lam: list(zip(c.t.tolist(), c.log_phi2().tolist())) for lam, c in curves.items()}
-    return rows, tables, curves[cfg.lambdas[0]].t.tolist()
+    return _Sweep(rows, tables, curves[cfg.lambdas[0]].t.tolist(), [], None)
 
 
-def _mc_source(cfg: ExperimentConfig, payload: dict) -> tuple[dict, dict, list]:
-    """One ensemble per lambda: its snapshot rows and (t, ln Phi_p) table, and
-    the snapshot times.  Warnings and the flagged-path total go to ``payload``."""
-    grid, op = _operator(cfg)
-    disc = _discretization(cfg, grid, op)
+def _mc_source(cfg: ExperimentConfig) -> _Sweep:
+    """One ensemble per lambda, its rows at the snapshot times."""
+    op = _operator(cfg)
+    disc = _discretization(cfg, op)
     rows: dict = {}
-    payload["flagged_total"] = 0
+    warnings: list = []
+    flagged_total = 0
     for lam in cfg.lambdas:
-        ens = run_ensemble(
-            _params(cfg, op, lam=lam), disc, op,
-            n_paths=cfg.n_paths, master_seed=cfg.master_seed,
-            worker_count=cfg.worker_count,
-        )
-        payload["flagged_total"] += ens.flagged_count
-        rows[lam] = _snapshot_rows(cfg, ens, lam, payload["warnings"])
+        ens = _ensemble(cfg, op, disc, lam)
+        flagged_total += ens.flagged_count
+        rows[lam] = _snapshot_rows(cfg, ens, lam, warnings)
     tables = {
         lam: [(r.t, math.log(r.phi_p.value) if r.phi_p.value > 0.0 else -math.inf) for r in rs]
         for lam, rs in rows.items()
     }
-    return rows, tables, list(disc.snapshot_times)
+    return _Sweep(rows, tables, list(disc.snapshot_times), warnings, flagged_total)
 
 
-def _sweep_source(cfg: ExperimentConfig, oracle: bool) -> tuple[dict, dict, dict, list]:
-    """The fit payload, and per lambda the sweep rows and the (t, ln Phi_p)
-    table, from the oracle or from Monte Carlo, with the time axis a
-    complete table covers.  A Monte Carlo table is shorter when every path
-    is flagged from some snapshot on."""
+def _sweep_source(cfg: ExperimentConfig, oracle: bool) -> _Sweep:
     if len(cfg.lambdas) < 5:
         raise ConfigError("sweep.count", "the excitation fit needs at least 5 lambda points")
-    payload = {
+    return _oracle_source(cfg) if oracle else _mc_source(cfg)
+
+
+def _excitation_fit(sweep: _Sweep) -> tuple[list, Optional[tuple]]:
+    """The excitation table (lambda, ln Phi_p at the last time) of the
+    complete tables, and its fit, or None and a warning."""
+    table = [(lam, tab[-1][1]) for lam, tab in sweep.complete().items()]
+    try:
+        return table, moments.fit_excitation_from_log(table)
+    except ValueError as exc:
+        sweep.warnings.append(f"excitation fit skipped: {exc}")
+        return table, None
+
+
+def _fit_payload(cfg: ExperimentConfig, oracle: bool, sweep: _Sweep, fit: Optional[tuple]) -> dict:
+    """The keys fits.json and excitation.json share."""
+    return {
         "mode": "oracle" if oracle else "mc",
         "p": cfg.p,
         "alpha": cfg.alpha,
         "reference_slope": 2.0 * cfg.alpha / (cfg.alpha - 1.0),
         "lambda_grid": list(cfg.lambdas),
         "t_end": cfg.t_end,
-        "gamma_hat": None,
-        "gamma_ci": None,
-        "e_hat": None,
-        "e_ci": None,
-        "warnings": [],
+        "e_hat": None if fit is None else fit[0],
+        "e_ci": None if fit is None else list(fit[1]),
+        "warnings": sweep.warnings,
     }
-    rows, tables, times = _oracle_source(cfg) if oracle else _mc_source(cfg, payload)
-    return payload, rows, tables, times
 
 
-def _excitation_fit(tables: dict, times: list, payload: dict) -> tuple[list, Optional[tuple]]:
-    """The excitation table (lambda, ln Phi_p at the last time) of the
-    complete tables, and its fit, recorded as e_hat/e_ci or a warning."""
-    table = [(lam, tab[-1][1]) for lam, tab in tables.items() if len(tab) == len(times)]
-    try:
-        fit = moments.fit_excitation_from_log(table)
-    except ValueError as exc:
-        payload["warnings"].append(f"excitation fit skipped: {exc}")
-        return table, None
-    payload["e_hat"], payload["e_ci"] = fit[0], list(fit[1])
-    return table, fit
-
-
-def _excitation_svg(cfg: ExperimentConfig, table, fit, t: float) -> str:
-    """Chart of the fitted table, whose values were read at time ``t``."""
+def _excitation_svg(cfg: ExperimentConfig, table, fit, t: float) -> Optional[str]:
+    """Chart of the fitted table, whose values were read at time ``t``; None
+    without a fit."""
+    if fit is None:
+        return None
     pts = [(lam, lp) for lam, lp in table if lp > 1.0]
     log_lam = np.log([lam for lam, _ in pts])
     loglog = np.log([lp for _, lp in pts])
@@ -507,24 +495,28 @@ def _excitation_svg(cfg: ExperimentConfig, table, fit, t: float) -> str:
     )
 
 
-def _moment_svg(cfg: ExperimentConfig, tables: dict, times: list, payload: dict) -> Optional[str]:
+def _moment_svg(cfg: ExperimentConfig, oracle: bool, sweep: _Sweep) -> Optional[str]:
     """ln Phi_p of the complete tables against time; an infinite ln Phi_p is
     not drawn."""
-    curves = [
-        (lam, np.array([lp for _, lp in tab])) for lam, tab in tables.items() if len(tab) == len(times)
-    ]
-    source = "Oracle" if payload["mode"] == "oracle" else "Monte Carlo"
+    curves = [(lam, np.array([lp for _, lp in tab])) for lam, tab in sweep.complete().items()]
+    source = "Oracle" if oracle else "Monte Carlo"
     try:
         return svgplot.moment_chart(
-            np.array(times), curves, p=cfg.p, title=f"{source} moment growth (alpha={cfg.alpha:g})"
+            np.array(sweep.times), curves, p=cfg.p, title=f"{source} moment growth (alpha={cfg.alpha:g})"
         )
     except ValueError as exc:
-        payload["warnings"].append(f"moment chart skipped: {exc}")
+        sweep.warnings.append(f"moment chart skipped: {exc}")
         return None
 
 
-def _report(out: str, written: list, payload: dict) -> None:
-    print(f"wrote {', '.join(written)} in {out}")
+def _finish(cfg: ExperimentConfig, payload: dict, written: list, charts: dict) -> int:
+    """Write the charts that could be drawn, then print the files written,
+    the warnings and the excitation index."""
+    for name, text in charts.items():
+        if text is not None:
+            svgplot.write_svg(os.path.join(cfg.out_dir, name), text)
+            written.append(name)
+    print(f"wrote {', '.join(written)} in {cfg.out_dir}")
     for w in payload["warnings"]:
         print(f"warning: {w}")
     if payload["e_hat"] is not None:
@@ -532,53 +524,45 @@ def _report(out: str, written: list, payload: dict) -> None:
             f"excitation index e_hat {payload['e_hat']:.4f} "
             f"(reference {payload['reference_slope']:.4f})"
         )
+    return 0
 
 
 def cmd_sweep(cfg: ExperimentConfig, oracle: bool) -> int:
-    payload, rows, tables, times = _sweep_source(cfg, oracle)
+    sweep = _sweep_source(cfg, oracle)
     try:
-        gamma_hat, gamma_ci = moments.fit_lyapunov_from_log(tables[cfg.lambdas[-1]])
-        payload["gamma_hat"], payload["gamma_ci"] = gamma_hat, list(gamma_ci)
+        gamma_hat, gamma_ci = moments.fit_lyapunov_from_log(sweep.tables[cfg.lambdas[-1]])
+        gamma_ci = list(gamma_ci)
     except ValueError as exc:
-        payload["warnings"].append(f"growth-rate fit skipped: {exc}")
-    table, exc_fit = _excitation_fit(tables, times, payload)
+        sweep.warnings.append(f"growth-rate fit skipped: {exc}")
+        gamma_hat = gamma_ci = None
+    table, fit = _excitation_fit(sweep)
+    payload = _fit_payload(cfg, oracle, sweep, fit)
+    payload.update(gamma_hat=gamma_hat, gamma_ci=gamma_ci)
+    if not oracle:
+        payload["flagged_total"] = sweep.flagged_total
     charts = {}
     if cfg.emit_svg:
-        charts["sweep_phi.svg"] = _moment_svg(cfg, tables, times, payload)
-        if exc_fit is not None:
-            charts["excitation.svg"] = _excitation_svg(cfg, table, exc_fit, times[-1])
-    result = moments.SweepResult(rows=[r for lam in cfg.lambdas for r in rows[lam]])
+        charts["sweep_phi.svg"] = _moment_svg(cfg, oracle, sweep)
+        charts["excitation.svg"] = _excitation_svg(cfg, table, fit, sweep.times[-1])
     out = _outdir(cfg)
-    result.write_csv(os.path.join(out, "sweep.csv"))
+    moments.SweepResult(rows=[r for lam in cfg.lambdas for r in sweep.rows[lam]]).write_csv(
+        os.path.join(out, "sweep.csv")
+    )
     _write_json(os.path.join(out, "fits.json"), payload)
-    written = ["sweep.csv", "fits.json"]
-    for name, text in charts.items():
-        if text is not None:
-            svgplot.write_svg(os.path.join(out, name), text)
-            written.append(name)
-    _report(out, written, payload)
-    return 0
+    return _finish(cfg, payload, ["sweep.csv", "fits.json"], charts)
 
 
 def cmd_excitation(cfg: ExperimentConfig, oracle: bool) -> int:
-    payload, rows, tables, times = _sweep_source(cfg, oracle)
-    for key in ("gamma_hat", "gamma_ci", "flagged_total"):
-        payload.pop(key, None)
-    table, exc_fit = _excitation_fit(tables, times, payload)
+    sweep = _sweep_source(cfg, oracle)
+    table, fit = _excitation_fit(sweep)
+    payload = _fit_payload(cfg, oracle, sweep, fit)
     if oracle:
         payload["log_phi"] = {repr(lam): lp for lam, lp in table}
     else:  # the estimates themselves, not exp(ln Phi_p)
-        payload["phi"] = {repr(lam): rows[lam][-1].phi_p.value for lam, _ in table}
-    out = _outdir(cfg)
-    _write_json(os.path.join(out, "excitation.json"), payload)
-    written = ["excitation.json"]
-    if cfg.emit_svg and exc_fit is not None:
-        svgplot.write_svg(
-            os.path.join(out, "excitation.svg"), _excitation_svg(cfg, table, exc_fit, times[-1])
-        )
-        written.append("excitation.svg")
-    _report(out, written, payload)
-    return 0
+        payload["phi"] = {repr(lam): sweep.rows[lam][-1].phi_p.value for lam, _ in table}
+    _write_json(os.path.join(_outdir(cfg), "excitation.json"), payload)
+    svg = _excitation_svg(cfg, table, fit, sweep.times[-1]) if cfg.emit_svg else None
+    return _finish(cfg, payload, ["excitation.json"], {"excitation.svg": svg})
 
 
 # ---------------------------------------------------------------------------
@@ -765,39 +749,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, needs_config: bool) -> None:
+    def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", metavar="PATH", help="experiment config JSON")
         p.add_argument("--seed", type=int, metavar="U64", help="override ensemble.master_seed")
         p.add_argument("--workers", type=int, metavar="K", help="override ensemble.worker_count")
         p.add_argument("--out", metavar="DIR", help="override outputs.directory")
         p.add_argument("--svg", action="store_true", help="emit SVG charts")
-        p.set_defaults(needs_config=needs_config)
 
-    add_common(sub.add_parser("simulate", help="run one ensemble, write snapshots"), True)
+    add_common(sub.add_parser("simulate", help="run one ensemble, write snapshots"))
     for name, hlp in (
         ("sweep", "moment estimates over a geometric lambda grid"),
         ("excitation", "fit the excitation index over the lambda grid"),
     ):
         p = sub.add_parser(name, help=hlp)
-        add_common(p, True)
+        add_common(p)
         p.add_argument(
             "--oracle", action="store_true",
             help="use the deterministic second-moment oracle instead of ensembles",
         )
-    add_common(sub.add_parser("moments", help="per-snapshot moment estimates"), True)
+    add_common(sub.add_parser("moments", help="per-snapshot moment estimates"))
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.add_argument("level", nargs="?", default="quick", choices=("quick", "full"))
     p.add_argument("--workers", type=int, default=2, metavar="K",
                    help="worker count for the full-tier Monte Carlo check")
     p.add_argument("--out", default="out", metavar="DIR", help="report directory")
-    p.set_defaults(needs_config=False)
     return parser
 
 
 def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    import dataclasses
-
     updates = {}
     if args.seed is not None:
         if args.seed < 0:
@@ -811,7 +791,7 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
         updates["out_dir"] = args.out
     if args.svg:
         updates["emit_svg"] = True
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+    return replace(cfg, **updates) if updates else cfg
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 _TRUNC = 14.0 * math.log(10.0)  # exp(-t xi^alpha) < 1e-14 beyond the cut
+_ORDER = 10  # Gauss-Legendre points per panel, checked against _ORDER + 6
 
 
 @functools.lru_cache(maxsize=16)
@@ -63,7 +64,7 @@ def _density_once(alpha: float, t: float, r: float, order: int) -> float:
     return math.fsum(vals.tolist()) / math.pi
 
 
-def stable_density(alpha: float, t: float, r: float, order: int = 10) -> float:
+def stable_density(alpha: float, t: float, r: float) -> float:
     """p(t, r) for alpha in [1, 2]; alpha = 1 and alpha = 2 are closed-form oracles."""
     alpha = float(alpha)
     t = float(t)
@@ -74,13 +75,13 @@ def stable_density(alpha: float, t: float, r: float, order: int = 10) -> float:
         raise ValueError(f"stable_density requires t > 0, got {t}")
     if not math.isfinite(r):
         raise ValueError(f"stable_density requires finite r, got {r}")
-    value = _density_once(alpha, t, r, order)
-    refined = _density_once(alpha, t, r, order + 6)
+    value = _density_once(alpha, t, r, _ORDER)
+    refined = _density_once(alpha, t, r, _ORDER + 6)
     scale = max(abs(refined), 1e-13 * t ** (-1.0 / alpha))
     if abs(value - refined) > 1e-10 * scale:
         raise PrecisionError(
             f"stable_density quadrature disagreement {abs(value - refined):.3e} "
-            f"at alpha={alpha}, t={t}, r={r} (order {order} vs {order + 6})"
+            f"at alpha={alpha}, t={t}, r={r} (order {_ORDER} vs {_ORDER + 6})"
         )
     return refined
 

@@ -229,10 +229,6 @@ class PathEnsemble:
     def flagged_count(self) -> int:
         return int(np.count_nonzero(self.flagged))
 
-    @property
-    def flagged_fraction(self) -> float:
-        return self.flagged_count / self.n_paths
-
     def snapshot(self, t: float) -> np.ndarray:
         for k, s in enumerate(self.snapshot_times):
             if abs(s - t) <= 1e-9 * max(1.0, abs(t)):

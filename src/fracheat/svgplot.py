@@ -21,6 +21,7 @@ PALETTE = (
     "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f",
 )
 
+_SIZE = (760, 500)  # width, height
 _MARGIN = (70.0, 20.0, 42.0, 56.0)  # left, right, top, bottom
 
 
@@ -88,12 +89,11 @@ def line_chart(
     ylabel: str,
     ref_lines: Sequence[RefLine] = (),
     markers: bool = False,
-    width: int = 760,
-    height: int = 500,
 ) -> str:
     """Render the chart and return the SVG document as a string."""
     if not series:
         raise ValueError("line_chart needs at least one series")
+    width, height = _SIZE
     ml, mr, mt, mb = _MARGIN
     pw, ph = width - ml - mr, height - mt - mb
 
@@ -101,7 +101,7 @@ def line_chart(
     for s in series:
         keep = np.isfinite(s.x) & np.isfinite(s.y)
         cleaned.append((s.label, s.x[keep], s.y[keep]))
-    xs = np.concatenate([c[1] for c in cleaned]) if cleaned else np.array([0.0])
+    xs = np.concatenate([c[1] for c in cleaned])
     ys = np.concatenate([c[2] for c in cleaned])
     if xs.size == 0:
         raise ValueError("no plottable points after filtering non-finite values")
@@ -210,7 +210,7 @@ def moment_chart(
     curves: Sequence[tuple[float, np.ndarray]],
     *,
     p: float,
-    title: str = "Moment growth",
+    title: str,
 ) -> str:
     """asinh(ln Phi_p) against time, one curve per noise level.
 
@@ -230,7 +230,7 @@ def excitation_chart(
     fitted_slope: float,
     fitted_intercept: float,
     reference_slope: float,
-    title: str = "Noise excitation",
+    title: str,
 ) -> str:
     """log log Phi against log lambda with the fitted line and the predicted
     reference slope anchored at the first data point."""

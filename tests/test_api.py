@@ -1,10 +1,16 @@
 """Every name a module lists in ``__all__`` exists in that module, and every
-function the benchmark's span recorder traces exists with the arguments it reads."""
+function the benchmark's span recorder traces exists with the arguments it
+reads and is reached through a reference the recorder patches."""
 
+import collections
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -59,3 +65,44 @@ def test_benchmark_span_targets_resolve(spans):
     assert set(HOOK_PARAMS) <= set(names)
     for name, params in HOOK_PARAMS.items():
         assert params <= set(inspect.signature(_resolve(name)).parameters), name
+
+
+# runs in a fresh interpreter: install() patches the fracheat modules for good
+_TRACED_MOMENTS = textwrap.dedent(
+    """
+    import json, sys
+    sys.path.insert(0, sys.argv[1])
+    import spans
+    from fracheat import cli
+    tracer = spans.Tracer("test")
+    spans.install(tracer, spans.TARGETS)
+    assert cli.main(["moments", "--config", sys.argv[2]]) == 0
+    print(json.dumps([s.name for s in tracer.spans]))
+    """
+)
+
+
+def test_traced_moments_records_the_calls_the_cli_makes(tmp_path, pytestconfig):
+    # install() swaps module attributes and entries of flat module tuples;
+    # a function the CLI reaches any other way (a dict, say) records no span
+    doc = {
+        "model": {"alpha": 1.5},
+        "discretization": {"n": 32, "t_end": 0.25, "dt": 1.0 / 256.0, "snapshot_times": [0.125, 0.25]},
+        "ensemble": {"n_paths": 12, "master_seed": 7, "worker_count": 1},
+        "outputs": {"directory": str(tmp_path / "out")},
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(fracheat.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_MOMENTS, str(pytestconfig.rootpath / "perfbench"), str(cfg)],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    calls = collections.Counter(json.loads(proc.stdout.splitlines()[-1]))
+    assert calls["cli.cmd_moments"] == 1
+    assert calls["sde.run_ensemble"] == 1
+    for estimator in ("estimate_energy", "estimate_sup_moment", "estimate_inf_subinterval_moment"):
+        assert calls[f"moments.{estimator}"] == 2, estimator

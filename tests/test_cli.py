@@ -135,6 +135,40 @@ def test_simulate_and_oracle_sweep_print_no_p_advisory(tmp_path):
         assert proc.stderr == "", proc.stderr
 
 
+def test_estimator_commands_print_the_p_advisory_once(tmp_path):
+    # the three estimators are called from one line, and the default filter
+    # prints a warning once per calling line: one advisory per command
+    cfg = write_config(tmp_path, base_config(tmp_path / "out"))
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(fracheat.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for args in (["moments"], ["sweep"], ["excitation"]):
+        proc = subprocess.run(
+            [sys.executable, "-W", "default::UserWarning", "-m", "fracheat", *args, "--config", cfg],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.count("is at or below") == 1, (args, proc.stderr)
+
+
+def test_fits_and_excitation_payloads_carry_exactly_their_keys(tmp_path):
+    shared = {"mode", "p", "alpha", "reference_slope", "lambda_grid", "t_end", "e_hat", "e_ci", "warnings"}
+    out = tmp_path / "keys"
+    cfg = write_config(tmp_path, base_config(out))
+    for flags, mc_keys, excitation_key in (
+        (["--oracle"], set(), "log_phi"),
+        ([], {"flagged_total"}, "phi"),
+    ):
+        assert cli.main(["sweep", "--config", cfg, *flags]) == 0
+        fits = cli.read_json_file(out / "fits.json")
+        assert set(fits) == shared | {"gamma_hat", "gamma_ci"} | mc_keys
+        assert cli.main(["excitation", "--config", cfg, *flags]) == 0
+        payload = cli.read_json_file(out / "excitation.json")
+        assert set(payload) == shared | {excitation_key}
+        assert fits["e_hat"] is not None
+        assert (payload["e_hat"], payload["e_ci"]) == (fits["e_hat"], fits["e_ci"])
+
+
 def test_oracle_sweep_fits_and_svg(tmp_path):
     out = tmp_path / "sweep"
     doc = base_config(

@@ -282,7 +282,6 @@ def test_flagged_paths_are_counted_and_quarantined(desk_grid, desk_op):
     )
     ens = run_ensemble(params, disc, desk_op, n_paths=24, master_seed=13)
     assert 0 < ens.flagged_count <= 24
-    assert ens.flagged_fraction == ens.flagged_count / 24
     surviving = ens.snapshots[:, ~ens.flagged, :]
     assert np.all(np.isfinite(surviving))
 
