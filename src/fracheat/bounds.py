@@ -42,7 +42,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import specfun
+from . import moments, specfun
 from .laplacian import DiscreteOperator, Grid, apply_semigroup
 from .sde import ModelParams, SigmaSpec
 
@@ -62,7 +62,6 @@ __all__ = [
     "log_lower_envelope",
     "log_upper_envelope",
     "fit_envelope_constants",
-    "tail_log_slope",
 ]
 
 
@@ -428,16 +427,6 @@ def oracle_sweep(
     return {float(lam): oracle_moment_curves(level(lam), op, T, steps, model) for lam in lambdas}
 
 
-def tail_log_slope(t: np.ndarray, log_m: np.ndarray) -> float:
-    """Least-squares slope of log m over the tail window [t_end/2, t_end]."""
-    t = np.asarray(t, dtype=float)
-    log_m = np.asarray(log_m, dtype=float)
-    mask = t >= 0.5 * t[-1]
-    if np.count_nonzero(mask) < 3:
-        raise ValueError("tail window has fewer than 3 points")
-    return float(np.polyfit(t[mask], log_m[mask], 1)[0])
-
-
 # ---------------------------------------------------------------------------
 # envelopes
 # ---------------------------------------------------------------------------
@@ -504,10 +493,6 @@ def log_upper_envelope(t, k: EnvelopeConstants, lam: float, L_sigma: float):
     return math.log(k.kappa3) + k.kappa4 * _upper_rate(lam, L_sigma, k.alpha) * t
 
 
-def _fit_slopes(curves: Sequence[OracleCurves], which: str) -> dict:
-    return {c.lam: tail_log_slope(c.t, getattr(c, which)) for c in curves}
-
-
 def fit_envelope_constants(oracle_table: Sequence[OracleCurves]) -> EnvelopeConstants:
     """Tight fit of the envelope constants on a set of oracle curves.
 
@@ -523,8 +508,8 @@ def fit_envelope_constants(oracle_table: Sequence[OracleCurves]) -> EnvelopeCons
     curves = sorted(oracle_table, key=lambda c: c.lam)
     if len(curves) < 3:
         raise EnvelopeFitError(f"need >= 3 noise levels to fit, got {len(curves)}")
-    if any(c.t.size < 8 for c in curves):
-        raise EnvelopeFitError("each oracle curve needs >= 8 time points")
+    if any(c.t.size < 9 for c in curves):  # 5 in the slope fit's window [t_end/2, t_end]
+        raise EnvelopeFitError("each oracle curve needs >= 9 time points")
     if any(c.lam <= 0.0 for c in curves):
         raise EnvelopeFitError("noise levels must be positive")
     shared = (curves[0].alpha, curves[0].l_sigma, curves[0].L_sigma)
@@ -540,7 +525,7 @@ def fit_envelope_constants(oracle_table: Sequence[OracleCurves]) -> EnvelopeCons
     lam1 = curves[0].lambda1
 
     top = curves[-1]
-    slope_inf = tail_log_slope(top.t, top.log_inf)
+    slope_inf = moments.fit_lyapunov_from_log(zip(top.t, top.log_inf))[0]
     if slope_inf <= 0.0:
         raise EnvelopeFitError(
             f"largest noise level lam={top.lam} has nonpositive inf-curve slope {slope_inf:.3g}; "
@@ -554,7 +539,7 @@ def fit_envelope_constants(oracle_table: Sequence[OracleCurves]) -> EnvelopeCons
     )
     kappa1 = math.exp(log_ratio_min)
 
-    sup_slopes = _fit_slopes(curves, "log_sup")
+    sup_slopes = {c.lam: moments.fit_lyapunov_from_log(zip(c.t, c.log_sup))[0] for c in curves}
     growing = {lam: s for lam, s in sup_slopes.items() if s > 0.0}
     if not growing:
         raise EnvelopeFitError(

@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 _ORACLE_STEPS = 256
+_LOG_MAX_FLOAT = math.log(sys.float_info.max)  # the largest x with math.exp(x) finite
 # the moment estimators, called from one line so the p advisory prints once
 # per command; a flat tuple, which the perfbench span recorder can patch
 _ESTIMATORS = (
@@ -381,7 +382,7 @@ def cmd_moments(cfg: ExperimentConfig) -> int:
 
 def _oracle_rows(cfg: ExperimentConfig, curves: bounds.OracleCurves) -> list[moments.SweepRow]:
     def estimate(log_value: float) -> moments.MomentEstimate:
-        value = math.exp(log_value) if log_value < 700.0 else math.inf
+        value = math.exp(log_value) if log_value <= _LOG_MAX_FLOAT else math.inf
         return moments.MomentEstimate(value=value, stderr=0.0, n_effective=0)
 
     logs = dict(zip(_ESTIMATED, (curves.log_phi2(), curves.log_sup, curves.log_inf)))
@@ -486,23 +487,39 @@ def _excitation_svg(cfg: ExperimentConfig, table, fit, t: float) -> Optional[str
     log_lam = np.log([lam for lam, _ in pts])
     loglog = np.log([lp for _, lp in pts])
     slope, _ = fit
-    intercept = float(np.mean(loglog - slope * log_lam))
-    return svgplot.excitation_chart(
-        log_lam, loglog,
-        fitted_slope=slope, fitted_intercept=intercept,
-        reference_slope=2.0 * cfg.alpha / (cfg.alpha - 1.0),
+    ref = 2.0 * cfg.alpha / (cfg.alpha - 1.0)
+    lines = [
+        svgplot.RefLine(slope, float(np.mean(loglog - slope * log_lam)), f"fit slope {slope:.3f}"),
+        # the predicted slope, anchored at the first point
+        svgplot.RefLine(ref, float(loglog[0] - ref * log_lam[0]), f"reference slope {ref:.3f}"),
+    ]
+    return svgplot.line_chart(
+        [svgplot.Series("measured", log_lam, loglog)],
         title=f"Excitation fit (alpha={cfg.alpha:g}, t={t:g})",
+        xlabel="log lambda",
+        ylabel="log log Phi",
+        ref_lines=lines,
+        markers=True,
     )
 
 
 def _moment_svg(cfg: ExperimentConfig, oracle: bool, sweep: _Sweep) -> Optional[str]:
-    """ln Phi_p of the complete tables against time; an infinite ln Phi_p is
-    not drawn."""
-    curves = [(lam, np.array([lp for _, lp in tab])) for lam, tab in sweep.complete().items()]
+    """asinh(ln Phi_p) of the complete tables against time; an infinite
+    ln Phi_p is not drawn."""
+    t = np.array(sweep.times)
+    # asinh is linear near 0 and logarithmic far out, so decaying curves and
+    # ones growing like lambda^(2 alpha/(alpha-1)) share one chart
+    series = [
+        svgplot.Series(f"lambda={lam:g}", t, np.arcsinh([lp for _, lp in tab]))
+        for lam, tab in sweep.complete().items()
+    ]
     source = "Oracle" if oracle else "Monte Carlo"
     try:
-        return svgplot.moment_chart(
-            np.array(sweep.times), curves, p=cfg.p, title=f"{source} moment growth (alpha={cfg.alpha:g})"
+        return svgplot.line_chart(
+            series,
+            title=f"{source} moment growth (alpha={cfg.alpha:g})",
+            xlabel="t",
+            ylabel=f"asinh(ln Phi_{cfg.p:g})",
         )
     except ValueError as exc:
         sweep.warnings.append(f"moment chart skipped: {exc}")

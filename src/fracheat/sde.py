@@ -673,14 +673,12 @@ def estimate_second_moment_pair(
     grid = disc.grid
     steps = disc.n_steps()
     cond = max(1, steps // 8)
-    fine = Discretization(
-        grid=grid, dt=0.5 * disc.dt, t_end=disc.t_end, snapshot_times=disc.snapshot_times
-    )
+    dts = (disc.dt, 0.5 * disc.dt)
     forms = (
-        _conditional_forms(params, op, grid, disc.dt, steps, cond),
-        _conditional_forms(params, op, grid, fine.dt, 2 * steps, 2 * cond),
+        _conditional_forms(params, op, grid, dts[0], steps, cond),
+        _conditional_forms(params, op, grid, dts[1], 2 * steps, 2 * cond),
     )
-    scale = math.sqrt(fine.dt * grid.dx)
+    scale = math.sqrt(dts[1] * grid.dx)
     lam = params.lam * params.sigma.L_sigma
 
     def run_blk(blk):
@@ -701,21 +699,21 @@ def estimate_second_moment_pair(
 
     partial = _map_blocks(run_blk, n_paths, worker_count)
     out = []
-    for which, (d, (_MT, _g, _A, cv)) in enumerate(zip((disc, fine), forms)):
+    for which, (dt, (_MT, _g, _A, cv)) in enumerate(zip(dts, forms)):
         acc = sum(p[which][0] for p in partial)
         acc2 = sum(p[which][1] for p in partial)
         total = sum(p[which][2] for p in partial)
         if not np.all(np.isfinite(acc2)):
             raise OverflowError(
-                f"squared form gaps of the estimator overflowed at lam={params.lam}, dt={d.dt}; "
+                f"squared form gaps of the estimator overflowed at lam={params.lam}, dt={dt}; "
                 "lower lam or t_end"
             )
         mean = acc / total
         var = np.maximum(acc2 / total - mean**2, 0.0)
         out.append(
             SecondMomentEstimate(
-                t=d.t_end,
-                dt=d.dt,
+                t=disc.t_end,
+                dt=dt,
                 values=mean + cv,
                 stderr=np.sqrt(var / total),
                 n_paths=n_paths,

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Series", "RefLine", "line_chart", "moment_chart", "excitation_chart", "write_svg"]
+__all__ = ["Series", "RefLine", "line_chart", "write_svg"]
 
 PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
@@ -203,56 +203,6 @@ def line_chart(
 
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def moment_chart(
-    t: np.ndarray,
-    curves: Sequence[tuple[float, np.ndarray]],
-    *,
-    p: float,
-    title: str,
-) -> str:
-    """asinh(ln Phi_p) against time, one curve per noise level.
-
-    ``curves`` pairs each lambda with its ln Phi_p values.  ln Phi_p grows
-    like lambda^(2 alpha/(alpha-1)), so on a linear axis the largest lambda
-    would flatten every other curve.  asinh is linear near 0 and
-    logarithmic far from it, so decaying (ln Phi_p < 0) and fast-growing
-    curves both show."""
-    series = [Series(label=f"lambda={lam:g}", x=np.asarray(t), y=np.arcsinh(v)) for lam, v in curves]
-    return line_chart(series, title=title, xlabel="t", ylabel=f"asinh(ln Phi_{p:g})")
-
-
-def excitation_chart(
-    log_lam: np.ndarray,
-    loglog_phi: np.ndarray,
-    *,
-    fitted_slope: float,
-    fitted_intercept: float,
-    reference_slope: float,
-    title: str,
-) -> str:
-    """log log Phi against log lambda with the fitted line and the predicted
-    reference slope anchored at the first data point."""
-    log_lam = np.asarray(log_lam, dtype=float)
-    loglog_phi = np.asarray(loglog_phi, dtype=float)
-    refs = [
-        RefLine(fitted_slope, fitted_intercept, f"fit slope {fitted_slope:.3f}"),
-        RefLine(
-            reference_slope,
-            float(loglog_phi[0] - reference_slope * log_lam[0]),
-            f"reference slope {reference_slope:.3f}",
-        ),
-    ]
-    series = [Series(label="measured", x=log_lam, y=loglog_phi)]
-    return line_chart(
-        series,
-        title=title,
-        xlabel="log lambda",
-        ylabel="log log Phi",
-        ref_lines=refs,
-        markers=True,
-    )
 
 
 def write_svg(path, text: str) -> None:

@@ -238,12 +238,6 @@ def test_growth_model_and_branch_selection(desk_grid, desk_op, desk_params):
         assert np.all(c.log_inf[1:] <= c.log_sup[1:] + 1e-12)
 
 
-def test_tail_log_slope_recovers_exact_line():
-    t = np.linspace(0.0, 2.0, 81)
-    log_m = -3.0 + 1.75 * t
-    assert bounds.tail_log_slope(t, log_m) == pytest.approx(1.75, abs=1e-12)
-
-
 @pytest.fixture(scope="module")
 def fitted_constants(desk_grid, desk_op, desk_params):
     model = bounds.measure_growth_model(desk_op, desk_params, horizon=1.0)
@@ -296,6 +290,14 @@ def test_fit_rejects_curves_that_disagree_on_sigma(fitted_constants):
     mixed = [curves[0], replace(curves[1], l_sigma=2.0), curves[2]]
     with pytest.raises(bounds.EnvelopeFitError, match=r"curve at lam=8\.0 has .*expected \(1\.5, 1\.0, 1\.0\) as at lam=2\.0"):
         bounds.fit_envelope_constants(mixed)
+
+
+def test_fit_rejects_curves_too_short_for_the_tail_slope(fitted_constants):
+    # 8 points from t=0 leave 4 in the slope fit's window [t_end/2, t_end]; it needs 5
+    _, curves = fitted_constants
+    short = [replace(c, t=c.t[:8], log_inf=c.log_inf[:8], log_sup=c.log_sup[:8]) for c in curves]
+    with pytest.raises(bounds.EnvelopeFitError, match=">= 9 time points"):
+        bounds.fit_envelope_constants(short)
 
 
 def test_envelope_rejects_negative_times(fitted_constants):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import fracheat
-from fracheat import acceptance, cli, specfun
+from fracheat import acceptance, bounds, cli, specfun
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -236,21 +236,21 @@ def test_oracle_moment_chart_shows_growth_at_every_lambda(tmp_path):
 
 def test_sweep_builds_charts_only_when_svg_is_emitted(tmp_path, monkeypatch):
     calls = []
-    real_chart = cli.svgplot.moment_chart
+    real_chart = cli.svgplot.line_chart
 
     def counting_chart(*args, **kwargs):
         calls.append(kwargs["title"])
         return real_chart(*args, **kwargs)
 
-    monkeypatch.setattr(cli.svgplot, "moment_chart", counting_chart)
+    monkeypatch.setattr(cli.svgplot, "line_chart", counting_chart)
     out = tmp_path / "nosvg"
     cfg = write_config(tmp_path, base_config(out))
     assert cli.main(["sweep", "--config", cfg, "--oracle"]) == 0
     assert calls == []
     assert not list(out.glob("*.svg"))
     assert cli.main(["sweep", "--config", cfg, "--oracle", "--svg"]) == 0
-    assert len(calls) == 1
-    assert (out / "sweep_phi.svg").exists()
+    assert sorted(p.name for p in out.glob("*.svg")) == ["excitation.svg", "sweep_phi.svg"]
+    assert len(calls) == 2
 
 
 def test_sweep_rejects_short_lambda_grid(tmp_path, capsys):
@@ -630,3 +630,16 @@ def test_overflowed_moments_are_inf_and_named_in_the_warnings(tmp_path):
         if any(math.isinf(e.value) or math.isinf(e.stderr) for e in ests):
             assert any(f"left double range at lambda={r.lam!r}, t={r.t!r}" in w for w in fits["warnings"])
     assert any(math.isinf(r.sup_moment.value) for r in rows)
+
+
+def test_oracle_rows_write_every_finite_moment(tmp_path):
+    # e^705 is a finite double; e^710 is past the largest one
+    cfg = cli.parse_config(base_config(tmp_path))
+    logs = np.array([0.0, 705.0, 710.0])
+    curves = bounds.OracleCurves(
+        alpha=1.5, lam=8.0, l_sigma=1.0, L_sigma=1.0, lambda1=1.0, t=np.array([0.0, 0.125, 0.25]),
+        log_inf=logs, log_sup=logs, log_energy=2.0 * logs, branch="renewal",
+    )
+    rows = cli._oracle_rows(cfg, curves)
+    for field in ("phi_p", "sup_moment", "inf_subinterval_moment"):
+        assert [getattr(r, field).value for r in rows] == [math.exp(705.0), math.inf]
