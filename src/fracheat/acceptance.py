@@ -42,7 +42,7 @@ __all__ = ["CheckResult", "run_selftest", "QUICK_CHECKS"]
 
 # Pinned tolerances (one place only)
 TOL_E1 = 1e-12              # E_1(z) vs exp(z) on [-5, 5]
-TOL_FBETA = 1e-10           # F_beta(z) vs E_beta(z^beta)
+TOL_FBETA = 1e-10           # F_{1/2}(z) vs e^z erfc(-sqrt z)
 TOL_EHALF = 1e-8            # E_{1/2}(1) vs e*erfc(-1) quadrature
 TOL_RENEWAL = 0.01          # constant-forcing Volterra vs a*F_beta(theta t)
 TOL_LAMBDA1_GRID = 0.02     # lambda1 n=128 vs n=256
@@ -61,8 +61,8 @@ _DESK_N = 64
 _DESK_MU = 0.1
 _DESK_LAMBDAS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 _LINEAR = SigmaSpec(kind="linear", l_sigma=1.0, L_sigma=1.0)
-_MC_SEED = 31415            # check-4 master seed (estimator passes for
-                            # every seed tested; this one is noise-neutral)
+_MC_SEED = 31415            # check-4 master seed; the halving ratio stays in
+                            # its window at all 42 benchmark master seeds tried
 
 
 @dataclass(frozen=True)
@@ -144,12 +144,11 @@ def check_special_functions() -> CheckResult:
         betas = (1.0 / 3.0, 0.5, 2.0 / 3.0)
         ok0 = all(specfun.mittag_leffler(b, 0.0) == 1.0 for b in betas)
 
-        errf = 0.0
+        # F_{1/2}(z) = E_{1/2}(sqrt z) = e^z erfc(-sqrt z), a reference outside the series
         zs = np.linspace(0.05, 12.0, 40)
-        for b in betas:
-            lhs = specfun.f_beta(b, zs)
-            rhs = specfun.mittag_leffler(b, [z**b for z in zs.tolist()])
-            errf = max(errf, float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1.0))))
+        lhs = specfun.f_beta(0.5, zs)
+        rhs = np.array([math.exp(z) * math.erfc(-math.sqrt(z)) for z in zs.tolist()])
+        errf = float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1.0)))
         okf = errf <= TOL_FBETA
 
         target = math.e * _erfc_minus_one_quadrature()
@@ -158,7 +157,7 @@ def check_special_functions() -> CheckResult:
 
         detail = (
             f"E_1 vs exp max err {err1:.3e} (tol {TOL_E1}); E_beta(0)=1 {'ok' if ok0 else 'FAIL'}; "
-            f"F_beta identity max rel err {errf:.3e} (tol {TOL_FBETA}); "
+            f"F_half vs e^z erfc(-sqrt z) max rel err {errf:.3e} (tol {TOL_FBETA}); "
             f"E_half(1) vs quadrature err {errh:.3e} (tol {TOL_EHALF})"
         )
         return ok1 and ok0 and okf and okh, detail
@@ -301,21 +300,18 @@ def check_small_noise_stability() -> CheckResult:
 
 def check_exponential_upper() -> CheckResult:
     def body():
-        worst = 0.0
-        slopes_ok = True
+        devs = []
         for c in _desk_sweep().values():
-            slope = moments.fit_lyapunov_from_log(zip(c.t, c.log_sup))[0]
-            slopes_ok = slopes_ok and math.isfinite(slope)
             sel = c.t >= 0.5 * c.t[-1]
             tw, yw = c.t[sel], c.log_sup[sel]
-            # chord through the ends of the fit's window [t_end/2, t_end]; exponential growth = straight line
+            # chord through the ends of the tail-fit window [t_end/2, t_end]; exponential growth = straight line
             chord = yw[0] + (yw[-1] - yw[0]) * (tw - tw[0]) / (tw[-1] - tw[0])
-            dev = float(np.max(np.abs(yw - chord)) / np.max(np.abs(yw)))
-            worst = max(worst, dev)
-        ok = slopes_ok and worst <= TOL_CONVEXITY
+            devs.append(np.max(np.abs(yw - chord)) / np.max(np.abs(yw)))
+        worst = float(np.max(devs))  # NaN, and a failed check, if any curve is not finite
+        ok = worst <= TOL_CONVEXITY
         detail = (
-            f"tail slopes finite for lambda up to 128: {slopes_ok}; "
-            f"worst chord deviation of log m on [0.5, 1]: {worst:.4%} (tol {TOL_CONVEXITY:.0%})"
+            f"worst chord deviation of log m on [0.5, 1] for lambda up to 128: {worst:.4%} "
+            f"(tol {TOL_CONVEXITY:.0%})"
         )
         return ok, detail
 

@@ -27,7 +27,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -56,6 +56,14 @@ _BLOCK = 128
 _NOISE_CHUNK = 64
 # bound on one chunk of the quadratic-form contraction's outer products (1 MB)
 _CONTRACT_DOUBLES = 1 << 17
+# the pair estimator simulates paths to t_end / _CONDITION_AT and closes the
+# rest with its forms; of 16, 32 and 64, 64 kept check 4's halving ratio
+# furthest inside its window over 42 master seeds, at the lowest stderr
+_CONDITION_AT = 64
+# bound on the bytes of the pair estimator's forms, both resolutions (256 MiB)
+_FORMS_BYTES = 1 << 28
+# largest |J v -+ v| of an eigenvector still taken as reflection-even or -odd
+_PARITY_DEFECT = 1e-9
 # ensemble CSV rows formatted per write: their strings are all the memory the
 # writer holds, so it stays flat in the number of paths
 _CSV_BLOCK_ROWS = 4096
@@ -338,18 +346,23 @@ def _blas_pinned(threaded: bool):
     return blas.pinned_to_one() if blas else contextlib.nullcontext()
 
 
-def _map_blocks(fn: Callable, n_paths: int, worker_count: int) -> list:
-    """fn(block) over fixed _BLOCK-path ranges, serially or on threads; results in block order.
+def _map_threads(fn: Callable, items: list, worker_count: int) -> list:
+    """fn over items, serially or on up to worker_count threads; results in item order.
 
     The threaded branch runs BLAS single-threaded and restores the previous
     thread count afterwards; the serial branch leaves BLAS its own threads.
     """
-    blocks = [range(lo, min(lo + _BLOCK, n_paths)) for lo in range(0, n_paths, _BLOCK)]
-    if worker_count == 1 or len(blocks) == 1:
-        return [fn(blk) for blk in blocks]
+    if worker_count == 1 or len(items) == 1:
+        return [fn(item) for item in items]
     with _blas_pinned(True):
         with ThreadPoolExecutor(max_workers=worker_count) as pool:
-            return list(pool.map(fn, blocks))
+            return list(pool.map(fn, items))
+
+
+def _map_blocks(fn: Callable, n_paths: int, worker_count: int) -> list:
+    """fn(block) over fixed _BLOCK-path ranges, as `_map_threads`; results in block order."""
+    blocks = [range(lo, min(lo + _BLOCK, n_paths)) for lo in range(0, n_paths, _BLOCK)]
+    return _map_threads(fn, blocks, worker_count)
 
 
 def _noise_chunks(master_seed: int, blk: range, steps: int, n: int, antithetic: bool):
@@ -493,23 +506,30 @@ def run_ensemble(
 #
 #     S <- S * (r r'),    d = diag(V S V'),    S <- S + c V' diag(d) V.
 #
-# Each S_x is symmetric, and is kept as its packed upper triangle a <= b.
-# With W[i, (a, b)] = V_ia V_ib both halves of the diagonal bump are GEMMs
-# over all marched rows at once: d = S @ W_d' (W_d weighs an off-diagonal
-# pair twice) and S += (c d) @ W.  A step costs about n^4 flops for all x,
-# against 4 n^4 for the n node-basis products M'A_x M, and allocates no
-# (n, n, n) array.  Reflection: the operator of `assemble` commutes with the
-# reversal J of the nodes (a uniform grid on a symmetric interval), so
-# J M J = M and A_{n-1-x} = J A_x J.  Only rows x < ceil(n/2) march; the
-# rest are mirrored once A = V S V' is back in node coordinates.
+# Reflection: the operator of `assemble` commutes with the reversal J of the
+# nodes (a uniform grid on a symmetric interval), so each eigenvector is
+# even or odd, J V = V diag(sigma), and S_{n-1-x} = diag(sigma) S_x
+# diag(sigma).  The march is linear, so it carries S^+- = S_x +- S_{n-1-x}
+# for the rows x < ceil(n/2) instead of S_x for all n rows.  S^+ lives on
+# the eigen-pairs with sigma_a sigma_b = 1 (the even-even and odd-odd
+# blocks), S^- on those with sigma_a sigma_b = -1 (the even-odd block), and
+# their diagonals d^+- are J-symmetric and J-antisymmetric: both GEMMs of a
+# step run over the node rows i < ceil(n/2) and one class of pairs, a
+# quarter of the full product each.  Within a class S is kept packed (a <= b)
+# with off-diagonal entries scaled by sqrt 2, so that with
+# W[i, (a, b)] = V_ia V_ib (same scaling) both halves of the diagonal bump
+# are plain GEMMs: d = S @ W' and S += (c d) @ W, every node row of the half
+# but a middle one counted twice for its mirror.  A step costs about n^4 / 2
+# flops for all x, against 4 n^4 for the n node-basis products M'A_x M.
 #
-# So each A_x = V S_x V' is symmetric (up to rounding, ~1e-15 relative),
-# and the pathwise difference of the two quadratic forms factors,
-# u'A_x u - y'A_x y = (u-y)'A_x(u+y) (the cross terms u'A_x y and y'A_x u
-# cancel).  For all x at once it is one GEMM of the flattened outer products
-# (u-y)(u+y)' against A reshaped to (n, n^2).  The u, ell and q recursions
-# share the propagator M, so they march as one stacked (3B, n) product per
-# step.
+# The pathwise difference of the two quadratic forms factors,
+# u'A_x u - y'A_x y = (u-y)'A_x(u+y) (A_x is symmetric), and is contracted
+# in the eigenbasis too: with e = V'(u-y) and f = V'(u+y) it is e'S_x f.
+# Per class, the outer products of e and f over the class's blocks times
+# the flattened S^+- are one GEMM, and the two results give the rows x and
+# n-1-x as their half sum and half difference.  No (n, n, n) array is
+# formed.  The u, ell and q recursions share the propagator M, so they march
+# as one stacked (3B, n) product per step.
 #
 # The A_x matrices depend on dt exactly as the simulation does, so the
 # estimator retains the scheme's full time-discretization bias; only
@@ -529,11 +549,80 @@ class SecondMomentEstimate:
     conditioning_time: float
 
 
-def _conditional_forms(params, op, grid, dt, n_steps, cond_steps):
-    """Adjoint quadratic forms A_x at t* and the exact chaos<=2 means.
+class _Forms(NamedTuple):
+    """The conditional forms of one resolution, as S^+- = V'(A_x +- A_{n-1-x})V
+    for the rows x < ceil(n/2), in the eigenvector blocks of their parity class."""
 
-    Returns (M^T, g, A, cv_mean) with g the deterministic flow sampled at
-    the conditioning steps and cv_mean[x] = E[(g* + ell + q)' A_x (g* + ell + q)].
+    V: np.ndarray       # (n, n) eigenvectors, the even ones first
+    n_even: int
+    plus: np.ndarray    # (ceil(n/2), nE^2 + nO^2): S^+ even-even and odd-odd blocks, flattened
+    minus: np.ndarray   # (ceil(n/2), nE nO): S^- even-odd block, flattened
+
+
+def _forms_bytes(n: int) -> int:
+    """Bytes the estimator's forms of both resolutions hold at n nodes."""
+    half, n_odd = (n + 1) // 2, n // 2
+    return 2 * 8 * half * (n * n - half * n_odd)
+
+
+def _parity_split(op: DiscreteOperator) -> tuple:
+    """(even, odd): the eigenvector columns with J v = v and J v = -v.
+
+    The operator commutes with the node reversal J, so each eigenvector is
+    one or the other up to rounding (at most 9.6e-13 for 3 <= n <= 256 at
+    alpha 1.1, 1.5 and 1.9); a column that is neither is a near-degenerate
+    even/odd pair that eigh mixed.
+    """
+    V = op.eigenvectors
+    sigma = np.where(np.einsum("ia,ia->a", V[::-1], V) >= 0.0, 1.0, -1.0)
+    defect = float(np.max(np.abs(V[::-1] - sigma * V)))
+    if defect > _PARITY_DEFECT:
+        raise ValueError(
+            f"eigenvectors of the operator at n={op.grid.n}, alpha={op.config.alpha} are not "
+            f"reflection-even or -odd (defect {defect:.2e} > {_PARITY_DEFECT:g}): eigh mixed "
+            "a near-degenerate pair"
+        )
+    return np.flatnonzero(sigma > 0.0), np.flatnonzero(sigma < 0.0)
+
+
+def _march_class(V, r, ia, ib, c, march, overflow):
+    """March S^+- of one parity class, pairs (ia[k], ib[k]), from x < ceil(n/2).
+
+    Returns the (ceil(n/2), pairs) array of plain (unscaled) entries.
+    """
+    n = V.shape[0]
+    half = (n + 1) // 2
+    root = np.where(ia == ib, 1.0, math.sqrt(2.0))
+    W = V[:half, ia] * V[:half, ib] * root
+    S = 2.0 * W  # S^+- of the start e_x e_x': twice the class's entries of V'e_x e_x'V
+    rr = r[ia] * r[ib]
+    # d^+- is J-symmetric or -antisymmetric: every node row but a middle one stands for two
+    cw = np.full(half, 2.0 * c)
+    if n % 2:
+        cw[-1] = c
+    D = np.empty((half, half))
+    T = np.empty_like(S)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(march):
+            S *= rr
+            np.matmul(S, W.T, out=D)  # d at the node rows i < half
+            if not np.all(np.isfinite(D)):
+                raise OverflowError(f"{overflow} {k + 1} of {march}; lower lam or t_end")
+            D *= cw
+            np.matmul(D, W, out=T)
+            S += T
+    if not np.all(np.isfinite(S)):
+        raise OverflowError(f"{overflow} {march} of {march}; lower lam or t_end")
+    S /= root
+    return S
+
+
+def _conditional_forms(params, op, grid, dt, n_steps, cond_steps):
+    """Adjoint quadratic forms at t* and the exact chaos<=2 means.
+
+    Returns (M^T, g, forms, cv_mean) with g the deterministic flow sampled at
+    the conditioning steps, forms a `_Forms` and
+    cv_mean[x] = E[(g* + ell + q)' A_x (g* + ell + q)].
     Raises OverflowError when the forms or their means leave the double range.
     """
     lam_sig = params.lam * params.sigma.L_sigma
@@ -542,33 +631,32 @@ def _conditional_forms(params, op, grid, dt, n_steps, cond_steps):
     c = lam_sig**2 * dt / grid.dx
     g = apply_semigroup(op, dt * np.arange(cond_steps + 1), params.u0)
 
-    # the adjoint march in the eigenbasis, rows x < half as packed upper triangles
     n = grid.n
     half = (n + 1) // 2
     march = n_steps - cond_steps
-    V = np.ascontiguousarray(op.eigenvectors)
-    r = 1.0 / (1.0 - dt * op.eigenvalues)
-    ia, ib = np.triu_indices(n)
-    W = np.ascontiguousarray((V.T[ia] * V.T[ib]).T)  # W[i, (a, b)] = V_ia V_ib
-    W_dT = np.ascontiguousarray((np.where(ia == ib, 1.0, 2.0) * W).T)
-    rr = r[ia] * r[ib]
-    S = W[:half].copy()  # e_x e_x'
-    D = np.empty((half, n))
-    T = np.empty_like(S)
+    even, odd = _parity_split(op)
+    ne, no = even.size, odd.size
+    order = np.concatenate([even, odd])
+    V = np.ascontiguousarray(op.eigenvectors[:, order])
+    r = 1.0 / (1.0 - dt * op.eigenvalues[order])
     overflow = f"conditional forms overflowed at lam={params.lam}, dt={dt} in adjoint step"
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(march):
-            S *= rr
-            np.matmul(S, W_dT, out=D)  # diag of the node-basis forms
-            if not np.all(np.isfinite(D)):
-                raise OverflowError(f"{overflow} {k + 1} of {march}; lower lam or t_end")
-            D *= c
-            np.matmul(D, W, out=T)
-            S += T
-    if not np.all(np.isfinite(S)):
-        raise OverflowError(f"{overflow} {march} of {march}; lower lam or t_end")
-    del W, W_dT, D, T
-    A = _node_forms(S, V, ia, ib)
+
+    # S^+: the packed even-even then odd-odd triangles, unpacked to full blocks
+    ie, je = np.triu_indices(ne)
+    io, jo = np.triu_indices(no)
+    packed = _march_class(
+        V, r, np.concatenate([ie, ne + io]), np.concatenate([je, ne + jo]), c, march, overflow
+    )
+    plus = np.empty((half, ne * ne + no * no))
+    ee = plus[:, : ne * ne].reshape(half, ne, ne)
+    oo = plus[:, ne * ne :].reshape(half, no, no)
+    ee[:, ie, je] = ee[:, je, ie] = packed[:, : ie.size]
+    oo[:, io, jo] = oo[:, jo, io] = packed[:, ie.size :]
+    del packed
+    # S^-: the even-odd block, row-major
+    minus = _march_class(
+        V, r, np.repeat(np.arange(ne), no), np.tile(np.arange(ne, n), ne), c, march, overflow
+    )
 
     Lam = np.zeros((n, n))
     Q = np.zeros((n, n))
@@ -576,30 +664,28 @@ def _conditional_forms(params, op, grid, dt, n_steps, cond_steps):
         Q = M @ (Q + c * np.diag(np.diag(Lam))) @ MT
         Lam = M @ (Lam + c * np.diag(g[k] ** 2)) @ MT
     gs = g[cond_steps]
+    # cv_mean[x] = tr(A_x C) = tr(S_x V'CV)
+    Chat = V.T @ (np.outer(gs, gs) + Lam + Q) @ V
     with np.errstate(over="ignore", invalid="ignore"):
-        cv_mean = A.reshape(n, n * n) @ (np.outer(gs, gs) + Lam + Q).ravel()
+        cv_plus = plus @ np.concatenate([Chat[:ne, :ne].ravel(), Chat[ne:, ne:].ravel()])
+        cv_minus = minus @ (2.0 * Chat[:ne, ne:]).ravel()
+    cv_mean = _unfold(cv_plus, cv_minus, n)
     if not np.all(np.isfinite(cv_mean)):
         raise OverflowError(
             f"control-variate mean of the conditional forms overflowed at lam={params.lam}, "
             f"dt={dt} over {cond_steps} conditioning and {march} adjoint steps; lower lam or t_end"
         )
-    return MT, g, A, cv_mean
+    return MT, g, _Forms(V, ne, plus, minus), cv_mean
 
 
-def _node_forms(S, V, ia, ib):
-    """(n, n, n) node-basis forms A_x = V S_x V' from the packed eigenbasis rows
-    x < ceil(n/2); the other rows are their reflections A_{n-1-x} = J A_x J."""
-    half, n = S.shape[0], V.shape[0]
-    full = np.empty((half, n, n))
-    full[:, ia, ib] = S
-    full[:, ib, ia] = S
-    left = V @ full
-    del full
-    A = np.empty((n, n, n))
-    np.matmul(left, V.T, out=A[:half])
-    del left
-    A[half:] = A[n - 1 - half :: -1, ::-1, ::-1]
-    return A
+def _unfold(plus, minus, n):
+    """Per-node values from their S^+ and S^- parts on the rows x < ceil(n/2):
+    x takes the half sum and n-1-x the half difference (last axis)."""
+    half = plus.shape[-1]
+    out = np.empty(plus.shape[:-1] + (n,))
+    out[..., n - half :] = 0.5 * (plus - minus)[..., ::-1]
+    out[..., :half] = 0.5 * (plus + minus)
+    return out
 
 
 def _rb_branch(x, noise, lam, dx, MT, g):
@@ -623,25 +709,41 @@ def _rb_branch(x, noise, lam, dx, MT, g):
         np.matmul(forced.reshape(3 * nb, n), MT, out=x.reshape(3 * nb, n))
 
 
-def _form_gaps(A, u, y):
-    """gaps[p, x] = u_p' A_x u_p - y_p' A_x y_p for symmetric A_x.
+def _form_gaps(forms, u, y):
+    """gaps[p, x] = u_p' A_x u_p - y_p' A_x y_p, contracted in the eigenbasis.
 
-    Evaluated as (u - y)_p' A_x (u + y)_p: the outer products of a chunk of
-    paths, flattened to (chunk, n^2), times A flattened to (n, n^2): one
-    GEMM per chunk, the chunk's outer products reusing one buffer of at most
-    _CONTRACT_DOUBLES doubles.
+    Evaluated as e_p' S_x f_p with e = V'(u - y) and f = V'(u + y): per
+    parity class, the outer products of a chunk of paths over the class's
+    blocks (even-even and odd-odd for S^+; even-odd plus its mirror for S^-)
+    times the flattened forms, one GEMM each; the chunk's outer products
+    reuse buffers of at most _CONTRACT_DOUBLES doubles in all.
     """
     n_paths, n = u.shape
-    flat_T = A.reshape(n, n * n).T
-    diff, total = u - y, u + y
-    chunk = max(1, min(n_paths, _CONTRACT_DOUBLES // (n * n)))
-    outer = np.empty((chunk, n, n))
-    gaps = np.empty((n_paths, n))
+    ne = forms.n_even
+    no = n - ne
+    e = (u - y) @ forms.V
+    f = (u + y) @ forms.V
+    kp, km = forms.plus.shape[1], forms.minus.shape[1]
+    chunk = max(1, min(n_paths, _CONTRACT_DOUBLES // (kp + 2 * km)))
+    outer_p = np.empty((chunk, kp))
+    ee = outer_p[:, : ne * ne].reshape(chunk, ne, ne)
+    oo = outer_p[:, ne * ne :].reshape(chunk, no, no)
+    outer_m = np.empty((chunk, ne, no))
+    mirror = np.empty_like(outer_m)
+    g_plus = np.empty((n_paths, forms.plus.shape[0]))
+    g_minus = np.empty_like(g_plus)
     for lo in range(0, n_paths, chunk):
-        m = min(chunk, n_paths - lo)
-        np.multiply(diff[lo : lo + m, :, None], total[lo : lo + m, None, :], out=outer[:m])
-        np.matmul(outer[:m].reshape(m, n * n), flat_T, out=gaps[lo : lo + m])
-    return gaps
+        hi = min(lo + chunk, n_paths)
+        m = hi - lo
+        eE, eO, fE, fO = e[lo:hi, :ne], e[lo:hi, ne:], f[lo:hi, :ne], f[lo:hi, ne:]
+        np.multiply(eE[:, :, None], fE[:, None, :], out=ee[:m])
+        np.multiply(eO[:, :, None], fO[:, None, :], out=oo[:m])
+        np.matmul(outer_p[:m], forms.plus.T, out=g_plus[lo:hi])
+        np.multiply(eE[:, :, None], fO[:, None, :], out=outer_m[:m])
+        np.multiply(fE[:, :, None], eO[:, None, :], out=mirror[:m])
+        outer_m[:m] += mirror[:m]
+        np.matmul(outer_m[:m].reshape(m, ne * no), forms.minus.T, out=g_minus[lo:hi])
+    return _unfold(g_plus, g_minus, n)
 
 
 def estimate_second_moment_pair(
@@ -655,12 +757,16 @@ def estimate_second_moment_pair(
     """Estimate E|u(t_end, x)|^2 per node at dt and dt/2 on one Brownian sheet.
 
     Antithetic pairs of paths are simulated to the conditioning time
-    t_end/8 (at least one coarse step) and the remainder is closed exactly;
-    see the module comment above.  The coarse increments are sums of
-    consecutive fine ones, so the sampling error is nearly common to both
-    resolutions and the pair of discrepancies against a deterministic
-    reference isolates the time-discretization bias.  Linear sigma and an
-    even n_paths only.  Returns (coarse, fine).
+    t_end/64 (at least one coarse step) and the remaining steps are closed
+    exactly by the conditional forms, marched and contracted by reflection
+    parity in the operator's eigenbasis; see the module comment above.  The
+    coarse increments are sums of consecutive fine ones, so the sampling
+    error is nearly common to both resolutions and the pair of discrepancies
+    against a deterministic reference isolates the time-discretization bias.
+    Linear sigma and an even n_paths only.  The forms of both resolutions
+    hold `_forms_bytes(n)` bytes, about 3 n^3 / 4 doubles, and a grid whose
+    forms would pass `_FORMS_BYTES` (256 MiB, n up to 354) is refused
+    with a ValueError.  Returns (coarse, fine).
     """
     if params.sigma.kind != "linear":
         raise ValueError(
@@ -671,12 +777,20 @@ def estimate_second_moment_pair(
     if n_paths % 2 != 0:
         raise ValueError(f"antithetic pairing needs an even n_paths >= 2, got {n_paths}")
     grid = disc.grid
+    if _forms_bytes(grid.n) > _FORMS_BYTES:
+        raise ValueError(
+            f"discretization.n={grid.n}: the estimator's conditional forms would hold "
+            f"{_forms_bytes(grid.n) / 2**20:.0f} MiB, above the {_FORMS_BYTES / 2**20:.0f} MiB bound; "
+            "use a coarser grid"
+        )
     steps = disc.n_steps()
-    cond = max(1, steps // 8)
+    cond = max(1, steps // _CONDITION_AT)
     dts = (disc.dt, 0.5 * disc.dt)
-    forms = (
-        _conditional_forms(params, op, grid, dts[0], steps, cond),
-        _conditional_forms(params, op, grid, dts[1], 2 * steps, 2 * cond),
+    # the two resolutions' forms march side by side when there are workers
+    forms = _map_threads(
+        lambda spec: _conditional_forms(params, op, grid, *spec),
+        [(dts[0], steps, cond), (dts[1], 2 * steps, 2 * cond)],
+        worker_count,
     )
     scale = math.sqrt(dts[1] * grid.dx)
     lam = params.lam * params.sigma.L_sigma
@@ -688,18 +802,18 @@ def estimate_second_moment_pair(
         for lo, z in _noise_chunks(master_seed, blk, 2 * cond, grid.n, antithetic=True):
             coarse = (z[:, 0::2, :] + z[:, 1::2, :]) * scale
             z *= scale
-            for xs, w, s0, (MT, g, _A, _cv) in zip(x, (coarse, z), (lo // 2, lo), forms):
+            for xs, w, s0, (MT, g, _fm, _cv) in zip(x, (coarse, z), (lo // 2, lo), forms):
                 _rb_branch(xs, w, lam, grid.dx, MT, g[s0:])
         sums = []
-        for (u, ell, q), (_MT, g, A, _cv) in zip(x, forms):
+        for (u, ell, q), (_MT, g, fm, _cv) in zip(x, forms):
             alive = np.all(np.isfinite(u), axis=1)
-            vals = _form_gaps(A, u, g[-1] + ell + q)[alive]
+            vals = _form_gaps(fm, u, g[-1] + ell + q)[alive]
             sums.append((vals.sum(axis=0), (vals**2).sum(axis=0), int(alive.sum())))
         return sums
 
     partial = _map_blocks(run_blk, n_paths, worker_count)
     out = []
-    for which, (dt, (_MT, _g, _A, cv)) in enumerate(zip(dts, forms)):
+    for which, (dt, (_MT, _g, _fm, cv)) in enumerate(zip(dts, forms)):
         acc = sum(p[which][0] for p in partial)
         acc2 = sum(p[which][1] for p in partial)
         total = sum(p[which][2] for p in partial)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_params
-from fracheat import bounds, laplacian, sde
+from fracheat import acceptance, bounds, laplacian, sde
 from fracheat.sde import (
     Discretization,
     SigmaSpec,
@@ -349,7 +349,7 @@ def test_conditional_estimator_tracks_oracle(desk_grid, desk_op, desk_params):
     assert est.flagged_count == 0
     assert np.all(est.values > 0.0)
     assert np.all(est.stderr >= 0.0)
-    assert est.conditioning_time == pytest.approx(64.0 / 1024.0)
+    assert est.conditioning_time == pytest.approx(8.0 / 1024.0)
     rel = np.max(np.abs(est.values - oracle) / oracle)
     assert rel <= 0.04  # dt bias ~2% plus a few-tenths-percent sampling band
 
@@ -369,7 +369,7 @@ def test_pair_estimator_layout(desk_grid, desk_op, desk_params):
 
 def test_coupled_refinement_shares_noise(desk_grid, desk_op, desk_params, monkeypatch):
     # record the noise and conditioning-time states each resolution integrates
-    # (2 cond = 8 fine steps: one noise chunk)
+    # (t_end 1: 2 cond = 8 fine steps, one noise chunk)
     seen = []
 
     def spy(x, noise, lam, dx, MT, g):
@@ -378,7 +378,7 @@ def test_coupled_refinement_shares_noise(desk_grid, desk_op, desk_params, monkey
 
     real_branch = sde._rb_branch
     monkeypatch.setattr(sde, "_rb_branch", spy)
-    disc = small_disc(desk_grid, dt=1.0 / 256.0)
+    disc = small_disc(desk_grid, dt=1.0 / 256.0, t_end=1.0)
     coarse, fine = estimate_second_moment_pair(
         desk_params, disc, desk_op, n_paths=12, master_seed=41
     )
@@ -399,9 +399,28 @@ def desk_forms(grid, op, params):
     return sde._conditional_forms(params, op, grid, 1.0 / 256.0, 32, 16)
 
 
+def node_forms(forms):
+    """The (n, n, n) node-basis A_x rebuilt from S^+- = V'(A_x +- A_{n-1-x})V."""
+    V, ne = forms.V, forms.n_even
+    n = V.shape[0]
+    no, half = n - ne, forms.plus.shape[0]
+    plus = np.zeros((half, n, n))
+    minus = np.zeros((half, n, n))
+    plus[:, :ne, :ne] = forms.plus[:, : ne * ne].reshape(half, ne, ne)
+    plus[:, ne:, ne:] = forms.plus[:, ne * ne :].reshape(half, no, no)
+    block = forms.minus.reshape(half, ne, no)
+    minus[:, :ne, ne:] = block
+    minus[:, ne:, :ne] = block.transpose(0, 2, 1)
+    a_plus, a_minus = V @ plus @ V.T, V @ minus @ V.T
+    A = np.empty((n, n, n))
+    A[n - half :] = 0.5 * (a_plus - a_minus)[::-1]
+    A[:half] = 0.5 * (a_plus + a_minus)
+    return A
+
+
 def test_conditional_forms_are_symmetric(desk_grid, desk_op, desk_params):
     # the contraction's (u-y)'A_x(u+y) identity rests on A_x = A_x'
-    _MT, _g, A, _cv = desk_forms(desk_grid, desk_op, desk_params)
+    A = node_forms(desk_forms(desk_grid, desk_op, desk_params)[2])
     asym = np.abs(A - A.transpose(0, 2, 1)).max(axis=(1, 2))
     assert np.all(asym <= 1e-13 * np.abs(A).max(axis=(1, 2)))
 
@@ -434,7 +453,8 @@ def node_basis_forms(params, op, grid, dt, n_steps, cond_steps):
 
 
 # check 4's two resolutions (dt 1/1024 and 1/2048 to T = 0.5, conditioned at
-# T/8) on grids of odd and even n: the mirrored rows are exercised both ways
+# T/8, 7/8 of the steps marched) on grids of odd and even n: the mirrored rows
+# are exercised both ways, and at odd n the middle node is its own mirror
 @pytest.mark.parametrize(
     ("n", "dt", "n_steps", "cond_steps"),
     [
@@ -449,7 +469,8 @@ def test_eigenbasis_forms_match_the_node_basis_march(n, dt, n_steps, cond_steps)
     op = laplacian.assemble(grid, laplacian.OperatorConfig(alpha=1.5))
     params = make_params(grid)
     ref_A, ref_cv = node_basis_forms(params, op, grid, dt, n_steps, cond_steps)
-    _MT, _g, A, cv = sde._conditional_forms(params, op, grid, dt, n_steps, cond_steps)
+    _MT, _g, forms, cv = sde._conditional_forms(params, op, grid, dt, n_steps, cond_steps)
+    A = node_forms(forms)
     scale = np.abs(ref_A).max(axis=(1, 2))
     assert np.all(np.abs(A - ref_A).max(axis=(1, 2)) <= 1e-11 * scale)
     assert np.all(np.abs(cv - ref_cv) <= 1e-11 * np.abs(ref_cv))
@@ -460,7 +481,7 @@ def test_conditional_forms_overflow_fails_loudly(desk_grid, desk_op, lam):
     # check 4's grid and steps: from lam 16 on the forms leave the double range
     params = make_params(desk_grid, lam=lam)
     disc = Discretization(grid=desk_grid, dt=1.0 / 1024.0, t_end=0.5, snapshot_times=(0.5,))
-    with pytest.raises(OverflowError, match=rf"lam={lam}, dt=0\.0009765625 in adjoint step \d+ of 448"):
+    with pytest.raises(OverflowError, match=rf"lam={lam}, dt=0\.0009765625 in adjoint step \d+ of 504"):
         estimate_second_moment_pair(params, disc, desk_op, n_paths=128, master_seed=3)
 
 
@@ -481,34 +502,37 @@ def test_conditional_forms_peak_memory(n):
     dt = 1.0 / 1024.0
     tracemalloc.start()
     try:
-        _MT, _g, A, _cv = sde._conditional_forms(params, op, grid, dt, 4, 2)
+        _MT, _g, forms, _cv = sde._conditional_forms(params, op, grid, dt, 4, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # A itself plus at most twice its size in march tables and temporaries
-    assert peak <= 3 * A.nbytes
+    # the forms hold 3 n^3 / 8 doubles; with the march tables and temporaries
+    # the peak stays below n^3 doubles, the size of the node-basis forms
+    assert forms.plus.nbytes + forms.minus.nbytes == sde._forms_bytes(n) // 2
+    assert peak <= 8 * n**3
 
 
 def test_form_gaps_match_the_two_quadratic_forms(desk_grid, desk_op, desk_params):
-    _MT, _g, A, _cv = desk_forms(desk_grid, desk_op, desk_params)
+    forms = desk_forms(desk_grid, desk_op, desk_params)[2]
+    A = node_forms(forms)
     rng = np.random.default_rng(5)
     # 200 paths: more than one contraction chunk, and not a multiple of it
     u = desk_params.u0 + 0.3 * rng.standard_normal((200, desk_grid.n))
     y = u + 0.05 * rng.standard_normal(u.shape)
     uau = np.einsum("pi,xij,pj->px", u, A, u, optimize=True)
     yay = np.einsum("pi,xij,pj->px", y, A, y, optimize=True)
-    gaps = sde._form_gaps(A, u, y)
+    gaps = sde._form_gaps(forms, u, y)
     scale = max(np.abs(uau).max(), np.abs(yay).max())
     assert np.abs(gaps - (uau - yay)).max() <= 1e-12 * scale
     # a flagged (non-finite) path spoils its own row only
     u[7] = np.nan
-    spoiled = sde._form_gaps(A, u, y)
+    spoiled = sde._form_gaps(forms, u, y)
     assert np.all(np.isnan(spoiled[7]))
     assert np.array_equal(np.delete(spoiled, 7, axis=0), np.delete(gaps, 7, axis=0))
 
 
 def test_stacked_chaos_march_matches_three_matmul_march(desk_grid, desk_op, desk_params):
-    MT, g, _A, _cv = desk_forms(desk_grid, desk_op, desk_params)
+    MT, g, _forms, _cv = desk_forms(desk_grid, desk_op, desk_params)
     dx, lam, steps = desk_grid.dx, 1.7, 16
     rng = np.random.default_rng(8)
     noise = rng.standard_normal((10, steps, desk_grid.n)) * math.sqrt(dx / 256.0)
@@ -532,11 +556,78 @@ def test_stacked_chaos_march_matches_three_matmul_march(desk_grid, desk_op, desk
     assert np.abs(got_y - y).max() <= 1e-12 * np.abs(y).max()
 
 
+def test_estimator_step_matches_the_ensemble_step_on_the_same_noise(desk_grid, desk_op):
+    # _run_block (run_ensemble) and the u row of _rb_branch (the pair
+    # estimator) are two implementations of one implicit step; check 4 runs
+    # only the second
+    params = make_params(desk_grid, lam=3.0)
+    dt, steps, n_paths, seed = 1.0 / 256.0, 24, 10, 17
+    disc = Discretization(grid=desk_grid, dt=dt, t_end=steps * dt, snapshot_times=(steps * dt,))
+    ref = run_ensemble(params, disc, desk_op, n_paths=n_paths, master_seed=seed).snapshots[-1]
+    [(_, z)] = _noise_chunks(seed, range(n_paths), steps, desk_grid.n, antithetic=False)
+    x = np.zeros((3, n_paths, desk_grid.n))
+    x[0] = params.u0
+    MT = laplacian.implicit_factor(desk_op, dt).T
+    g = np.zeros((steps, desk_grid.n))
+    sde._rb_branch(x, z * math.sqrt(dt * desk_grid.dx), params.lam, desk_grid.dx, MT, g)
+    assert np.abs(x[0] - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def scheme_second_moment(params, op, grid, dt, steps):
+    """E u(t)^2 per node of the scheme with linear sigma, exactly:
+    P = E uu' obeys P <- M (P + c diag(diag P)) M' with c = (lam L_sigma)^2 dt / dx."""
+    M = laplacian.implicit_factor(op, dt)
+    c = (params.lam * params.sigma.L_sigma) ** 2 * dt / grid.dx
+    P = np.outer(params.u0, params.u0)
+    for _ in range(steps):
+        P = M @ (P + c * np.diag(np.diag(P))) @ M.T
+    return np.diag(P).copy()
+
+
+@pytest.mark.slow
+def test_pair_estimator_matches_the_exact_scheme_moment(desk_grid, desk_op, desk_params):
+    # check 4's run at its pinned seed: the estimator carries the scheme's dt
+    # bias and only sampling noise, so its node-mean z-score against the
+    # scheme's exact second moment is small at both resolutions
+    disc = Discretization(grid=desk_grid, dt=1.0 / 1024.0, t_end=0.5, snapshot_times=(0.5,))
+    pair = estimate_second_moment_pair(
+        desk_params, disc, desk_op, n_paths=10_000, master_seed=acceptance._MC_SEED, worker_count=2
+    )
+    for est, steps in zip(pair, (512, 1024)):
+        exact = scheme_second_moment(desk_params, desk_op, desk_grid, est.dt, steps)
+        z = (est.values - exact) / est.stderr
+        assert abs(z.mean()) < 3.0, (est.dt, z.mean())
+
+
+@pytest.mark.parametrize("n", [64, 17])
+def test_parity_split_of_the_eigenvectors(n):
+    grid = laplacian.build_grid(L=1.0, n=n, mu=0.1)
+    op = laplacian.assemble(grid, laplacian.OperatorConfig(alpha=1.5))
+    even, odd = sde._parity_split(op)
+    assert (even.size, odd.size) == ((n + 1) // 2, n // 2)
+    V = op.eigenvectors
+    assert np.abs(V[::-1, even] - V[:, even]).max() <= 1e-12
+    assert np.abs(V[::-1, odd] + V[:, odd]).max() <= 1e-12
+    # a near-degenerate even/odd pair mixed by eigh is refused, naming the operator
+    a, b = even[-1], odd[-1]
+    mixed = V.copy()
+    mixed[:, a], mixed[:, b] = (V[:, a] + V[:, b]) / math.sqrt(2.0), (V[:, a] - V[:, b]) / math.sqrt(2.0)
+    with pytest.raises(ValueError, match=rf"n={n}, alpha=1\.5"):
+        sde._parity_split(dataclasses.replace(op, eigenvectors=mixed))
+
+
+def test_pair_estimator_refuses_forms_above_the_byte_bound(desk_grid, desk_op, desk_params, monkeypatch):
+    assert sde._forms_bytes(256) <= sde._FORMS_BYTES < sde._forms_bytes(512)
+    monkeypatch.setattr(sde, "_FORMS_BYTES", sde._forms_bytes(desk_grid.n) - 1)
+    with pytest.raises(ValueError, match=r"discretization\.n=64: .* MiB bound"):
+        estimate_second_moment_pair(desk_params, small_disc(desk_grid), desk_op, n_paths=2, master_seed=0)
+
+
 def test_pair_estimator_noise_chunk_length_never_changes_results(desk_grid, desk_op, desk_params, monkeypatch):
-    # 2 cond = 32 fine steps: one chunk, chunks of 6 (not dividing 32) and of 2
-    disc = small_disc(desk_grid, dt=1.0 / 256.0, t_end=0.5)
+    # t_end 2: 2 cond = 16 fine steps: one chunk, chunks of 6 (not dividing 16) and of 2
+    disc = small_disc(desk_grid, dt=1.0 / 256.0, t_end=2.0)
     ref = None
-    for chunk in (32, 6, 2):
+    for chunk in (16, 6, 2):
         monkeypatch.setattr(sde, "_NOISE_CHUNK", chunk)
         pair = estimate_second_moment_pair(desk_params, disc, desk_op, n_paths=130, master_seed=23)
         got = [(e.values, e.stderr, e.flagged_count) for e in pair]
@@ -555,7 +646,7 @@ def test_pair_estimator_memory_does_not_grow_with_t_end():
     # a short run first fills the operator's caches at dt and dt/2
     estimate_second_moment_pair(params, small_disc(grid, dt=1.0 / 256.0), op, n_paths=128, master_seed=6)
     peaks = {}
-    for t_end in (1.0, 4.0):
+    for t_end in (8.0, 32.0):
         disc = small_disc(grid, dt=1.0 / 256.0, t_end=t_end)
         tracemalloc.start()
         try:
@@ -563,7 +654,8 @@ def test_pair_estimator_memory_does_not_grow_with_t_end():
             peaks[t_end] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    # 4x the horizon: noise held for the whole conditioning time would peak about 4x higher
+    # 4x the horizon (64 and 256 fine conditioning steps): noise held for the
+    # whole conditioning time would peak about 4x higher
     assert max(peaks.values()) < 1.25 * min(peaks.values())
 
 
