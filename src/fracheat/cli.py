@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import sys
 import warnings
 from dataclasses import dataclass, replace
@@ -55,8 +56,9 @@ _ESTIMATORS = (
     moments.estimate_energy, moments.estimate_sup_moment, moments.estimate_inf_subinterval_moment
 )
 _ESTIMATED = ("phi_p", "sup_moment", "inf_subinterval_moment")  # the SweepRow fields they fill
-# data lines per np.loadtxt call in read_ensemble_csv
-_CSV_CHUNK_LINES = 1 << 16
+# data lines per np.loadtxt call in read_ensemble_csv: beside the snapshot
+# array it fills, the reader holds about one chunk's lines and parsed rows
+_CSV_CHUNK_LINES = 1 << 14
 _CSV_ROW = np.dtype([("k", "i8"), ("t", "f8"), ("x", "f8"), ("u", "f8")])
 
 
@@ -617,21 +619,110 @@ def cmd_selftest(level: str, out_dir: str, mc_worker_count: int) -> int:
 # Readers: every writer in the artifact has a lossless counterpart here
 
 
-def _first_appearance(values: np.ndarray, index: dict) -> np.ndarray:
-    """int32 positions of ``values`` in ``index`` (value -> position in order
-    of first appearance), extending it with the values new in this chunk."""
+def _first_appearance(values: np.ndarray, index: dict) -> tuple[np.ndarray, list]:
+    """Positions of ``values`` in ``index`` (value -> position in order of
+    first appearance), extending it with the values new in this chunk; and
+    the rows where those new values first appear, in that order."""
     uniq, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    new_rows = []
     for j in np.argsort(first):
-        index.setdefault(float(values[first[j]]), len(index))
-    return np.array([index[v] for v in uniq.tolist()], dtype=np.int32)[inverse]
+        v = float(values[first[j]])
+        if v not in index:
+            index[v] = len(index)
+            new_rows.append(int(first[j]))
+    return np.array([index[v] for v in uniq.tolist()], dtype=np.intp)[inverse], new_rows
 
 
-def _concat_chunks(chunks: list) -> np.ndarray:
-    """A column's chunks as one array.  Clearing the list frees the chunks
-    before the next column is joined."""
-    out = np.concatenate(chunks)
-    chunks.clear()
-    return out
+def _relayout(flat: np.ndarray, old: tuple, new: tuple) -> None:
+    """Re-lay the 1-D cell buffer ``flat``, in C order over the (snapshot,
+    path, node) extents ``old``, in place over ``new`` and resize it to fit:
+    cells inside both keep their values, the others read 0."""
+    T, P, X = keep = tuple(map(min, old, new))
+    if old[1:] != keep[1:]:  # shrink: blocks move down, the first first
+        src, dst = flat[: math.prod(old)].reshape(old), flat[: math.prod(keep)].reshape(keep)
+        for t in range(0 if X < old[2] else 1, T):  # block 0 stays put when rows keep their length
+            dst[t] = src[t, :P, :X]  # numpy buffers an overlapping copy
+    size = math.prod(new)
+    if size > flat.size:
+        flat.resize(size, refcheck=False)
+    if keep[1:] != new[1:]:  # grow: blocks move up, the last first
+        src, dst = flat[: math.prod(keep)].reshape(keep), flat[:size].reshape(new)
+        for t in range(T - 1, -1, -1):
+            if t or X < new[2]:
+                dst[t, :P, :X] = src[t]
+            dst[t, :P, X:] = 0
+            dst[t, P:] = 0
+    flat[T * new[1] * new[2] : size] = 0
+    if size < flat.size:
+        flat.resize(size, refcheck=False)
+
+
+class _Cells:
+    """The (snapshot, path, node) cells of an ensemble CSV as it is read:
+    each cell's value and its write count, saturating at 2, in flat buffers
+    laid out over the extents ``cap``, which hold ``box``, the extents of
+    the cells placed so far.  The buffers never pass ``limit`` cells, more
+    than the file could fill: the keys of a chunk that would take them past
+    it go to ``side`` instead, and prove some cell missing."""
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self.vals = np.empty(0)
+        self.counts = np.empty(0, dtype=np.uint16)
+        self.box = self.cap = (0, 0, 0)
+        self.side: list = []
+
+    def place(self, ti: np.ndarray, k: np.ndarray, xi: np.ndarray, u: np.ndarray) -> None:
+        need = tuple(max(b, int(a.max()) + 1) for b, a in zip(self.box, (ti, k, xi)))
+        if math.prod(need) <= self.limit:  # else this chunk's new keys go to the side list
+            self._grow(need)
+        inside = (ti < self.box[0]) & (k < self.box[1]) & (xi < self.box[2])
+        if not inside.all():
+            out = ~inside
+            self.side.append(np.stack((ti[out], k[out], xi[out]), axis=1))
+            ti, k, xi, u = ti[inside], k[inside], xi[inside], u[inside]
+        cells = (ti * self.cap[1] + k) * self.cap[2] + xi
+        self.vals[cells] = u
+        np.add.at(self.counts, cells, np.uint16(1))  # a uint16 one keeps ufunc.at on its fast loop
+        self.counts[cells] = np.minimum(self.counts[cells], 2)
+
+    def _grow(self, need: tuple) -> None:
+        self.box = need
+        if all(n <= c for n, c in zip(need, self.cap)):
+            return
+        new = tuple(map(max, need, self.cap))
+        if self.cap[0] > 1 or (self.cap[1] > 1 and new[2] > self.cap[2]):
+            # placed cells move: an eighth to spare on the growing axes, so
+            # a file in any row order moves each cell a bounded number of times
+            spare = tuple(n + n // 8 if n > c else n for n, c in zip(new, self.cap))
+            new = new[:1] + spare[1:]
+        if math.prod(new) > self.limit:
+            new = need
+        for buf in (self.vals, self.counts):
+            _relayout(buf, self.cap, new)
+        self.cap = new
+
+    def complete(self, n_rows: int, n_cells: int) -> bool:
+        """Every cell written exactly once."""
+        return not self.side and n_rows == n_cells and int(self.counts.max()) <= 1
+
+    def tally(self) -> tuple[int, int]:
+        """Cells written, and cells written more than once."""
+        written, repeated = np.count_nonzero(self.counts), np.count_nonzero(self.counts > 1)
+        if self.side:
+            keys, c = np.unique(np.concatenate(self.side), axis=0, return_counts=True)
+            before = np.zeros(len(keys), dtype=np.int64)
+            inside = np.all(keys < self.cap, axis=1)
+            ti, k, xi = keys[inside].T
+            before[inside] = self.counts[(ti * self.cap[1] + k) * self.cap[2] + xi]
+            written += np.count_nonzero(before == 0)
+            repeated += np.count_nonzero((before < 2) & (before + c > 1))
+        return int(written), int(repeated)
+
+    def snapshots(self) -> np.ndarray:
+        self.counts = None
+        _relayout(self.vals, self.cap, self.box)
+        return self.vals.reshape(self.box)
 
 
 def _parse_rows(path, lines: list, lineno: int) -> np.ndarray:
@@ -664,16 +755,22 @@ def read_ensemble_csv(path: str) -> dict:
     appearance, so rows may come in any order.  Values round-trip exactly
     (the writers emit full-precision reprs).  Raises ValueError naming the
     file, and the line of any malformed, non-finite or off-grid row, unless
-    every (snapshot, path, node) cell is written exactly once.
+    every (snapshot, path, node) cell is written exactly once.  Each chunk
+    of lines is scattered straight into the snapshot array, so the reader
+    holds about that array plus one chunk.
     """
     t_index: dict = {}
     x_index: dict = {}
-    ti, ks, xi, us = [], [], [], []
-    lineno = 2
+    x_first = []  # (line, path) of each node's first row
+    on_grid = set()  # the nodes of path 0 at the first time
+    n_rows, k_max, lineno = 0, -1, 2
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "path,t,x,u":
             raise ValueError(f"{path}: unexpected ensemble CSV header {header!r}")
+        st = os.fstat(fh.fileno())
+        # every data line takes at least 8 bytes, so no complete file has more cells
+        cells = _Cells(st.st_size // 8 if stat.S_ISREG(st.st_mode) else sys.maxsize)
         while lines := list(itertools.islice(fh, _CSV_CHUNK_LINES)):
             rows = _parse_rows(path, lines, lineno)
             k, t, x = rows["k"], rows["t"], rows["x"]
@@ -685,36 +782,29 @@ def read_ensemble_csv(path: str) -> dict:
                 if kj < 0:
                     raise ValueError(f"{where}: path {kj}, node x={xj!r} is off the ensemble grid")
                 raise ValueError(f"{where}: time t={tj!r} and node x={xj!r} must be finite")
-            ti.append(_first_appearance(t, t_index))
-            xi.append(_first_appearance(x, x_index))
-            ks.append(k.copy())  # copies, so the 32-byte rows are freed
-            us.append(rows["u"].copy())
+            ti, _ = _first_appearance(t, t_index)
+            xi, new = _first_appearance(x, x_index)
+            x_first += [(lineno + j, int(k[j])) for j in new]
+            on_grid.update(np.unique(xi[(ti == 0) & (k == 0)]).tolist())
+            cells.place(ti, k, xi, rows["u"])
+            n_rows += len(lines)
+            k_max = max(k_max, int(k.max()))
             lineno += len(lines)
-    if not us:
+    if not n_rows:
         raise ValueError(f"{path}: no data rows")
-    ti, ks, xi, us = map(_concat_chunks, (ti, ks, xi, us))
     nodes = np.array(list(x_index))
-    # the nodes of path 0 at the first time are the grid
-    on_grid = np.zeros(nodes.size, dtype=bool)
-    on_grid[xi[(ti == 0) & (ks == 0)]] = True
-    if not on_grid.all():
-        r = int(np.argmax(~on_grid[xi]))
-        raise ValueError(
-            f"{path} line {r + 2}: path {ks[r]}, node x={float(nodes[xi[r]])!r} is off the ensemble grid"
-        )
-    shape = (len(t_index), int(ks.max()) + 1, nodes.size)
-    n_cells = math.prod(shape)
-    if n_cells == us.size:  # otherwise some cell is missing or written twice
-        cells = np.ravel_multi_index((ti, ks, xi), shape)
-        if np.all(np.bincount(cells, minlength=n_cells) == 1):
-            snapshots = np.empty(shape)
-            snapshots.flat[cells] = us
-            return {"snapshot_times": tuple(t_index), "nodes": nodes, "snapshots": snapshots}
-    # counted without a dense array: a stray path index can make n_cells huge
-    _, counts = np.unique(np.stack((ti, ks, xi), axis=1), axis=0, return_counts=True)
+    # the first line on an off-grid node is that node's first line
+    off = next((j for j in range(nodes.size) if j not in on_grid), None)
+    if off is not None:
+        line, k = x_first[off]
+        raise ValueError(f"{path} line {line}: path {k}, node x={float(nodes[off])!r} is off the ensemble grid")
+    n_cells = len(t_index) * (k_max + 1) * nodes.size
+    if cells.complete(n_rows, n_cells):
+        return {"snapshot_times": tuple(t_index), "nodes": nodes, "snapshots": cells.snapshots()}
+    written, repeated = cells.tally()
     raise ValueError(
-        f"{path}: {n_cells - counts.size} (snapshot, path, node) cells missing and "
-        f"{np.count_nonzero(counts > 1)} written more than once, of {n_cells}"
+        f"{path}: {n_cells - written} (snapshot, path, node) cells missing and "
+        f"{repeated} written more than once, of {n_cells}"
     )
 
 

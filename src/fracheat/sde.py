@@ -420,16 +420,22 @@ def _run_block(
     snap_steps = disc.snapshot_steps()
     snap_lookup = {s: i for i, s in enumerate(snap_steps)}
     u = np.tile(params.u0, (B, 1))
+    forced = np.empty_like(u)
     alive = np.ones(B, dtype=bool)
-    lam = params.lam
+    lam, dx = params.lam, disc.grid.dx
 
     def record(step_index: int) -> None:
+        # a non-finite row stays non-finite, and a GEMM row reads only its own
+        # input row, so checking here alone flags the same paths as every step
+        bad = alive & ~np.all(np.isfinite(u), axis=1)
+        if np.any(bad):
+            alive[bad] = False
+            u[bad] = 0.0  # quarantine so later matmuls stay finite; snapshots show NaN
         j = snap_lookup.get(step_index)
-        if j is None:
-            return
-        snap = u.copy()
-        snap[~alive] = np.nan
-        out[j, path_indices.start : path_indices.stop] = snap
+        if j is not None:
+            snap = u.copy()
+            snap[~alive] = np.nan
+            out[j, path_indices.start : path_indices.stop] = snap
 
     record(0)
     # overflow here is an expected outcome (the path gets flagged), not an error
@@ -437,13 +443,18 @@ def _run_block(
         for lo, chunk in _noise_chunks(master_seed, path_indices, steps, n, antithetic=False):
             chunk *= scale
             for s in range(lo, lo + chunk.shape[1]):
-                forced = u + lam * sigma_eval(params.sigma, u) * chunk[:, s - lo, :] / disc.grid.dx
-                u = forced @ factor_T
-                bad = alive & ~np.all(np.isfinite(u), axis=1)
-                if np.any(bad):
-                    alive &= ~bad
-                    u[bad] = 0.0  # quarantine so later matmuls stay finite; snapshots show NaN
-                record(s + 1)
+                # u + lam sigma(u) dW / dx, in that operation order, in place
+                if params.sigma.kind == "linear":
+                    np.multiply(u, params.sigma.L_sigma, out=forced)
+                else:
+                    forced[...] = sigma_eval(params.sigma, u)
+                forced *= lam
+                forced *= chunk[:, s - lo, :]
+                forced /= dx
+                forced += u
+                np.matmul(forced, factor_T, out=u)
+                if s + 1 in snap_lookup or s + 1 == steps:
+                    record(s + 1)
     flagged[path_indices.start : path_indices.stop] = ~alive
 
 

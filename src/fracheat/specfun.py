@@ -30,7 +30,6 @@ between calls.  The series/asymptotic switch applies per element.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -89,16 +88,19 @@ def _recip_gamma(x: float) -> float:
 
 def _series_exact_beta1(z: float) -> float:
     # For beta = 1 the coefficients are exact factorials, so the alternating
-    # series at negative z can be summed in rational arithmetic; float
-    # summation tops out near 1e-13 relative at z = -5 from cancellation.
-    zf = Fraction(z)
-    acc = Fraction(1)
-    term = Fraction(1)
+    # series at negative z can be summed exactly; float summation tops out
+    # near 1e-13 relative at z = -5 from cancellation.  With z = m / d (d a
+    # power of 2) and den = d^n n!, the sum through term n is num / den and
+    # term n is m^n / den: integers, so the stopping rule is exact and the
+    # one division rounds the exact sum correctly.
+    m, d = z.as_integer_ratio()
+    num = den = power = 1
     for n in range(1, _SERIES_TERMS_MAX):
-        term = term * zf / n
-        acc += term
-        if n >= 4 and abs(term) <= abs(acc) * Fraction(1, 10**22):
-            return float(acc)
+        power *= m
+        num = num * d * n + power
+        den *= d * n
+        if n >= 4 and abs(power) * 10**22 <= abs(num):
+            return num / den
     raise PrecisionError(f"Mittag-Leffler series (beta=1) did not converge in {_SERIES_TERMS_MAX} terms at z={z}")
 
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import fracheat
-from fracheat import acceptance, bounds, cli, specfun
+from fracheat import acceptance, bounds, cli, sde, specfun
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -477,6 +478,60 @@ def test_read_ensemble_csv_rejects_off_grid_rows(tmp_path, small_ensemble, monke
         cli.read_ensemble_csv(header_only)
 
 
+def test_read_ensemble_csv_counts_a_row_written_twice_within_and_across_chunks(tmp_path, small_ensemble, monkeypatch):
+    monkeypatch.setattr(cli, "_CSV_CHUNK_LINES", 100)  # file lines 2-101, 102-201, ...
+    path = tmp_path / "ens.csv"
+    small_ensemble.write_csv(path)
+    lines = path.read_text().splitlines(keepends=True)
+    for name, doubled in (("within", lines[:50] + [lines[49]] + lines[50:]),
+                          ("across", lines + [lines[49]])):
+        bad_file = tmp_path / f"{name}.csv"
+        bad_file.write_text("".join(doubled))
+        with pytest.raises(ValueError, match=f"{name}.csv: 0 .* cells missing and 1 written more than once, of 8192"):
+            cli.read_ensemble_csv(bad_file)
+
+
+def test_read_ensemble_csv_counts_a_far_path_in_little_memory(tmp_path, small_ensemble):
+    path = tmp_path / "ens.csv"
+    small_ensemble.write_csv(path)
+    lines = path.read_text().splitlines(keepends=True)
+    far = tmp_path / "far_path.csv"
+    far.write_text("".join(lines[:-1] + [str(10**15) + lines[-1][lines[-1].index(","):]]))
+    n_cells = 2 * (10**15 + 1) * 64
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"far_path.csv: {n_cells - 8192} .* cells missing and 0 written more than once, of {n_cells}"):
+            cli.read_ensemble_csv(far)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_read_ensemble_csv_memory_grows_with_its_output_only(tmp_path, desk_grid, desk_params):
+    growth = {}
+    for n_paths in (512, 2048):
+        snaps = np.random.default_rng(n_paths).standard_normal((2, n_paths, desk_grid.n))
+        disc = sde.Discretization(grid=desk_grid, dt=0.125, t_end=0.25, snapshot_times=(0.125, 0.25))
+        path = tmp_path / f"ens{n_paths}.csv"
+        sde.PathEnsemble(
+            n_paths=n_paths, master_seed=0, snapshot_times=disc.snapshot_times, snapshots=snaps,
+            flagged=np.zeros(n_paths, dtype=bool), params=desk_params, disc=disc,
+        ).write_csv(path)
+        tracemalloc.start()
+        try:
+            data = cli.read_ensemble_csv(path)
+            growth[n_paths] = (tracemalloc.get_traced_memory()[1], data["snapshots"].nbytes)
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(data["snapshots"], snaps)
+        del data
+    # 4x the paths: the peak may grow by the output, its write counts and
+    # slack, not by arrays of one entry per row
+    (peak_1, out_1), (peak_4, out_4) = growth[512], growth[2048]
+    assert peak_4 - peak_1 <= 3 * (out_4 - out_1)
+
+
 SWEEP_HEADER = "lambda,t,phi_p,phi_p_se,sup_m,sup_m_se,inf_m,inf_m_se,n_eff,flagged\n"
 SWEEP_ROW = "8.0,0.25,1.5,0.0,2.5,0.0,0.5,0.0,0,0.0\n"
 
@@ -509,6 +564,21 @@ def test_read_ensemble_csv_accepts_rows_in_any_order(tmp_path, small_ensemble, m
     data = cli.read_ensemble_csv(shuffled)
     t_order, x_order = np.argsort(data["snapshot_times"]), np.argsort(data["nodes"])
     assert np.array_equal(data["nodes"][x_order], small_ensemble.grid.nodes)
+    assert np.array_equal(data["snapshots"][t_order][:, :, x_order], small_ensemble.snapshots)
+
+
+@pytest.mark.parametrize("key", [lambda r: r.split(",")[0], lambda r: r.split(",")[2]], ids=["by-path", "by-node"])
+def test_read_ensemble_csv_round_trips_rows_grouped_by_path_or_node(tmp_path, small_ensemble, monkeypatch, key):
+    # every chunk brings new paths or nodes with several snapshots already
+    # placed, so the cells read so far move as the array grows
+    monkeypatch.setattr(cli, "_CSV_CHUNK_LINES", 300)
+    path = tmp_path / "ens.csv"
+    small_ensemble.write_csv(path)
+    header, *rows = path.read_text().splitlines(keepends=True)
+    grouped = tmp_path / "grouped.csv"
+    grouped.write_text(header + "".join(sorted(rows, key=key)))
+    data = cli.read_ensemble_csv(grouped)
+    t_order, x_order = np.argsort(data["snapshot_times"]), np.argsort(data["nodes"])
     assert np.array_equal(data["snapshots"][t_order][:, :, x_order], small_ensemble.snapshots)
 
 

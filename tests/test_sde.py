@@ -286,6 +286,64 @@ def test_flagged_paths_are_counted_and_quarantined(desk_grid, desk_op):
     assert np.all(np.isfinite(surviving))
 
 
+def per_step_check_ensemble(params, disc, op, n_paths, master_seed):
+    """run_ensemble with the finiteness check and quarantine after every
+    step and a fresh array per step: same blocks, noise and operation order."""
+    grid, steps = disc.grid, disc.n_steps()
+    factor_T = laplacian.implicit_factor(op, disc.dt).T
+    snap_lookup = {s: i for i, s in enumerate(disc.snapshot_steps())}
+    out = np.empty((len(disc.snapshot_times), n_paths, grid.n))
+    flagged = np.zeros(n_paths, dtype=bool)
+    for lo_path in range(0, n_paths, sde._BLOCK):
+        blk = range(lo_path, min(lo_path + sde._BLOCK, n_paths))
+        u = np.tile(params.u0, (len(blk), 1))
+        alive = np.ones(len(blk), dtype=bool)
+
+        def record(step_index):
+            j = snap_lookup.get(step_index)
+            if j is not None:
+                snap = u.copy()
+                snap[~alive] = np.nan
+                out[j, blk.start : blk.stop] = snap
+
+        record(0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo, chunk in _noise_chunks(master_seed, blk, steps, grid.n, antithetic=False):
+                chunk *= math.sqrt(disc.dt * grid.dx)
+                for s in range(lo, lo + chunk.shape[1]):
+                    forced = u + params.lam * sigma_eval(params.sigma, u) * chunk[:, s - lo, :] / grid.dx
+                    u = forced @ factor_T
+                    bad = alive & ~np.all(np.isfinite(u), axis=1)
+                    if np.any(bad):
+                        alive &= ~bad
+                        u[bad] = 0.0
+                    record(s + 1)
+        flagged[blk.start : blk.stop] = ~alive
+    return out, flagged
+
+
+@pytest.mark.parametrize("sigma_kind", ["linear", "custom-table"])
+def test_ensemble_step_matches_the_per_step_check_bit_for_bit(desk_grid, desk_op, sigma_kind):
+    # the step writes into one buffer and checks finiteness only at snapshot
+    # steps; a path that overflows between two snapshots must still come out
+    # flagged at the same snapshot, and every other path unchanged
+    if sigma_kind == "linear":  # test_flagged_paths_are_counted_and_quarantined's blow-up
+        params = make_params(desk_grid, lam=8.0, u0=1e300 * tent_profile(desk_grid))
+        snaps = (0.25, 0.5)
+    else:
+        table = SigmaSpec(kind="custom-table", l_sigma=0.5, L_sigma=2.0,
+                          table_u=np.array([0.0, 1.0, 3.0]), table_values=np.array([0.0, 2.0, 3.0]))
+        params = make_params(desk_grid, lam=12.0, u0=1e300 * tent_profile(desk_grid), sigma=table)
+        snaps = (0.25, 0.3125)
+    disc = Discretization(grid=desk_grid, dt=1.0 / 64.0, t_end=snaps[-1], snapshot_times=snaps)
+    ref, ref_flagged = per_step_check_ensemble(params, disc, desk_op, 150, master_seed=13)
+    assert 0 < ref_flagged.sum() < 150
+    for workers in (1, 2):
+        ens = run_ensemble(params, disc, desk_op, n_paths=150, master_seed=13, worker_count=workers)
+        assert np.array_equal(ens.snapshots, ref, equal_nan=True)
+        assert np.array_equal(ens.flagged, ref_flagged)
+
+
 def synthetic_ensemble(grid, params, snapshots):
     """A PathEnsemble around given snapshot values, one snapshot per row of
     ``snapshots`` at times 1/8, 2/8, ..."""

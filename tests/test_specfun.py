@@ -7,6 +7,7 @@ written independently of the production evaluator.
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -124,6 +125,25 @@ def test_monotone_and_at_least_one_on_nonnegative_axis(beta, z1, z2):
 
 # ---------------------------------------------------------------------------
 # The array path against the scalar series, one argument at a time
+
+
+def fraction_series_beta1(z: float) -> float:
+    """E_1(z) = sum z^n / n! summed in Fraction arithmetic, stopping at the
+    first n >= 4 with |term n| <= 1e-22 |sum|."""
+    zf, acc, term = Fraction(z), Fraction(1), Fraction(1)
+    for n in range(1, specfun._SERIES_TERMS_MAX):
+        term = term * zf / n
+        acc += term
+        if n >= 4 and abs(term) <= abs(acc) * Fraction(1, 10**22):
+            return float(acc)
+    raise AssertionError(f"no convergence at z={z}")
+
+
+def test_exact_beta1_series_matches_the_fraction_sum_bit_for_bit():
+    # check 1's points, and uniform points on the same range
+    zs = np.concatenate([np.linspace(-5.0, 5.0, 201), np.random.default_rng(0).uniform(-5.0, 5.0, 2000)])
+    for z in zs.tolist() + [0.0, -0.0, 1e-300, -30.0, 30.0]:
+        assert specfun._series_exact_beta1(z) == fraction_series_beta1(z), z
 
 
 def scalar_series(beta: float, z: float) -> float:
