@@ -274,10 +274,8 @@ def check_small_noise_stability() -> CheckResult:
         slopes = {lam: moments.fit_lyapunov_from_log(zip(c.t, c.log_sup))[0] for lam, c in curves.items()}
         ok_neg = all(s < 0.0 for s in slopes.values())
 
-        phi1 = op.eigenvectors[:, -1].copy()
-        if phi1[np.argmax(np.abs(phi1))] < 0:
-            phi1 = -phi1
-        phi1 /= phi1.max()
+        # assemble makes each eigenvector's largest-magnitude entry positive
+        phi1 = op.eigenvectors[:, -1] / op.eigenvectors[:, -1].max()
         c0 = bounds.oracle_sweep(op, phi1, _LINEAR, (0.0,), T=2.0, steps=512)[0.0]
         slope0 = moments.fit_lyapunov_from_log(zip(c0.t, c0.log_sup))[0]
         rel0 = abs(slope0 + 2.0 * op.lambda1) / (2.0 * op.lambda1)

@@ -18,11 +18,12 @@ import argparse
 import itertools
 import json
 import math
+import operator
 import os
 import stat
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -95,137 +96,125 @@ class ExperimentConfig:
 
 
 _MISSING = object()
+_BOUNDS = {"above": (">", operator.gt), "at_least": (">=", operator.ge),
+           "below": ("<", operator.lt), "at_most": ("<=", operator.le)}
+# each level of a sweep is one ensemble or one oracle march: a count past
+# this is a typo, not a grid
+_SWEEP_COUNT_MAX = 1000
+# the config field each command-line flag sets
+_FLAG_FIELDS = {
+    "seed": "ensemble.master_seed",
+    "workers": "ensemble.worker_count",
+    "out": "outputs.directory",
+    "svg": "outputs.emit_svg",
+}
 
 
 def _get(doc: dict, path: str, default=_MISSING):
+    """The value at a dotted path; a JSON null counts as an absent key."""
     cur = doc
     for part in path.split("."):
-        if not isinstance(cur, dict) or part not in cur:
+        cur = cur.get(part) if isinstance(cur, dict) else None
+        if cur is None:
             if default is _MISSING:
                 raise ConfigError(path, "missing required field")
             return default
-        cur = cur[part]
     return cur
 
 
-def _number(doc: dict, path: str, default=_MISSING, *, integer: bool = False):
+def _checked(path: str, v, integer: bool = False, **bounds):
+    """``v`` as an int or a float, if it is a finite number (an integer with
+    ``integer``) inside ``bounds``, each a keyword of ``_BOUNDS``: above=a
+    requires v > a, at_least=a v >= a, and so on."""
+    finite = isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+    if not finite or (integer and v != int(v)):
+        raise ConfigError(path, f"expected {'an integer' if integer else 'a finite number'}, got {v!r}")
+    v = int(v) if integer else float(v)
+    if not all(_BOUNDS[name][1](v, bound) for name, bound in bounds.items()):
+        rule = " and ".join(f"{_BOUNDS[name][0]} {bound!r}" for name, bound in bounds.items())
+        raise ConfigError(path, f"must be {rule}, got {v!r}")
+    return v
+
+
+def _number(doc: dict, path: str, default=_MISSING, **rule):
+    """The number at ``path`` under ``_checked``'s rule; None only as a default."""
     v = _get(doc, path, default)
-    if v is None:
-        return None
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(path, f"expected a number, got {v!r}")
-    if integer and int(v) != v:
-        raise ConfigError(path, f"expected an integer, got {v!r}")
-    return int(v) if integer else float(v)
+    return None if v is None else _checked(path, v, **rule)
 
 
-def _sigma_table(doc: dict, key: str) -> Optional[np.ndarray]:
-    v = _get(doc, f"model.sigma.{key}", None)
-    if v is None:
-        return None
-    if not isinstance(v, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in v
-    ):
-        raise ConfigError("model.sigma", f"{key} must be a list of numbers, got {v!r}")
-    return np.array(v, dtype=float)
+def _numbers(doc: dict, path: str, default=_MISSING, *, length: Optional[int] = None,
+             increasing: bool = False, **rule):
+    """The non-empty list at ``path`` as a tuple, each entry under
+    ``_checked``'s rule.  A value equal to ``default`` (u0's "tent") is
+    returned as it is."""
+    v = _get(doc, path, default)
+    if v is None or v == default:
+        return v
+    if not isinstance(v, list) or not v or len(v) != (length or len(v)):
+        got = f"{len(v)} entries" if isinstance(v, list) else repr(v)
+        raise ConfigError(path, f"expected a list of {length or 'one or more'} numbers, got {got}")
+    values = tuple(_checked(path, x, **rule) for x in v)
+    if increasing and list(values) != sorted(values):
+        raise ConfigError(path, f"entries must be increasing, got {v!r}")
+    return values
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
-    """Validate a parsed JSON document; raise ConfigError naming the field."""
-    alpha = _number(doc, "model.alpha")
-    n = _number(doc, "discretization.n", integer=True)
-    t_end = _number(doc, "discretization.t_end")
-    n_paths = _number(doc, "ensemble.n_paths", integer=True)
+    """Validate a parsed JSON document; raise ConfigError naming the field.
 
-    L = _number(doc, "model.L", 1.0)
-    mu = _number(doc, "model.mu", 0.1)
-    lam = _number(doc, "model.lam", 1.0)
-    p = _number(doc, "model.p", 2.0)
-    if not 1.0 < alpha < 2.0:
-        raise ConfigError("model.alpha", f"alpha must lie in (1, 2), got {alpha}")
-    if n < 3:
-        raise ConfigError("discretization.n", f"need at least 3 nodes, got {n}")
-    if t_end <= 0.0:
-        raise ConfigError("discretization.t_end", f"horizon must be positive, got {t_end}")
-    if n_paths < 1:
-        raise ConfigError("ensemble.n_paths", f"need at least one path, got {n_paths}")
-
+    Every value is read once, by ``_get`` (a JSON null is an absent key) and
+    ``_number`` or ``_numbers``, which check it against its field's range."""
+    n = _number(doc, "discretization.n", integer=True, at_least=3)
+    t_end = _number(doc, "discretization.t_end", above=0.0)
+    L = _number(doc, "model.L", 1.0, above=0.0)
+    u0 = _numbers(doc, "model.u0", "tent", length=n, at_least=0.0)
     try:
         sigma = SigmaSpec(
             kind=_get(doc, "model.sigma.kind", "linear"),
-            l_sigma=_number(doc, "model.sigma.l_sigma", 1.0),
-            L_sigma=_number(doc, "model.sigma.L_sigma", 1.0),
-            table_u=_sigma_table(doc, "table_u"),
-            table_values=_sigma_table(doc, "table_values"),
+            l_sigma=_number(doc, "model.sigma.l_sigma", 1.0, above=0.0),
+            L_sigma=_number(doc, "model.sigma.L_sigma", 1.0, above=0.0),
+            table_u=_numbers(doc, "model.sigma.table_u", None),
+            table_values=_numbers(doc, "model.sigma.table_values", None),
         )
     except ValueError as exc:
         raise ConfigError("model.sigma", str(exc)) from exc
-
-    u0 = _get(doc, "model.u0", "tent")
-    if u0 == "tent":
-        u0_values: Optional[tuple] = None
-    elif isinstance(u0, list) and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in u0
-    ):
-        if len(u0) != n:
-            raise ConfigError("model.u0", f"need {n} values to match the grid, got {len(u0)}")
-        u0_values = tuple(float(v) for v in u0)
-    else:
-        raise ConfigError("model.u0", f'expected "tent" or a list of {n} numbers')
-
-    dt = _number(doc, "discretization.dt", None)
-    if dt is not None and dt <= 0.0:
-        raise ConfigError("discretization.dt", f"time step must be positive, got {dt}")
-    snaps = _get(doc, "discretization.snapshot_times", [t_end])
-    if not isinstance(snaps, list) or not snaps:
-        raise ConfigError("discretization.snapshot_times", "expected a non-empty list of times")
-    snap_t = []
-    for v in snaps:
-        number = isinstance(v, (int, float)) and not isinstance(v, bool)
-        if not number or not 0.0 < v <= t_end * (1 + 1e-12):
-            raise ConfigError(
-                "discretization.snapshot_times", f"times must lie in (0, t_end], got {v!r}"
-            )
-        snap_t.append(float(v))
-    if snap_t != sorted(snap_t):
-        raise ConfigError("discretization.snapshot_times", "times must be increasing")
-
-    lam_min = _number(doc, "sweep.lambda_min", 8.0)
-    lam_max = _number(doc, "sweep.lambda_max", 128.0)
-    count = _number(doc, "sweep.count", 5, integer=True)
-    if lam_min <= 0.0:
-        raise ConfigError("sweep.lambda_min", f"must be positive, got {lam_min}")
-    if lam_max <= lam_min:
-        raise ConfigError("sweep.lambda_max", f"must exceed lambda_min, got {lam_max}")
-    if count < 2:
-        raise ConfigError("sweep.count", f"need at least 2 grid points, got {count}")
-    lambdas = tuple(
-        float(v) for v in np.geomspace(lam_min, lam_max, count)
-    )
-
-    master_seed = _number(doc, "ensemble.master_seed", 1, integer=True)
-    worker_count = _number(doc, "ensemble.worker_count", 1, integer=True)
-    if master_seed < 0:
-        raise ConfigError("ensemble.master_seed", f"must be nonnegative, got {master_seed}")
-    if worker_count < 1:
-        raise ConfigError("ensemble.worker_count", f"need at least one worker, got {worker_count}")
-
+    lam_min = _number(doc, "sweep.lambda_min", 8.0, above=0.0)
+    lam_max = _number(doc, "sweep.lambda_max", 128.0, above=lam_min)
+    count = _number(doc, "sweep.count", 5, integer=True, at_least=2, at_most=_SWEEP_COUNT_MAX)
     out_dir = _get(doc, "outputs.directory", "out")
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError("outputs.directory", "expected a non-empty path string")
     emit_svg = _get(doc, "outputs.emit_svg", False)
     if not isinstance(emit_svg, bool):
         raise ConfigError("outputs.emit_svg", f"expected true/false, got {emit_svg!r}")
-
     return ExperimentConfig(
-        alpha=alpha, L=L, n=n, mu=mu, lam=lam, p=p, sigma=sigma, u0_values=u0_values,
-        dt=dt, t_end=t_end, snapshot_times=tuple(snap_t), lambdas=lambdas,
-        n_paths=n_paths, master_seed=master_seed, worker_count=worker_count,
-        out_dir=out_dir, emit_svg=emit_svg,
+        alpha=_number(doc, "model.alpha", above=1.0, below=2.0),
+        L=L,
+        n=n,
+        mu=_number(doc, "model.mu", 0.1, above=0.0, below=L / 2),
+        lam=_number(doc, "model.lam", 1.0, at_least=0.0),
+        p=_number(doc, "model.p", 2.0, at_least=2.0),
+        sigma=sigma,
+        u0_values=None if u0 == "tent" else u0,
+        dt=_number(doc, "discretization.dt", None, above=0.0),
+        t_end=t_end,
+        snapshot_times=_numbers(
+            doc, "discretization.snapshot_times", (t_end,), increasing=True,
+            above=0.0, at_most=t_end * (1 + 1e-12),
+        ),
+        lambdas=tuple(float(v) for v in np.geomspace(lam_min, lam_max, count)),
+        n_paths=_number(doc, "ensemble.n_paths", integer=True, at_least=1),
+        master_seed=_number(doc, "ensemble.master_seed", 1, integer=True, at_least=0),
+        worker_count=_number(doc, "ensemble.worker_count", 1, integer=True, at_least=1),
+        out_dir=out_dir,
+        emit_svg=emit_svg,
     )
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, overrides: Optional[dict] = None) -> ExperimentConfig:
+    """Parse the config file at ``path``.  ``overrides`` (dotted field path ->
+    value) are written into the document first, so each is checked as the
+    field it sets."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -235,6 +224,14 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("--config", f"{path} line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("--config", "top level must be a JSON object")
+    for field, value in (overrides or {}).items():
+        *parents, key = field.split(".")
+        cur = doc
+        for part in parents:  # _get reads a non-object as absent, so it may be replaced
+            if not isinstance(cur.get(part), dict):
+                cur[part] = {}
+            cur = cur[part]
+        cur[key] = value
     return parse_config(doc)
 
 
@@ -858,10 +855,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", metavar="PATH", help="experiment config JSON")
-        p.add_argument("--seed", type=int, metavar="U64", help="override ensemble.master_seed")
-        p.add_argument("--workers", type=int, metavar="K", help="override ensemble.worker_count")
-        p.add_argument("--out", metavar="DIR", help="override outputs.directory")
-        p.add_argument("--svg", action="store_true", help="emit SVG charts")
+        p.add_argument("--seed", type=int, metavar="U64", help=f"set {_FLAG_FIELDS['seed']}")
+        p.add_argument("--workers", type=int, metavar="K", help=f"set {_FLAG_FIELDS['workers']}")
+        p.add_argument("--out", metavar="DIR", help=f"set {_FLAG_FIELDS['out']}")
 
     add_common(sub.add_parser("simulate", help="run one ensemble, write snapshots"))
     for name, hlp in (
@@ -874,6 +870,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--oracle", action="store_true",
             help="use the deterministic second-moment oracle instead of ensembles",
         )
+        p.add_argument("--svg", action="store_true", default=None,
+                       help=f"emit SVG charts (sets {_FLAG_FIELDS['svg']})")
     add_common(sub.add_parser("moments", help="per-snapshot moment estimates"))
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
@@ -884,23 +882,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    updates = {}
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed", "must be nonnegative")
-        updates["master_seed"] = args.seed
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError("--workers", "need at least one worker")
-        updates["worker_count"] = args.workers
-    if args.out is not None:
-        updates["out_dir"] = args.out
-    if args.svg:
-        updates["emit_svg"] = True
-    return replace(cfg, **updates) if updates else cfg
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -908,7 +889,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_selftest(args.level, args.out, args.workers)
         if args.config is None:
             raise ConfigError("--config", f"required for the {args.command} command")
-        cfg = _apply_overrides(load_config(args.config), args)
+        flags = {field: getattr(args, flag, None) for flag, field in _FLAG_FIELDS.items()}
+        cfg = load_config(args.config, {f: v for f, v in flags.items() if v is not None})
         if args.command == "simulate":
             return cmd_simulate(cfg)
         if args.command == "moments":

@@ -757,6 +757,17 @@ def _form_gaps(forms, u, y):
     return _unfold(g_plus, g_minus, n)
 
 
+def _block_sums(vals, alive):
+    """A block's sums per node: of the values of its finite paths, and of the
+    squared antithetic pair sums v_2j + v_2j+1 over the pairs whose two paths
+    are finite; then the counts of those paths and pairs.  Paths 2j and 2j+1
+    share one noise stream, so the pairs, not the paths, are independent."""
+    both = alive[0::2] & alive[1::2]
+    with np.errstate(over="ignore"):  # an overflow shows as inf, which the caller refuses
+        pair2 = ((vals[0::2][both] + vals[1::2][both]) ** 2).sum(axis=0)
+    return vals[alive].sum(axis=0), pair2, int(alive.sum()), int(both.sum())
+
+
 def estimate_second_moment_pair(
     params: ModelParams,
     disc: Discretization,
@@ -774,7 +785,9 @@ def estimate_second_moment_pair(
     coarse increments are sums of consecutive fine ones, so the sampling
     error is nearly common to both resolutions and the pair of discrepancies
     against a deterministic reference isolates the time-discretization bias.
-    Linear sigma and an even n_paths only.  The forms of both resolutions
+    Linear sigma and an even n_paths only.  The standard errors are those of
+    the mean of the pair means, over the pairs whose two paths are finite,
+    since paths 2j and 2j+1 share one noise stream.  The forms of both resolutions
     hold `_forms_bytes(n)` bytes, about 3 n^3 / 4 doubles, and a grid whose
     forms would pass `_FORMS_BYTES` (256 MiB, n up to 354) is refused
     with a ValueError.  Returns (coarse, fine).
@@ -815,32 +828,29 @@ def estimate_second_moment_pair(
             z *= scale
             for xs, w, s0, (MT, g, _fm, _cv) in zip(x, (coarse, z), (lo // 2, lo), forms):
                 _rb_branch(xs, w, lam, grid.dx, MT, g[s0:])
-        sums = []
-        for (u, ell, q), (_MT, g, fm, _cv) in zip(x, forms):
-            alive = np.all(np.isfinite(u), axis=1)
-            vals = _form_gaps(fm, u, g[-1] + ell + q)[alive]
-            sums.append((vals.sum(axis=0), (vals**2).sum(axis=0), int(alive.sum())))
-        return sums
+        return [
+            _block_sums(_form_gaps(fm, u, g[-1] + ell + q), np.all(np.isfinite(u), axis=1))
+            for (u, ell, q), (_MT, g, fm, _cv) in zip(x, forms)
+        ]
 
     partial = _map_blocks(run_blk, n_paths, worker_count)
     out = []
     for which, (dt, (_MT, _g, _fm, cv)) in enumerate(zip(dts, forms)):
-        acc = sum(p[which][0] for p in partial)
-        acc2 = sum(p[which][1] for p in partial)
-        total = sum(p[which][2] for p in partial)
+        acc, acc2, total, pairs = (sum(p[which][i] for p in partial) for i in range(4))
         if not np.all(np.isfinite(acc2)):
             raise OverflowError(
                 f"squared form gaps of the estimator overflowed at lam={params.lam}, dt={dt}; "
                 "lower lam or t_end"
             )
         mean = acc / total
-        var = np.maximum(acc2 / total - mean**2, 0.0)
+        # the pair means (v_2j + v_2j+1) / 2 are the independent samples
+        var = np.maximum(acc2 / (4 * pairs) - mean**2, 0.0)
         out.append(
             SecondMomentEstimate(
                 t=disc.t_end,
                 dt=dt,
                 values=mean + cv,
-                stderr=np.sqrt(var / total),
+                stderr=np.sqrt(var / pairs),
                 n_paths=n_paths,
                 flagged_count=n_paths - total,
                 conditioning_time=cond * disc.dt,

@@ -1,17 +1,23 @@
 """End-to-end command tests: config validation, files, determinism, selftest."""
 
+import collections
 import copy
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fracheat
 from fracheat import acceptance, bounds, cli, sde, specfun
@@ -95,6 +101,18 @@ def test_simulate_is_deterministic_across_runs_and_workers(tmp_path):
             {"discretization.t_end": 1.0, "discretization.snapshot_times": [True]},
             "discretization.snapshot_times",
         ),
+        ({"model.lam": -1.0}, "model.lam"),
+        ({"model.p": math.inf}, "model.p"),
+        ({"model.mu": 0.5}, "model.mu"),
+        ({"discretization.dt": math.nan}, "discretization.dt"),
+        ({"discretization.n": math.inf}, "discretization.n"),
+        ({"sweep.count": 1001}, "sweep.count"),
+        ({"model.alpha": None}, "model.alpha"),
+        (
+            {"model.sigma": {"kind": "custom-table", "l_sigma": 0.5, "L_sigma": 1.0,
+                             "table_u": [0, math.nan, 2], "table_values": [0, 0.8, 1.2]}},
+            "model.sigma.table_u",
+        ),
     ],
 )
 def test_config_errors_name_the_field(tmp_path, capsys, override, named_field):
@@ -103,6 +121,81 @@ def test_config_errors_name_the_field(tmp_path, capsys, override, named_field):
     err = capsys.readouterr().err
     assert "config error" in err
     assert named_field in err
+
+
+def test_null_is_an_absent_field(tmp_path):
+    doc = base_config(tmp_path, **{"model.lam": None, "discretization.dt": None, "sweep.count": None})
+    cfg = cli.parse_config(doc)
+    assert (cfg.lam, cfg.dt, len(cfg.lambdas)) == (1.0, None, 5)
+    assert cli.parse_config(base_config(tmp_path, **{"sweep.count": cli._SWEEP_COUNT_MAX}))
+
+
+def test_sweep_refuses_a_negative_lam_it_does_not_read(tmp_path, capsys):
+    cfg = write_config(tmp_path, base_config(tmp_path / "o", **{"model.lam": -1.0}))
+    assert cli.main(["sweep", "--config", cfg, "--oracle"]) == 2
+    assert "config error: model.lam: must be >= 0.0, got -1.0" in capsys.readouterr().err
+
+
+# the README example config, the base of the parser fuzz below
+README_CONFIG = json.loads(
+    re.search(r"```json\n(.*?)^```", (pathlib.Path(__file__).parents[1] / "README.md").read_text(),
+              flags=re.S | re.M).group(1)
+)
+CONFIG_FIELDS = [
+    "model.alpha", "model.L", "model.mu", "model.lam", "model.p", "model.u0",
+    "model.sigma.kind", "model.sigma.l_sigma", "model.sigma.L_sigma",
+    "model.sigma.table_u", "model.sigma.table_values",
+    "discretization.n", "discretization.dt", "discretization.t_end", "discretization.snapshot_times",
+    "sweep.lambda_min", "sweep.lambda_max", "sweep.count",
+    "ensemble.n_paths", "ensemble.master_seed", "ensemble.worker_count",
+    "outputs.directory", "outputs.emit_svg",
+]
+# the fields whose rule reads another: a bad value of the other may fail them
+READS = {
+    "discretization.snapshot_times": "discretization.t_end",
+    "sweep.lambda_max": "sweep.lambda_min",
+    "model.u0": "discretization.n",
+    "model.mu": "model.L",
+}
+ODD_VALUES = [None, math.nan, math.inf, -math.inf, 1e30, 2**63, -1, 0, 0.5, "a string", True, [], {}, [1.0, None]]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.dictionaries(st.sampled_from(CONFIG_FIELDS), st.sampled_from(range(len(ODD_VALUES))), min_size=1, max_size=3))
+def test_parse_config_returns_or_names_a_replaced_field(replaced):
+    doc = copy.deepcopy(README_CONFIG)
+    for path, i in replaced.items():
+        *parents, key = path.split(".")
+        cur = doc
+        for part in parents:
+            cur = cur.setdefault(part, {})
+        cur[key] = copy.deepcopy(ODD_VALUES[i])
+    named = set(replaced) | {field for field, other in READS.items() if other in replaced}
+    if any(path.startswith("model.sigma.") for path in replaced):
+        named.add("model.sigma")
+    try:
+        cli.parse_config(doc)
+    except cli.ConfigError as exc:
+        assert exc.field in named, (exc, replaced)
+
+
+@pytest.mark.parametrize(
+    ("flag", "value", "field"),
+    [("--seed", "-1", "ensemble.master_seed"), ("--workers", "0", "ensemble.worker_count"),
+     ("--out", "", "outputs.directory")],
+)
+def test_a_bad_flag_is_refused_as_the_field_it_sets(tmp_path, capsys, flag, value, field):
+    cfg = write_config(tmp_path, base_config(tmp_path / "o"))
+    assert cli.main(["simulate", "--config", cfg, flag, value]) == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "moments"])
+def test_svg_flag_only_on_the_commands_that_write_charts(tmp_path, command):
+    cfg = write_config(tmp_path, base_config(tmp_path / "o"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", cfg, "--svg"])
+    assert exc.value.code == 2
 
 
 def test_missing_config_flag_is_a_config_error(capsys):
@@ -580,6 +673,91 @@ def test_read_ensemble_csv_round_trips_rows_grouped_by_path_or_node(tmp_path, sm
     data = cli.read_ensemble_csv(grouped)
     t_order, x_order = np.argsort(data["snapshot_times"]), np.argsort(data["nodes"])
     assert np.array_equal(data["snapshots"][t_order][:, :, x_order], small_ensemble.snapshots)
+
+
+def reference_read_ensemble_csv(path):
+    """A dict of cells keyed by (t, path, x): what read_ensemble_csv returns
+    or the ValueError it raises, for files of well-formed data lines."""
+    _header, *lines = pathlib.Path(path).read_text().splitlines()
+    rows = []
+    for lineno, line in enumerate(lines, start=2):
+        k, t, x, u = int(line.split(",")[0]), *map(float, line.split(",")[1:])
+        if k < 0:
+            raise ValueError(f"{path} line {lineno}: path {k}, node x={x!r} is off the ensemble grid")
+        rows.append((lineno, k, t, x, u))
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    times = list(dict.fromkeys(t for _, _, t, _, _ in rows))
+    nodes = list(dict.fromkeys(x for _, _, _, x, _ in rows))
+    first = {}
+    for lineno, k, _, x, _ in rows:
+        first.setdefault(x, (lineno, k))
+    grid = {x for _, k, t, x, _ in rows if k == 0 and t == times[0]}
+    for x in nodes:
+        if x not in grid:
+            lineno, k = first[x]
+            raise ValueError(f"{path} line {lineno}: path {k}, node x={x!r} is off the ensemble grid")
+    cells = collections.defaultdict(list)
+    for _, k, t, x, u in rows:
+        cells[t, k, x].append(u)
+    n_paths = max(k for _, k, _, _, _ in rows) + 1
+    n_cells = len(times) * n_paths * len(nodes)
+    repeated = sum(len(us) > 1 for us in cells.values())
+    if len(cells) < n_cells or repeated:
+        raise ValueError(
+            f"{path}: {n_cells - len(cells)} (snapshot, path, node) cells missing and "
+            f"{repeated} written more than once, of {n_cells}"
+        )
+    snaps = np.empty((len(times), n_paths, len(nodes)))
+    for (t, k, x), (u,) in cells.items():
+        snaps[times.index(t), k, nodes.index(x)] = u
+    return {"snapshot_times": tuple(times), "nodes": np.array(nodes), "snapshots": snaps}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 10), st.integers(1, 10)),  # 8 or more: spare room
+    chunk=st.integers(1, 64),
+    edits=st.lists(st.sampled_from(["duplicate", "drop", "far_path", "off_grid", "negative_path"]), max_size=3),
+    data=st.data(),
+)
+def test_read_ensemble_csv_agrees_with_a_dict_reader(tmp_path, shape, chunk, edits, data):
+    n_t, n_paths, n_x = shape
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = [
+        f"{k},{0.125 * (i + 1)!r},{(j + 1) / (n_x + 1)!r},{u!r}"
+        for (i, k, j), u in zip(np.ndindex(n_t, n_paths, n_x), rng.standard_normal(n_t * n_paths * n_x).tolist())
+    ]
+    for edit in edits:
+        k, t, x, u = data.draw(st.sampled_from(rows)).split(",") if rows else ("0", "0.125", "0.5", "1.0")
+        if edit == "duplicate":
+            rows.append(f"{k},{t},{x},{u}")
+        elif edit == "drop" and rows:
+            rows.remove(f"{k},{t},{x},{u}")
+        elif edit == "far_path":
+            rows.append(f"{10**15},{t},{x},{u}")
+        elif edit == "off_grid":
+            rows.append(f"{k},{t},0.123,{u}")
+        elif edit == "negative_path":
+            rows.append(f"-{abs(int(k)) + 1},{t},{x},{u}")
+    rows = data.draw(st.permutations(rows))
+    path = tmp_path / "ens.csv"
+    path.write_text("".join(line + "\n" for line in ["path,t,x,u", *rows]))
+    try:
+        want = reference_read_ensemble_csv(path)
+    except ValueError as exc:
+        want = exc
+    with mock.patch.object(cli, "_CSV_CHUNK_LINES", chunk):
+        if isinstance(want, ValueError):
+            with pytest.raises(ValueError) as got:
+                cli.read_ensemble_csv(path)
+            assert str(got.value) == str(want)
+        else:
+            got = cli.read_ensemble_csv(path)
+            assert got["snapshot_times"] == want["snapshot_times"]
+            assert np.array_equal(got["nodes"], want["nodes"])
+            assert np.array_equal(got["snapshots"], want["snapshots"])
 
 
 def test_custom_table_sigma_from_config_simulates(tmp_path):

@@ -102,6 +102,14 @@ def test_implicit_factor_is_reflection_symmetric(alpha, L, n):
     assert np.abs(M[::-1, ::-1] - M).max() <= 1e-13 * np.abs(M).max()
 
 
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+@pytest.mark.parametrize("n", [16, 17, 64])
+def test_eigenvector_sign_makes_the_largest_magnitude_entry_positive(n, alpha):
+    # check 5 scales the principal eigenvector by its max, which relies on this
+    V = assemble(build_grid(L=1.0, n=n, mu=0.1), OperatorConfig(alpha=alpha)).eigenvectors
+    assert np.all(V[np.argmax(np.abs(V), axis=0), np.arange(n)] > 0.0)
+
+
 def test_grid_geometry():
     # n interior nodes at (i+1) dx with dx = L/(n+1); endpoints stay exterior
     g = build_grid(L=2.0, n=10, mu=0.3)

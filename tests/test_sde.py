@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -548,8 +549,10 @@ def test_estimator_overflow_fails_loudly(desk_grid, desk_op):
     # gaps of the paths overflow in the stderr sums
     params = make_params(desk_grid, lam=8.0)
     disc = Discretization(grid=desk_grid, dt=1.0 / 1024.0, t_end=0.5, snapshot_times=(0.5,))
-    with np.errstate(all="ignore"), pytest.raises(OverflowError, match=r"lam=8\.0, dt=0\.0009765625"):
-        estimate_second_moment_pair(params, disc, desk_op, n_paths=16, master_seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # and no numpy overflow warning on the way
+        with pytest.raises(OverflowError, match=r"lam=8\.0, dt=0\.0009765625"):
+            estimate_second_moment_pair(params, disc, desk_op, n_paths=16, master_seed=0)
 
 
 @pytest.mark.parametrize("n", [64, 128])
@@ -715,6 +718,42 @@ def test_pair_estimator_memory_does_not_grow_with_t_end():
     # 4x the horizon (64 and 256 fine conditioning steps): noise held for the
     # whole conditioning time would peak about 4x higher
     assert max(peaks.values()) < 1.25 * min(peaks.values())
+
+
+def test_pair_estimator_stderr_is_that_of_the_antithetic_pair_means(desk_grid, desk_op, desk_params, monkeypatch):
+    # reference: the per-path form gaps the estimator contracts, recorded
+    # block by block (one worker: coarse then fine for each block in order)
+    gaps = []
+
+    def spy(forms, u, y):
+        out = real_gaps(forms, u, y)
+        gaps.append(out)
+        return out
+
+    real_gaps = sde._form_gaps
+    monkeypatch.setattr(sde, "_form_gaps", spy)
+    # 300 paths: three blocks, the last one partial.  Two conditioning steps
+    # or more: after one step a path is linear in the noise and its gaps are rounding
+    pair = estimate_second_moment_pair(
+        desk_params, small_disc(desk_grid, dt=1.0 / 256.0, t_end=0.5), desk_op, n_paths=300, master_seed=19
+    )
+    for which, est in enumerate(pair):
+        G = np.concatenate(gaps[which::2])
+        means = 0.5 * (G[0::2] + G[1::2])
+        ref = means.std(axis=0) / math.sqrt(len(means))
+        assert np.abs(est.stderr - ref).max() <= 1e-9 * ref.max()
+        # the paths of a pair are correlated, so the path-wise stderr is not it
+        assert np.abs(est.stderr - G.std(axis=0) / math.sqrt(len(G))).max() > 1e-3 * ref.max()
+
+
+def test_block_sums_pair_only_paths_that_are_both_finite():
+    vals = np.arange(12.0).reshape(6, 2)
+    alive = np.array([True, True, True, False, True, True])
+    vals[3] = np.nan
+    total, pair2, n_alive, n_pairs = sde._block_sums(vals, alive)
+    assert np.array_equal(total, vals[alive].sum(axis=0))
+    assert np.array_equal(pair2, (vals[0] + vals[1]) ** 2 + (vals[4] + vals[5]) ** 2)
+    assert (n_alive, n_pairs) == (5, 2)
 
 
 def test_pair_estimator_worker_count_never_changes_results(desk_grid, desk_op, desk_params):
