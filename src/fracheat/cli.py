@@ -98,8 +98,8 @@ class ExperimentConfig:
 _MISSING = object()
 _BOUNDS = {"above": (">", operator.gt), "at_least": (">=", operator.ge),
            "below": ("<", operator.lt), "at_most": ("<=", operator.le)}
-# each level of a sweep is one ensemble or one oracle march: a count past
-# this is a typo, not a grid
+# the excitation fit needs 5 levels, and each level of a sweep is one
+# ensemble or one oracle march: a count past 1000 is a typo, not a grid
 _SWEEP_COUNT_MAX = 1000
 # the config field each command-line flag sets
 _FLAG_FIELDS = {
@@ -180,7 +180,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError("model.sigma", str(exc)) from exc
     lam_min = _number(doc, "sweep.lambda_min", 8.0, above=0.0)
     lam_max = _number(doc, "sweep.lambda_max", 128.0, above=lam_min)
-    count = _number(doc, "sweep.count", 5, integer=True, at_least=2, at_most=_SWEEP_COUNT_MAX)
+    count = _number(doc, "sweep.count", 5, integer=True, at_least=5, at_most=_SWEEP_COUNT_MAX)
     out_dir = _get(doc, "outputs.directory", "out")
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError("outputs.directory", "expected a non-empty path string")
@@ -445,12 +445,6 @@ def _mc_source(cfg: ExperimentConfig) -> _Sweep:
     return _Sweep(rows, tables, list(disc.snapshot_times), warnings, flagged_total)
 
 
-def _sweep_source(cfg: ExperimentConfig, oracle: bool) -> _Sweep:
-    if len(cfg.lambdas) < 5:
-        raise ConfigError("sweep.count", "the excitation fit needs at least 5 lambda points")
-    return _oracle_source(cfg) if oracle else _mc_source(cfg)
-
-
 def _excitation_fit(sweep: _Sweep) -> tuple[list, Optional[tuple]]:
     """The excitation table (lambda, ln Phi_p at the last time) of the
     complete tables, and its fit, or None and a warning."""
@@ -544,7 +538,7 @@ def _finish(cfg: ExperimentConfig, payload: dict, written: list, charts: dict) -
 
 
 def cmd_sweep(cfg: ExperimentConfig, oracle: bool) -> int:
-    sweep = _sweep_source(cfg, oracle)
+    sweep = _oracle_source(cfg) if oracle else _mc_source(cfg)
     try:
         gamma_hat, gamma_ci = moments.fit_lyapunov_from_log(sweep.tables[cfg.lambdas[-1]])
         gamma_ci = list(gamma_ci)
@@ -569,7 +563,7 @@ def cmd_sweep(cfg: ExperimentConfig, oracle: bool) -> int:
 
 
 def cmd_excitation(cfg: ExperimentConfig, oracle: bool) -> int:
-    sweep = _sweep_source(cfg, oracle)
+    sweep = _oracle_source(cfg) if oracle else _mc_source(cfg)
     table, fit = _excitation_fit(sweep)
     payload = _fit_payload(cfg, oracle, sweep, fit)
     if oracle:
@@ -722,26 +716,32 @@ class _Cells:
         return self.vals.reshape(self.box)
 
 
+def _load_rows(lines: list) -> np.ndarray:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt on blank lines only
+        return np.loadtxt(lines, delimiter=",", dtype=_CSV_ROW, comments=None, ndmin=1)
+
+
 def _parse_rows(path, lines: list, lineno: int) -> np.ndarray:
     """One chunk of ensemble CSV data lines, the first at file line
-    ``lineno``.  A chunk the C parser rejects, or one where it skipped blank
-    lines, is parsed again line by line so the error names its line."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # loadtxt on an all-blank chunk
-        try:
-            rows = np.loadtxt(lines, delimiter=",", dtype=_CSV_ROW, comments=None, ndmin=1)
-            if len(rows) == len(lines):
-                return rows
-        except ValueError:
-            pass
-    rows = np.empty(len(lines), dtype=_CSV_ROW)
+    ``lineno``.  A chunk the parser rejects, or one where it skipped blank
+    lines, is parsed again line by line with the same call, and the first
+    line it rejects or reads as no row raises ValueError naming that line."""
+    try:
+        rows = _load_rows(lines)
+        if len(rows) == len(lines):
+            return rows
+    except ValueError:
+        pass
     for j, line in enumerate(lines):
         try:
-            ps, ts, xs, u = line.rstrip("\n").split(",")
-            rows[j] = int(ps), float(ts), float(xs), float(u)
-        except (ValueError, OverflowError) as exc:  # OverflowError: k outside int64
+            n = len(_load_rows([line]))
+        except ValueError as exc:
             raise ValueError(f"{path} line {lineno + j}: {exc}") from exc
-    return rows
+        if n != 1:
+            raise ValueError(f"{path} line {lineno + j}: blank, expected path,t,x,u")
+    # each line alone parsed where the chunk did not: still refuse the chunk
+    raise ValueError(f"{path} lines {lineno}-{lineno + len(lines) - 1}: not parsed as rows")
 
 
 def read_ensemble_csv(path: str) -> dict:

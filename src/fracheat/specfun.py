@@ -17,14 +17,14 @@ what the envelope-fitting code consumes.
 All four functions take a scalar (float out) or an array (array of the
 same shape out), so a whole curve is one call; mittag_leffler also takes
 z < 0, where it raises PrecisionError once the alternating series cancels
-more than four digits.  Their series rows share one table of term ratios
-e_n = Gamma((n-1) beta + 1) / Gamma(n beta + 1) per call, extended as rows
-need more terms: the terms of each row are a running product of y e_n,
+more than four digits.  The terms of each series row are a running product
+of y e_n with the term ratios e_n = Gamma((n-1) beta + 1) / Gamma(n beta + 1),
 summed with fsum once two consecutive terms fall below 1e-17 of the running
 sum.  Powers and transcendentals are taken element by element with math, so
-an element's value does not depend on the array it came in.  z is taken in
-chunks of 512 points and rows in blocks of 64 KiB, and no table is kept
-between calls.  The series/asymptotic switch applies per element.
+an element's value does not depend on the array it came in.  The whole
+array is one pass; series rows are evaluated in blocks of 64 KiB, and
+nothing is kept between calls.  The series/asymptotic switch applies per
+element.
 """
 
 from __future__ import annotations
@@ -56,11 +56,9 @@ _ASYMPTOTIC_ORDER = 3
 # At z < 0 the series alternates; a row whose terms sum in magnitude to more
 # than _CANCELLATION_MAX times its value has lost too many digits and raises.
 _CANCELLATION_MAX = 1e4
-# The array path takes z in chunks of _CHUNK_POINTS and evaluates series
-# rows in blocks of at most _CHUNK_DOUBLES doubles (64 KiB), which bounds
-# each of its temporaries.
+# Series rows are evaluated in blocks of at most _CHUNK_DOUBLES doubles
+# (64 KiB), which bounds each term-matrix temporary.
 _CHUNK_DOUBLES = 1 << 13
-_CHUNK_POINTS = 512
 
 
 def gamma(x: float) -> float:
@@ -104,28 +102,13 @@ def _series_exact_beta1(z: float) -> float:
     raise PrecisionError(f"Mittag-Leffler series (beta=1) did not converge in {_SERIES_TERMS_MAX} terms at z={z}")
 
 
-class _RatioTable:
-    """e_n = exp(lgamma((n-1) beta + 1) - lgamma(n beta + 1)), n = 1..K, for one array call.
-
-    Formed element by element with math.lgamma and math.exp, and extended
-    when a row needs more terms.  It lives only for its call, so the array
-    path holds no memory between calls.
-    """
-
-    def __init__(self, beta: float) -> None:
-        self.beta = beta
-        self.lg = [0.0]  # lgamma(n beta + 1) for n = 0, 1, ...
-        self.e = np.empty(0)
-
-    def first(self, K: int) -> np.ndarray:
-        if self.e.size < K:
-            lg = self.lg
-            lg += [math.lgamma(n * self.beta + 1.0) for n in range(len(lg), K + 1)]
-            self.e = np.array([math.exp(lg[n - 1] - lg[n]) for n in range(1, K + 1)])
-        return self.e[:K]
+def _term_ratios(beta: float, K: int) -> np.ndarray:
+    """e_n = exp(lgamma((n-1) beta + 1) - lgamma(n beta + 1)) for n = 1..K, element by element."""
+    lg = [math.lgamma(n * beta + 1.0) for n in range(K + 1)]
+    return np.array([math.exp(lg[n - 1] - lg[n]) for n in range(1, K + 1)])
 
 
-def _series_rows(beta: float, y: np.ndarray, ratios: _RatioTable) -> np.ndarray:
+def _series_rows(beta: float, y: np.ndarray) -> np.ndarray:
     """E_beta(y) by the power series for each finite y of a 1-D array.
 
     Row i holds the terms 1, y_i e_1, (y_i e_1)(y_i e_2), ... and their
@@ -142,7 +125,7 @@ def _series_rows(beta: float, y: np.ndarray, ratios: _RatioTable) -> np.ndarray:
     pending = np.arange(y.size)
     K = 64
     while pending.size:
-        e = ratios.first(K)
+        e = _term_ratios(beta, K)
         rows = max(1, _CHUNK_DOUBLES // (K + 1))
         left = []
         for lo in range(0, pending.size, rows):
@@ -188,17 +171,10 @@ def _asymptotic_poly(beta: float, z: float) -> float:
     return math.fsum(z ** (-k) * _recip_gamma(1.0 - beta * k) for k in range(1, _ASYMPTOTIC_ORDER + 1))
 
 
-def _beta_in_range(name: str, beta: float) -> float:
-    beta = float(beta)
-    if not (math.isfinite(beta) and 0.0 < beta < 2.0):
-        raise ValueError(f"{name} requires beta in (0, 2), got {beta}")
-    return beta
-
-
-def _ml_chunk(beta: float, zs: np.ndarray, ratios: _RatioTable) -> np.ndarray:
+def _ml(beta: float, zs: np.ndarray) -> np.ndarray:
     out = np.empty(zs.size)
     series = zs < _SWITCH_THRESHOLD
-    out[series] = _series_rows(beta, zs[series], ratios)
+    out[series] = _series_rows(beta, zs[series])
     p = 1.0 / beta
     big = zs[~series].tolist()
     rates = [v**p for v in big]
@@ -222,14 +198,11 @@ def mittag_leffler(beta: float, z):
     when the alternating series at z < 0 cancels beyond 1e4 (beta < 1:
     from about z = -1.9 at beta 1/3, -2.6 at 1/2, -3.6 at 2/3).
     """
-    beta = _beta_in_range("mittag_leffler", beta)
-    zs = _checked_z("mittag_leffler", beta, z, nonneg=False)
-    return _shaped(z, _by_chunks(_ml_chunk, beta, zs))
+    beta, zs = _checked("mittag_leffler", beta, z, nonneg=False)
+    return _shaped(z, _ml(beta, zs))
 
 
-def _log_rows(
-    beta: float, y: np.ndarray, rate: np.ndarray, series: np.ndarray, ratios: _RatioTable
-) -> np.ndarray:
+def _log_rows(beta: float, y: np.ndarray, rate: np.ndarray, series: np.ndarray) -> np.ndarray:
     """ln E_beta(y) per element, with rate = y^(1/beta) and the series mask given.
 
     Series elements take ln of the series sum; the others the asymptotic
@@ -239,7 +212,7 @@ def _log_rows(
     """
     out = np.empty(y.size)
     if series.any():
-        out[series] = [math.log(v) for v in _series_rows(beta, y[series], ratios).tolist()]
+        out[series] = [math.log(v) for v in _series_rows(beta, y[series]).tolist()]
     asym = ~series
     out[asym] = rate[asym] - math.log(beta)
     near = asym & (rate < 745.0)
@@ -250,8 +223,12 @@ def _log_rows(
     return out
 
 
-def _checked_z(name: str, beta: float, z, nonneg: bool) -> np.ndarray:
-    """z as a flat float array, or ValueError naming beta and the first bad element."""
+def _checked(name: str, beta: float, z, nonneg: bool) -> tuple[float, np.ndarray]:
+    """beta in (0, 2) and z as a flat float array, or ValueError naming the
+    bad beta or (with beta) the first bad element of z."""
+    beta = float(beta)
+    if not (math.isfinite(beta) and 0.0 < beta < 2.0):
+        raise ValueError(f"{name} requires beta in (0, 2), got {beta}")
     flat = np.asarray(z, dtype=float).ravel()
     ok = np.isfinite(flat) & (flat >= 0.0) if nonneg else np.isfinite(flat)
     bad = np.flatnonzero(~ok)
@@ -259,29 +236,11 @@ def _checked_z(name: str, beta: float, z, nonneg: bool) -> np.ndarray:
         where = f" at index {bad[0]}" if np.ndim(z) else ""
         need = "finite z >= 0" if nonneg else "finite z"
         raise ValueError(f"{name} requires {need}, got z={flat[bad[0]]}{where} (beta={beta})")
-    return flat
+    return beta, flat
 
 
 def _shaped(z, out: np.ndarray):
     return float(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
-
-
-def _by_chunks(fn, beta: float, zs: np.ndarray) -> np.ndarray:
-    """fn(beta, chunk, ratios) over consecutive chunks of zs, so its
-    per-element lists and temporaries stay small; the chunks share one
-    table of term ratios."""
-    out = np.empty(zs.size)
-    ratios = _RatioTable(beta)
-    for lo in range(0, zs.size, _CHUNK_POINTS):
-        out[lo : lo + _CHUNK_POINTS] = fn(beta, zs[lo : lo + _CHUNK_POINTS], ratios)
-    return out
-
-
-def _log_ml_chunk(beta: float, zs: np.ndarray, ratios: _RatioTable) -> np.ndarray:
-    p = 1.0 / beta
-    rate = np.array([v**p if v > 0.0 else 0.0 for v in zs.tolist()])
-    series = (zs < _SWITCH_THRESHOLD) & (rate <= 650.0)
-    return _log_rows(beta, zs, rate, series, ratios)
 
 
 def log_mittag_leffler(beta: float, z):
@@ -289,9 +248,11 @@ def log_mittag_leffler(beta: float, z):
 
     z is a scalar (float out) or an array (array of its shape out).
     """
-    beta = _beta_in_range("log_mittag_leffler", beta)
-    zs = _checked_z("log_mittag_leffler", beta, z, nonneg=True)
-    return _shaped(z, _by_chunks(_log_ml_chunk, beta, zs))
+    beta, zs = _checked("log_mittag_leffler", beta, z, nonneg=True)
+    p = 1.0 / beta
+    rate = np.array([v**p if v > 0.0 else 0.0 for v in zs.tolist()])
+    series = (zs < _SWITCH_THRESHOLD) & (rate <= 650.0)
+    return _shaped(z, _log_rows(beta, zs, rate, series))
 
 
 def f_beta(beta: float, z):
@@ -299,18 +260,9 @@ def f_beta(beta: float, z):
 
     z is a scalar (float out) or an array (array of its shape out).
     """
-    beta = _beta_in_range("f_beta", beta)
-    zs = _checked_z("f_beta", beta, z, nonneg=True)
+    beta, zs = _checked("f_beta", beta, z, nonneg=True)
     y = np.array([v**beta for v in zs.tolist()])
-    return _shaped(z, _by_chunks(_ml_chunk, beta, y))
-
-
-def _log_f_chunk(beta: float, zs: np.ndarray, ratios: _RatioTable) -> np.ndarray:
-    zl = zs.tolist()
-    y = np.array([v**beta for v in zl])
-    log_switch = math.log(_SWITCH_THRESHOLD)
-    series = np.array([v == 0.0 or (beta * math.log(v) < log_switch and v <= 650.0) for v in zl], dtype=bool)
-    return _log_rows(beta, y, zs, series, ratios)
+    return _shaped(z, _ml(beta, y))
 
 
 def log_f_beta(beta: float, z):
@@ -319,6 +271,9 @@ def log_f_beta(beta: float, z):
     z is a scalar (float out) or an array (array of its shape out).
     F_beta(z) = E_beta(y) with y = z^beta and y^(1/beta) = z exactly.
     """
-    beta = _beta_in_range("log_f_beta", beta)
-    zs = _checked_z("log_f_beta", beta, z, nonneg=True)
-    return _shaped(z, _by_chunks(_log_f_chunk, beta, zs))
+    beta, zs = _checked("log_f_beta", beta, z, nonneg=True)
+    zl = zs.tolist()
+    y = np.array([v**beta for v in zl])
+    log_switch = math.log(_SWITCH_THRESHOLD)
+    series = np.array([v == 0.0 or (beta * math.log(v) < log_switch and v <= 650.0) for v in zl], dtype=bool)
+    return _shaped(z, _log_rows(beta, y, zs, series))

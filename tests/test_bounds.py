@@ -269,6 +269,14 @@ def test_envelopes_sandwich_the_fitted_curves(fitted_constants):
         assert np.all(c.log_sup <= up + 1e-9)
 
 
+def test_fit_takes_lambda_L_from_the_largest_decaying_level(desk_grid, desk_op):
+    # 0.5 and 1.0 decay on the desk grid, 8 and 32 grow
+    sigma = SigmaSpec(kind="linear", l_sigma=1.0, L_sigma=1.0)
+    swept = bounds.oracle_sweep(desk_op, tent_profile(desk_grid), sigma, (0.5, 1.0, 8.0, 32.0), T=1.0, steps=256)
+    assert bounds.fit_envelope_constants(list(swept.values())).lambda_L == 1.0
+    assert bounds.fit_envelope_constants([swept[lam] for lam in (0.5, 8.0, 32.0)]).lambda_L == 0.5
+
+
 def test_verify_fit_counts_and_names_every_violation(fitted_constants):
     k, curves = fitted_constants
     bad = replace(k, kappa1=1.5 * k.kappa1, kappa3=0.5 * k.kappa3)

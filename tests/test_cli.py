@@ -113,6 +113,11 @@ def test_simulate_is_deterministic_across_runs_and_workers(tmp_path):
                              "table_u": [0, math.nan, 2], "table_values": [0, 0.8, 1.2]}},
             "model.sigma.table_u",
         ),
+        ({"sweep.count": 4}, "sweep.count"),
+        # refused when the run is assembled, not by parse_config
+        ({"model.u0": [0.0] * 32}, "config error: model: u0 must be strictly positive"),
+        ({"discretization.dt": 0.5}, "config error: discretization: need 0 < dt <= t_end"),
+        ({"discretization.snapshot_times": [0.2, 0.201]}, "snapshot times collide"),
     ],
 )
 def test_config_errors_name_the_field(tmp_path, capsys, override, named_field):
@@ -455,8 +460,8 @@ def test_selftest_corrupted_gamma_fails_naming_special_functions(tmp_path, monke
     # every Mittag-Leffler series term ratio is a ratio of Gamma values: scale them all
     saved_cache = copy.copy(acceptance._CACHE)
     acceptance._CACHE.clear()  # no clean curve cached by an earlier test may stand in
-    first = specfun._RatioTable.first
-    monkeypatch.setattr(specfun._RatioTable, "first", lambda self, K: first(self, K) * (1.0 + 1e-6))
+    ratios = specfun._term_ratios
+    monkeypatch.setattr(specfun, "_term_ratios", lambda beta, K: ratios(beta, K) * (1.0 + 1e-6))
     try:
         rc = cli.main(["selftest", "quick", "--out", str(tmp_path)])
     finally:
@@ -469,13 +474,13 @@ def test_selftest_corrupted_gamma_fails_naming_special_functions(tmp_path, monke
 
 
 def test_selftest_corrupted_series_table_fails_renewal_equality(tmp_path, monkeypatch):
-    # scale every term ratio of the array path.  Check 2 compares against
+    # scale every series term ratio.  Check 2 compares against
     # these series within 1%: 1 + 1e-6 moves its worst gap only from
     # 0.4760% to 0.4760%, 1 + 1e-3 to 5.6%.
     saved_cache = copy.copy(acceptance._CACHE)
     acceptance._CACHE.clear()  # no clean curve cached by an earlier test may stand in
-    first = specfun._RatioTable.first
-    monkeypatch.setattr(specfun._RatioTable, "first", lambda self, K: first(self, K) * (1.0 + 1e-3))
+    ratios = specfun._term_ratios
+    monkeypatch.setattr(specfun, "_term_ratios", lambda beta, K: ratios(beta, K) * (1.0 + 1e-3))
     try:
         rc = cli.main(["selftest", "quick", "--out", str(tmp_path)])
     finally:
@@ -534,6 +539,22 @@ def test_read_ensemble_csv_names_the_bad_line_past_a_chunk_boundary(tmp_path, sm
         bad_file = tmp_path / f"{name}.csv"
         bad_file.write_text("".join(lines[: n - 1] + [bad] + lines[n:]))
         with pytest.raises(ValueError, match=f"{name}.csv line {n}: "):
+            cli.read_ensemble_csv(bad_file)
+
+
+def test_read_ensemble_csv_refuses_what_loadtxt_refuses(tmp_path, small_ensemble, monkeypatch):
+    # Python's int and float take underscores ("1_0" is 10); the reader's
+    # line-by-line pass uses loadtxt's grammar, which does not
+    monkeypatch.setattr(cli, "_CSV_CHUNK_LINES", 5)
+    path = tmp_path / "ens.csv"
+    small_ensemble.write_csv(path)
+    lines = path.read_text().splitlines(keepends=True)
+    n = 13
+    k, t, x, _ = lines[n - 1].split(",")
+    for name, bad in {"path": f"1_0,{t},{x},1.0\n", "value": f"{k},{t},{x},1_0.0\n"}.items():
+        bad_file = tmp_path / f"{name}.csv"
+        bad_file.write_text("".join(lines[: n - 1] + [bad] + lines[n:]))
+        with pytest.raises(ValueError, match=f"{name}.csv line {n}: could not convert string '1_0"):
             cli.read_ensemble_csv(bad_file)
 
 

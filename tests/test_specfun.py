@@ -355,14 +355,12 @@ def test_array_path_matches_scalar_on_check_2_arguments(beta, z):
 
 
 def test_chunking_does_not_change_values(monkeypatch):
-    # 5000 arguments span ten chunks of z, whose last one grows the shared
-    # ratio table to rows of 2000-4000 terms; with 7 points and 1000 doubles
-    # per chunk the rows run 15 down to one at a time
+    # the last 10 of 5000 arguments need rows of 2000-4000 terms; with 1000
+    # doubles per block the rows run 15 down to one at a time
     z = np.concatenate([np.linspace(0.0, 60.0, 4990), np.linspace(600.0, 650.0, 10)])
     whole = specfun.log_f_beta(1.0 / 3.0, z)
     each = np.array([specfun.log_f_beta(1.0 / 3.0, v) for v in z[::10]])
     np.testing.assert_array_equal(whole[::10], each)
-    monkeypatch.setattr(specfun, "_CHUNK_POINTS", 7)
     monkeypatch.setattr(specfun, "_CHUNK_DOUBLES", 1000)
     np.testing.assert_array_equal(specfun.log_f_beta(1.0 / 3.0, z), whole)
 
@@ -413,7 +411,7 @@ def test_array_path_temporaries_stay_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2**20  # 0.38 MiB with 512-point chunks and 64 KiB blocks
+    assert peak <= 2**20  # 0.34 MiB with 64 KiB blocks
 
 
 def test_array_path_keeps_nothing_between_calls():
