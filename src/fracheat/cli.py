@@ -57,10 +57,11 @@ _ESTIMATORS = (
     moments.estimate_energy, moments.estimate_sup_moment, moments.estimate_inf_subinterval_moment
 )
 _ESTIMATED = ("phi_p", "sup_moment", "inf_subinterval_moment")  # the SweepRow fields they fill
-# data lines per np.loadtxt call in read_ensemble_csv: beside the snapshot
-# array it fills, the reader holds about one chunk's lines and parsed rows
+# data lines per np.loadtxt call in the CSV readers: beside the snapshot
+# array it fills, read_ensemble_csv's writer-order pass holds about one
+# chunk's lines and parsed rows
 _CSV_CHUNK_LINES = 1 << 14
-_CSV_ROW = np.dtype([("k", "i8"), ("t", "f8"), ("x", "f8"), ("u", "f8")])
+_CSV_ROW = np.dtype([("path", "i8"), ("t", "f8"), ("x", "f8"), ("u", "f8")])
 
 
 class ConfigError(Exception):
@@ -267,11 +268,16 @@ def _params(cfg: ExperimentConfig, op: DiscreteOperator, lam: float) -> ModelPar
 def _discretization(cfg: ExperimentConfig, op: DiscreteOperator) -> Discretization:
     dt = cfg.dt if cfg.dt is not None else default_dt(op)
     try:
-        return Discretization(
+        disc = Discretization(
             grid=op.grid, dt=dt, t_end=cfg.t_end, snapshot_times=cfg.snapshot_times
         )
     except ValueError as exc:
         raise ConfigError("discretization", str(exc)) from exc
+    try:
+        disc.check_operator(op)  # the Monte Carlo engines' rule on dt
+    except ValueError as exc:
+        raise ConfigError("discretization.dt", str(exc)) from exc
+    return disc
 
 
 def _ensemble(cfg: ExperimentConfig, op: DiscreteOperator, disc: Discretization, lam: float):
@@ -610,138 +616,151 @@ def cmd_selftest(level: str, out_dir: str, mc_worker_count: int) -> int:
 # Readers: every writer in the artifact has a lossless counterpart here
 
 
-def _first_appearance(values: np.ndarray, index: dict) -> tuple[np.ndarray, list]:
-    """Positions of ``values`` in ``index`` (value -> position in order of
-    first appearance), extending it with the values new in this chunk; and
-    the rows where those new values first appear, in that order."""
-    uniq, first, inverse = np.unique(values, return_index=True, return_inverse=True)
-    new_rows = []
-    for j in np.argsort(first):
-        v = float(values[first[j]])
-        if v not in index:
-            index[v] = len(index)
-            new_rows.append(int(first[j]))
-    return np.array([index[v] for v in uniq.tolist()], dtype=np.intp)[inverse], new_rows
-
-
-def _relayout(flat: np.ndarray, old: tuple, new: tuple) -> None:
-    """Re-lay the 1-D cell buffer ``flat``, in C order over the (snapshot,
-    path, node) extents ``old``, in place over ``new`` and resize it to fit:
-    cells inside both keep their values, the others read 0."""
-    T, P, X = keep = tuple(map(min, old, new))
-    if old[1:] != keep[1:]:  # shrink: blocks move down, the first first
-        src, dst = flat[: math.prod(old)].reshape(old), flat[: math.prod(keep)].reshape(keep)
-        for t in range(0 if X < old[2] else 1, T):  # block 0 stays put when rows keep their length
-            dst[t] = src[t, :P, :X]  # numpy buffers an overlapping copy
-    size = math.prod(new)
-    if size > flat.size:
-        flat.resize(size, refcheck=False)
-    if keep[1:] != new[1:]:  # grow: blocks move up, the last first
-        src, dst = flat[: math.prod(keep)].reshape(keep), flat[:size].reshape(new)
-        for t in range(T - 1, -1, -1):
-            if t or X < new[2]:
-                dst[t, :P, :X] = src[t]
-            dst[t, :P, X:] = 0
-            dst[t, P:] = 0
-    flat[T * new[1] * new[2] : size] = 0
-    if size < flat.size:
-        flat.resize(size, refcheck=False)
-
-
-class _Cells:
-    """The (snapshot, path, node) cells of an ensemble CSV as it is read:
-    each cell's value and its write count, saturating at 2, in flat buffers
-    laid out over the extents ``cap``, which hold ``box``, the extents of
-    the cells placed so far.  The buffers never pass ``limit`` cells, more
-    than the file could fill: the keys of a chunk that would take them past
-    it go to ``side`` instead, and prove some cell missing."""
-
-    def __init__(self, limit: int) -> None:
-        self.limit = limit
-        self.vals = np.empty(0)
-        self.counts = np.empty(0, dtype=np.uint16)
-        self.box = self.cap = (0, 0, 0)
-        self.side: list = []
-
-    def place(self, ti: np.ndarray, k: np.ndarray, xi: np.ndarray, u: np.ndarray) -> None:
-        need = tuple(max(b, int(a.max()) + 1) for b, a in zip(self.box, (ti, k, xi)))
-        if math.prod(need) <= self.limit:  # else this chunk's new keys go to the side list
-            self._grow(need)
-        inside = (ti < self.box[0]) & (k < self.box[1]) & (xi < self.box[2])
-        if not inside.all():
-            out = ~inside
-            self.side.append(np.stack((ti[out], k[out], xi[out]), axis=1))
-            ti, k, xi, u = ti[inside], k[inside], xi[inside], u[inside]
-        cells = (ti * self.cap[1] + k) * self.cap[2] + xi
-        self.vals[cells] = u
-        np.add.at(self.counts, cells, np.uint16(1))  # a uint16 one keeps ufunc.at on its fast loop
-        self.counts[cells] = np.minimum(self.counts[cells], 2)
-
-    def _grow(self, need: tuple) -> None:
-        self.box = need
-        if all(n <= c for n, c in zip(need, self.cap)):
-            return
-        new = tuple(map(max, need, self.cap))
-        if self.cap[0] > 1 or (self.cap[1] > 1 and new[2] > self.cap[2]):
-            # placed cells move: an eighth to spare on the growing axes, so
-            # a file in any row order moves each cell a bounded number of times
-            spare = tuple(n + n // 8 if n > c else n for n, c in zip(new, self.cap))
-            new = new[:1] + spare[1:]
-        if math.prod(new) > self.limit:
-            new = need
-        for buf in (self.vals, self.counts):
-            _relayout(buf, self.cap, new)
-        self.cap = new
-
-    def complete(self, n_rows: int, n_cells: int) -> bool:
-        """Every cell written exactly once."""
-        return not self.side and n_rows == n_cells and int(self.counts.max()) <= 1
-
-    def tally(self) -> tuple[int, int]:
-        """Cells written, and cells written more than once."""
-        written, repeated = np.count_nonzero(self.counts), np.count_nonzero(self.counts > 1)
-        if self.side:
-            keys, c = np.unique(np.concatenate(self.side), axis=0, return_counts=True)
-            before = np.zeros(len(keys), dtype=np.int64)
-            inside = np.all(keys < self.cap, axis=1)
-            ti, k, xi = keys[inside].T
-            before[inside] = self.counts[(ti * self.cap[1] + k) * self.cap[2] + xi]
-            written += np.count_nonzero(before == 0)
-            repeated += np.count_nonzero((before < 2) & (before + c > 1))
-        return int(written), int(repeated)
-
-    def snapshots(self) -> np.ndarray:
-        self.counts = None
-        _relayout(self.vals, self.cap, self.box)
-        return self.vals.reshape(self.box)
-
-
-def _load_rows(lines: list) -> np.ndarray:
+def _load_rows(lines: list, row: np.dtype) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # loadtxt on blank lines only
-        return np.loadtxt(lines, delimiter=",", dtype=_CSV_ROW, comments=None, ndmin=1)
+        return np.loadtxt(lines, delimiter=",", dtype=row, comments=None, ndmin=1)
 
 
-def _parse_rows(path, lines: list, lineno: int) -> np.ndarray:
-    """One chunk of ensemble CSV data lines, the first at file line
-    ``lineno``.  A chunk the parser rejects, or one where it skipped blank
-    lines, is parsed again line by line with the same call, and the first
-    line it rejects or reads as no row raises ValueError naming that line."""
+def _one_row(text: str, row: np.dtype) -> bool:
+    """Whether ``np.loadtxt`` reads ``text`` as exactly one ``row``."""
     try:
-        rows = _load_rows(lines)
+        return len(_load_rows([text], row)) == 1
+    except ValueError:
+        return False
+
+
+def _line_error(line: str, row: np.dtype) -> str:
+    """Why ``line`` is not one ``row``: its field count, or the first field
+    ``np.loadtxt`` does not read as one value of its type."""
+    fields = line.rstrip("\r\n").split(",")
+    if len(fields) != len(row.names):
+        return f"expected {len(row.names)} fields, got {len(fields)}"
+    for name, field in zip(row.names, fields):
+        if not _one_row(field, row[name]):
+            return f"could not convert string {field!r} to {row[name]} (field {name})"
+    return "not read as one row"
+
+
+def _parse_rows(path, lines: list, lineno: int, row: np.dtype) -> np.ndarray:
+    """One chunk of CSV data lines, the first at file line ``lineno``, as
+    ``row`` records.  A chunk the parser rejects, or one where it skipped
+    blank lines, is parsed again line by line with the same call, and the
+    first line it rejects or reads as no row raises ValueError naming that
+    line."""
+    try:
+        rows = _load_rows(lines, row)
         if len(rows) == len(lines):
             return rows
     except ValueError:
         pass
     for j, line in enumerate(lines):
-        try:
-            n = len(_load_rows([line]))
-        except ValueError as exc:
-            raise ValueError(f"{path} line {lineno + j}: {exc}") from exc
-        if n != 1:
-            raise ValueError(f"{path} line {lineno + j}: blank, expected path,t,x,u")
+        if not _one_row(line, row):
+            raise ValueError(f"{path} line {lineno + j}: {_line_error(line, row)}")
     # each line alone parsed where the chunk did not: still refuse the chunk
     raise ValueError(f"{path} lines {lineno}-{lineno + len(lines) - 1}: not parsed as rows")
+
+
+def _chunks(path, fh, row: np.dtype):
+    """The lines of ``fh`` after the header, parsed ``_CSV_CHUNK_LINES`` at a time."""
+    lineno = 2
+    while lines := list(itertools.islice(fh, _CSV_CHUNK_LINES)):
+        yield _parse_rows(path, lines, lineno, row)
+        lineno += len(lines)
+
+
+def _in_order(chunks) -> Optional[dict]:
+    """The snapshots of rows in the order ``PathEnsemble.write_csv`` writes
+    them: snapshot by snapshot at strictly increasing finite times, paths 0,
+    1, ..., P-1 within a snapshot, and within a path the X distinct finite
+    nodes path 0 has at the first time, in that order.  X is read from the
+    first chunk and P from the row where the first new time lands.  None at
+    the first row out of that order, or when no row comes or the last
+    snapshot is cut short."""
+    u = np.empty(0)
+    times, nodes, P, n = [], None, 0, 0
+    for rows in chunks:
+        k, t, x = rows["path"], rows["t"], rows["x"]
+        if nodes is None:
+            lead = (k == 0) & (t == t[0])
+            X = len(rows) if lead.all() else int(np.argmin(lead))
+            nodes, times = x[:X].copy(), [float(t[0])]
+            if not (X and math.isfinite(times[0]) and np.isfinite(nodes).all() and np.unique(nodes).size == X):
+                return None
+        if not P and (t != times[0]).any():
+            P, rem = divmod(n + int(np.argmax(t != times[0])), X)
+            if rem:
+                return None
+        r = np.arange(n, n + len(rows))
+        # until the first new time, every row read is in the first snapshot
+        s, path_of = np.divmod(r // X, P or r[-1] // X + 1)
+        new = t[np.arange(len(times), s[-1] + 1) * P * X - n]  # the times of snapshots begun here
+        if not (np.isfinite(new).all() and (np.diff(new, prepend=times[-1]) > 0).all()):
+            return None
+        times += new.tolist()
+        if not ((t == np.array(times)[s]).all() and (k == path_of).all() and (x == nodes[r % X]).all()):
+            return None
+        u.resize(n + len(rows), refcheck=False)
+        u[n:] = rows["u"]
+        n += len(rows)
+    if not n or n != len(times) * (P or n // X) * X:
+        return None
+    return {"snapshot_times": tuple(times), "nodes": nodes, "snapshots": u.reshape(len(times), -1, X)}
+
+
+def _numbered(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``values`` in order of first appearance, and the number
+    of each value in that order."""
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(order.size)
+    return values[first[order]], number[inverse]
+
+
+def _any_order(path, chunks) -> dict:
+    """The snapshots of rows in any order, every row held to the end: times
+    and nodes are numbered in order of first appearance, and the nodes of
+    path 0 at the first time are the grid."""
+    kept = []
+    for rows in chunks:
+        bad = (rows["path"] < 0) | ~np.isfinite(rows["t"]) | ~np.isfinite(rows["x"])
+        if bad.any():
+            j = int(np.argmax(bad))
+            k, t, x, _ = rows[j].tolist()
+            where = f"{path} line {2 + sum(map(len, kept)) + j}"
+            if k < 0:
+                raise ValueError(f"{where}: path {k}, node x={x!r} is off the ensemble grid")
+            raise ValueError(f"{where}: time t={t!r} and node x={x!r} must be finite")
+        kept.append(rows)
+    if not kept:
+        raise ValueError(f"{path}: no data rows")
+    rows = np.concatenate(kept)
+    del kept
+    k = rows["path"]
+    times, ti = _numbered(rows["t"])
+    nodes, xi = _numbered(rows["x"])
+    on_grid = np.zeros(nodes.size, dtype=bool)
+    on_grid[xi[(ti == 0) & (k == 0)]] = True
+    if not on_grid.all():  # the first line on an off-grid node is that node's first line
+        j = int(np.argmin(on_grid))
+        line = int(np.argmax(xi == j))
+        raise ValueError(f"{path} line {2 + line}: path {k[line]}, node x={float(nodes[j])!r} is off the ensemble grid")
+    # sorted by cell, a key that differs from the one before starts a new
+    # cell; the keys are never combined into one, so no path index overflows
+    order = np.lexsort((xi, k, ti))
+    starts = np.r_[True, np.logical_or.reduce([np.diff(key[order]) != 0 for key in (ti, k, xi)])]
+    runs = np.diff(np.flatnonzero(starts), append=order.size)
+    P = int(k.max()) + 1
+    n_cells = len(times) * P * nodes.size
+    if runs.size != n_cells or runs.max() > 1:
+        raise ValueError(
+            f"{path}: {n_cells - runs.size} (snapshot, path, node) cells missing and "
+            f"{np.count_nonzero(runs > 1)} written more than once, of {n_cells}"
+        )
+    snapshots = np.empty((len(times), P, nodes.size))
+    snapshots[ti, k, xi] = rows["u"]
+    return {"snapshot_times": tuple(times.tolist()), "nodes": nodes, "snapshots": snapshots}
 
 
 def read_ensemble_csv(path: str) -> dict:
@@ -752,77 +771,43 @@ def read_ensemble_csv(path: str) -> dict:
     appearance, so rows may come in any order.  Values round-trip exactly
     (the writers emit full-precision reprs).  Raises ValueError naming the
     file, and the line of any malformed, non-finite or off-grid row, unless
-    every (snapshot, path, node) cell is written exactly once.  Each chunk
-    of lines is scattered straight into the snapshot array, so the reader
-    holds about that array plus one chunk.
+    every (snapshot, path, node) cell is written exactly once.
+
+    A regular file is read first in the writer's order, each chunk of lines
+    appended to the snapshot array, so that pass holds about the array plus
+    one chunk.  At the first row out of that order, and for a file that is
+    not a regular file (a pipe), the rows are read in any order, and every
+    row is held until the end.
     """
-    t_index: dict = {}
-    x_index: dict = {}
-    x_first = []  # (line, path) of each node's first row
-    on_grid = set()  # the nodes of path 0 at the first time
-    n_rows, k_max, lineno = 0, -1, 2
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
-        if header != "path,t,x,u":
+        if header != ",".join(_CSV_ROW.names):
             raise ValueError(f"{path}: unexpected ensemble CSV header {header!r}")
-        st = os.fstat(fh.fileno())
-        # every data line takes at least 8 bytes, so no complete file has more cells
-        cells = _Cells(st.st_size // 8 if stat.S_ISREG(st.st_mode) else sys.maxsize)
-        while lines := list(itertools.islice(fh, _CSV_CHUNK_LINES)):
-            rows = _parse_rows(path, lines, lineno)
-            k, t, x = rows["k"], rows["t"], rows["x"]
-            bad = (k < 0) | ~np.isfinite(t) | ~np.isfinite(x)
-            if bad.any():
-                j = int(np.argmax(bad))
-                kj, tj, xj, _ = rows[j].tolist()
-                where = f"{path} line {lineno + j}"
-                if kj < 0:
-                    raise ValueError(f"{where}: path {kj}, node x={xj!r} is off the ensemble grid")
-                raise ValueError(f"{where}: time t={tj!r} and node x={xj!r} must be finite")
-            ti, _ = _first_appearance(t, t_index)
-            xi, new = _first_appearance(x, x_index)
-            x_first += [(lineno + j, int(k[j])) for j in new]
-            on_grid.update(np.unique(xi[(ti == 0) & (k == 0)]).tolist())
-            cells.place(ti, k, xi, rows["u"])
-            n_rows += len(lines)
-            k_max = max(k_max, int(k.max()))
-            lineno += len(lines)
-    if not n_rows:
-        raise ValueError(f"{path}: no data rows")
-    nodes = np.array(list(x_index))
-    # the first line on an off-grid node is that node's first line
-    off = next((j for j in range(nodes.size) if j not in on_grid), None)
-    if off is not None:
-        line, k = x_first[off]
-        raise ValueError(f"{path} line {line}: path {k}, node x={float(nodes[off])!r} is off the ensemble grid")
-    n_cells = len(t_index) * (k_max + 1) * nodes.size
-    if cells.complete(n_rows, n_cells):
-        return {"snapshot_times": tuple(t_index), "nodes": nodes, "snapshots": cells.snapshots()}
-    written, repeated = cells.tally()
-    raise ValueError(
-        f"{path}: {n_cells - written} (snapshot, path, node) cells missing and "
-        f"{repeated} written more than once, of {n_cells}"
-    )
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            data = _in_order(_chunks(path, fh, _CSV_ROW))
+            if data is not None:
+                return data
+            fh.seek(0)
+            fh.readline()
+        return _any_order(path, _chunks(path, fh, _CSV_ROW))
 
 
 def read_sweep_csv(path: str) -> moments.SweepResult:
     """Parse a sweep/moments CSV back into a SweepResult (rows only; fitted
     exponents live in the JSON payloads).  Raises ValueError naming the file,
-    and the line of any row that is not ten numeric fields."""
-    rows = []
+    and the line of any row that is not ten numeric fields, read as the
+    ensemble reader reads its rows."""
+    names = "lambda,t,phi_p,phi_p_se,sup_m,sup_m_se,inf_m,inf_m_se,n_eff,flagged".split(",")
+    row = np.dtype([(name, "i8" if name == "n_eff" else "f8") for name in names])
+    result = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
-        expected = "lambda,t,phi_p,phi_p_se,sup_m,sup_m_se,inf_m,inf_m_se,n_eff,flagged"
-        if header != expected:
+        if header != ",".join(names):
             raise ValueError(f"{path}: unexpected sweep CSV header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            f = line.rstrip("\n").split(",")
-            if len(f) != 10:
-                raise ValueError(f"{path} line {lineno}: expected 10 fields, got {len(f)}")
+        records = itertools.chain.from_iterable(rows.tolist() for rows in _chunks(path, fh, row))
+        for lineno, (lam, t, phi, phi_se, sup, sup_se, inf, inf_se, n_eff, flagged) in enumerate(records, start=2):
             try:
-                lam, t, phi, phi_se, sup, sup_se, inf, inf_se = map(float, f[:8])
-                n_eff, flagged = int(f[8]), float(f[9])
-                rows.append(
+                result.append(
                     moments.SweepRow(
                         lam=lam,
                         t=t,
@@ -831,9 +816,9 @@ def read_sweep_csv(path: str) -> moments.SweepResult:
                         inf_subinterval_moment=moments.MomentEstimate(inf, inf_se, n_eff, flagged),
                     )
                 )
-            except ValueError as exc:  # a non-numeric field, a negative stderr or n_eff
+            except ValueError as exc:  # a negative stderr or n_eff
                 raise ValueError(f"{path} line {lineno}: {exc}") from exc
-    return moments.SweepResult(rows=rows)
+    return moments.SweepResult(rows=result)
 
 
 def read_json_file(path: str) -> dict:

@@ -151,17 +151,15 @@ def estimate_inf_subinterval_moment(ensemble: PathEnsemble, t: float, p: float) 
 
 
 def _slope_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, tuple[float, float]]:
-    """Least-squares slope with a 1.96-sigma confidence interval."""
+    """Least-squares slope with a 1.96-sigma confidence interval, from three
+    or more points."""
     n = x.size
     A = np.vstack([x, np.ones(n)]).T
     coef, res, _, _ = np.linalg.lstsq(A, y, rcond=None)
     slope = float(coef[0])
-    if n > 2:
-        rss = float(res[0]) if res.size else float(np.sum((y - A @ coef) ** 2))
-        sxx = float(np.sum((x - x.mean()) ** 2))
-        se = math.sqrt(rss / (n - 2) / sxx) if sxx > 0.0 else 0.0
-    else:
-        se = 0.0
+    rss = float(res[0]) if res.size else float(np.sum((y - A @ coef) ** 2))
+    sxx = float(np.sum((x - x.mean()) ** 2))
+    se = math.sqrt(rss / (n - 2) / sxx) if sxx > 0.0 else 0.0
     return slope, (slope - 1.96 * se, slope + 1.96 * se)
 
 

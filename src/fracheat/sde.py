@@ -211,6 +211,16 @@ class Discretization:
     def snapshot_steps(self) -> tuple:
         return self._snap_steps
 
+    def check_operator(self, op: DiscreteOperator) -> None:
+        """The grid must be the operator's, and dt fine enough for its first
+        eigenvalue: dt lambda1 <= 10."""
+        if self.grid != op.grid:
+            raise ValueError(f"disc.grid={self.grid} is not the operator's grid {op.grid}")
+        if self.dt * op.lambda1 > 10.0:
+            raise ValueError(
+                f"dt lambda1 = {self.dt * op.lambda1:.3g} > 10; refine dt (default_dt suggests {default_dt(op):.3g})"
+            )
+
 
 def default_dt(op: DiscreteOperator) -> float:
     """Accuracy-motivated default 0.1/lambda1 (the implicit step is stable for any dt)."""
@@ -395,13 +405,8 @@ def _check_mc_inputs(
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     if worker_count < 1:
         raise ValueError(f"worker_count must be >= 1, got {worker_count}")
-    if disc.grid != op.grid:
-        raise ValueError(f"disc.grid={disc.grid} is not the operator's grid {op.grid}")
+    disc.check_operator(op)
     params.check_operator(op)
-    if disc.dt * op.lambda1 > 10.0:
-        raise ValueError(
-            f"dt lambda1 = {disc.dt * op.lambda1:.3g} > 10; refine dt (default_dt suggests {default_dt(op):.3g})"
-        )
 
 
 def _run_block(

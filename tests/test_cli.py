@@ -9,6 +9,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
@@ -118,6 +119,11 @@ def test_simulate_is_deterministic_across_runs_and_workers(tmp_path):
         ({"model.u0": [0.0] * 32}, "config error: model: u0 must be strictly positive"),
         ({"discretization.dt": 0.5}, "config error: discretization: need 0 < dt <= t_end"),
         ({"discretization.snapshot_times": [0.2, 0.201]}, "snapshot times collide"),
+        # refused by parse_config
+        (
+            {"discretization.t_end": 1.0, "discretization.snapshot_times": [0.5, 0.25]},
+            "discretization.snapshot_times: entries must be increasing",
+        ),
     ],
 )
 def test_config_errors_name_the_field(tmp_path, capsys, override, named_field):
@@ -206,6 +212,41 @@ def test_svg_flag_only_on_the_commands_that_write_charts(tmp_path, command):
 def test_missing_config_flag_is_a_config_error(capsys):
     assert cli.main(["simulate"]) == 2
     assert "--config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("text", "error"),
+    [
+        (None, "config error: --config: cannot read "),
+        ('{"model":\n  {"alpha": 1.5,}\n}', "config error: --config: .*config.json line 2: "),
+        ("[1, 2]", "config error: --config: top level must be a JSON object"),
+    ],
+    ids=["missing", "invalid", "list"],
+)
+def test_unreadable_config_file_is_a_config_error(tmp_path, capsys, text, error):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    assert cli.main(["simulate", "--config", str(path)]) == 2
+    assert re.search(error, capsys.readouterr().err)
+
+
+def test_output_directory_under_a_file_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    cfg = write_config(tmp_path, base_config(tmp_path / "file" / "o"))
+    assert cli.main(["simulate", "--config", cfg]) == 2
+    assert "config error: outputs.directory: not writable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "moments", "sweep", "excitation"])
+def test_a_time_step_too_coarse_for_the_operator_is_a_config_error(tmp_path, capsys, command):
+    # dt lambda1 = 20.2 at n 16: every Monte Carlo command refuses it before it runs
+    doc = base_config(tmp_path / "o", **{"discretization.n": 16, "discretization.t_end": 4.0,
+                                         "discretization.dt": 4.0, "discretization.snapshot_times": ...})
+    assert cli.main([command, "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: discretization.dt: dt lambda1 = 20.2 > 10; refine dt" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_flag_overrides_take_precedence(tmp_path):
@@ -558,6 +599,63 @@ def test_read_ensemble_csv_refuses_what_loadtxt_refuses(tmp_path, small_ensemble
             cli.read_ensemble_csv(bad_file)
 
 
+def test_read_ensemble_csv_says_which_field_of_a_line_it_refuses(tmp_path, small_ensemble, monkeypatch):
+    monkeypatch.setattr(cli, "_CSV_CHUNK_LINES", 5)
+    path = tmp_path / "ens.csv"
+    small_ensemble.write_csv(path)
+    lines = path.read_text().splitlines(keepends=True)
+    n = 13
+    k, t, x, u = lines[n - 1].rstrip("\n").split(",")
+    for name, bad, said in (
+        ("three", f"{k},{t},{x}", "expected 4 fields, got 3"),
+        ("five", f"{k},{t},{x},{u},", "expected 4 fields, got 5"),
+        ("blank", "", "expected 4 fields, got 1"),
+        ("path", f"1_0,{t},{x},{u}", "could not convert string '1_0' to int64 (field path)"),
+        ("value", f"{k},{t},{x},1_0.0", "could not convert string '1_0.0' to float64 (field u)"),
+        ("empty_t", f"{k},,{x},{u}", "could not convert string '' to float64 (field t)"),
+    ):
+        bad_file = tmp_path / f"{name}.csv"
+        bad_file.write_text("".join(lines[: n - 1] + [bad + "\n"] + lines[n:]))
+        with pytest.raises(ValueError) as exc:
+            cli.read_ensemble_csv(bad_file)
+        assert str(exc.value) == f"{bad_file} line {n}: {said}"
+
+
+def test_read_ensemble_csv_new_time_inside_a_path_at_a_chunk_boundary(tmp_path, monkeypatch):
+    # the first new time starts the second chunk but lands inside path 1
+    # (X = 2): the file is not in the writer's order, whatever follows
+    monkeypatch.setattr(cli, "_CSV_CHUNK_LINES", 3)
+    path = tmp_path / "ens.csv"
+    path.write_text("path,t,x,u\n0,0.125,0.5,1.0\n0,0.125,0.25,2.0\n1,0.125,0.5,3.0\n0,0.25,0.25,4.0\n")
+    with pytest.raises(ValueError, match="ens.csv: 4 .* cells missing and 0 written more than once, of 8$"):
+        cli.read_ensemble_csv(path)
+
+
+def test_read_ensemble_csv_reads_a_pipe_in_any_order(tmp_path, small_ensemble):
+    path = tmp_path / "ens.csv"
+    small_ensemble.write_csv(path)
+    header, *rows = path.read_text().splitlines(keepends=True)
+    text = header + "".join(reversed(rows))
+    fifo = tmp_path / "ens.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer.start()
+    try:
+        data = cli.read_ensemble_csv(fifo)
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert data["snapshot_times"] == tuple(float(t) for t in reversed(small_ensemble.snapshot_times))
+    assert np.array_equal(data["snapshots"][::-1, :, ::-1], small_ensemble.snapshots)
+
+
+def test_read_ensemble_csv_refuses_a_header_of_three_fields(tmp_path):
+    path = tmp_path / "ens.csv"
+    path.write_text("path,t,x\n0,0.5,0.25\n")
+    with pytest.raises(ValueError, match="ens.csv: unexpected ensemble CSV header 'path,t,x'$"):
+        cli.read_ensemble_csv(path)
+
+
 @pytest.mark.parametrize(
     "row", ["0,nan,0.25,1.0", "0,inf,0.25,1.0", "0,0.5,-inf,1.0", "0,0.5,nan,1.0"]
 )
@@ -640,8 +738,8 @@ def test_read_ensemble_csv_memory_grows_with_its_output_only(tmp_path, desk_grid
             tracemalloc.stop()
         assert np.array_equal(data["snapshots"], snaps)
         del data
-    # 4x the paths: the peak may grow by the output, its write counts and
-    # slack, not by arrays of one entry per row
+    # 4x the paths: the peak may grow by the output and slack, not by
+    # arrays of one entry per row
     (peak_1, out_1), (peak_4, out_4) = growth[512], growth[2048]
     assert peak_4 - peak_1 <= 3 * (out_4 - out_1)
 
@@ -656,8 +754,14 @@ SWEEP_ROW = "8.0,0.25,1.5,0.0,2.5,0.0,0.5,0.0,0,0.0\n"
         (SWEEP_HEADER + SWEEP_ROW + "8.0,0.5\n", "sweep.csv line 3: expected 10 fields, got 2"),
         (SWEEP_HEADER + SWEEP_ROW.replace("2.5", "abc2.5"), "sweep.csv line 2: could not convert .*'abc2.5'"),
         ("wrong\n" + SWEEP_ROW, "sweep.csv: unexpected sweep CSV header 'wrong'"),
+        # Python's float and int take underscores; the rows are read with loadtxt's grammar
+        (SWEEP_HEADER + SWEEP_ROW + SWEEP_ROW.replace("2.5", "1_5.0"),
+         r"sweep.csv line 3: could not convert string '1_5.0' to float64 \(field sup_m\)$"),
+        (SWEEP_HEADER + SWEEP_ROW.replace(",0,", ",4_00,"),
+         r"sweep.csv line 2: could not convert string '4_00' to int64 \(field n_eff\)$"),
+        (SWEEP_HEADER + SWEEP_ROW.replace("0.0,0,", "-1.0,0,"), "sweep.csv line 2: stderr must be nonnegative"),
     ],
-    ids=["short-row", "non-numeric", "header"],
+    ids=["short-row", "non-numeric", "header", "underscore-float", "underscore-int", "negative-stderr"],
 )
 def test_read_sweep_csv_names_file_and_line(tmp_path, text, error):
     path = tmp_path / "sweep.csv"
@@ -683,8 +787,8 @@ def test_read_ensemble_csv_accepts_rows_in_any_order(tmp_path, small_ensemble, m
 
 @pytest.mark.parametrize("key", [lambda r: r.split(",")[0], lambda r: r.split(",")[2]], ids=["by-path", "by-node"])
 def test_read_ensemble_csv_round_trips_rows_grouped_by_path_or_node(tmp_path, small_ensemble, monkeypatch, key):
-    # every chunk brings new paths or nodes with several snapshots already
-    # placed, so the cells read so far move as the array grows
+    # every chunk brings new paths or nodes of several snapshots, so the
+    # first row out of the writer's order comes early and the exact pass reads
     monkeypatch.setattr(cli, "_CSV_CHUNK_LINES", 300)
     path = tmp_path / "ens.csv"
     small_ensemble.write_csv(path)
@@ -735,15 +839,22 @@ def reference_read_ensemble_csv(path):
     return {"snapshot_times": tuple(times), "nodes": np.array(nodes), "snapshots": snaps}
 
 
-@settings(max_examples=150, derandomize=True, deadline=None,
+READER_EDITS = ["duplicate", "drop", "far_path", "off_grid", "negative_path", "swap", "truncate", "repeat_time",
+                "retime", "renode"]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
-    shape=st.tuples(st.integers(1, 3), st.integers(1, 10), st.integers(1, 10)),  # 8 or more: spare room
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 10), st.integers(1, 10)),
     chunk=st.integers(1, 64),
-    edits=st.lists(st.sampled_from(["duplicate", "drop", "far_path", "off_grid", "negative_path"]), max_size=3),
+    edits=st.lists(st.sampled_from(READER_EDITS), max_size=3),
+    in_order=st.booleans(),
     data=st.data(),
 )
-def test_read_ensemble_csv_agrees_with_a_dict_reader(tmp_path, shape, chunk, edits, data):
+def test_read_ensemble_csv_agrees_with_a_dict_reader(tmp_path, shape, chunk, edits, in_order, data):
+    # rows in the writer's order with edits in place, read by the writer-order
+    # pass or by the exact pass after it, or the same rows in a random order
     n_t, n_paths, n_x = shape
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     rows = [
@@ -751,18 +862,30 @@ def test_read_ensemble_csv_agrees_with_a_dict_reader(tmp_path, shape, chunk, edi
         for (i, k, j), u in zip(np.ndindex(n_t, n_paths, n_x), rng.standard_normal(n_t * n_paths * n_x).tolist())
     ]
     for edit in edits:
-        k, t, x, u = data.draw(st.sampled_from(rows)).split(",") if rows else ("0", "0.125", "0.5", "1.0")
+        i = data.draw(st.integers(0, max(len(rows) - 1, 0)))
+        k, t, x, u = rows[i].split(",") if rows else ("0", "0.125", "0.5", "1.0")
         if edit == "duplicate":
-            rows.append(f"{k},{t},{x},{u}")
+            rows.insert(i, f"{k},{t},{x},{u}")
         elif edit == "drop" and rows:
-            rows.remove(f"{k},{t},{x},{u}")
+            del rows[i]
         elif edit == "far_path":
-            rows.append(f"{10**15},{t},{x},{u}")
+            rows.insert(i, f"{10**15},{t},{x},{u}")
         elif edit == "off_grid":
-            rows.append(f"{k},{t},0.123,{u}")
+            rows.insert(i, f"{k},{t},0.123,{u}")
         elif edit == "negative_path":
-            rows.append(f"-{abs(int(k)) + 1},{t},{x},{u}")
-    rows = data.draw(st.permutations(rows))
+            rows.insert(i, f"-{abs(int(k)) + 1},{t},{x},{u}")
+        elif edit == "swap" and i + 1 < len(rows):
+            rows[i : i + 2] = rows[i + 1], rows[i]
+        elif edit == "truncate":
+            del rows[i:]
+        elif edit == "retime" and rows:  # one row moved to a drawn snapshot time
+            rows[i] = f"{k},{0.125 * data.draw(st.integers(1, n_t))!r},{x},{u}"
+        elif edit == "renode" and rows:  # one row moved to a drawn node
+            rows[i] = f"{k},{t},{data.draw(st.integers(1, n_x)) / (n_x + 1)!r},{u}"
+        elif edit == "repeat_time" and n_t > 1:  # the last snapshot at the first's time
+            rows = [re.sub(rf"^(-?\d+),{re.escape(repr(0.125 * n_t))},", r"\1,0.125,", r) for r in rows]
+    if not in_order:
+        rows = data.draw(st.permutations(rows))
     path = tmp_path / "ens.csv"
     path.write_text("".join(line + "\n" for line in ["path,t,x,u", *rows]))
     try:
