@@ -8,8 +8,8 @@ single configuration), ``excitation`` (the excitation-index fit alone), and
 
 Configuration is one JSON document; command-line flags override config
 fields.  Exit codes: 0 success, 1 acceptance failure, 2 configuration error.
-Every file written here can be re-read losslessly by the ``read_*``
-functions in this module.
+Every CSV and JSON file written here can be re-read losslessly by the
+``read_*`` functions in this module; the SVG charts have no reader.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import json
 import math
 import operator
 import os
-import stat
 import sys
 import warnings
 from dataclasses import dataclass
@@ -58,8 +57,7 @@ _ESTIMATORS = (
 )
 _ESTIMATED = ("phi_p", "sup_moment", "inf_subinterval_moment")  # the SweepRow fields they fill
 # data lines per np.loadtxt call in the CSV readers: beside the snapshot
-# array it fills, read_ensemble_csv's writer-order pass holds about one
-# chunk's lines and parsed rows
+# array it fills, read_ensemble_csv holds about one chunk's lines and rows
 _CSV_CHUNK_LINES = 1 << 14
 _CSV_ROW = np.dtype([("path", "i8"), ("t", "f8"), ("x", "f8"), ("u", "f8")])
 
@@ -312,7 +310,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     csv_path = os.path.join(out, "ensemble.csv")
     meta_path = os.path.join(out, "metadata.json")
     ens.write_csv(csv_path)
-    ens.write_metadata_json(meta_path)
+    _write_json(meta_path, ens.metadata())
     print(f"wrote {csv_path} and {meta_path}")
     print(
         f"paths {ens.n_paths}, snapshots {len(ens.snapshot_times)}, "
@@ -669,127 +667,99 @@ def _chunks(path, fh, row: np.dtype):
         lineno += len(lines)
 
 
-def _in_order(chunks) -> Optional[dict]:
+def _writer_row(r: int, X: int, P: int, nodes: list, times: list) -> str:
+    """What ``PathEnsemble.write_csv`` puts at data row ``r`` after the rows
+    before it, which fix X nodes at row X and P paths at row P X (each 0
+    until then)."""
+    if not r:
+        return "path 0 at a finite time and node"
+    t0, later = times[0], f"path 0, a finite t > {{}}, x={nodes[0]!r}"
+    if not X or r <= X:
+        return f"path 0, t={t0!r} at a new finite node, or path 1, t={t0!r}, x={nodes[0]!r}, or {later.format(t0)}"
+    (s, path), j = divmod(r // X, P or r + 1), r % X
+    if not j and (not P or r <= P * X):
+        return f"path {path}, t={t0!r}, x={nodes[0]!r}, or {later.format(t0)}"
+    if not j and not path:
+        return later.format(times[s - 1])
+    return f"path {path}, t={times[s]!r}, x={nodes[j]!r}"
+
+
+def _writer_order(path, chunks) -> dict:
     """The snapshots of rows in the order ``PathEnsemble.write_csv`` writes
     them: snapshot by snapshot at strictly increasing finite times, paths 0,
     1, ..., P-1 within a snapshot, and within a path the X distinct finite
-    nodes path 0 has at the first time, in that order.  X is read from the
-    first chunk and P from the row where the first new time lands.  None at
-    the first row out of that order, or when no row comes or the last
-    snapshot is cut short."""
-    u = np.empty(0)
-    times, nodes, P, n = [], None, 0, 0
+    nodes path 0 has at the first time, in that order.  X is fixed at the
+    first row that is not path 0 at the first time, and P at the first new
+    time; a file of one snapshot takes P from its row count.  Each chunk's
+    u column is appended to the snapshot array, and the first row out of
+    that order raises ValueError naming its line, what it holds and what
+    the writer puts there."""
+    u, nodes, times, X, P, n = np.empty(0), np.empty(0), [], 0, 0, 0
     for rows in chunks:
         k, t, x = rows["path"], rows["t"], rows["x"]
-        if nodes is None:
-            lead = (k == 0) & (t == t[0])
-            X = len(rows) if lead.all() else int(np.argmin(lead))
-            nodes, times = x[:X].copy(), [float(t[0])]
-            if not (X and math.isfinite(times[0]) and np.isfinite(nodes).all() and np.unique(nodes).size == X):
-                return None
-        if not P and (t != times[0]).any():
-            P, rem = divmod(n + int(np.argmax(t != times[0])), X)
-            if rem:
-                return None
-        r = np.arange(n, n + len(rows))
-        # until the first new time, every row read is in the first snapshot
-        s, path_of = np.divmod(r // X, P or r[-1] // X + 1)
-        new = t[np.arange(len(times), s[-1] + 1) * P * X - n]  # the times of snapshots begun here
-        if not (np.isfinite(new).all() and (np.diff(new, prepend=times[-1]) > 0).all()):
-            return None
+        times = times or [float(t[0])]
+        bad, m, new = np.zeros(len(rows), dtype=bool), 0, t[:0]
+        if not X:  # path 0 at the first time: its nodes are the grid
+            lead = (k == 0) & (t == times[0])
+            m = len(rows) if lead.all() else int(np.argmin(lead))
+            nodes = np.concatenate([nodes, x[:m]])
+            again = np.ones(nodes.size, dtype=bool)
+            again[np.unique(nodes, return_index=True)[1]] = False
+            bad[:m] = (again | ~np.isfinite(nodes))[n:]
+            bad[0] |= not (n or m and math.isfinite(times[0]))  # row 0: path 0 at a finite time
+            X = nodes.size if m < len(rows) else 0
+        if X:
+            r = np.arange(n + m, n + len(rows))
+            if not P and (t[m:] != times[0]).any():
+                # P at the first new time; one inside a path leaves its row in snapshot 0, refused
+                i = r[int(np.argmax(t[m:] != times[0]))]
+                P = -(-i // X)
+            b, j = np.divmod(r, X)
+            s, path_of = np.divmod(b, P or b[-1] + 1)
+            starts = np.arange(len(times), s[-1] + 1) * (P * X) - n  # of the snapshots begun here
+            new = t[starts]
+            bad[m:] = (k[m:] != path_of) | (t[m:] != np.array(times + new.tolist())[s]) | (x[m:] != nodes[j])
+            bad[starts] |= ~(np.isfinite(new) & (np.diff(new, prepend=times[-1]) > 0))
+        if bad.any():
+            f = int(np.argmax(bad))
+            k_f, t_f, x_f, _ = rows[f].tolist()
+            raise ValueError(
+                f"{path} line {n + f + 2}: path {k_f}, t={t_f!r}, x={x_f!r} where the writer puts "
+                + _writer_row(n + f, X, P, nodes.tolist(), times + new.tolist())
+            )
         times += new.tolist()
-        if not ((t == np.array(times)[s]).all() and (k == path_of).all() and (x == nodes[r % X]).all()):
-            return None
         u.resize(n + len(rows), refcheck=False)
         u[n:] = rows["u"]
         n += len(rows)
-    if not n or n != len(times) * (P or n // X) * X:
-        return None
-    return {"snapshot_times": tuple(times), "nodes": nodes, "snapshots": u.reshape(len(times), -1, X)}
-
-
-def _numbered(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct ``values`` in order of first appearance, and the number
-    of each value in that order."""
-    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    number = np.empty_like(order)
-    number[order] = np.arange(order.size)
-    return values[first[order]], number[inverse]
-
-
-def _any_order(path, chunks) -> dict:
-    """The snapshots of rows in any order, every row held to the end: times
-    and nodes are numbered in order of first appearance, and the nodes of
-    path 0 at the first time are the grid."""
-    kept = []
-    for rows in chunks:
-        bad = (rows["path"] < 0) | ~np.isfinite(rows["t"]) | ~np.isfinite(rows["x"])
-        if bad.any():
-            j = int(np.argmax(bad))
-            k, t, x, _ = rows[j].tolist()
-            where = f"{path} line {2 + sum(map(len, kept)) + j}"
-            if k < 0:
-                raise ValueError(f"{where}: path {k}, node x={x!r} is off the ensemble grid")
-            raise ValueError(f"{where}: time t={t!r} and node x={x!r} must be finite")
-        kept.append(rows)
-    if not kept:
+    if not n:
         raise ValueError(f"{path}: no data rows")
-    rows = np.concatenate(kept)
-    del kept
-    k = rows["path"]
-    times, ti = _numbered(rows["t"])
-    nodes, xi = _numbered(rows["x"])
-    on_grid = np.zeros(nodes.size, dtype=bool)
-    on_grid[xi[(ti == 0) & (k == 0)]] = True
-    if not on_grid.all():  # the first line on an off-grid node is that node's first line
-        j = int(np.argmin(on_grid))
-        line = int(np.argmax(xi == j))
-        raise ValueError(f"{path} line {2 + line}: path {k[line]}, node x={float(nodes[j])!r} is off the ensemble grid")
-    # sorted by cell, a key that differs from the one before starts a new
-    # cell; the keys are never combined into one, so no path index overflows
-    order = np.lexsort((xi, k, ti))
-    starts = np.r_[True, np.logical_or.reduce([np.diff(key[order]) != 0 for key in (ti, k, xi)])]
-    runs = np.diff(np.flatnonzero(starts), append=order.size)
-    P = int(k.max()) + 1
-    n_cells = len(times) * P * nodes.size
-    if runs.size != n_cells or runs.max() > 1:
+    X = X or n
+    P = P or -(-n // X)
+    if n != len(times) * P * X:
         raise ValueError(
-            f"{path}: {n_cells - runs.size} (snapshot, path, node) cells missing and "
-            f"{np.count_nonzero(runs > 1)} written more than once, of {n_cells}"
+            f"{path}: the file ends inside snapshot {len(times)} after {n} data rows, "
+            f"in snapshots of {P} paths x {X} nodes"
         )
-    snapshots = np.empty((len(times), P, nodes.size))
-    snapshots[ti, k, xi] = rows["u"]
-    return {"snapshot_times": tuple(times.tolist()), "nodes": nodes, "snapshots": snapshots}
+    return {"snapshot_times": tuple(times), "nodes": nodes, "snapshots": u.reshape(len(times), P, X)}
 
 
 def read_ensemble_csv(path: str) -> dict:
     """Parse an ensemble snapshot CSV back into arrays.
 
     Returns {"snapshot_times", "nodes", "snapshots"} with snapshots shaped
-    (n_snapshots, n_paths, n); times and nodes are numbered in order of first
-    appearance, so rows may come in any order.  Values round-trip exactly
-    (the writers emit full-precision reprs).  Raises ValueError naming the
-    file, and the line of any malformed, non-finite or off-grid row, unless
-    every (snapshot, path, node) cell is written exactly once.
-
-    A regular file is read first in the writer's order, each chunk of lines
-    appended to the snapshot array, so that pass holds about the array plus
-    one chunk.  At the first row out of that order, and for a file that is
-    not a regular file (a pipe), the rows are read in any order, and every
-    row is held until the end.
+    (n_snapshots, n_paths, n).  Values round-trip exactly (the writers emit
+    full-precision reprs).  Files and pipes alike are read in one pass in
+    the writer's order, ``_CSV_CHUNK_LINES`` lines at a time, so the reader
+    holds about the returned array plus one chunk.  Raises ValueError
+    naming the file, and the line of any malformed row or of the first row
+    out of the writer's order; a file with no data rows, or one that ends
+    inside a snapshot, is named without a line.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != ",".join(_CSV_ROW.names):
             raise ValueError(f"{path}: unexpected ensemble CSV header {header!r}")
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            data = _in_order(_chunks(path, fh, _CSV_ROW))
-            if data is not None:
-                return data
-            fh.seek(0)
-            fh.readline()
-        return _any_order(path, _chunks(path, fh, _CSV_ROW))
+        return _writer_order(path, _chunks(path, fh, _CSV_ROW))
 
 
 def read_sweep_csv(path: str) -> moments.SweepResult:

@@ -21,7 +21,6 @@ import contextlib
 import ctypes
 import functools
 import glob
-import json
 import math
 import os
 import threading
@@ -66,7 +65,7 @@ _FORMS_BYTES = 1 << 28
 _PARITY_DEFECT = 1e-9
 # ensemble CSV rows formatted per write: their strings are all the memory the
 # writer holds, so it stays flat in the number of paths
-_CSV_BLOCK_ROWS = 4096
+_CSV_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -269,8 +268,10 @@ class PathEnsemble:
                     values = map(repr, block.ravel().tolist())
                     fh.write("\n".join(map(str.__add__, heads, values)) + "\n")
 
-    def write_metadata_json(self, path) -> None:
-        meta = {
+    def metadata(self) -> dict:
+        """The ensemble's size, seed, snapshot times and flag count, with the
+        model and discretization it was run with: ``metadata.json``."""
+        return {
             "n_paths": self.n_paths,
             "master_seed": self.master_seed,
             "snapshot_times": list(self.snapshot_times),
@@ -293,9 +294,6 @@ class PathEnsemble:
                 "t_end": self.disc.t_end,
             },
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _path_generator(master_seed: int, k: int) -> np.random.Generator:
@@ -764,13 +762,17 @@ def _form_gaps(forms, u, y):
 
 def _block_sums(vals, alive):
     """A block's sums per node: of the values of its finite paths, and of the
-    squared antithetic pair sums v_2j + v_2j+1 over the pairs whose two paths
-    are finite; then the counts of those paths and pairs.  Paths 2j and 2j+1
-    share one noise stream, so the pairs, not the paths, are independent."""
+    antithetic pair means (v_2j + v_2j+1) / 2 over the pairs whose two paths
+    are finite, with the pair means' sum of squares about their block mean;
+    then the counts of those paths and pairs.  Paths 2j and 2j+1 share one
+    noise stream, so the pairs, not the paths, are independent."""
     both = alive[0::2] & alive[1::2]
-    with np.errstate(over="ignore"):  # an overflow shows as inf, which the caller refuses
-        pair2 = ((vals[0::2][both] + vals[1::2][both]) ** 2).sum(axis=0)
-    return vals[alive].sum(axis=0), pair2, int(alive.sum()), int(both.sum())
+    n_pairs = int(both.sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as inf or nan, which the caller refuses
+        means = (vals[0::2][both] + vals[1::2][both]) / 2
+        pair_sum = means.sum(axis=0)
+        pair_m2 = ((means - pair_sum / max(n_pairs, 1)) ** 2).sum(axis=0)
+    return vals[alive].sum(axis=0), int(alive.sum()), pair_sum, pair_m2, n_pairs
 
 
 def estimate_second_moment_pair(
@@ -841,15 +843,23 @@ def estimate_second_moment_pair(
     partial = _map_blocks(run_blk, n_paths, worker_count)
     out = []
     for which, (dt, (_MT, _g, _fm, cv)) in enumerate(zip(dts, forms)):
-        acc, acc2, total, pairs = (sum(p[which][i] for p in partial) for i in range(4))
-        if not np.all(np.isfinite(acc2)):
+        acc, total = (sum(p[which][i] for p in partial) for i in range(2))
+        # the pair means are the independent samples: their blocks' sums of
+        # squares combined in block order (Chan et al.), so no two large
+        # sums cancel and no worker count changes a bit
+        pair_sum, m2, pairs = np.zeros(grid.n), np.zeros(grid.n), 0
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            for _acc, _total, s_b, m2_b, n_b in (p[which] for p in partial if p[which][4]):
+                delta = s_b / n_b - pair_sum / max(pairs, 1)
+                m2 = m2 + m2_b + delta**2 * (pairs * n_b / (pairs + n_b))
+                pair_sum, pairs = pair_sum + s_b, pairs + n_b
+        if not np.all(np.isfinite(m2)):
             raise OverflowError(
                 f"squared form gaps of the estimator overflowed at lam={params.lam}, dt={dt}; "
                 "lower lam or t_end"
             )
         mean = acc / total
-        # the pair means (v_2j + v_2j+1) / 2 are the independent samples
-        var = np.maximum(acc2 / (4 * pairs) - mean**2, 0.0)
+        var = m2 / pairs
         out.append(
             SecondMomentEstimate(
                 t=disc.t_end,

@@ -1,4 +1,9 @@
-"""Shared fixtures: the desk-scale operator and a small reusable ensemble."""
+"""Shared fixtures: the desk-scale operator and a small reusable ensemble,
+and the README's example config."""
+
+import json
+import pathlib
+import re
 
 import pytest
 
@@ -14,6 +19,12 @@ from fracheat.sde import (
 DESK_ALPHA = 1.5
 DESK_N = 64
 DESK_MU = 0.1
+
+# the first JSON block of the README: its example config
+README_CONFIG = json.loads(
+    re.search(r"```json\n(.*?)^```", (pathlib.Path(__file__).parents[1] / "README.md").read_text(),
+              flags=re.S | re.M).group(1)
+)
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,12 @@
 """End-to-end command tests: config validation, files, determinism, selftest."""
 
-import collections
 import copy
 import json
 import math
 import os
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fracheat
+from conftest import README_CONFIG
 from fracheat import acceptance, bounds, cli, sde, specfun
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -148,10 +149,6 @@ def test_sweep_refuses_a_negative_lam_it_does_not_read(tmp_path, capsys):
 
 
 # the README example config, the base of the parser fuzz below
-README_CONFIG = json.loads(
-    re.search(r"```json\n(.*?)^```", (pathlib.Path(__file__).parents[1] / "README.md").read_text(),
-              flags=re.S | re.M).group(1)
-)
 CONFIG_FIELDS = [
     "model.alpha", "model.L", "model.mu", "model.lam", "model.p", "model.u0",
     "model.sigma.kind", "model.sigma.l_sigma", "model.sigma.L_sigma",
@@ -542,17 +539,31 @@ def test_ensemble_csv_roundtrip_is_bitwise(tmp_path, small_ensemble):
     assert data["snapshot_times"] == tuple(float(t) for t in small_ensemble.snapshot_times)
 
 
+def held(line):
+    """What a data line of an ensemble CSV holds, as the reader's refusals say it."""
+    k, t, x, _ = line.rstrip("\n").split(",")
+    return f"path {k}, t={t}, x={x}"
+
+
+def refused(name, n, line, want):
+    """The whole refusal of file line ``n``, holding ``line``, as a regex."""
+    return re.escape(f"{name} line {n}: {held(line)} where the writer puts {want}") + "$"
+
+
 def test_read_ensemble_csv_rejects_incomplete_file(tmp_path, small_ensemble):
     path = tmp_path / "ens.csv"
     small_ensemble.write_csv(path)
     lines = path.read_text().splitlines(keepends=True)
     truncated = tmp_path / "truncated.csv"
     truncated.write_text("".join(lines[:-10]))
-    with pytest.raises(ValueError, match="truncated.csv.*10 .* cells missing"):
+    with pytest.raises(ValueError) as exc:
         cli.read_ensemble_csv(truncated)
+    assert str(exc.value) == (
+        f"{truncated}: the file ends inside snapshot 2 after 8182 data rows, in snapshots of 64 paths x 64 nodes"
+    )
     doubled = tmp_path / "doubled.csv"
     doubled.write_text("".join(lines[:-1] + [lines[-2]]))
-    with pytest.raises(ValueError, match="doubled.csv.*1 written more than once"):
+    with pytest.raises(ValueError, match=refused("doubled.csv", len(lines), lines[-2], held(lines[-1]))):
         cli.read_ensemble_csv(doubled)
     huge = tmp_path / "huge.csv"
     # a path index past int64 on an otherwise valid last row
@@ -627,26 +638,46 @@ def test_read_ensemble_csv_new_time_inside_a_path_at_a_chunk_boundary(tmp_path, 
     monkeypatch.setattr(cli, "_CSV_CHUNK_LINES", 3)
     path = tmp_path / "ens.csv"
     path.write_text("path,t,x,u\n0,0.125,0.5,1.0\n0,0.125,0.25,2.0\n1,0.125,0.5,3.0\n0,0.25,0.25,4.0\n")
-    with pytest.raises(ValueError, match="ens.csv: 4 .* cells missing and 0 written more than once, of 8$"):
+    with pytest.raises(ValueError, match=refused("ens.csv", 5, "0,0.25,0.25,4.0", "path 1, t=0.125, x=0.25")):
         cli.read_ensemble_csv(path)
 
 
-def test_read_ensemble_csv_reads_a_pipe_in_any_order(tmp_path, small_ensemble):
-    path = tmp_path / "ens.csv"
-    small_ensemble.write_csv(path)
-    header, *rows = path.read_text().splitlines(keepends=True)
-    text = header + "".join(reversed(rows))
-    fifo = tmp_path / "ens.fifo"
+def through_a_fifo(src, read):
+    """``read`` of a FIFO that a thread fills by copying the file ``src``
+    in small blocks."""
+    fifo = src.with_suffix(".fifo")
     os.mkfifo(fifo)
-    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+
+    def feed():
+        try:
+            with open(src, "rb") as fin, open(fifo, "wb") as fout:
+                shutil.copyfileobj(fin, fout)
+        except BrokenPipeError:  # the reader refused the file and closed the pipe
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
     writer.start()
     try:
-        data = cli.read_ensemble_csv(fifo)
+        return read(fifo)
     finally:
         writer.join(timeout=30)
-    assert not writer.is_alive()
-    assert data["snapshot_times"] == tuple(float(t) for t in reversed(small_ensemble.snapshot_times))
-    assert np.array_equal(data["snapshots"][::-1, :, ::-1], small_ensemble.snapshots)
+        assert not writer.is_alive()
+
+
+def test_read_ensemble_csv_reads_a_pipe_in_the_writers_order(tmp_path, small_ensemble):
+    path = tmp_path / "ens.csv"
+    small_ensemble.write_csv(path)
+    data = through_a_fifo(path, cli.read_ensemble_csv)
+    assert data["snapshot_times"] == tuple(float(t) for t in small_ensemble.snapshot_times)
+    assert np.array_equal(data["snapshots"], small_ensemble.snapshots)
+    # two rows of snapshot 2, path 6 swapped: refused at the first, past
+    # the first chunk and before the writer has written the rest
+    lines = path.read_text().splitlines(keepends=True)
+    n = 1 + 64 * 70 + 10
+    swapped = tmp_path / "swapped.csv"
+    swapped.write_text("".join(lines[: n - 1] + [lines[n], lines[n - 1]] + lines[n + 1 :]))
+    with pytest.raises(ValueError, match=refused("swapped.fifo", n, lines[n], held(lines[n - 1]))):
+        through_a_fifo(swapped, cli.read_ensemble_csv)
 
 
 def test_read_ensemble_csv_refuses_a_header_of_three_fields(tmp_path):
@@ -662,7 +693,11 @@ def test_read_ensemble_csv_refuses_a_header_of_three_fields(tmp_path):
 def test_read_ensemble_csv_rejects_non_finite_time_or_node(tmp_path, row):
     path = tmp_path / "ens.csv"
     path.write_text(f"path,t,x,u\n0,0.5,0.25,1.0\n{row}\n")
-    with pytest.raises(ValueError, match="ens.csv line 3: time t=.* and node x=.* must be finite"):
+    want = "path 0, t=0.5 at a new finite node, or path 1, t=0.5, x=0.25, or path 0, a finite t > 0.5, x=0.25"
+    with pytest.raises(ValueError, match=refused("ens.csv", 3, row, want)):
+        cli.read_ensemble_csv(path)
+    path.write_text(f"path,t,x,u\n{row}\n")
+    with pytest.raises(ValueError, match=refused("ens.csv", 2, row, "path 0 at a finite time and node")):
         cli.read_ensemble_csv(path)
 
 
@@ -673,20 +708,19 @@ def test_read_ensemble_csv_rejects_off_grid_rows(tmp_path, small_ensemble, monke
     lines = path.read_text().splitlines(keepends=True)
     n = 64 * 5 + 3  # path 5, node 1 of the first snapshot
     k, t, x, u = lines[n - 1].split(",")
-    for name, row, off in (("negative", f"-1,{t},{x},{u}", f"path -1, node x={x}"),
-                           ("stray_node", f"{k},{t},0.123,{u}", "path 5, node x=0.123")):
+    for name, row in (("negative", f"-1,{t},{x},{u}"), ("stray_node", f"{k},{t},0.123,{u}")):
         bad_file = tmp_path / f"{name}.csv"
         bad_file.write_text("".join(lines[: n - 1] + [row] + lines[n:]))
-        with pytest.raises(ValueError, match=f"{name}.csv line {n}: {off} is off the ensemble grid"):
+        with pytest.raises(ValueError, match=refused(f"{name}.csv", n, row, held(lines[n - 1]))):
             cli.read_ensemble_csv(bad_file)
-    # a path index far past the others: counted without a 1e17-cell array
     far = tmp_path / "far_path.csv"
-    far.write_text("".join(lines[:-1] + [str(10**15) + lines[-1][lines[-1].index(","):]]))
-    with pytest.raises(ValueError, match="far_path.csv: .* cells missing and 0 written more than once"):
+    far_row = str(10**15) + lines[-1][lines[-1].index(","):]
+    far.write_text("".join(lines[:-1] + [far_row]))
+    with pytest.raises(ValueError, match=refused("far_path.csv", len(lines), far_row, held(lines[-1]))):
         cli.read_ensemble_csv(far)
     header_only = tmp_path / "empty.csv"
     header_only.write_text(lines[0])
-    with pytest.raises(ValueError, match="empty.csv: no data rows"):
+    with pytest.raises(ValueError, match="empty.csv: no data rows$"):
         cli.read_ensemble_csv(header_only)
 
 
@@ -695,11 +729,17 @@ def test_read_ensemble_csv_counts_a_row_written_twice_within_and_across_chunks(t
     path = tmp_path / "ens.csv"
     small_ensemble.write_csv(path)
     lines = path.read_text().splitlines(keepends=True)
-    for name, doubled in (("within", lines[:50] + [lines[49]] + lines[50:]),
-                          ("across", lines + [lines[49]])):
+    x0 = lines[1].split(",")[2]
+    # within path 0 at the first time, whose nodes are still being read;
+    # and after the last snapshot, where only a new snapshot may begin
+    for name, doubled, n, want in (
+        ("within", lines[:50] + [lines[49]] + lines[50:], 51,
+         f"path 0, t=0.125 at a new finite node, or path 1, t=0.125, x={x0}, or path 0, a finite t > 0.125, x={x0}"),
+        ("across", lines + [lines[49]], len(lines) + 1, f"path 0, a finite t > 0.25, x={x0}"),
+    ):
         bad_file = tmp_path / f"{name}.csv"
         bad_file.write_text("".join(doubled))
-        with pytest.raises(ValueError, match=f"{name}.csv: 0 .* cells missing and 1 written more than once, of 8192"):
+        with pytest.raises(ValueError, match=refused(f"{name}.csv", n, lines[49], want)):
             cli.read_ensemble_csv(bad_file)
 
 
@@ -709,15 +749,32 @@ def test_read_ensemble_csv_counts_a_far_path_in_little_memory(tmp_path, small_en
     lines = path.read_text().splitlines(keepends=True)
     far = tmp_path / "far_path.csv"
     far.write_text("".join(lines[:-1] + [str(10**15) + lines[-1][lines[-1].index(","):]]))
-    n_cells = 2 * (10**15 + 1) * 64
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=f"far_path.csv: {n_cells - 8192} .* cells missing and 0 written more than once, of {n_cells}"):
+        with pytest.raises(ValueError, match=f"far_path.csv line {len(lines)}: path {10**15}, "):
             cli.read_ensemble_csv(far)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_read_ensemble_csv_reads_a_grid_wider_than_a_chunk_in_one_pass(tmp_path, small_ensemble, monkeypatch):
+    # 64 nodes, 16 lines a chunk: path 0 at the first time spans four chunks
+    monkeypatch.setattr(cli, "_CSV_CHUNK_LINES", 16)
+    parsed, parse_rows = [], cli._parse_rows
+
+    def counted(path, lines, lineno, row):
+        parsed.append(len(lines))
+        return parse_rows(path, lines, lineno, row)
+
+    monkeypatch.setattr(cli, "_parse_rows", counted)
+    path = tmp_path / "ens.csv"
+    small_ensemble.write_csv(path)
+    data = cli.read_ensemble_csv(path)
+    assert np.array_equal(data["snapshots"], small_ensemble.snapshots)
+    assert np.array_equal(data["nodes"], small_ensemble.grid.nodes)
+    assert sum(parsed) == small_ensemble.snapshots.size
 
 
 def test_read_ensemble_csv_memory_grows_with_its_output_only(tmp_path, desk_grid, desk_params):
@@ -740,6 +797,33 @@ def test_read_ensemble_csv_memory_grows_with_its_output_only(tmp_path, desk_grid
         del data
     # 4x the paths: the peak may grow by the output and slack, not by
     # arrays of one entry per row
+    (peak_1, out_1), (peak_4, out_4) = growth[512], growth[2048]
+    assert peak_4 - peak_1 <= 3 * (out_4 - out_1)
+
+
+def test_read_ensemble_csv_memory_through_a_pipe_grows_with_its_output_only(tmp_path, desk_grid, desk_params):
+    # the bound of the test above, on a FIFO that a thread fills
+    def traced_read(fifo):
+        tracemalloc.start()
+        try:
+            data = cli.read_ensemble_csv(fifo)
+            return data, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    growth = {}
+    for n_paths in (512, 2048):
+        snaps = np.random.default_rng(n_paths).standard_normal((2, n_paths, desk_grid.n))
+        disc = sde.Discretization(grid=desk_grid, dt=0.125, t_end=0.25, snapshot_times=(0.125, 0.25))
+        path = tmp_path / f"ens{n_paths}.csv"
+        sde.PathEnsemble(
+            n_paths=n_paths, master_seed=0, snapshot_times=disc.snapshot_times, snapshots=snaps,
+            flagged=np.zeros(n_paths, dtype=bool), params=desk_params, disc=disc,
+        ).write_csv(path)
+        data, peak = through_a_fifo(path, traced_read)
+        assert np.array_equal(data["snapshots"], snaps)
+        growth[n_paths] = (peak, data["snapshots"].nbytes)
+        del data
     (peak_1, out_1), (peak_4, out_4) = growth[512], growth[2048]
     assert peak_4 - peak_1 <= 3 * (out_4 - out_1)
 
@@ -772,70 +856,73 @@ def test_read_sweep_csv_names_file_and_line(tmp_path, text, error):
         cli.read_sweep_csv(path)
 
 
-def test_read_ensemble_csv_accepts_rows_in_any_order(tmp_path, small_ensemble, monkeypatch):
+def test_read_ensemble_csv_refuses_rows_out_of_the_writers_order(tmp_path, small_ensemble, monkeypatch):
     monkeypatch.setattr(cli, "_CSV_CHUNK_LINES", 1000)
     path = tmp_path / "ens.csv"
     small_ensemble.write_csv(path)
     header, *rows = path.read_text().splitlines(keepends=True)
     shuffled = tmp_path / "shuffled.csv"
     shuffled.write_text(header + "".join(rows[i] for i in np.random.default_rng(0).permutation(len(rows))))
-    data = cli.read_ensemble_csv(shuffled)
-    t_order, x_order = np.argsort(data["snapshot_times"]), np.argsort(data["nodes"])
-    assert np.array_equal(data["nodes"][x_order], small_ensemble.grid.nodes)
-    assert np.array_equal(data["snapshots"][t_order][:, :, x_order], small_ensemble.snapshots)
+    first = shuffled.read_text().splitlines()[1]
+    assert not first.startswith("0,")
+    with pytest.raises(ValueError, match=refused("shuffled.csv", 2, first, "path 0 at a finite time and node")):
+        cli.read_ensemble_csv(shuffled)
 
 
 @pytest.mark.parametrize("key", [lambda r: r.split(",")[0], lambda r: r.split(",")[2]], ids=["by-path", "by-node"])
-def test_read_ensemble_csv_round_trips_rows_grouped_by_path_or_node(tmp_path, small_ensemble, monkeypatch, key):
-    # every chunk brings new paths or nodes of several snapshots, so the
-    # first row out of the writer's order comes early and the exact pass reads
+def test_read_ensemble_csv_refuses_rows_grouped_by_path_or_node(tmp_path, small_ensemble, monkeypatch, key):
+    # grouped by path, path 0 reads as one path of two snapshots; grouped by
+    # node, the first node reads as a grid of one node.  Either way the
+    # second group starts where the writer begins a third snapshot
     monkeypatch.setattr(cli, "_CSV_CHUNK_LINES", 300)
     path = tmp_path / "ens.csv"
     small_ensemble.write_csv(path)
     header, *rows = path.read_text().splitlines(keepends=True)
     grouped = tmp_path / "grouped.csv"
-    grouped.write_text(header + "".join(sorted(rows, key=key)))
-    data = cli.read_ensemble_csv(grouped)
-    t_order, x_order = np.argsort(data["snapshot_times"]), np.argsort(data["nodes"])
-    assert np.array_equal(data["snapshots"][t_order][:, :, x_order], small_ensemble.snapshots)
+    rows = sorted(rows, key=key)
+    grouped.write_text(header + "".join(rows))
+    x0 = rows[0].split(",")[2]
+    with pytest.raises(ValueError, match=refused("grouped.csv", 130, rows[128], f"path 0, a finite t > 0.25, x={x0}")):
+        cli.read_ensemble_csv(grouped)
 
 
 def reference_read_ensemble_csv(path):
-    """A dict of cells keyed by (t, path, x): what read_ensemble_csv returns
-    or the ValueError it raises, for files of well-formed data lines."""
+    """The writer's order checked one row at a time, the cells kept in a
+    dict keyed by (snapshot, path, node): what read_ensemble_csv returns, or
+    the start of the ValueError it raises, for files of well-formed lines."""
     _header, *lines = pathlib.Path(path).read_text().splitlines()
-    rows = []
-    for lineno, line in enumerate(lines, start=2):
+    times, nodes, cells, X, P = [], [], {}, 0, 0
+    for r, line in enumerate(lines):
         k, t, x, u = int(line.split(",")[0]), *map(float, line.split(",")[1:])
-        if k < 0:
-            raise ValueError(f"{path} line {lineno}: path {k}, node x={x!r} is off the ensemble grid")
-        rows.append((lineno, k, t, x, u))
-    if not rows:
+        times = times or [t]
+        if not X and k == 0 and t == times[0]:  # path 0 at the first time: a grid node
+            ok, cell = math.isfinite(t) and math.isfinite(x) and x not in nodes, (0, 0, len(nodes))
+            nodes.append(x)
+        else:
+            X = X or len(nodes)
+            b, j = divmod(r, X) if X else (0, 0)
+            if X and not P and not j and t != times[0]:  # the first new time
+                P = b
+            s, path_k = divmod(b, P) if P else (0, b)
+            ok = X > 0 and (s < len(times) or math.isfinite(t) and t > times[-1])
+            times += [t] * (s == len(times))
+            ok = ok and (k, t, x) == (path_k, times[s], nodes[j])
+            cell = (s, path_k, j)
+        if not ok:
+            raise ValueError(f"{path} line {r + 2}: ")
+        cells[cell] = u
+    if not lines:
         raise ValueError(f"{path}: no data rows")
-    times = list(dict.fromkeys(t for _, _, t, _, _ in rows))
-    nodes = list(dict.fromkeys(x for _, _, _, x, _ in rows))
-    first = {}
-    for lineno, k, _, x, _ in rows:
-        first.setdefault(x, (lineno, k))
-    grid = {x for _, k, t, x, _ in rows if k == 0 and t == times[0]}
-    for x in nodes:
-        if x not in grid:
-            lineno, k = first[x]
-            raise ValueError(f"{path} line {lineno}: path {k}, node x={x!r} is off the ensemble grid")
-    cells = collections.defaultdict(list)
-    for _, k, t, x, u in rows:
-        cells[t, k, x].append(u)
-    n_paths = max(k for _, k, _, _, _ in rows) + 1
-    n_cells = len(times) * n_paths * len(nodes)
-    repeated = sum(len(us) > 1 for us in cells.values())
-    if len(cells) < n_cells or repeated:
+    X = X or len(nodes)
+    P = P or -(-len(lines) // X)
+    if len(lines) != len(times) * P * X:
         raise ValueError(
-            f"{path}: {n_cells - len(cells)} (snapshot, path, node) cells missing and "
-            f"{repeated} written more than once, of {n_cells}"
+            f"{path}: the file ends inside snapshot {len(times)} after {len(lines)} data rows, "
+            f"in snapshots of {P} paths x {X} nodes"
         )
-    snaps = np.empty((len(times), n_paths, len(nodes)))
-    for (t, k, x), (u,) in cells.items():
-        snaps[times.index(t), k, nodes.index(x)] = u
+    snaps = np.empty((len(times), P, X))
+    for (s, k, j), u in cells.items():
+        snaps[s, k, j] = u
     return {"snapshot_times": tuple(times), "nodes": np.array(nodes), "snapshots": snaps}
 
 
@@ -853,8 +940,8 @@ READER_EDITS = ["duplicate", "drop", "far_path", "off_grid", "negative_path", "s
     data=st.data(),
 )
 def test_read_ensemble_csv_agrees_with_a_dict_reader(tmp_path, shape, chunk, edits, in_order, data):
-    # rows in the writer's order with edits in place, read by the writer-order
-    # pass or by the exact pass after it, or the same rows in a random order
+    # rows in the writer's order with edits in place, or the same rows in a
+    # random order; grids of up to 10 nodes against chunks of 1-64 lines
     n_t, n_paths, n_x = shape
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     rows = [
@@ -896,7 +983,7 @@ def test_read_ensemble_csv_agrees_with_a_dict_reader(tmp_path, shape, chunk, edi
         if isinstance(want, ValueError):
             with pytest.raises(ValueError) as got:
                 cli.read_ensemble_csv(path)
-            assert str(got.value) == str(want)
+            assert str(got.value).startswith(str(want))
         else:
             got = cli.read_ensemble_csv(path)
             assert got["snapshot_times"] == want["snapshot_times"]

@@ -9,28 +9,10 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import README_CONFIG
 from fracheat import acceptance, cli
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
-
-# the README example config, whose model and grid are the acceptance desk problem
-README_CONFIG = {
-    "model": {
-        "alpha": 1.5,
-        "lam": 4.0,
-        "p": 2.0,
-        "sigma": {"kind": "linear", "l_sigma": 1.0, "L_sigma": 1.0},
-    },
-    "discretization": {
-        "n": 64,
-        "dt": 0.00390625,
-        "t_end": 1.0,
-        "snapshot_times": [0.25, 0.5, 1.0],
-    },
-    "sweep": {"lambda_min": 8.0, "lambda_max": 128.0, "count": 5},
-    "ensemble": {"n_paths": 400, "master_seed": 1, "worker_count": 2},
-    "outputs": {"directory": "out/demo", "emit_svg": False},
-}
 
 
 def load_script(name):

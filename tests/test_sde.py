@@ -732,27 +732,35 @@ def test_pair_estimator_stderr_is_that_of_the_antithetic_pair_means(desk_grid, d
 
     real_gaps = sde._form_gaps
     monkeypatch.setattr(sde, "_form_gaps", spy)
-    # 300 paths: three blocks, the last one partial.  Two conditioning steps
-    # or more: after one step a path is linear in the noise and its gaps are rounding
-    pair = estimate_second_moment_pair(
-        desk_params, small_disc(desk_grid, dt=1.0 / 256.0, t_end=0.5), desk_op, n_paths=300, master_seed=19
-    )
-    for which, est in enumerate(pair):
-        G = np.concatenate(gaps[which::2])
-        means = 0.5 * (G[0::2] + G[1::2])
-        ref = means.std(axis=0) / math.sqrt(len(means))
-        assert np.abs(est.stderr - ref).max() <= 1e-9 * ref.max()
-        # the paths of a pair are correlated, so the path-wise stderr is not it
-        assert np.abs(est.stderr - G.std(axis=0) / math.sqrt(len(G))).max() > 1e-3 * ref.max()
+    # 300 paths: three blocks, the last one partial.  At t_end 0.125 there
+    # is one conditioning step: a path is linear in the noise, so the pair
+    # means agree to a few ulps and their stderr, 1e-20 to 1e-18, is far below
+    # the rounding of a sum of squares of the values; two centred sums of
+    # those few-ulp deviations agree to some 1e-4 only
+    for t_end, rel in ((0.5, 1e-9), (0.125, 1e-2)):
+        gaps.clear()
+        pair = estimate_second_moment_pair(
+            desk_params, small_disc(desk_grid, dt=1.0 / 256.0, t_end=t_end), desk_op, n_paths=300, master_seed=19
+        )
+        for which, est in enumerate(pair):
+            G = np.concatenate(gaps[which::2])
+            means = 0.5 * (G[0::2] + G[1::2])
+            ref = means.std(axis=0) / math.sqrt(len(means))
+            assert np.all(ref > 0)
+            assert np.abs(est.stderr - ref).max() <= rel * ref.max()
+            # the paths of a pair are correlated, so the path-wise stderr is not it
+            assert np.abs(est.stderr - G.std(axis=0) / math.sqrt(len(G))).max() > 1e-3 * ref.max()
 
 
 def test_block_sums_pair_only_paths_that_are_both_finite():
     vals = np.arange(12.0).reshape(6, 2)
     alive = np.array([True, True, True, False, True, True])
     vals[3] = np.nan
-    total, pair2, n_alive, n_pairs = sde._block_sums(vals, alive)
+    total, n_alive, pair_sum, pair_m2, n_pairs = sde._block_sums(vals, alive)
     assert np.array_equal(total, vals[alive].sum(axis=0))
-    assert np.array_equal(pair2, (vals[0] + vals[1]) ** 2 + (vals[4] + vals[5]) ** 2)
+    means = np.array([vals[0] + vals[1], vals[4] + vals[5]]) / 2
+    assert np.array_equal(pair_sum, means.sum(axis=0))
+    assert np.array_equal(pair_m2, ((means - means.mean(axis=0)) ** 2).sum(axis=0))
     assert (n_alive, n_pairs) == (5, 2)
 
 
