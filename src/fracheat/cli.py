@@ -58,7 +58,7 @@ _ESTIMATORS = (
 _ESTIMATED = ("phi_p", "sup_moment", "inf_subinterval_moment")  # the SweepRow fields they fill
 # data lines per np.loadtxt call in the CSV readers: beside the snapshot
 # array it fills, read_ensemble_csv holds about one chunk's lines and rows
-_CSV_CHUNK_LINES = 1 << 14
+_CSV_CHUNK_LINES = 1 << 12
 _CSV_ROW = np.dtype([("path", "i8"), ("t", "f8"), ("x", "f8"), ("u", "f8")])
 
 
@@ -278,19 +278,24 @@ def _discretization(cfg: ExperimentConfig, op: DiscreteOperator) -> Discretizati
     return disc
 
 
-def _ensemble(cfg: ExperimentConfig, op: DiscreteOperator, disc: Discretization, lam: float):
-    return run_ensemble(
-        _params(cfg, op, lam), disc, op,
-        n_paths=cfg.n_paths, master_seed=cfg.master_seed, worker_count=cfg.worker_count,
-    )
-
-
-def _outdir(cfg: ExperimentConfig) -> str:
+def _outdir(path: str, field: str) -> str:
     try:
-        os.makedirs(cfg.out_dir, exist_ok=True)
+        os.makedirs(path, exist_ok=True)
     except OSError as exc:
-        raise ConfigError("outputs.directory", f"not writable: {exc}") from exc
-    return cfg.out_dir
+        raise ConfigError(field, f"not writable: {exc}") from exc
+    return path
+
+
+def _ensembles(cfg: ExperimentConfig, lams: Sequence[float]):
+    """One ensemble per level of ``lams``, each run as the result is iterated,
+    after every config check (each level's too) and then the output directory:
+    a config error leaves no directory, an unwritable one costs no ensemble."""
+    op = _operator(cfg)
+    disc = _discretization(cfg, op)
+    params = [_params(cfg, op, lam) for lam in lams]
+    _outdir(cfg.out_dir, "outputs.directory")
+    run = dict(n_paths=cfg.n_paths, master_seed=cfg.master_seed, worker_count=cfg.worker_count)
+    return (run_ensemble(par, disc, op, **run) for par in params)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -304,11 +309,9 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
-    op = _operator(cfg)
-    ens = _ensemble(cfg, op, _discretization(cfg, op), cfg.lam)
-    out = _outdir(cfg)
-    csv_path = os.path.join(out, "ensemble.csv")
-    meta_path = os.path.join(out, "metadata.json")
+    (ens,) = _ensembles(cfg, [cfg.lam])
+    csv_path = os.path.join(cfg.out_dir, "ensemble.csv")
+    meta_path = os.path.join(cfg.out_dir, "metadata.json")
     ens.write_csv(csv_path)
     _write_json(meta_path, ens.metadata())
     print(f"wrote {csv_path} and {meta_path}")
@@ -348,13 +351,11 @@ def _snapshot_rows(
 
 
 def cmd_moments(cfg: ExperimentConfig) -> int:
-    op = _operator(cfg)
-    ens = _ensemble(cfg, op, _discretization(cfg, op), cfg.lam)
+    (ens,) = _ensembles(cfg, [cfg.lam])
     warnings: list = []
     rows = _snapshot_rows(cfg, ens, cfg.lam, warnings)
     result = moments.SweepResult(rows=rows)
-    out = _outdir(cfg)
-    csv_path = os.path.join(out, "moments.csv")
+    csv_path = os.path.join(cfg.out_dir, "moments.csv")
     result.write_csv(csv_path)
     summary = {
         "lambda": cfg.lam,
@@ -372,7 +373,7 @@ def cmd_moments(cfg: ExperimentConfig) -> int:
         ],
         "warnings": warnings,
     }
-    _write_json(os.path.join(out, "moments.json"), summary)
+    _write_json(os.path.join(cfg.out_dir, "moments.json"), summary)
     print(f"wrote {csv_path} and moments.json; flagged {ens.flagged_count}")
     for w in warnings:
         print(f"warning: {w}")
@@ -426,6 +427,7 @@ def _oracle_source(cfg: ExperimentConfig) -> _Sweep:
         curves = bounds.oracle_sweep(op, u0, cfg.sigma, cfg.lambdas, T=cfg.t_end, steps=_ORACLE_STEPS)
     except ValueError as exc:  # u0 passed check_operator, so the row-mass window is empty at this n
         raise ConfigError("discretization.n", str(exc)) from exc
+    _outdir(cfg.out_dir, "outputs.directory")
     rows = {lam: _oracle_rows(cfg, c) for lam, c in curves.items()}
     tables = {lam: list(zip(c.t.tolist(), c.log_phi2().tolist())) for lam, c in curves.items()}
     return _Sweep(rows, tables, curves[cfg.lambdas[0]].t.tolist(), [], None)
@@ -433,20 +435,17 @@ def _oracle_source(cfg: ExperimentConfig) -> _Sweep:
 
 def _mc_source(cfg: ExperimentConfig) -> _Sweep:
     """One ensemble per lambda, its rows at the snapshot times."""
-    op = _operator(cfg)
-    disc = _discretization(cfg, op)
     rows: dict = {}
     warnings: list = []
     flagged_total = 0
-    for lam in cfg.lambdas:
-        ens = _ensemble(cfg, op, disc, lam)
+    for lam, ens in zip(cfg.lambdas, _ensembles(cfg, cfg.lambdas)):
         flagged_total += ens.flagged_count
         rows[lam] = _snapshot_rows(cfg, ens, lam, warnings)
     tables = {
         lam: [(r.t, math.log(r.phi_p.value) if r.phi_p.value > 0.0 else -math.inf) for r in rs]
         for lam, rs in rows.items()
     }
-    return _Sweep(rows, tables, list(disc.snapshot_times), warnings, flagged_total)
+    return _Sweep(rows, tables, list(ens.snapshot_times), warnings, flagged_total)
 
 
 def _excitation_fit(sweep: _Sweep) -> tuple[list, Optional[tuple]]:
@@ -558,11 +557,10 @@ def cmd_sweep(cfg: ExperimentConfig, oracle: bool) -> int:
     if cfg.emit_svg:
         charts["sweep_phi.svg"] = _moment_svg(cfg, oracle, sweep)
         charts["excitation.svg"] = _excitation_svg(cfg, table, fit, sweep.times[-1])
-    out = _outdir(cfg)
     moments.SweepResult(rows=[r for lam in cfg.lambdas for r in sweep.rows[lam]]).write_csv(
-        os.path.join(out, "sweep.csv")
+        os.path.join(cfg.out_dir, "sweep.csv")
     )
-    _write_json(os.path.join(out, "fits.json"), payload)
+    _write_json(os.path.join(cfg.out_dir, "fits.json"), payload)
     return _finish(cfg, payload, ["sweep.csv", "fits.json"], charts)
 
 
@@ -574,7 +572,7 @@ def cmd_excitation(cfg: ExperimentConfig, oracle: bool) -> int:
         payload["log_phi"] = {repr(lam): lp for lam, lp in table}
     else:  # the estimates themselves, not exp(ln Phi_p)
         payload["phi"] = {repr(lam): sweep.rows[lam][-1].phi_p.value for lam, _ in table}
-    _write_json(os.path.join(_outdir(cfg), "excitation.json"), payload)
+    _write_json(os.path.join(cfg.out_dir, "excitation.json"), payload)
     svg = _excitation_svg(cfg, table, fit, sweep.times[-1]) if cfg.emit_svg else None
     return _finish(cfg, payload, ["excitation.json"], {"excitation.svg": svg})
 
@@ -584,6 +582,7 @@ def cmd_excitation(cfg: ExperimentConfig, oracle: bool) -> int:
 
 
 def cmd_selftest(level: str, out_dir: str, mc_worker_count: int) -> int:
+    path = os.path.join(_outdir(out_dir, "--out"), "selftest.json")
     results = acceptance.run_selftest(level, mc_worker_count=mc_worker_count)
     passed = all(r.passed for r in results)
     report = {
@@ -601,8 +600,6 @@ def cmd_selftest(level: str, out_dir: str, mc_worker_count: int) -> int:
             for r in results
         ],
     }
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "selftest.json")
     _write_json(path, report)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL':4} {r.elapsed:7.2f}s {r.name}: {r.detail}")
@@ -640,20 +637,23 @@ def _line_error(line: str, row: np.dtype) -> str:
     return "not read as one row"
 
 
-def _parse_rows(path, lines: list, lineno: int, row: np.dtype) -> np.ndarray:
-    """One chunk of CSV data lines, the first at file line ``lineno``, as
-    ``row`` records.  A chunk the parser rejects, or one where it skipped
-    blank lines, is parsed again line by line with the same call, and the
-    first line it rejects or reads as no row raises ValueError naming that
-    line."""
+def _parse_rows(path, lines: list, lineno: int, row: np.dtype):
+    """Yield one chunk of CSV data lines, the first at file line ``lineno``,
+    as ``row`` records.  A chunk the parser rejects, or one where it skipped
+    blank lines, is parsed again line by line with the same call; the rows
+    before the first line it rejects or reads as no row are yielded, so the
+    reader checks them first, and then ValueError names that line."""
     try:
         rows = _load_rows(lines, row)
         if len(rows) == len(lines):
-            return rows
+            yield rows
+            return
     except ValueError:
         pass
     for j, line in enumerate(lines):
         if not _one_row(line, row):
+            if j:
+                yield _load_rows(lines[:j], row)
             raise ValueError(f"{path} line {lineno + j}: {_line_error(line, row)}")
     # each line alone parsed where the chunk did not: still refuse the chunk
     raise ValueError(f"{path} lines {lineno}-{lineno + len(lines) - 1}: not parsed as rows")
@@ -663,8 +663,9 @@ def _chunks(path, fh, row: np.dtype):
     """The lines of ``fh`` after the header, parsed ``_CSV_CHUNK_LINES`` at a time."""
     lineno = 2
     while lines := list(itertools.islice(fh, _CSV_CHUNK_LINES)):
-        yield _parse_rows(path, lines, lineno, row)
+        yield from _parse_rows(path, lines, lineno, row)
         lineno += len(lines)
+        del lines  # released before the next chunk is read, not after
 
 
 def _writer_row(r: int, X: int, P: int, nodes: list, times: list) -> str:
@@ -767,7 +768,7 @@ def read_sweep_csv(path: str) -> moments.SweepResult:
     exponents live in the JSON payloads).  Raises ValueError naming the file,
     and the line of any row that is not ten numeric fields, read as the
     ensemble reader reads its rows."""
-    names = "lambda,t,phi_p,phi_p_se,sup_m,sup_m_se,inf_m,inf_m_se,n_eff,flagged".split(",")
+    names = moments.SweepResult.CSV_COLUMNS
     row = np.dtype([(name, "i8" if name == "n_eff" else "f8") for name in names])
     result = []
     with open(path, encoding="utf-8") as fh:
@@ -775,17 +776,14 @@ def read_sweep_csv(path: str) -> moments.SweepResult:
         if header != ",".join(names):
             raise ValueError(f"{path}: unexpected sweep CSV header {header!r}")
         records = itertools.chain.from_iterable(rows.tolist() for rows in _chunks(path, fh, row))
-        for lineno, (lam, t, phi, phi_se, sup, sup_se, inf, inf_se, n_eff, flagged) in enumerate(records, start=2):
+        # lambda, t, a value and its stderr per estimated field, n_eff, flagged
+        for lineno, (lam, t, *pairs, n_eff, flagged) in enumerate(records, start=2):
             try:
-                result.append(
-                    moments.SweepRow(
-                        lam=lam,
-                        t=t,
-                        phi_p=moments.MomentEstimate(phi, phi_se, n_eff, flagged),
-                        sup_moment=moments.MomentEstimate(sup, sup_se, n_eff, flagged),
-                        inf_subinterval_moment=moments.MomentEstimate(inf, inf_se, n_eff, flagged),
-                    )
-                )
+                est = {
+                    name: moments.MomentEstimate(value, se, n_eff, flagged)
+                    for name, value, se in zip(_ESTIMATED, pairs[::2], pairs[1::2])
+                }
+                result.append(moments.SweepRow(lam=lam, t=t, **est))
             except ValueError as exc:  # a negative stderr or n_eff
                 raise ValueError(f"{path} line {lineno}: {exc}") from exc
     return moments.SweepResult(rows=result)

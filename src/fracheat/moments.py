@@ -60,9 +60,11 @@ class MomentEstimate:
             raise ValueError("n_effective must be nonnegative")
 
 
-def _check_order(ensemble: PathEnsemble, p: float) -> None:
-    """Reject p < 2, and warn, naming the estimator's caller, when p is at
-    or below 2/(alpha-1), the threshold the moment theorems assume."""
+def _finite_paths(ensemble: PathEnsemble, t: float, p: float) -> tuple[np.ndarray, int, float]:
+    """Every estimator's first step: reject p < 2, warn, naming its caller,
+    when p is at or below 2/(alpha-1), the threshold the moment theorems
+    assume, and return the snapshot at time t without its flagged
+    (non-finite) paths (itself if none is), their count and flagged share."""
     if p < 2.0:
         raise ValueError(f"moment order p={p} must be >= 2")
     threshold = 2.0 / (ensemble.params.alpha - 1.0)
@@ -72,30 +74,23 @@ def _check_order(ensemble: PathEnsemble, p: float) -> None:
             "growth/decay theorems assume p above this threshold",
             stacklevel=3,
         )
-
-
-def _clean_snapshot(ensemble: PathEnsemble, t: float) -> tuple[np.ndarray, int, float]:
-    """Snapshot at time t with flagged (non-finite) paths removed."""
     u = ensemble.snapshot(t)
     alive = np.all(np.isfinite(u), axis=1)
-    n_total = u.shape[0]
     n_eff = int(np.count_nonzero(alive))
     if n_eff == 0:
-        raise ValueError(f"all {n_total} paths are flagged at t={t}; nothing to estimate")
-    return u[alive], n_eff, 1.0 - n_eff / n_total
+        raise ValueError(f"all {len(u)} paths are flagged at t={t}; nothing to estimate")
+    return (u if n_eff == len(u) else u[alive]), n_eff, 1.0 - n_eff / len(u)
 
 
-def _mean_and_stderr(s: np.ndarray, n_eff: int) -> tuple[float, float]:
-    """Sample mean of per-path values and its standard error.
-
-    Finite paths can still raise |u|^p past double range; such a mean is
-    reported as (inf, inf) rather than the NaN spread numpy would give.
-    Call under ``np.errstate(over="ignore", invalid="ignore")``.
-    """
+def _mean_and_stderr(s: np.ndarray) -> tuple[float, float]:
+    """Sample mean of per-path values and its standard error.  Finite paths
+    can still raise |u|^p past double range; such a mean is reported as
+    (inf, inf) rather than the NaN spread numpy would give.  Call under
+    ``np.errstate(over="ignore", invalid="ignore")``, as the sample needs."""
     mean = float(np.mean(s))
     if math.isinf(mean):
         return math.inf, math.inf
-    return mean, float(np.std(s, ddof=1) / math.sqrt(n_eff)) if n_eff > 1 else 0.0
+    return mean, float(np.std(s, ddof=1) / math.sqrt(s.size)) if s.size > 1 else 0.0
 
 
 def estimate_energy(ensemble: PathEnsemble, t: float, p: float) -> MomentEstimate:
@@ -105,16 +100,12 @@ def estimate_energy(ensemble: PathEnsemble, t: float, p: float) -> MomentEstimat
     of the per-path integral is propagated through the 1/p power by the
     delta method.
     """
-    _check_order(ensemble, p)
-    u, n_eff, flagged = _clean_snapshot(ensemble, t)
+    u, n_eff, flagged = _finite_paths(ensemble, t, p)
     with np.errstate(over="ignore", invalid="ignore"):
-        s = ensemble.grid.dx * np.sum(np.abs(u) ** p, axis=1)
-        mean, se_mean = _mean_and_stderr(s, n_eff)
-    if math.isinf(mean):
-        return MomentEstimate(math.inf, math.inf, n_eff, flagged)
+        mean, se_mean = _mean_and_stderr(ensemble.grid.dx * np.sum(np.abs(u) ** p, axis=1))
     value = mean ** (1.0 / p)
-    # d(m^{1/p})/dm = m^{1/p-1}/p
-    stderr = se_mean * value / (p * mean) if mean > 0.0 else 0.0
+    # d(m^{1/p})/dm = m^{1/p-1}/p; se_mean is 0 at a zero mean, inf at an overflowed one
+    stderr = se_mean * value / (p * mean) if 0.0 < mean < math.inf else se_mean
     return MomentEstimate(value, stderr, n_eff, flagged)
 
 
@@ -123,26 +114,22 @@ def estimate_sup_moment(ensemble: PathEnsemble, t: float, p: float) -> MomentEst
 
     Reported as the p-th moment itself, without the 1/p root.
     """
-    _check_order(ensemble, p)
-    u, n_eff, flagged = _clean_snapshot(ensemble, t)
+    u, n_eff, flagged = _finite_paths(ensemble, t, p)
     with np.errstate(over="ignore", invalid="ignore"):
-        value, stderr = _mean_and_stderr(np.max(np.abs(u), axis=1) ** p, n_eff)
-    return MomentEstimate(value, stderr, n_eff, flagged)
+        return MomentEstimate(*_mean_and_stderr(np.max(np.abs(u), axis=1) ** p), n_eff, flagged)
 
 
 def estimate_inf_subinterval_moment(ensemble: PathEnsemble, t: float, p: float) -> MomentEstimate:
     """Estimate inf over nodes in [mu, L-mu] of the per-node moment E|u(t,x)|^p."""
-    _check_order(ensemble, p)
-    inner = ensemble.grid.interior_indices()
-    u, n_eff, flagged = _clean_snapshot(ensemble, t)
+    u, n_eff, flagged = _finite_paths(ensemble, t, p)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.abs(u[:, inner]) ** p
+        vals = np.abs(u[:, ensemble.grid.interior_indices()]) ** p
         means = vals.mean(axis=0)
         j = int(np.argmin(means))
+        # node j's entry of the per-node means, which its column's own mean
+        # need not equal bit for bit, so its overflow is checked here
         value = float(means[j])
-        stderr = _mean_and_stderr(vals[:, j], n_eff)[1]
-    if math.isinf(value):
-        return MomentEstimate(math.inf, math.inf, n_eff, flagged)
+        stderr = math.inf if math.isinf(value) else _mean_and_stderr(vals[:, j])[1]
     return MomentEstimate(value, stderr, n_eff, flagged)
 
 
@@ -247,6 +234,9 @@ class SweepRow:
 class SweepResult:
     """Moment estimates over a (lambda, t) sweep."""
 
+    # the CSV columns, in order; cli.read_sweep_csv reads them back
+    CSV_COLUMNS = ("lambda", "t", "phi_p", "phi_p_se", "sup_m", "sup_m_se", "inf_m", "inf_m_se", "n_eff", "flagged")
+
     rows: list[SweepRow] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -258,7 +248,7 @@ class SweepResult:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        buf.write("lambda,t,phi_p,phi_p_se,sup_m,sup_m_se,inf_m,inf_m_se,n_eff,flagged\n")
+        buf.write(",".join(self.CSV_COLUMNS) + "\n")
         for r in self.rows:
             buf.write(
                 f"{r.lam!r},{r.t!r},"

@@ -65,7 +65,7 @@ _FORMS_BYTES = 1 << 28
 _PARITY_DEFECT = 1e-9
 # ensemble CSV rows formatted per write: their strings are all the memory the
 # writer holds, so it stays flat in the number of paths
-_CSV_BLOCK_ROWS = 2048
+_CSV_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)

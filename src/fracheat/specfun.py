@@ -116,14 +116,15 @@ def _series_rows(beta: float, y: np.ndarray) -> np.ndarray:
     both at most 1e-17 |running sum|, and is summed with fsum; rows that have
     not stopped after K terms are redone with 2K.  A term beyond 1e290 in
     magnitude before the stop raises PrecisionError, as does a row at y < 0
-    whose sum of |terms| exceeds _CANCELLATION_MAX times |sum|.  At beta = 1
-    the sum is exact (_series_exact_beta1).
+    whose sum of |terms| exceeds _CANCELLATION_MAX times |sum|: the first
+    failing row's error in array order, as a call on that element alone
+    gives it.  At beta = 1 the sum is exact (_series_exact_beta1).
     """
     if beta == 1.0:
         return np.array([_series_exact_beta1(v) for v in y.tolist()])
     out = np.empty(y.size)
     pending = np.arange(y.size)
-    K = 64
+    K, error = 64, None  # error: the earliest failing row's; only rows before it stay pending
     while pending.size:
         e = _term_ratios(beta, K)
         rows = max(1, _CHUNK_DOUBLES // (K + 1))
@@ -142,20 +143,25 @@ def _series_rows(beta: float, y: np.ndarray) -> np.ndarray:
             done = stop.any(axis=1)
             last = np.where(done, stop.argmax(axis=1) + 4, K)
             huge = ~(mag <= 1e290) & (np.arange(K + 1) <= last[:, None])
+            cut = idx.size  # the rows of this chunk before its first failing one
             if huge.any():
-                i, n = np.argwhere(huge)[0]
-                raise PrecisionError(
-                    f"Mittag-Leffler series overflowed at term {n} (beta={beta}, z={y[idx[i]]}); "
+                cut, n = np.argwhere(huge)[0]
+                error = PrecisionError(
+                    f"Mittag-Leffler series overflowed at term {n} (beta={beta}, z={y[idx[cut]]}); "
                     "use log_mittag_leffler"
                 )
-            for i in np.flatnonzero(done).tolist():
+            for i in np.flatnonzero(done[:cut]).tolist():
                 total = out[idx[i]] = math.fsum(terms[i, : last[i] + 1].tolist())
                 if y[idx[i]] < 0.0 and mag[i, : last[i] + 1].sum() > _CANCELLATION_MAX * abs(total):
-                    raise PrecisionError(
+                    error = PrecisionError(
                         f"Mittag-Leffler series cancels at beta={beta}, z={y[idx[i]]}: its terms "
                         f"sum to more than {_CANCELLATION_MAX:g} times |E_beta(z)| in magnitude"
                     )
-            left.append(idx[~done])
+                    cut = i
+                    break
+            left.append(idx[:cut][~done[:cut]])
+            if cut < idx.size:
+                break
         pending = np.concatenate(left)
         if pending.size and K == _SERIES_TERMS_MAX - 1:
             raise PrecisionError(
@@ -163,6 +169,8 @@ def _series_rows(beta: float, y: np.ndarray) -> np.ndarray:
                 f"(beta={beta}, z={y[pending[0]]})"
             )
         K = min(2 * K, _SERIES_TERMS_MAX - 1)
+    if error is not None:
+        raise error
     return out
 
 
@@ -174,15 +182,18 @@ def _asymptotic_poly(beta: float, z: float) -> float:
 def _ml(beta: float, zs: np.ndarray) -> np.ndarray:
     out = np.empty(zs.size)
     series = zs < _SWITCH_THRESHOLD
-    out[series] = _series_rows(beta, zs[series])
     p = 1.0 / beta
     big = zs[~series].tolist()
     rates = [v**p for v in big]
-    for v, rate in zip(big, rates):
-        if rate > 700.0:
-            raise PrecisionError(
-                f"E_{beta}({v}) ~ exp({rate:.3g}) overflows double precision; use log_mittag_leffler"
-            )
+    over = next((k for k, rate in enumerate(rates) if rate > 700.0), None)
+    # an error names the first failing element in array order: the series
+    # elements before an overflowing asymptotic one are summed first
+    end = zs.size if over is None else int(np.flatnonzero(~series)[over])
+    out[:end][series[:end]] = _series_rows(beta, zs[:end][series[:end]])
+    if over is not None:
+        raise PrecisionError(
+            f"E_{beta}({big[over]}) ~ exp({rates[over]:.3g}) overflows double precision; use log_mittag_leffler"
+        )
     out[~series] = [math.exp(rate) / beta - _asymptotic_poly(beta, v) for v, rate in zip(big, rates)]
     return out
 

@@ -71,3 +71,25 @@ def test_quick_suite_computes_each_oracle_curve_once(monkeypatch):
     assert all(r.passed for r in acceptance.run_selftest("quick"))
     assert len(keys) == 17
     assert len(set(keys)) == len(keys)
+
+
+def test_a_check_that_raises_is_a_failed_check_naming_the_exception():
+    def broken():
+        raise ZeroDivisionError("no data")
+
+    r = acceptance._check("broken", broken)
+    assert (r.name, r.passed) == ("broken", False)
+    assert r.detail == "exception: ZeroDivisionError('no data')"
+
+
+def test_the_full_tier_appends_check_4_and_other_levels_are_refused(monkeypatch):
+    quick = [acceptance.CheckResult(f"stub-{k}", True, "", 0.0) for k in range(2)]
+    monkeypatch.setattr(acceptance, "QUICK_CHECKS", tuple(lambda r=r: r for r in quick))
+    mc = acceptance.CheckResult("mc-vs-oracle", True, "", 0.0)
+    workers = []
+    monkeypatch.setattr(acceptance, "check_mc_oracle", lambda worker_count: workers.append(worker_count) or mc)
+    assert acceptance.run_selftest("quick") == quick
+    assert acceptance.run_selftest("full", mc_worker_count=3) == quick + [mc]
+    assert workers == [3]
+    with pytest.raises(ValueError, match="'quick' or 'full', got 'fast'"):
+        acceptance.run_selftest("fast")

@@ -228,11 +228,28 @@ def test_unreadable_config_file_is_a_config_error(tmp_path, capsys, text, error)
     assert re.search(error, capsys.readouterr().err)
 
 
-def test_output_directory_under_a_file_is_a_config_error(tmp_path, capsys):
+def test_output_directory_under_a_file_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # refused before any ensemble runs or any check of the suite
+    calls = []
+    ensemble, selftest = cli.run_ensemble, acceptance.run_selftest
+    monkeypatch.setattr(cli, "run_ensemble", lambda *a, **k: calls.append("ensemble") or ensemble(*a, **k))
+    monkeypatch.setattr(acceptance, "run_selftest", lambda *a, **k: calls.append("check") or selftest(*a, **k))
     (tmp_path / "file").write_text("")
-    cfg = write_config(tmp_path, base_config(tmp_path / "file" / "o"))
-    assert cli.main(["simulate", "--config", cfg]) == 2
-    assert "config error: outputs.directory: not writable" in capsys.readouterr().err
+    out = str(tmp_path / "file" / "o")
+    cfg = write_config(tmp_path, base_config(out))
+    for command in ("simulate", "moments", "sweep", "excitation"):
+        assert cli.main([command, "--config", cfg]) == 2
+        assert "config error: outputs.directory: not writable: " in capsys.readouterr().err
+    assert cli.main(["selftest", "quick", "--out", out]) == 2
+    assert "config error: --out: not writable: " in capsys.readouterr().err
+    assert calls == []
+
+
+def test_out_flag_on_a_config_without_an_outputs_section(tmp_path):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, base_config(tmp_path / "unused", outputs=...))
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["ensemble.csv", "metadata.json"]
 
 
 @pytest.mark.parametrize("command", ["simulate", "moments", "sweep", "excitation"])
@@ -680,6 +697,15 @@ def test_read_ensemble_csv_reads_a_pipe_in_the_writers_order(tmp_path, small_ens
         through_a_fifo(swapped, cli.read_ensemble_csv)
 
 
+def test_read_ensemble_csv_names_a_row_out_of_order_before_a_later_malformed_line(tmp_path):
+    # one chunk: its rows before the malformed line are order-checked first
+    path = tmp_path / "ens.csv"
+    path.write_text("path,t,x,u\n1,0.5,0.25,1.0\n0,0.5,0.5,1.0\n0,0.5,abc,1.0\n")
+    message = "ens.csv line 2: path 1, t=0.5, x=0.25 where the writer puts path 0 at a finite time and node"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        cli.read_ensemble_csv(path)
+
+
 def test_read_ensemble_csv_refuses_a_header_of_three_fields(tmp_path):
     path = tmp_path / "ens.csv"
     path.write_text("path,t,x\n0,0.5,0.25\n")
@@ -844,8 +870,12 @@ SWEEP_ROW = "8.0,0.25,1.5,0.0,2.5,0.0,0.5,0.0,0,0.0\n"
         (SWEEP_HEADER + SWEEP_ROW.replace(",0,", ",4_00,"),
          r"sweep.csv line 2: could not convert string '4_00' to int64 \(field n_eff\)$"),
         (SWEEP_HEADER + SWEEP_ROW.replace("0.0,0,", "-1.0,0,"), "sweep.csv line 2: stderr must be nonnegative"),
+        # the first bad line is named, though a later one in its chunk is malformed
+        (SWEEP_HEADER + SWEEP_ROW.replace("0.0,0,", "-1.0,0,") + SWEEP_ROW + "8.0,0.5\n",
+         "sweep.csv line 2: stderr must be nonnegative"),
     ],
-    ids=["short-row", "non-numeric", "header", "underscore-float", "underscore-int", "negative-stderr"],
+    ids=["short-row", "non-numeric", "header", "underscore-float", "underscore-int", "negative-stderr",
+         "negative-stderr-before-a-short-row"],
 )
 def test_read_sweep_csv_names_file_and_line(tmp_path, text, error):
     path = tmp_path / "sweep.csv"
@@ -1048,6 +1078,19 @@ def test_mc_sweep_and_excitation_with_all_paths_flagged_write_partial_output(tmp
     payload = cli.read_json_file(out / "excitation.json")
     assert any("lambda=128.0, t=1.0" in w for w in payload["warnings"])
     assert "128.0" not in payload["phi"]
+
+
+def test_mc_sweep_with_every_level_flagged_at_a_snapshot_skips_the_moment_chart(tmp_path):
+    # every level from 128 up loses all 4 paths by t=1, so no level has a complete table
+    out = tmp_path / "o"
+    doc = base_config(out, **{"discretization.n": 16, "discretization.t_end": 1.0,
+                              "discretization.snapshot_times": [0.5, 1.0], "ensemble.n_paths": 4,
+                              "sweep.lambda_min": 128.0, "sweep.lambda_max": 256.0, "outputs.emit_svg": True})
+    assert cli.main(["sweep", "--config", write_config(tmp_path, doc)]) == 0
+    assert sorted(os.listdir(out)) == ["fits.json", "sweep.csv"]
+    warns = cli.read_json_file(out / "fits.json")["warnings"]
+    assert sum("paths are flagged" in w and "t=1.0" in w for w in warns) == 5
+    assert "moment chart skipped: line_chart needs at least one series" in warns
 
 
 def test_oracle_commands_on_a_grid_too_coarse_for_the_row_mass_window(tmp_path, capsys):

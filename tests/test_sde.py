@@ -359,7 +359,7 @@ def synthetic_ensemble(grid, params, snapshots):
 
 
 def test_write_csv_matches_the_per_row_format(tmp_path, desk_grid, desk_params):
-    # 150 paths of 64 nodes: two full blocks and a short one per snapshot
+    # 150 paths of 64 nodes: full blocks and a short one per snapshot
     n_paths = 150
     assert n_paths % (sde._CSV_BLOCK_ROWS // desk_grid.n) != 0
     rng = np.random.default_rng(5)

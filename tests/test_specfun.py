@@ -428,3 +428,27 @@ def test_array_path_keeps_nothing_between_calls():
         tracemalloc.stop()
     # a ratio table kept per beta would hold 32 KiB each
     assert kept < 16 * 2**10
+
+
+@pytest.mark.parametrize(("name", "beta", "z"), [
+    # both failures in the series: term 1895 at y = 8.764 (index 9) comes
+    # before term 1023 at y = 9.653, which a K-doubling pass meets first
+    ("f_beta", 1.0 / 3.0, np.linspace(0.0, 11.9**3, 1200)[470:650]),
+    # an asymptotic overflow at index 0, series cancellations further on
+    ("mittag_leffler", 0.5, np.linspace(30.0, -6.0, 401)),
+    # a series cancellation at index 0, before the asymptotic overflows
+    ("mittag_leffler", 1.0 / 3.0, np.linspace(-6.0, 30.0, 401)),
+    ("mittag_leffler", 2.0 / 3.0, np.array([-3.0, 5.0, 700.0, -10.0])),
+])
+def test_an_array_call_names_its_first_failing_element(name, beta, z):
+    fn = getattr(specfun, name)
+    for i, v in enumerate(z.tolist()):
+        try:
+            fn(beta, v)
+        except specfun.PrecisionError as exc:
+            first = str(exc)
+            break
+    fn(beta, z[:i])  # nothing before it fails
+    with pytest.raises(specfun.PrecisionError) as info:
+        fn(beta, z)
+    assert str(info.value) == first
