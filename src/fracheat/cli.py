@@ -334,7 +334,7 @@ def _snapshot_rows(
     is a moment or standard error that overflowed to inf on finite paths."""
     rows = []
     for t in ens.snapshot_times:
-        if not np.any(np.all(np.isfinite(ens.snapshot(t)), axis=1)):
+        if not np.any(ens.finite_paths(t)):
             warnings.append(
                 f"all {ens.n_paths} paths are flagged at lambda={lam!r}, t={float(t)!r}; estimate omitted"
             )

@@ -61,12 +61,12 @@ class MomentEstimate:
 
 
 def _finite_paths(ensemble: PathEnsemble, t: float, p: float) -> tuple[np.ndarray, int, float]:
-    """Every estimator's first step: reject p < 2, warn, naming its caller,
-    when p is at or below 2/(alpha-1), the threshold the moment theorems
-    assume, and return the snapshot at time t without its flagged
-    (non-finite) paths (itself if none is), their count and flagged share."""
-    if p < 2.0:
-        raise ValueError(f"moment order p={p} must be >= 2")
+    """Every estimator's first step: reject p < 2 and non-finite p, warn,
+    naming its caller, when p is at or below 2/(alpha-1), the threshold the
+    moment theorems assume, and return the snapshot at time t without its
+    non-finite paths (itself if none is), their count and flagged share."""
+    if not (2.0 <= p < math.inf):
+        raise ValueError(f"moment order p={p} must be finite and >= 2")
     threshold = 2.0 / (ensemble.params.alpha - 1.0)
     if p <= threshold:
         warnings.warn(
@@ -75,7 +75,7 @@ def _finite_paths(ensemble: PathEnsemble, t: float, p: float) -> tuple[np.ndarra
             stacklevel=3,
         )
     u = ensemble.snapshot(t)
-    alive = np.all(np.isfinite(u), axis=1)
+    alive = ensemble.finite_paths(t)
     n_eff = int(np.count_nonzero(alive))
     if n_eff == 0:
         raise ValueError(f"all {len(u)} paths are flagged at t={t}; nothing to estimate")

@@ -161,8 +161,8 @@ class ModelParams:
         if u0.ndim != 1 or not np.all(np.isfinite(u0)) or np.any(u0 < 0.0):
             raise ValueError("u0 must be a finite nonnegative 1-d profile")
         object.__setattr__(self, "u0", u0)
-        if self.p < 2.0:
-            raise ValueError(f"moment order p must be >= 2, got {self.p}")
+        if not (2.0 <= self.p < math.inf):
+            raise ValueError(f"moment order p must be finite and >= 2, got {self.p}")
 
     def check_operator(self, op: DiscreteOperator) -> None:
         """alpha must be the operator's, L and mu its grid's, and u0 sampled on
@@ -182,17 +182,22 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Discretization:
-    """Time grid: step, horizon, and snapshot times snapped to step multiples."""
+    """Time grid: step, horizon, and one or more snapshot times snapped to step multiples."""
 
     grid: Grid
     dt: float
     t_end: float
-    snapshot_times: tuple = ()
+    snapshot_times: tuple
 
     def __post_init__(self) -> None:
+        for name in ("dt", "t_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.dt > 0.0 and self.t_end > 0.0 and self.dt <= self.t_end):
             raise ValueError(f"need 0 < dt <= t_end, got dt={self.dt}, t_end={self.t_end}")
         snaps = tuple(float(t) for t in self.snapshot_times)
+        if not snaps:
+            raise ValueError("snapshot_times must hold at least one time")
         if any(t < 0.0 or t > self.t_end + 0.5 * self.dt for t in snaps):
             raise ValueError(f"snapshot times must lie in [0, t_end], got {snaps}")
         if sorted(snaps) != list(snaps):
@@ -228,15 +233,42 @@ def default_dt(op: DiscreteOperator) -> float:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Snapshot store: shape (n_snapshots, n_paths, n) plus per-path blow-up flags."""
+    """Snapshot store: shape (n_snapshots, n_paths, n) plus per-path blow-up flags.
 
-    n_paths: int
+    The arrays fix the path count and ``disc`` the snapshot times.  The
+    constructor refuses snapshots of any other shape and a non-finite row on
+    an unflagged path; the one scan that checks this keeps each snapshot's
+    finite rows for `finite_paths`.
+    """
+
     master_seed: int
-    snapshot_times: tuple
     snapshots: np.ndarray
     flagged: np.ndarray
     params: ModelParams
     disc: Discretization
+
+    def __post_init__(self) -> None:
+        shape = (len(self.snapshot_times), self.n_paths, self.grid.n)
+        if self.snapshots.shape != shape:
+            raise ValueError(
+                f"snapshots have shape {self.snapshots.shape}; (snapshot times, paths, nodes) is {shape}"
+            )
+        finite = np.stack([np.all(np.isfinite(u), axis=1) for u in self.snapshots])
+        bad = np.argwhere(~finite & ~self.flagged)
+        if bad.size:
+            k, path = bad[0]
+            raise ValueError(
+                f"path {path} is not flagged but is non-finite at t={self.snapshot_times[k]!r}"
+            )
+        object.__setattr__(self, "_finite", finite)
+
+    @property
+    def n_paths(self) -> int:
+        return len(self.flagged)
+
+    @property
+    def snapshot_times(self) -> tuple:
+        return self.disc.snapshot_times
 
     @property
     def grid(self) -> Grid:
@@ -246,11 +278,18 @@ class PathEnsemble:
     def flagged_count(self) -> int:
         return int(np.count_nonzero(self.flagged))
 
-    def snapshot(self, t: float) -> np.ndarray:
+    def _index(self, t: float) -> int:
         for k, s in enumerate(self.snapshot_times):
             if abs(s - t) <= 1e-9 * max(1.0, abs(t)):
-                return self.snapshots[k]
+                return k
         raise ValueError(f"t={t} is not a snapshot time; have {self.snapshot_times}")
+
+    def snapshot(self, t: float) -> np.ndarray:
+        return self.snapshots[self._index(t)]
+
+    def finite_paths(self, t: float) -> np.ndarray:
+        """Boolean mask of the paths whose snapshot at time t is finite."""
+        return self._finite[self._index(t)]
 
     def write_csv(self, path) -> None:
         """One ``path,t,x,u`` row per (snapshot, path, node) with repr floats,
@@ -396,11 +435,18 @@ def _noise_chunks(master_seed: int, blk: range, steps: int, n: int, antithetic: 
 
 
 def _check_mc_inputs(
-    params: ModelParams, disc: Discretization, op: DiscreteOperator, n_paths: int, worker_count: int
+    params: ModelParams,
+    disc: Discretization,
+    op: DiscreteOperator,
+    n_paths: int,
+    master_seed: int,
+    worker_count: int,
 ) -> None:
     """The input rules both Monte Carlo engines share."""
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    if not isinstance(master_seed, (int, np.integer)) or master_seed < 0:
+        raise ValueError(f"master_seed must be a nonnegative integer, got {master_seed!r}")
     if worker_count < 1:
         raise ValueError(f"worker_count must be >= 1, got {worker_count}")
     disc.check_operator(op)
@@ -470,7 +516,7 @@ def run_ensemble(
     worker_count: int = 1,
 ) -> PathEnsemble:
     """Simulate n_paths independent paths; deterministic in (master_seed, path index)."""
-    _check_mc_inputs(params, disc, op, n_paths, worker_count)
+    _check_mc_inputs(params, disc, op, n_paths, master_seed, worker_count)
     out = np.empty((len(disc.snapshot_times), n_paths, disc.grid.n))
     flagged = np.zeros(n_paths, dtype=bool)
     # a threaded BLAS call just before the workers start leaves OpenBLAS
@@ -481,15 +527,7 @@ def run_ensemble(
         lambda blk: _run_block(params, disc, factor_T, blk, master_seed, out, flagged),
         n_paths, worker_count,
     )
-    return PathEnsemble(
-        n_paths=n_paths,
-        master_seed=master_seed,
-        snapshot_times=disc.snapshot_times,
-        snapshots=out,
-        flagged=flagged,
-        params=params,
-        disc=disc,
-    )
+    return PathEnsemble(master_seed=master_seed, snapshots=out, flagged=flagged, params=params, disc=disc)
 
 
 # ---------------------------------------------------------------------------
@@ -804,7 +842,7 @@ def estimate_second_moment_pair(
             "conditional second-moment estimation requires linear sigma; "
             f"got kind={params.sigma.kind!r}"
         )
-    _check_mc_inputs(params, disc, op, n_paths, worker_count)
+    _check_mc_inputs(params, disc, op, n_paths, master_seed, worker_count)
     if n_paths % 2 != 0:
         raise ValueError(f"antithetic pairing needs an even n_paths >= 2, got {n_paths}")
     grid = disc.grid

@@ -484,6 +484,31 @@ def test_mc_excitation_reads_the_last_snapshot_when_t_end_is_not_one(tmp_path):
     }
 
 
+def test_snapshot_rows_take_the_finite_paths_from_the_ensemble(tmp_path, small_ensemble, monkeypatch):
+    # the ensemble found its non-finite rows when it was built; the rows and
+    # all three estimators read that mask and scan no snapshot again
+    snaps = small_ensemble.snapshots.copy()
+    snaps[1:, 5] = np.nan
+    flagged = small_ensemble.flagged.copy()
+    flagged[5] = True
+    ens = sde.PathEnsemble(
+        master_seed=small_ensemble.master_seed, snapshots=snaps, flagged=flagged,
+        params=small_ensemble.params, disc=small_ensemble.disc,
+    )
+    cfg = cli.parse_config(base_config(tmp_path))
+    calls = []
+    isfinite = np.isfinite
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return isfinite(*args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", spy)
+    rows = cli._snapshot_rows(cfg, ens, 1.0, [])
+    assert calls == []
+    assert [r.phi_p.n_effective for r in rows] == [ens.n_paths, ens.n_paths - 1]
+
+
 def test_moments_command(tmp_path):
     out = tmp_path / "mom"
     cfg = write_config(tmp_path, base_config(out))
@@ -810,8 +835,8 @@ def test_read_ensemble_csv_memory_grows_with_its_output_only(tmp_path, desk_grid
         disc = sde.Discretization(grid=desk_grid, dt=0.125, t_end=0.25, snapshot_times=(0.125, 0.25))
         path = tmp_path / f"ens{n_paths}.csv"
         sde.PathEnsemble(
-            n_paths=n_paths, master_seed=0, snapshot_times=disc.snapshot_times, snapshots=snaps,
-            flagged=np.zeros(n_paths, dtype=bool), params=desk_params, disc=disc,
+            master_seed=0, snapshots=snaps, flagged=np.zeros(n_paths, dtype=bool),
+            params=desk_params, disc=disc,
         ).write_csv(path)
         tracemalloc.start()
         try:
@@ -843,8 +868,8 @@ def test_read_ensemble_csv_memory_through_a_pipe_grows_with_its_output_only(tmp_
         disc = sde.Discretization(grid=desk_grid, dt=0.125, t_end=0.25, snapshot_times=(0.125, 0.25))
         path = tmp_path / f"ens{n_paths}.csv"
         sde.PathEnsemble(
-            n_paths=n_paths, master_seed=0, snapshot_times=disc.snapshot_times, snapshots=snaps,
-            flagged=np.zeros(n_paths, dtype=bool), params=desk_params, disc=disc,
+            master_seed=0, snapshots=snaps, flagged=np.zeros(n_paths, dtype=bool),
+            params=desk_params, disc=disc,
         ).write_csv(path)
         data, peak = through_a_fifo(path, traced_read)
         assert np.array_equal(data["snapshots"], snaps)

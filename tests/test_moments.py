@@ -83,6 +83,16 @@ def test_moment_order_validation(small_ensemble):
         moments.MomentEstimate(value=1.0, stderr=-0.1, n_effective=10)
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "estimator",
+    [moments.estimate_energy, moments.estimate_sup_moment, moments.estimate_inf_subinterval_moment],
+)
+def test_estimators_refuse_a_non_finite_p(small_ensemble, estimator, p):
+    with pytest.raises(ValueError, match=f"moment order p={p} must be finite and >= 2"):
+        estimator(small_ensemble, small_ensemble.snapshot_times[0], p)
+
+
 def test_p_threshold_warning_names_the_estimators_caller(small_ensemble, desk_grid, desk_op):
     # p=2 is at or below 2/(alpha-1)=4 at alpha 1.5: each estimator warns and
     # names this file, the line that asked for the moment

@@ -3,6 +3,7 @@ conditional second-moment estimator against the deterministic oracle."""
 
 import dataclasses
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -68,7 +69,7 @@ def test_step_dimension_mismatch(desk_grid, desk_op):
             n_paths=1, master_seed=0,
         )
     with pytest.raises(ValueError):
-        Discretization(grid=desk_grid, dt=0.0, t_end=0.01)
+        Discretization(grid=desk_grid, dt=0.0, t_end=0.01, snapshot_times=(0.01,))
 
 
 def test_params_mu_must_match_grid_mu(desk_grid, desk_op, desk_params):
@@ -113,7 +114,7 @@ def _assert_every_entry_point_rejects(params, grid, op, good, match):
 
 
 @pytest.mark.parametrize("engine", [run_ensemble, estimate_second_moment_pair])
-def test_engines_share_one_input_check(engine, desk_grid, desk_op, desk_params):
+def test_engines_share_one_input_check(engine, desk_grid, desk_op, desk_params, monkeypatch):
     disc = small_disc(desk_grid)
     with pytest.raises(ValueError, match="worker_count must be >= 1, got 0"):
         engine(desk_params, disc, desk_op, n_paths=2, master_seed=0, worker_count=0)
@@ -125,6 +126,11 @@ def test_engines_share_one_input_check(engine, desk_grid, desk_op, desk_params):
         engine(desk_params, wide, desk_op, n_paths=2, master_seed=0)
     with pytest.raises(ValueError, match=r"dt lambda1 = .* > 10"):
         engine(desk_params, small_disc(desk_grid, dt=2.5, t_end=2.5), desk_op, n_paths=2, master_seed=0)
+    # a seed numpy cannot take is refused before any factor is formed or form marched
+    monkeypatch.setattr(sde, "implicit_factor", None)
+    for seed in (-1, 1.5, "7", None):
+        with pytest.raises(ValueError, match=f"master_seed must be a nonnegative integer, got {seed!r}"):
+            engine(desk_params, disc, desk_op, n_paths=2, master_seed=seed)
 
 
 def test_worker_count_never_changes_results(desk_grid, desk_op, desk_params):
@@ -348,14 +354,54 @@ def test_ensemble_step_matches_the_per_step_check_bit_for_bit(desk_grid, desk_op
 def synthetic_ensemble(grid, params, snapshots):
     """A PathEnsemble around given snapshot values, one snapshot per row of
     ``snapshots`` at times 1/8, 2/8, ..."""
-    n_snap, n_paths, _ = snapshots.shape
-    times = tuple(0.125 * (k + 1) for k in range(n_snap))
+    times = tuple(0.125 * (k + 1) for k in range(len(snapshots)))
     disc = Discretization(grid=grid, dt=0.125, t_end=times[-1], snapshot_times=times)
     return sde.PathEnsemble(
-        n_paths=n_paths, master_seed=0, snapshot_times=disc.snapshot_times,
-        snapshots=snapshots, flagged=np.isnan(snapshots).any(axis=(0, 2)),
+        master_seed=0, snapshots=snapshots, flagged=np.isnan(snapshots).any(axis=(0, 2)),
         params=params, disc=disc,
     )
+
+
+def test_ensemble_path_count_and_times_come_from_its_arrays(tmp_path, desk_grid, desk_params):
+    snaps = np.ones((2, 4, desk_grid.n))
+    ens = synthetic_ensemble(desk_grid, desk_params, snaps)
+    assert ens.n_paths == ens.metadata()["n_paths"] == 4
+    assert ens.snapshot_times == ens.disc.snapshot_times == (0.125, 0.25)
+    ens.write_csv(tmp_path / "ens.csv")
+    assert len((tmp_path / "ens.csv").read_text().splitlines()) == 1 + snaps.size
+    with pytest.raises(TypeError):
+        sde.PathEnsemble(
+            n_paths=2, master_seed=0, snapshots=snaps, flagged=np.zeros(4, dtype=bool),
+            params=desk_params, disc=ens.disc,
+        )
+
+
+def test_ensemble_refuses_snapshots_of_another_shape(desk_grid, desk_params):
+    ens = synthetic_ensemble(desk_grid, desk_params, np.ones((2, 4, desk_grid.n)))
+    one_time = Discretization(grid=desk_grid, dt=0.125, t_end=0.125, snapshot_times=(0.125,))
+    for change, want in (
+        (dict(flagged=np.zeros(2, dtype=bool)), (2, 2, 64)),
+        (dict(disc=one_time), (1, 4, 64)),
+        (dict(snapshots=np.ones((2, 4, desk_grid.n - 1))), (2, 4, 64)),
+    ):
+        with pytest.raises(ValueError, match=rf"\(snapshot times, paths, nodes\) is {re.escape(str(want))}"):
+            dataclasses.replace(ens, **change)
+
+
+def test_ensemble_refuses_a_non_finite_row_on_an_unflagged_path(desk_grid, desk_params):
+    snaps = np.ones((2, 4, desk_grid.n))
+    snaps[1, 2, 5] = np.inf
+    flagged = np.zeros(4, dtype=bool)
+    ens = synthetic_ensemble(desk_grid, desk_params, np.ones_like(snaps))
+    with pytest.raises(ValueError, match=r"path 2 is not flagged but is non-finite at t=0\.25"):
+        dataclasses.replace(ens, snapshots=snaps, flagged=flagged)
+    # flagged, it is left out from that snapshot on, and only there
+    flagged[2] = True
+    ens = dataclasses.replace(ens, snapshots=snaps, flagged=flagged)
+    assert ens.finite_paths(0.125).tolist() == [True] * 4
+    assert ens.finite_paths(0.25).tolist() == [True, True, False, True]
+    with pytest.raises(ValueError, match="t=0.2 is not a snapshot time"):
+        ens.finite_paths(0.2)
 
 
 def test_write_csv_matches_the_per_row_format(tmp_path, desk_grid, desk_params):
@@ -788,6 +834,22 @@ def test_conditional_estimator_rejects_nonlinear_sigma(desk_grid, desk_op):
     disc = small_disc(desk_grid)
     with pytest.raises(ValueError):
         estimate_second_moment_pair(params, disc, desk_op, n_paths=4, master_seed=1)
+
+
+def test_discretization_needs_a_snapshot_time_and_a_finite_grid(desk_grid):
+    with pytest.raises(ValueError, match="snapshot_times must hold at least one time"):
+        Discretization(grid=desk_grid, dt=0.125, t_end=0.25, snapshot_times=())
+    with pytest.raises(TypeError, match="snapshot_times"):
+        Discretization(grid=desk_grid, dt=0.125, t_end=0.25)
+    for dt, t_end, name in ((0.125, math.inf, "t_end"), (math.nan, 0.25, "dt"), (math.inf, math.inf, "dt")):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            Discretization(grid=desk_grid, dt=dt, t_end=t_end, snapshot_times=(0.25,))
+
+
+@pytest.mark.parametrize("p", [1.5, math.nan, math.inf])
+def test_model_params_refuse_p_below_2_or_non_finite(desk_grid, p):
+    with pytest.raises(ValueError, match="moment order p must be finite and >= 2"):
+        make_params(desk_grid, p=p)
 
 
 def test_discretization_snapshot_snapping(desk_grid):
