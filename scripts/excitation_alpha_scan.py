@@ -1,10 +1,11 @@
 """Scan the fitted excitation index across alpha and compare to 2a/(a-1).
 
-For each alpha the deterministic second-moment oracle is evaluated on a
+For each alpha this runs acceptance check 8's measurement,
+``acceptance.excitation_index``: the deterministic second-moment oracle on a
 geometric lambda grid by ``bounds.oracle_sweep``, the same sweep that
-``fracheat excitation --oracle`` and acceptance check 8 run, and the index
-is fitted from ln Phi_2(t_end).  The sweep takes alpha, L and mu from the
-operator, with tent u0, linear sigma and p = 2.  Writes a CSV (and optionally an SVG chart)
+``fracheat excitation --oracle`` runs, and the index fitted from
+ln Phi_2(t_end).  The sweep takes alpha, L and mu from the operator, with
+tent u0, linear sigma and p = 2.  Writes a CSV (and optionally an SVG chart)
 of the fitted index, its confidence interval, and the reference curve.
 
 Usage: python scripts/excitation_alpha_scan.py --out out/alpha_scan [--svg]
@@ -17,21 +18,8 @@ import os
 
 import numpy as np
 
-from fracheat import bounds, moments, svgplot
-from fracheat.laplacian import OperatorConfig, assemble, build_grid
-from fracheat.sde import SigmaSpec, tent_profile
-
-
-def fit_index_for_alpha(
-    alpha: float, lambdas: np.ndarray, n: int, t_end: float, steps: int
-) -> tuple:
-    grid = build_grid(L=1.0, n=n, mu=0.1)
-    op = assemble(grid, OperatorConfig(alpha=alpha))
-    sigma = SigmaSpec(kind="linear", l_sigma=1.0, L_sigma=1.0)
-    curves = bounds.oracle_sweep(op, tent_profile(grid), sigma, lambdas, T=t_end, steps=steps)
-    return moments.fit_excitation_from_log(
-        [(lam, float(c.log_phi2()[-1])) for lam, c in curves.items()]
-    )
+from fracheat import svgplot
+from fracheat.acceptance import excitation_index
 
 
 def main() -> int:
@@ -48,18 +36,19 @@ def main() -> int:
 
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_count)
     lambdas = np.geomspace(8.0, 128.0, 5)
-    os.makedirs(args.out, exist_ok=True)
 
     rows = []
     print(f"{'alpha':>7} {'e_hat':>8} {'ci_lo':>8} {'ci_hi':>8} {'reference':>10}")
     for alpha in alphas:
-        e_hat, ci = fit_index_for_alpha(
-            float(alpha), lambdas, args.n, args.t_end, args.steps
-        )
+        try:
+            e_hat, ci = excitation_index(float(alpha), lambdas, args.n, args.t_end, args.steps)
+        except ValueError as exc:
+            ap.error(str(exc))
         ref = 2.0 * alpha / (alpha - 1.0)
         rows.append((float(alpha), e_hat, ci[0], ci[1], float(ref)))
         print(f"{alpha:7.3f} {e_hat:8.3f} {ci[0]:8.3f} {ci[1]:8.3f} {ref:10.3f}")
 
+    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "alpha_scan.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("alpha,e_hat,ci_lo,ci_hi,reference\n")

@@ -1,11 +1,13 @@
 """Time-discretization bias of the scheme against the second-moment oracle.
 
-Runs the conditional Monte Carlo estimator at dt and dt/2 on a shared
-Brownian sheet and compares both to the deterministic Volterra solution of
-the closed second-moment equation.  With the sampling error common to the
+Runs acceptance check 4's measurement, ``acceptance.mc_oracle_gaps``, at the
+parameters given: the conditional Monte Carlo estimator at dt and dt/2 on a
+shared Brownian sheet, each compared to the deterministic Volterra solution
+of the closed second-moment equation.  With the sampling error common to the
 two resolutions, the discrepancy pair isolates the O(dt) bias.  Halving is
 still pre-asymptotic at the defaults (dt 1/1024): the exact ratio there is
 1.578, and it rises to 1.74, 1.85 and 1.92 only under further halving.
+The reported elapsed time covers the oracle march and both estimates.
 
 Usage: python scripts/mc_bias_study.py --paths 10000 --workers 4
 """
@@ -19,15 +21,9 @@ import time
 
 import numpy as np
 
-from fracheat import bounds
+from fracheat.acceptance import mc_oracle_gaps
 from fracheat.laplacian import OperatorConfig, assemble, build_grid
-from fracheat.sde import (
-    Discretization,
-    ModelParams,
-    SigmaSpec,
-    estimate_second_moment_pair,
-    tent_profile,
-)
+from fracheat.sde import Discretization, ModelParams, SigmaSpec, tent_profile
 
 
 def main() -> int:
@@ -43,31 +39,18 @@ def main() -> int:
     ap.add_argument("--out", default="out/mc_bias", metavar="DIR")
     args = ap.parse_args()
 
-    grid = build_grid(L=1.0, n=args.n, mu=0.1)
-    op = assemble(grid, OperatorConfig(alpha=args.alpha))
-    params = ModelParams(
-        alpha=args.alpha, L=1.0, lam=args.lam,
-        sigma=SigmaSpec(kind="linear", l_sigma=1.0, L_sigma=1.0),
-        u0=tent_profile(grid), mu=0.1,
-    )
-    disc = Discretization(
-        grid=grid, dt=args.dt, t_end=args.t_end, snapshot_times=(args.t_end,)
-    )
+    try:
+        grid = build_grid(L=1.0, n=args.n, mu=0.1)
+        op = assemble(grid, OperatorConfig(alpha=args.alpha))
+        sigma = SigmaSpec(kind="linear", l_sigma=1.0, L_sigma=1.0)
+        params = ModelParams(alpha=args.alpha, L=1.0, lam=args.lam, sigma=sigma, u0=tent_profile(grid), mu=0.1)
+        disc = Discretization(grid=grid, dt=args.dt, t_end=args.t_end, snapshot_times=(args.t_end,))
+        t0 = time.perf_counter()
+        oracle, coarse, fine, dc, df = mc_oracle_gaps(params, disc, op, args.paths, args.seed, args.workers)
+        elapsed = time.perf_counter() - t0
+    except ValueError as exc:
+        ap.error(str(exc))
 
-    oracle_steps = max(1024, round(args.t_end / args.dt))
-    oracle = bounds.second_moment_volterra(
-        params, op, grid, T=args.t_end, steps=oracle_steps
-    ).m[-1]
-
-    t0 = time.perf_counter()
-    coarse, fine = estimate_second_moment_pair(
-        params, disc, op,
-        n_paths=args.paths, master_seed=args.seed, worker_count=args.workers,
-    )
-    elapsed = time.perf_counter() - t0
-
-    dc = float(np.max(np.abs(coarse.values - oracle) / oracle))
-    df = float(np.max(np.abs(fine.values - oracle) / oracle))
     se_max = float(np.max(coarse.stderr / oracle))
     print(f"paths {args.paths}, {elapsed:.1f}s; max rel stderr {se_max:.3%}")
     print(f"max rel discrepancy  dt={args.dt:g}: {dc:.4%}")

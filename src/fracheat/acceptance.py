@@ -1,8 +1,11 @@
 """Quantitative acceptance checks shared by the CLI selftest and the test suite.
 
-Each check returns a CheckResult with the measured numbers in ``detail`` so
-failures are diagnosable from the selftest report alone.  Tolerances are
-module constants, pinned here and nowhere else.
+Each check is one function under the ``_check`` decorator and returns a
+CheckResult with the measured numbers in ``detail`` so failures are
+diagnosable from the selftest report alone.  Tolerances are module
+constants, pinned here and nowhere else.  The measurements of checks 4 and
+8, ``mc_oracle_gaps`` and ``excitation_index``, are public: the experiment
+scripts run them at other parameters.
 
 Tiers: QUICK_CHECKS run in well under a minute on a laptop; the full tier
 adds the Monte-Carlo cross-check of the second-moment oracle (10^4 paths at
@@ -11,12 +14,13 @@ two time resolutions).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,13 +36,14 @@ from .laplacian import (
 from .sde import (
     Discretization,
     ModelParams,
+    SecondMomentEstimate,
     SigmaSpec,
     estimate_second_moment_pair,
     run_ensemble,
     tent_profile,
 )
 
-__all__ = ["CheckResult", "run_selftest", "QUICK_CHECKS"]
+__all__ = ["CheckResult", "run_selftest", "QUICK_CHECKS", "mc_oracle_gaps", "excitation_index"]
 
 # Pinned tolerances (one place only)
 TOL_E1 = 1e-12              # E_1(z) vs exp(z) on [-5, 5]
@@ -73,13 +78,23 @@ class CheckResult:
     elapsed: float
 
 
-def _check(name: str, fn: Callable[[], tuple[bool, str]]) -> CheckResult:
-    t0 = time.perf_counter()
-    try:
-        passed, detail = fn()
-    except Exception as exc:  # a crashed check is a failed check, with the reason
-        return CheckResult(name, False, f"exception: {exc!r}", time.perf_counter() - t0)
-    return CheckResult(name, passed, detail, time.perf_counter() - t0)
+def _check(name: str) -> Callable:
+    """Decorator: a check returns (passed, detail), and the decorated check a
+    CheckResult named ``name`` with its elapsed time."""
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def check(*args, **kwargs) -> CheckResult:
+            t0 = time.perf_counter()
+            try:
+                passed, detail = fn(*args, **kwargs)
+            except Exception as exc:  # a crashed check is a failed check, with the reason
+                return CheckResult(name, False, f"exception: {exc!r}", time.perf_counter() - t0)
+            return CheckResult(name, passed, detail, time.perf_counter() - t0)
+
+        return check
+
+    return decorate
 
 
 # ---------------------------------------------------------------------------
@@ -134,282 +149,281 @@ def _erfc_minus_one_quadrature() -> float:
     return 1.0 + 2.0 / math.sqrt(math.pi) * val
 
 
-def check_special_functions() -> CheckResult:
-    def body():
-        zs = np.linspace(-5.0, 5.0, 201)
-        ref1 = np.array([math.exp(z) for z in zs.tolist()])
-        err1 = float(np.max(np.abs(specfun.mittag_leffler(1.0, zs) - ref1)))
-        ok1 = err1 <= TOL_E1
+@_check("special-functions")
+def check_special_functions() -> tuple[bool, str]:
+    zs = np.linspace(-5.0, 5.0, 201)
+    ref1 = np.array([math.exp(z) for z in zs.tolist()])
+    err1 = float(np.max(np.abs(specfun.mittag_leffler(1.0, zs) - ref1)))
+    ok1 = err1 <= TOL_E1
 
-        betas = (1.0 / 3.0, 0.5, 2.0 / 3.0)
-        ok0 = all(specfun.mittag_leffler(b, 0.0) == 1.0 for b in betas)
+    betas = (1.0 / 3.0, 0.5, 2.0 / 3.0)
+    ok0 = all(specfun.mittag_leffler(b, 0.0) == 1.0 for b in betas)
 
-        # F_{1/2}(z) = E_{1/2}(sqrt z) = e^z erfc(-sqrt z), a reference outside the series
-        zs = np.linspace(0.05, 12.0, 40)
-        lhs = specfun.f_beta(0.5, zs)
-        rhs = np.array([math.exp(z) * math.erfc(-math.sqrt(z)) for z in zs.tolist()])
-        errf = float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1.0)))
-        okf = errf <= TOL_FBETA
+    # F_{1/2}(z) = E_{1/2}(sqrt z) = e^z erfc(-sqrt z), a reference outside the series
+    zs = np.linspace(0.05, 12.0, 40)
+    lhs = specfun.f_beta(0.5, zs)
+    rhs = np.array([math.exp(z) * math.erfc(-math.sqrt(z)) for z in zs.tolist()])
+    errf = float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1.0)))
+    okf = errf <= TOL_FBETA
 
-        target = math.e * _erfc_minus_one_quadrature()
-        errh = abs(specfun.mittag_leffler(0.5, 1.0) - target)
-        okh = errh <= TOL_EHALF
+    target = math.e * _erfc_minus_one_quadrature()
+    errh = abs(specfun.mittag_leffler(0.5, 1.0) - target)
+    okh = errh <= TOL_EHALF
 
-        detail = (
-            f"E_1 vs exp max err {err1:.3e} (tol {TOL_E1}); E_beta(0)=1 {'ok' if ok0 else 'FAIL'}; "
-            f"F_half vs e^z erfc(-sqrt z) max rel err {errf:.3e} (tol {TOL_FBETA}); "
-            f"E_half(1) vs quadrature err {errh:.3e} (tol {TOL_EHALF})"
-        )
-        return ok1 and ok0 and okf and okh, detail
-
-    return _check("special-functions", body)
+    detail = (
+        f"E_1 vs exp max err {err1:.3e} (tol {TOL_E1}); E_beta(0)=1 {'ok' if ok0 else 'FAIL'}; "
+        f"F_half vs e^z erfc(-sqrt z) max rel err {errf:.3e} (tol {TOL_FBETA}); "
+        f"E_half(1) vs quadrature err {errh:.3e} (tol {TOL_EHALF})"
+    )
+    return ok1 and ok0 and okf and okh, detail
 
 
 # ---------------------------------------------------------------------------
 # Check 2: constant-forcing renewal equality
 
 
-def check_renewal_equality() -> CheckResult:
-    def body():
-        worst = {}
-        for a, b, beta in ((1.0, 1.0, 1.0 / 3.0), (1.0, 2.0, 0.5)):
-            prob = bounds.RenewalProblem(a=a, b=b, beta=beta)
-            sol = bounds.volterra_lower_solve(prob, T=1.0, steps=4096)
-            log_ref = specfun.log_f_beta(beta, prob.theta * sol.t)
-            ref = a * np.array([math.exp(v) for v in log_ref.tolist()])
-            worst[(a, b, beta)] = float(np.max(np.abs(sol.v - ref) / ref))
-        ok = all(w <= TOL_RENEWAL for w in worst.values())
-        detail = "; ".join(
-            f"(a,b,beta)={k}: max rel {v:.4%} (tol {TOL_RENEWAL:.0%})" for k, v in worst.items()
-        )
-        return ok, detail
-
-    return _check("renewal-equality", body)
+@_check("renewal-equality")
+def check_renewal_equality() -> tuple[bool, str]:
+    worst = {}
+    for a, b, beta in ((1.0, 1.0, 1.0 / 3.0), (1.0, 2.0, 0.5)):
+        prob = bounds.RenewalProblem(a=a, b=b, beta=beta)
+        sol = bounds.volterra_lower_solve(prob, T=1.0, steps=4096)
+        log_ref = specfun.log_f_beta(beta, prob.theta * sol.t)
+        ref = a * np.array([math.exp(v) for v in log_ref.tolist()])
+        worst[(a, b, beta)] = float(np.max(np.abs(sol.v - ref) / ref))
+    ok = all(w <= TOL_RENEWAL for w in worst.values())
+    detail = "; ".join(
+        f"(a,b,beta)={k}: max rel {v:.4%} (tol {TOL_RENEWAL:.0%})" for k, v in worst.items()
+    )
+    return ok, detail
 
 
 # ---------------------------------------------------------------------------
 # Check 3: operator spectrum and kernel domination
 
 
-def check_operator_spectrum() -> CheckResult:
-    def body():
-        cfg = OperatorConfig(alpha=_DESK_ALPHA)
-        op256 = assemble(build_grid(L=1.0, n=256, mu=_DESK_MU), cfg)
-        lam1 = {128: assemble(build_grid(L=1.0, n=128, mu=_DESK_MU), cfg).lambda1, 256: op256.lambda1}
-        conv = abs(lam1[128] - lam1[256]) / lam1[256]
-        ok_conv = conv <= TOL_LAMBDA1_GRID
+@_check("operator-spectrum")
+def check_operator_spectrum() -> tuple[bool, str]:
+    cfg = OperatorConfig(alpha=_DESK_ALPHA)
+    op256 = assemble(build_grid(L=1.0, n=256, mu=_DESK_MU), cfg)
+    lam1 = {128: assemble(build_grid(L=1.0, n=128, mu=_DESK_MU), cfg).lambda1, 256: op256.lambda1}
+    conv = abs(lam1[128] - lam1[256]) / lam1[256]
+    ok_conv = conv <= TOL_LAMBDA1_GRID
 
-        g2 = build_grid(L=2.0, n=128, mu=_DESK_MU)
-        lam1_L2 = assemble(g2, cfg).lambda1
-        scale = abs(lam1_L2 - 2.0**-_DESK_ALPHA * lam1[128]) / (2.0**-_DESK_ALPHA * lam1[128])
-        ok_scale = scale <= TOL_LAMBDA1_SCALE
+    g2 = build_grid(L=2.0, n=128, mu=_DESK_MU)
+    lam1_L2 = assemble(g2, cfg).lambda1
+    scale = abs(lam1_L2 - 2.0**-_DESK_ALPHA * lam1[128]) / (2.0**-_DESK_ALPHA * lam1[128])
+    ok_scale = scale <= TOL_LAMBDA1_SCALE
 
-        grid, op = _desk()
-        u = 0.1
-        P1 = heat_kernel_matrix(op, u)
-        P2 = heat_kernel_matrix(op, 2.0 * u)
-        defect = float(np.max(np.abs(grid.dx * (P1 @ P1.T) - P2)))
-        ok_ck = defect <= TOL_CHAPMAN
+    grid, op = _desk()
+    u = 0.1
+    P1 = heat_kernel_matrix(op, u)
+    P2 = heat_kernel_matrix(op, 2.0 * u)
+    defect = float(np.max(np.abs(grid.dx * (P1 @ P1.T) - P2)))
+    ok_ck = defect <= TOL_CHAPMAN
 
-        worst_frac = 0.0
-        for t in (0.01, 0.1, 1.0):
-            excess = kernels.check_domination(op256, t)
-            peak = kernels.stable_density(_DESK_ALPHA, t, 0.0)
-            worst_frac = max(worst_frac, excess / peak)
-        ok_dom = worst_frac <= TOL_DOMINATION
+    worst_frac = 0.0
+    for t in (0.01, 0.1, 1.0):
+        excess = kernels.check_domination(op256, t)
+        peak = kernels.stable_density(_DESK_ALPHA, t, 0.0)
+        worst_frac = max(worst_frac, excess / peak)
+    ok_dom = worst_frac <= TOL_DOMINATION
 
-        detail = (
-            f"lambda1 128/256 rel gap {conv:.4%} (tol {TOL_LAMBDA1_GRID:.0%}); "
-            f"L-scaling rel err {scale:.4%} (tol {TOL_LAMBDA1_SCALE:.0%}); "
-            f"Chapman-Kolmogorov defect {defect:.2e} (tol {TOL_CHAPMAN}); "
-            f"domination excess {worst_frac:.4%} of max p (tol {TOL_DOMINATION:.0%})"
-        )
-        return ok_conv and ok_scale and ok_ck and ok_dom, detail
-
-    return _check("operator-spectrum", body)
+    detail = (
+        f"lambda1 128/256 rel gap {conv:.4%} (tol {TOL_LAMBDA1_GRID:.0%}); "
+        f"L-scaling rel err {scale:.4%} (tol {TOL_LAMBDA1_SCALE:.0%}); "
+        f"Chapman-Kolmogorov defect {defect:.2e} (tol {TOL_CHAPMAN}); "
+        f"domination excess {worst_frac:.4%} of max p (tol {TOL_DOMINATION:.0%})"
+    )
+    return ok_conv and ok_scale and ok_ck and ok_dom, detail
 
 
 # ---------------------------------------------------------------------------
 # Check 4: Monte Carlo vs the deterministic second-moment oracle
 
 
-def check_mc_oracle(worker_count: int = 2) -> CheckResult:
-    def body():
-        grid, op = _desk()
-        params = _desk_params()
-        disc = Discretization(grid=grid, dt=1.0 / 1024.0, t_end=0.5, snapshot_times=(0.5,))
-        oracle = bounds.second_moment_volterra(params, op, grid, T=0.5, steps=1024).m[-1]
-        coarse, fine = estimate_second_moment_pair(
-            params, disc, op, n_paths=10_000, master_seed=_MC_SEED, worker_count=worker_count
-        )
-        dc = float(np.max(np.abs(coarse.values - oracle) / oracle))
-        df = float(np.max(np.abs(fine.values - oracle) / oracle))
-        ratio = dc / df
-        ok = (
-            dc <= TOL_MC_ORACLE
-            and RATIO_MC_WINDOW[0] <= ratio <= RATIO_MC_WINDOW[1]
-            and coarse.flagged_count == 0
-            and fine.flagged_count == 0
-        )
-        detail = (
-            f"grid-max discrepancy dt=1/1024: {dc:.4%} (tol {TOL_MC_ORACLE:.0%}), dt=1/2048: {df:.4%}; "
-            f"halving ratio {ratio:.3f} (window {RATIO_MC_WINDOW}); "
-            f"flagged {coarse.flagged_count}/{fine.flagged_count} of {coarse.n_paths}"
-        )
-        return ok, detail
+def mc_oracle_gaps(
+    params: ModelParams, disc: Discretization, op: DiscreteOperator, n_paths: int, master_seed: int,
+    worker_count: int,
+) -> tuple[np.ndarray, SecondMomentEstimate, SecondMomentEstimate, float, float]:
+    """The pair estimator at dt and dt/2 against the Volterra oracle at t_end.
 
-    return _check("mc-vs-oracle", body)
+    The oracle is marched over disc.t_end in max(1024, disc.n_steps()) steps.
+    Returns the oracle, the coarse and fine estimates, and their grid-max
+    relative gaps to the oracle."""
+    steps = max(1024, disc.n_steps())
+    oracle = bounds.second_moment_volterra(params, op, op.grid, T=disc.t_end, steps=steps).m[-1]
+    coarse, fine = estimate_second_moment_pair(
+        params, disc, op, n_paths=n_paths, master_seed=master_seed, worker_count=worker_count
+    )
+    dc, df = (float(np.max(np.abs(e.values - oracle) / oracle)) for e in (coarse, fine))
+    return oracle, coarse, fine, dc, df
+
+
+@_check("mc-vs-oracle")
+def check_mc_oracle(worker_count: int = 2) -> tuple[bool, str]:
+    grid, op = _desk()
+    disc = Discretization(grid=grid, dt=1.0 / 1024.0, t_end=0.5, snapshot_times=(0.5,))
+    _, coarse, fine, dc, df = mc_oracle_gaps(_desk_params(), disc, op, 10_000, _MC_SEED, worker_count)
+    ratio = dc / df
+    ok = (
+        dc <= TOL_MC_ORACLE
+        and RATIO_MC_WINDOW[0] <= ratio <= RATIO_MC_WINDOW[1]
+        and coarse.flagged_count == 0
+        and fine.flagged_count == 0
+    )
+    detail = (
+        f"grid-max discrepancy dt=1/1024: {dc:.4%} (tol {TOL_MC_ORACLE:.0%}), dt=1/2048: {df:.4%}; "
+        f"halving ratio {ratio:.3f} (window {RATIO_MC_WINDOW}); "
+        f"flagged {coarse.flagged_count}/{fine.flagged_count} of {coarse.n_paths}"
+    )
+    return ok, detail
 
 
 # ---------------------------------------------------------------------------
 # Check 5: small-noise stability
 
 
-def check_small_noise_stability() -> CheckResult:
-    def body():
-        grid, op = _desk()
-        lam_L = _envelope_fit().lambda_L
-        below = [lam for lam in (0.25, 0.5, 1.0, 1.8) if lam < lam_L]
-        curves = bounds.oracle_sweep(op, tent_profile(grid), _LINEAR, below, T=2.0, steps=512)
-        slopes = {lam: moments.fit_lyapunov_from_log(zip(c.t, c.log_sup))[0] for lam, c in curves.items()}
-        ok_neg = all(s < 0.0 for s in slopes.values())
+@_check("small-noise-stability")
+def check_small_noise_stability() -> tuple[bool, str]:
+    grid, op = _desk()
+    lam_L = _envelope_fit().lambda_L
+    below = [lam for lam in (0.25, 0.5, 1.0, 1.8) if lam < lam_L]
+    curves = bounds.oracle_sweep(op, tent_profile(grid), _LINEAR, below, T=2.0, steps=512)
+    slopes = {lam: moments.fit_lyapunov_from_log(zip(c.t, c.log_sup))[0] for lam, c in curves.items()}
+    ok_neg = all(s < 0.0 for s in slopes.values())
 
-        # assemble makes each eigenvector's largest-magnitude entry positive
-        phi1 = op.eigenvectors[:, -1] / op.eigenvectors[:, -1].max()
-        c0 = bounds.oracle_sweep(op, phi1, _LINEAR, (0.0,), T=2.0, steps=512)[0.0]
-        slope0 = moments.fit_lyapunov_from_log(zip(c0.t, c0.log_sup))[0]
-        rel0 = abs(slope0 + 2.0 * op.lambda1) / (2.0 * op.lambda1)
-        ok0 = rel0 <= TOL_DECAY_SLOPE
+    # assemble makes each eigenvector's largest-magnitude entry positive
+    phi1 = op.eigenvectors[:, -1] / op.eigenvectors[:, -1].max()
+    c0 = bounds.oracle_sweep(op, phi1, _LINEAR, (0.0,), T=2.0, steps=512)[0.0]
+    slope0 = moments.fit_lyapunov_from_log(zip(c0.t, c0.log_sup))[0]
+    rel0 = abs(slope0 + 2.0 * op.lambda1) / (2.0 * op.lambda1)
+    ok0 = rel0 <= TOL_DECAY_SLOPE
 
-        detail = (
-            f"lambda_L {lam_L:g}; sup-moment tail slopes below it: "
-            + ", ".join(f"{l:g}: {s:+.3f}" for l, s in slopes.items())
-            + f"; lambda=0 slope {slope0:+.4f} vs -2*lambda1 {-2.0 * op.lambda1:+.4f} "
-            f"(rel err {rel0:.4%}, tol {TOL_DECAY_SLOPE:.0%})"
-        )
-        return ok_neg and ok0 and len(slopes) >= 3, detail
-
-    return _check("small-noise-stability", body)
+    detail = (
+        f"lambda_L {lam_L:g}; sup-moment tail slopes below it: "
+        + ", ".join(f"{l:g}: {s:+.3f}" for l, s in slopes.items())
+        + f"; lambda=0 slope {slope0:+.4f} vs -2*lambda1 {-2.0 * op.lambda1:+.4f} "
+        f"(rel err {rel0:.4%}, tol {TOL_DECAY_SLOPE:.0%})"
+    )
+    return ok_neg and ok0 and len(slopes) >= 3, detail
 
 
 # ---------------------------------------------------------------------------
 # Check 6: at-most-exponential growth
 
 
-def check_exponential_upper() -> CheckResult:
-    def body():
-        devs = []
-        for c in _desk_sweep().values():
-            sel = c.t >= 0.5 * c.t[-1]
-            tw, yw = c.t[sel], c.log_sup[sel]
-            # chord through the ends of the tail-fit window [t_end/2, t_end]; exponential growth = straight line
-            chord = yw[0] + (yw[-1] - yw[0]) * (tw - tw[0]) / (tw[-1] - tw[0])
-            devs.append(np.max(np.abs(yw - chord)) / np.max(np.abs(yw)))
-        worst = float(np.max(devs))  # NaN, and a failed check, if any curve is not finite
-        ok = worst <= TOL_CONVEXITY
-        detail = (
-            f"worst chord deviation of log m on [0.5, 1] for lambda up to 128: {worst:.4%} "
-            f"(tol {TOL_CONVEXITY:.0%})"
-        )
-        return ok, detail
-
-    return _check("exponential-upper", body)
+@_check("exponential-upper")
+def check_exponential_upper() -> tuple[bool, str]:
+    devs = []
+    for c in _desk_sweep().values():
+        sel = c.t >= 0.5 * c.t[-1]
+        tw, yw = c.t[sel], c.log_sup[sel]
+        # chord through the ends of the tail-fit window [t_end/2, t_end]; exponential growth = straight line
+        chord = yw[0] + (yw[-1] - yw[0]) * (tw - tw[0]) / (tw[-1] - tw[0])
+        devs.append(np.max(np.abs(yw - chord)) / np.max(np.abs(yw)))
+    worst = float(np.max(devs))  # NaN, and a failed check, if any curve is not finite
+    ok = worst <= TOL_CONVEXITY
+    detail = (
+        f"worst chord deviation of log m on [0.5, 1] for lambda up to 128: {worst:.4%} "
+        f"(tol {TOL_CONVEXITY:.0%})"
+    )
+    return ok, detail
 
 
 # ---------------------------------------------------------------------------
 # Check 7: envelope sandwich on a held-out noise level
 
 
-def check_envelope_sandwich() -> CheckResult:
-    def body():
-        k = _envelope_fit()
-        held = _desk_sweep()[64.0]
-        lo = bounds.log_lower_envelope(held.t, k, 64.0, 1.0)
-        up = bounds.log_upper_envelope(held.t, k, 64.0, 1.0)
-        ok_lo = bool(np.all(lo <= held.log_inf + 1e-9))
-        ok_mid = bool(np.all(held.log_inf <= held.log_sup + 1e-9))
-        ok_up = bool(np.all(held.log_sup <= up + 1e-9))
-        margin_lo = float(np.min(held.log_inf - lo))
-        margin_up = float(np.min(up - held.log_sup))
-        detail = (
-            f"held-out lambda=64 on t in [0, 1]: lower<=inf {ok_lo} (min log margin {margin_lo:.3g}), "
-            f"inf<=sup {ok_mid}, sup<=upper {ok_up} (min log margin {margin_up:.3g}); "
-            f"constants kappa1..4 = {k.kappa1:.3g}, {k.kappa2:.3g}, {k.kappa3:.3g}, {k.kappa4:.3g}"
-        )
-        return ok_lo and ok_mid and ok_up, detail
-
-    return _check("envelope-sandwich", body)
+@_check("envelope-sandwich")
+def check_envelope_sandwich() -> tuple[bool, str]:
+    k = _envelope_fit()
+    held = _desk_sweep()[64.0]
+    lo = bounds.log_lower_envelope(held.t, k, 64.0, 1.0)
+    up = bounds.log_upper_envelope(held.t, k, 64.0, 1.0)
+    ok_lo = bool(np.all(lo <= held.log_inf + 1e-9))
+    ok_mid = bool(np.all(held.log_inf <= held.log_sup + 1e-9))
+    ok_up = bool(np.all(held.log_sup <= up + 1e-9))
+    margin_lo = float(np.min(held.log_inf - lo))
+    margin_up = float(np.min(up - held.log_sup))
+    detail = (
+        f"held-out lambda=64 on t in [0, 1]: lower<=inf {ok_lo} (min log margin {margin_lo:.3g}), "
+        f"inf<=sup {ok_mid}, sup<=upper {ok_up} (min log margin {margin_up:.3g}); "
+        f"constants kappa1..4 = {k.kappa1:.3g}, {k.kappa2:.3g}, {k.kappa3:.3g}, {k.kappa4:.3g}"
+    )
+    return ok_lo and ok_mid and ok_up, detail
 
 
 # ---------------------------------------------------------------------------
 # Check 8: excitation index from the oracle
 
 
-def _excitation_for_alpha(alpha: float) -> tuple[float, tuple[float, float]]:
-    lambdas = (8.0, 16.0, 32.0, 64.0, 128.0)
-    if alpha == _DESK_ALPHA:
+def excitation_index(
+    alpha: float, lambdas: Sequence[float], n: int, T: float, steps: int
+) -> tuple[float, tuple[float, float]]:
+    """Excitation index and its interval, fitted from ln Phi_2(T) of the oracle
+    at ``lambdas`` on the n-node desk grid (L 1, mu 0.1, tent u0, linear sigma).
+    The desk problem's own levels are read from the cached desk sweep."""
+    if (alpha, n, T, steps) == (_DESK_ALPHA, _DESK_N, 1.0, 256) and set(lambdas) <= set(_DESK_LAMBDAS):
         curves = _desk_sweep()
     else:
-        grid, _ = _desk()
+        grid = build_grid(L=1.0, n=n, mu=_DESK_MU)
         op = assemble(grid, OperatorConfig(alpha=alpha))
-        curves = bounds.oracle_sweep(op, tent_profile(grid), _LINEAR, lambdas, T=1.0, steps=256)
+        curves = bounds.oracle_sweep(op, tent_profile(grid), _LINEAR, lambdas, T=T, steps=steps)
     return moments.fit_excitation_from_log(
         [(lam, float(curves[lam].log_phi2()[-1])) for lam in lambdas]
     )
 
 
-def check_excitation_index() -> CheckResult:
-    def body():
-        e15, ci15 = _excitation_for_alpha(1.5)
-        ok15 = EXCITATION_WINDOW[0] <= e15 <= EXCITATION_WINDOW[1]
-        e19, ci19 = _excitation_for_alpha(1.9)
-        target19 = 2.0 * 1.9 / 0.9
-        ok19 = abs(e19 - target19) / target19 <= TOL_EXCITATION_19 and e19 < e15
-        detail = (
-            f"alpha=1.5: e_hat {e15:.3f} (window {EXCITATION_WINDOW}, target 6); "
-            f"alpha=1.9: e_hat {e19:.3f} vs {target19:.3f} "
-            f"(tol {TOL_EXCITATION_19:.0%}, decreasing toward the alpha->2 limit 4)"
-        )
-        return ok15 and ok19, detail
-
-    return _check("excitation-index", body)
+@_check("excitation-index")
+def check_excitation_index() -> tuple[bool, str]:
+    lambdas = (8.0, 16.0, 32.0, 64.0, 128.0)
+    e15, ci15 = excitation_index(1.5, lambdas, _DESK_N, 1.0, 256)
+    ok15 = EXCITATION_WINDOW[0] <= e15 <= EXCITATION_WINDOW[1]
+    e19, ci19 = excitation_index(1.9, lambdas, _DESK_N, 1.0, 256)
+    target19 = 2.0 * 1.9 / 0.9
+    ok19 = abs(e19 - target19) / target19 <= TOL_EXCITATION_19 and e19 < e15
+    detail = (
+        f"alpha=1.5: e_hat {e15:.3f} (window {EXCITATION_WINDOW}, target 6); "
+        f"alpha=1.9: e_hat {e19:.3f} vs {target19:.3f} "
+        f"(tol {TOL_EXCITATION_19:.0%}, decreasing toward the alpha->2 limit 4)"
+    )
+    return ok15 and ok19, detail
 
 
 # ---------------------------------------------------------------------------
 # Check 9: determinism and flagged-path accounting
 
 
-def check_determinism_accounting() -> CheckResult:
-    def body():
-        grid, op = _desk()
-        params = _desk_params()
-        disc = Discretization(
-            grid=grid, dt=1.0 / 256.0, t_end=0.25, snapshot_times=(0.125, 0.25)
+@_check("determinism-accounting")
+def check_determinism_accounting() -> tuple[bool, str]:
+    grid, op = _desk()
+    params = _desk_params()
+    disc = Discretization(
+        grid=grid, dt=1.0 / 256.0, t_end=0.25, snapshot_times=(0.125, 0.25)
+    )
+    texts = []
+    flagged = []
+    for workers in (1, 4):
+        ens = run_ensemble(
+            params, disc, op, n_paths=300, master_seed=2024, worker_count=workers
         )
-        texts = []
-        flagged = []
-        for workers in (1, 4):
-            ens = run_ensemble(
-                params, disc, op, n_paths=300, master_seed=2024, worker_count=workers
-            )
-            fd, path = tempfile.mkstemp(suffix=".csv")
-            os.close(fd)
-            try:
-                ens.write_csv(path)
-                with open(path, "rb") as fh:
-                    texts.append(fh.read())
-            finally:
-                os.unlink(path)
-            flagged.append(ens.flagged_count)
-        ok_bytes = texts[0] == texts[1]
-        ok_flagged = flagged == [0, 0]
-        detail = (
-            f"ensemble CSV byte-identical across workers 1 vs 4: {ok_bytes} "
-            f"({len(texts[0])} bytes); flagged counts {flagged} (expected [0, 0], always reported)"
-        )
-        return ok_bytes and ok_flagged, detail
-
-    return _check("determinism-accounting", body)
+        fd, path = tempfile.mkstemp(suffix=".csv")
+        os.close(fd)
+        try:
+            ens.write_csv(path)
+            with open(path, "rb") as fh:
+                texts.append(fh.read())
+        finally:
+            os.unlink(path)
+        flagged.append(ens.flagged_count)
+    ok_bytes = texts[0] == texts[1]
+    ok_flagged = flagged == [0, 0]
+    detail = (
+        f"ensemble CSV byte-identical across workers 1 vs 4: {ok_bytes} "
+        f"({len(texts[0])} bytes); flagged counts {flagged} (expected [0, 0], always reported)"
+    )
+    return ok_bytes and ok_flagged, detail
 
 
 # ---------------------------------------------------------------------------

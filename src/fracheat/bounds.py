@@ -27,9 +27,9 @@ Three layers:
    theta dt stays moderate.  Beyond that, oracle_moment_curves switches to
    closed-form renewal curves in the log domain, with rate constants
    measured from the operator's own kernel row masses (Chapman-Kolmogorov
-   gives sum_j dx P(u)_ij^2 = P(2u)_ii exactly).  oracle_sweep measures
-   that growth model once per horizon and passes it to one
-   oracle_moment_curves call per noise level.  fit_envelope_constants
+   gives sum_j dx P(u)_ij^2 = P(2u)_ii exactly), which each
+   oracle_moment_curves call measures for its own horizon.  oracle_sweep
+   makes one such call per noise level.  fit_envelope_constants
    turns oracle curves into the kappa constants of the two envelopes by a
    tight fit, to be verified on held-out noise levels.
 """
@@ -365,15 +365,13 @@ class OracleCurves:
         return 0.5 * self.log_energy
 
 
-def oracle_moment_curves(
-    params: ModelParams, op: DiscreteOperator, T: float, steps: int, model: ScalarGrowthModel
-) -> OracleCurves:
+def oracle_moment_curves(params: ModelParams, op: DiscreteOperator, T: float, steps: int) -> OracleCurves:
     """Hybrid second-moment oracle: marched when the time grid resolves the
-    growth rate, closed-form renewal curves with the rates of ``model``
-    (measured for horizon T) otherwise."""
+    growth rate, closed-form renewal curves otherwise, with the rates of the
+    growth model measured here for horizon T."""
     if params.sigma.kind != "linear":
         raise ValueError("oracle curves require linear sigma (closed second-moment equation)")
-    params.check_operator(op)
+    model = measure_growth_model(op, params, horizon=T)
     lam, lsig, Lsig = params.lam, params.sigma.l_sigma, params.sigma.L_sigma
     dt = T / steps
     if model.marching_resolves(lam, Lsig, dt):
@@ -414,8 +412,6 @@ def oracle_sweep(
     """Oracle curves per noise level of ``lambdas``, keyed by level.
 
     Each level's ModelParams takes alpha, L and mu from ``op``, and p = 2.
-    The growth model, which reads no noise level, is measured once and
-    shared by one oracle_moment_curves call per level.
     """
 
     def level(lam: float) -> ModelParams:
@@ -423,8 +419,7 @@ def oracle_sweep(
             alpha=op.config.alpha, L=op.grid.L, lam=float(lam), sigma=sigma, u0=u0, mu=op.grid.mu, p=2.0
         )
 
-    model = measure_growth_model(op, level(0.0), horizon=T)
-    return {float(lam): oracle_moment_curves(level(lam), op, T, steps, model) for lam in lambdas}
+    return {float(lam): oracle_moment_curves(level(lam), op, T, steps) for lam in lambdas}
 
 
 # ---------------------------------------------------------------------------

@@ -582,6 +582,7 @@ def cmd_excitation(cfg: ExperimentConfig, oracle: bool) -> int:
 
 
 def cmd_selftest(level: str, out_dir: str, mc_worker_count: int) -> int:
+    mc_worker_count = _checked("--workers", mc_worker_count, integer=True, at_least=1)
     path = os.path.join(_outdir(out_dir, "--out"), "selftest.json")
     results = acceptance.run_selftest(level, mc_worker_count=mc_worker_count)
     passed = all(r.passed for r in results)

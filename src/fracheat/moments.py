@@ -243,8 +243,8 @@ class SweepResult:
         keys = [(r.lam, r.t) for r in self.rows]
         if keys != sorted(keys):
             raise ValueError("sweep rows must be sorted by (lambda, t)")
-        if any(r.lam <= 0.0 for r in self.rows):
-            raise ValueError("all lambda must be positive")
+        if any(r.lam < 0.0 for r in self.rows):  # lam 0 is the noiseless equation
+            raise ValueError("all lambda must be non-negative")
 
     def to_csv(self) -> str:
         buf = io.StringIO()

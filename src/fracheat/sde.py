@@ -590,7 +590,9 @@ def run_ensemble(
 
 @dataclass(frozen=True)
 class SecondMomentEstimate:
-    """Per-node estimate of E|u(t,x)|^2 with sampling standard errors."""
+    """Per-node estimate of E|u(t,x)|^2 with sampling standard errors, at the
+    time t = disc.n_steps() * disc.dt the scheme reached (t_end rounded to a
+    whole number of steps)."""
 
     t: float
     dt: float
@@ -900,7 +902,7 @@ def estimate_second_moment_pair(
         var = m2 / pairs
         out.append(
             SecondMomentEstimate(
-                t=disc.t_end,
+                t=disc.n_steps() * disc.dt,
                 dt=dt,
                 values=mean + cv,
                 stderr=np.sqrt(var / pairs),

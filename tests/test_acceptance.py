@@ -62,9 +62,9 @@ def test_quick_suite_computes_each_oracle_curve_once(monkeypatch):
     keys = []
     real = bounds.oracle_moment_curves
 
-    def spy(params, op, T, steps, model):
+    def spy(params, op, T, steps):
         keys.append((params.alpha, params.lam, T, steps))
-        return real(params, op, T=T, steps=steps, model=model)
+        return real(params, op, T=T, steps=steps)
 
     monkeypatch.setattr(acceptance, "_CACHE", {})
     monkeypatch.setattr(bounds, "oracle_moment_curves", spy)
@@ -74,11 +74,13 @@ def test_quick_suite_computes_each_oracle_curve_once(monkeypatch):
 
 
 def test_a_check_that_raises_is_a_failed_check_naming_the_exception():
+    @acceptance._check("broken-check")
     def broken():
         raise ZeroDivisionError("no data")
 
-    r = acceptance._check("broken", broken)
-    assert (r.name, r.passed) == ("broken", False)
+    r = broken()
+    assert broken.__name__ == "broken"  # QUICK_CHECKS and the benchmark's spans read it
+    assert (r.name, r.passed) == ("broken-check", False)
     assert r.detail == "exception: ZeroDivisionError('no data')"
 
 

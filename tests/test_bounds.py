@@ -188,11 +188,10 @@ def test_oracle_sweep_equals_curves_on_hand_built_params(desk_grid, desk_op):
     u0 = tent_profile(desk_grid)
     sigma = SigmaSpec(kind="linear", l_sigma=1.0, L_sigma=1.0)
     swept = bounds.oracle_sweep(desk_op, u0, sigma, (0.5, 64.0), T=1.0, steps=256)
-    model = bounds.measure_growth_model(desk_op, make_params(desk_grid), horizon=1.0)
     assert list(swept) == [0.5, 64.0]
     assert [c.branch for c in swept.values()] == ["marched", "renewal"]
     for lam, got in swept.items():
-        ref = bounds.oracle_moment_curves(make_params(desk_grid, lam=lam), desk_op, 1.0, 256, model)
+        ref = bounds.oracle_moment_curves(make_params(desk_grid, lam=lam), desk_op, 1.0, 256)
         assert (got.alpha, got.lam, got.l_sigma, got.L_sigma, got.lambda1, got.branch) == (
             ref.alpha, ref.lam, ref.l_sigma, ref.L_sigma, ref.lambda1, ref.branch
         )
@@ -225,12 +224,8 @@ def test_growth_model_and_branch_selection(desk_grid, desk_op, desk_params):
     model = bounds.measure_growth_model(desk_op, desk_params, horizon=1.0)
     assert model.marching_resolves(1.0, 1.0, dt=1.0 / 256.0)
     assert not model.marching_resolves(128.0, 1.0, dt=1.0 / 256.0)
-    low = bounds.oracle_moment_curves(
-        make_params(desk_grid, lam=0.5), desk_op, T=1.0, steps=256, model=model
-    )
-    high = bounds.oracle_moment_curves(
-        make_params(desk_grid, lam=64.0), desk_op, T=1.0, steps=256, model=model
-    )
+    low = bounds.oracle_moment_curves(make_params(desk_grid, lam=0.5), desk_op, T=1.0, steps=256)
+    high = bounds.oracle_moment_curves(make_params(desk_grid, lam=64.0), desk_op, T=1.0, steps=256)
     assert low.branch == "marched"
     assert high.branch == "renewal"
     for c in (low, high):
@@ -239,12 +234,9 @@ def test_growth_model_and_branch_selection(desk_grid, desk_op, desk_params):
 
 
 @pytest.fixture(scope="module")
-def fitted_constants(desk_grid, desk_op, desk_params):
-    model = bounds.measure_growth_model(desk_op, desk_params, horizon=1.0)
+def fitted_constants(desk_grid, desk_op):
     curves = [
-        bounds.oracle_moment_curves(
-            make_params(desk_grid, lam=lam), desk_op, T=1.0, steps=256, model=model
-        )
+        bounds.oracle_moment_curves(make_params(desk_grid, lam=lam), desk_op, T=1.0, steps=256)
         for lam in (2.0, 8.0, 32.0)
     ]
     return bounds.fit_envelope_constants(curves), curves

@@ -245,6 +245,17 @@ def test_output_directory_under_a_file_is_a_config_error(tmp_path, capsys, monke
     assert calls == []
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_selftest_refuses_a_worker_count_below_one_before_any_check(workers, tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(acceptance, "run_selftest", lambda *a, **k: calls.append(a))
+    out = tmp_path / "o"
+    for level in ("quick", "full"):
+        assert cli.main(["selftest", level, "--workers", workers, "--out", str(out)]) == 2
+        assert f"config error: --workers: must be >= 1, got {workers}" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 def test_out_flag_on_a_config_without_an_outputs_section(tmp_path):
     out = tmp_path / "o"
     cfg = write_config(tmp_path, base_config(tmp_path / "unused", outputs=...))
@@ -519,6 +530,16 @@ def test_moments_command(tmp_path):
     summary = cli.read_json_file(out / "moments.json")
     assert summary["flagged_count"] == 0
     assert len(summary["estimates"]) == 2
+
+
+def test_moments_command_at_lambda_zero(tmp_path):
+    # the config accepts lam >= 0; lam 0 is the noiseless equation
+    out = tmp_path / "mom"
+    cfg = write_config(tmp_path, base_config(out, **{"model.lam": 0.0}))
+    assert cli.main(["moments", "--config", cfg]) == 0
+    result = cli.read_sweep_csv(out / "moments.csv")
+    assert [(r.lam, r.t) for r in result.rows] == [(0.0, 0.125), (0.0, 0.25)]
+    assert all(r.phi_p.value > 0.0 and r.phi_p.n_effective == 12 for r in result.rows)
 
 
 def test_selftest_quick_passes_and_reports(tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""The experiment scripts at small sizes, and the one oracle lambda-sweep
-that the alpha scan shares with the CLI and acceptance check 8."""
+"""The experiment scripts at small sizes, their refusals, and the one oracle
+lambda-sweep that the alpha scan shares with the CLI and acceptance check 8."""
 
 import importlib.util
 import json
@@ -56,9 +56,22 @@ def test_cli_check_8_and_alpha_scan_share_one_oracle_sweep(tmp_path):
     cfg.write_text(json.dumps(doc))
     assert cli.main(["excitation", "--config", str(cfg), "--oracle"]) == 0
     e_cli = cli.read_json_file(tmp_path / "exc" / "excitation.json")["e_hat"]
-    e_check, _ = acceptance._excitation_for_alpha(1.5)
-    e_scan, _ = load_script("excitation_alpha_scan").fit_index_for_alpha(
-        1.5, np.geomspace(8.0, 128.0, 5), n=64, t_end=1.0, steps=256
-    )
+    e_check, _ = acceptance.excitation_index(1.5, (8.0, 16.0, 32.0, 64.0, 128.0), n=64, T=1.0, steps=256)
+    e_scan, _ = acceptance.excitation_index(1.5, np.geomspace(8.0, 128.0, 5), n=64, T=1.0, steps=256)
     assert e_check == pytest.approx(e_cli, rel=1e-12)
     assert e_scan == pytest.approx(e_cli, rel=1e-12)
+
+
+@pytest.mark.parametrize("name, args, message", [
+    ("excitation_alpha_scan", ["--n", "32"], "grid too coarse for the row-mass window"),
+    ("mc_bias_study", ["--n", "16", "--dt", "0.0078125", "--t-end", "0.125", "--paths", "3"], "antithetic"),
+])
+def test_a_library_value_error_is_a_usage_error(name, args, message, tmp_path, monkeypatch, capsys):
+    module = load_script(name)
+    monkeypatch.setattr(sys, "argv", [module.__file__, *args, "--out", str(tmp_path / "out")])
+    with pytest.raises(SystemExit) as exc:
+        module.main()
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -76,14 +76,14 @@ def test_params_mu_must_match_grid_mu(desk_grid, desk_op, desk_params):
     # the [mu, L-mu] window is the grid's; a different params.mu would be
     # silently overridden, so every entry point that takes both rejects it
     _assert_every_entry_point_rejects(
-        dataclasses.replace(desk_params, mu=0.2), desk_grid, desk_op, desk_params,
+        dataclasses.replace(desk_params, mu=0.2), desk_grid, desk_op,
         r"params\.mu=0\.2 does not match grid\.mu=0\.1",
     )
 
 
 def test_params_L_must_match_grid_L(desk_grid, desk_op, desk_params):
     _assert_every_entry_point_rejects(
-        dataclasses.replace(desk_params, L=2.0), desk_grid, desk_op, desk_params,
+        dataclasses.replace(desk_params, L=2.0), desk_grid, desk_op,
         r"params\.L=2\.0 does not match grid\.L=1\.0",
     )
 
@@ -92,12 +92,12 @@ def test_params_alpha_must_match_the_operators(desk_grid, desk_op, desk_params):
     # an alpha-1.9 record would run on the alpha-1.5 operator, and
     # metadata.json would echo 1.9
     _assert_every_entry_point_rejects(
-        dataclasses.replace(desk_params, alpha=1.9), desk_grid, desk_op, desk_params,
+        dataclasses.replace(desk_params, alpha=1.9), desk_grid, desk_op,
         r"params\.alpha=1\.9 does not match op\.config\.alpha=1\.5",
     )
 
 
-def _assert_every_entry_point_rejects(params, grid, op, good, match):
+def _assert_every_entry_point_rejects(params, grid, op, match):
     with pytest.raises(ValueError, match=match):
         run_ensemble(params, small_disc(grid), op, n_paths=2, master_seed=0)
     with pytest.raises(ValueError, match=match):
@@ -106,11 +106,8 @@ def _assert_every_entry_point_rejects(params, grid, op, good, match):
         bounds.second_moment_volterra(params, op, grid, T=0.25, steps=16)
     with pytest.raises(ValueError, match=match):
         bounds.measure_growth_model(op, params, horizon=1.0)
-    model = bounds.measure_growth_model(op, good, horizon=1.0)
-    with pytest.raises(ValueError, match=match):  # the renewal branch reads the window too
-        bounds.oracle_moment_curves(
-            dataclasses.replace(params, lam=64.0), op, T=1.0, steps=256, model=model
-        )
+    with pytest.raises(ValueError, match=match):  # a renewal-branch level too
+        bounds.oracle_moment_curves(dataclasses.replace(params, lam=64.0), op, T=1.0, steps=256)
 
 
 @pytest.mark.parametrize("engine", [run_ensemble, estimate_second_moment_pair])
@@ -470,6 +467,14 @@ def test_pair_estimator_layout(desk_grid, desk_op, desk_params):
     assert fine.dt == pytest.approx(0.5 * coarse.dt)
     assert coarse.conditioning_time == pytest.approx(fine.conditioning_time)
     assert coarse.values.shape == fine.values.shape == (desk_grid.n,)
+
+
+@pytest.mark.parametrize("dt, t_end, t", [(0.3, 1.0, 3 * 0.3), (1.0 / 1024.0, 0.5, 0.5)])
+def test_pair_estimates_are_at_the_time_the_scheme_reached(dt, t_end, t, desk_grid, desk_op, desk_params):
+    # t_end 1 in steps of 0.3 stops after 3 steps; check 4's grid reaches t_end exactly
+    disc = Discretization(grid=desk_grid, dt=dt, t_end=t_end, snapshot_times=(t_end,))
+    coarse, fine = estimate_second_moment_pair(desk_params, disc, desk_op, n_paths=2, master_seed=3)
+    assert coarse.t == fine.t == t
 
 
 def test_coupled_refinement_shares_noise(desk_grid, desk_op, desk_params, monkeypatch):
