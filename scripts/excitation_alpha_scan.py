@@ -1,12 +1,12 @@
 """Scan the fitted excitation index across alpha and compare to 2a/(a-1).
 
 For each alpha this runs acceptance check 8's measurement,
-``acceptance.excitation_index``: the deterministic second-moment oracle on a
-geometric lambda grid by ``bounds.oracle_sweep``, the same sweep that
-``fracheat excitation --oracle`` runs, and the index fitted from
-ln Phi_2(t_end).  The sweep takes alpha, L and mu from the operator, with
-tent u0, linear sigma and p = 2.  Writes a CSV (and optionally an SVG chart)
-of the fitted index, its confidence interval, and the reference curve.
+``acceptance.excitation_index``: the deterministic second-moment oracle of
+the desk problem at check 8's levels ``acceptance.EXCITATION_LAMBDAS`` by
+``bounds.oracle_sweep``, the same sweep that ``fracheat excitation --oracle``
+runs, and the index fitted from ln Phi_2(t_end).  Writes a CSV (and
+optionally an SVG chart) of the fitted index, its confidence interval, and
+the reference curve.
 
 Usage: python scripts/excitation_alpha_scan.py --out out/alpha_scan [--svg]
 """
@@ -19,7 +19,7 @@ import os
 import numpy as np
 
 from fracheat import svgplot
-from fracheat.acceptance import excitation_index
+from fracheat.acceptance import EXCITATION_LAMBDAS, excitation_index
 
 
 def main() -> int:
@@ -33,15 +33,16 @@ def main() -> int:
     ap.add_argument("--out", default="out/alpha_scan", metavar="DIR")
     ap.add_argument("--svg", action="store_true", help="also write a chart")
     args = ap.parse_args()
+    if args.alpha_count < 1:
+        ap.error(f"--alpha-count must be at least 1, got {args.alpha_count}")
 
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_count)
-    lambdas = np.geomspace(8.0, 128.0, 5)
 
     rows = []
     print(f"{'alpha':>7} {'e_hat':>8} {'ci_lo':>8} {'ci_hi':>8} {'reference':>10}")
     for alpha in alphas:
         try:
-            e_hat, ci = excitation_index(float(alpha), lambdas, args.n, args.t_end, args.steps)
+            e_hat, ci = excitation_index(float(alpha), EXCITATION_LAMBDAS, args.n, args.t_end, args.steps)
         except ValueError as exc:
             ap.error(str(exc))
         ref = 2.0 * alpha / (alpha - 1.0)

@@ -4,8 +4,9 @@ Each check is one function under the ``_check`` decorator and returns a
 CheckResult with the measured numbers in ``detail`` so failures are
 diagnosable from the selftest report alone.  Tolerances are module
 constants, pinned here and nowhere else.  The measurements of checks 4 and
-8, ``mc_oracle_gaps`` and ``excitation_index``, are public: the experiment
-scripts run them at other parameters.
+8, ``mc_oracle_gaps`` and ``excitation_index``, are public, as are their
+inputs, ``desk_problem`` and check 8's levels ``EXCITATION_LAMBDAS``: the
+experiment scripts run them at other parameters.
 
 Tiers: QUICK_CHECKS run in well under a minute on a laptop; the full tier
 adds the Monte-Carlo cross-check of the second-moment oracle (10^4 paths at
@@ -25,14 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import bounds, kernels, moments, specfun
-from .laplacian import (
-    DiscreteOperator,
-    Grid,
-    OperatorConfig,
-    assemble,
-    build_grid,
-    heat_kernel_matrix,
-)
+from .laplacian import DiscreteOperator, OperatorConfig, assemble, build_grid, heat_kernel_matrix
 from .sde import (
     Discretization,
     ModelParams,
@@ -43,7 +37,10 @@ from .sde import (
     tent_profile,
 )
 
-__all__ = ["CheckResult", "run_selftest", "QUICK_CHECKS", "mc_oracle_gaps", "excitation_index"]
+__all__ = [
+    "CheckResult", "run_selftest", "QUICK_CHECKS", "desk_problem", "EXCITATION_LAMBDAS", "mc_oracle_gaps",
+    "excitation_index",
+]
 
 # Pinned tolerances (one place only)
 TOL_E1 = 1e-12              # E_1(z) vs exp(z) on [-5, 5]
@@ -64,7 +61,8 @@ TOL_EXCITATION_19 = 0.15    # alpha = 1.9, target 4.222...
 _DESK_ALPHA = 1.5
 _DESK_N = 64
 _DESK_MU = 0.1
-_DESK_LAMBDAS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
+EXCITATION_LAMBDAS = (8.0, 16.0, 32.0, 64.0, 128.0)  # check 8's noise levels
+_DESK_LAMBDAS = (2.0, 4.0, *EXCITATION_LAMBDAS)
 _LINEAR = SigmaSpec(kind="linear", l_sigma=1.0, L_sigma=1.0)
 _MC_SEED = 31415            # check-4 master seed; the halving ratio stays in
                             # its window at all 42 benchmark master seeds tried
@@ -98,41 +96,45 @@ def _check(name: str) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# Shared fixtures (built lazily, cached per process): the desk operator, one
-# oracle sweep of the desk problem whose curves checks 5-8 read, and the
-# envelope constants fitted on three of those curves
+# Shared fixtures (built lazily, cached per process): the desk operator, the
+# oracle curves of the desk sweep (alpha 1.5, n 64, T 1, 256 steps), which
+# checks 5-8 read, and the envelope constants fitted on three of those curves.
+# The operator and curves of any other problem are built per call: keeping
+# them, though no later check reads them, raised the quick suite's peak memory.
 
 _CACHE: dict = {}
 
 
-def _desk() -> tuple[Grid, DiscreteOperator]:
-    if "desk" not in _CACHE:
-        grid = build_grid(L=1.0, n=_DESK_N, mu=_DESK_MU)
-        _CACHE["desk"] = (grid, assemble(grid, OperatorConfig(alpha=_DESK_ALPHA)))
-    return _CACHE["desk"]
+def desk_problem(
+    alpha: float = _DESK_ALPHA, n: int = _DESK_N, lam: float = 1.0
+) -> tuple[DiscreteOperator, ModelParams]:
+    """The desk problem on the n-node grid of [0, 1] with mu 0.1: its operator
+    and its parameters at ``lam`` (tent u0, linear sigma, p = 2).  The
+    operator at the desk's own alpha and n is assembled once per process."""
+    ops = _CACHE.setdefault("desk_op", {}) if (alpha, n) == (_DESK_ALPHA, _DESK_N) else {}
+    if (alpha, n) not in ops:
+        ops[alpha, n] = assemble(build_grid(L=1.0, n=n, mu=_DESK_MU), OperatorConfig(alpha=alpha))
+    op = ops[alpha, n]
+    u0 = tent_profile(op.grid)
+    return op, ModelParams(alpha=alpha, L=1.0, lam=lam, sigma=_LINEAR, u0=u0, mu=_DESK_MU, p=2.0)
 
 
-def _desk_params() -> ModelParams:
-    """The desk problem at lam 1: tent u0, linear sigma, p = 2."""
-    grid, _ = _desk()
-    return ModelParams(
-        alpha=_DESK_ALPHA, L=grid.L, lam=1.0, sigma=_LINEAR, u0=tent_profile(grid), mu=_DESK_MU, p=2.0
-    )
-
-
-def _desk_sweep() -> dict[float, bounds.OracleCurves]:
-    """Oracle curves of the desk problem at _DESK_LAMBDAS on t in [0, 1]."""
-    if "desk_sweep" not in _CACHE:
-        grid, op = _desk()
-        _CACHE["desk_sweep"] = bounds.oracle_sweep(
-            op, tent_profile(grid), _LINEAR, _DESK_LAMBDAS, T=1.0, steps=256
-        )
-    return _CACHE["desk_sweep"]
+def _desk_curves(
+    lambdas: Sequence[float], alpha: float = _DESK_ALPHA, n: int = _DESK_N, T: float = 1.0, steps: int = 256
+) -> dict[float, bounds.OracleCurves]:
+    """Oracle curves of the desk problem at ``lambdas`` on t in [0, T]; each
+    curve of the desk sweep is computed once per process."""
+    op, params = desk_problem(alpha, n)
+    desk_sweep = (alpha, n, T, steps) == (_DESK_ALPHA, _DESK_N, 1.0, 256)
+    curves = _CACHE.setdefault("desk_sweep", {}) if desk_sweep else {}
+    missing = [lam for lam in lambdas if lam not in curves]
+    curves.update(bounds.oracle_sweep(op, params.u0, params.sigma, missing, T=T, steps=steps))
+    return {float(lam): curves[lam] for lam in lambdas}
 
 
 def _envelope_fit() -> bounds.EnvelopeConstants:
     if "env_fit" not in _CACHE:
-        sweep = _desk_sweep()
+        sweep = _desk_curves(_DESK_LAMBDAS)
         _CACHE["env_fit"] = bounds.fit_envelope_constants([sweep[lam] for lam in (2.0, 8.0, 32.0)])
     return _CACHE["env_fit"]
 
@@ -215,11 +217,11 @@ def check_operator_spectrum() -> tuple[bool, str]:
     scale = abs(lam1_L2 - 2.0**-_DESK_ALPHA * lam1[128]) / (2.0**-_DESK_ALPHA * lam1[128])
     ok_scale = scale <= TOL_LAMBDA1_SCALE
 
-    grid, op = _desk()
+    op, _ = desk_problem()
     u = 0.1
     P1 = heat_kernel_matrix(op, u)
     P2 = heat_kernel_matrix(op, 2.0 * u)
-    defect = float(np.max(np.abs(grid.dx * (P1 @ P1.T) - P2)))
+    defect = float(np.max(np.abs(op.grid.dx * (P1 @ P1.T) - P2)))
     ok_ck = defect <= TOL_CHAPMAN
 
     worst_frac = 0.0
@@ -246,13 +248,14 @@ def mc_oracle_gaps(
     params: ModelParams, disc: Discretization, op: DiscreteOperator, n_paths: int, master_seed: int,
     worker_count: int,
 ) -> tuple[np.ndarray, SecondMomentEstimate, SecondMomentEstimate, float, float]:
-    """The pair estimator at dt and dt/2 against the Volterra oracle at t_end.
+    """The pair estimator at dt and dt/2 against the Volterra oracle at the
+    time the scheme reached, disc.n_steps() * disc.dt, the estimates' ``t``.
 
-    The oracle is marched over disc.t_end in max(1024, disc.n_steps()) steps.
-    Returns the oracle, the coarse and fine estimates, and their grid-max
-    relative gaps to the oracle."""
-    steps = max(1024, disc.n_steps())
-    oracle = bounds.second_moment_volterra(params, op, op.grid, T=disc.t_end, steps=steps).m[-1]
+    The oracle is marched first, in max(1024, disc.n_steps()) steps, so that
+    a level it refuses fails before any path runs.  Returns the oracle, the
+    coarse and fine estimates, and their grid-max relative gaps to it."""
+    steps = disc.n_steps()
+    oracle = bounds.second_moment_volterra(params, op, op.grid, T=steps * disc.dt, steps=max(1024, steps)).m[-1]
     coarse, fine = estimate_second_moment_pair(
         params, disc, op, n_paths=n_paths, master_seed=master_seed, worker_count=worker_count
     )
@@ -262,9 +265,9 @@ def mc_oracle_gaps(
 
 @_check("mc-vs-oracle")
 def check_mc_oracle(worker_count: int = 2) -> tuple[bool, str]:
-    grid, op = _desk()
-    disc = Discretization(grid=grid, dt=1.0 / 1024.0, t_end=0.5, snapshot_times=(0.5,))
-    _, coarse, fine, dc, df = mc_oracle_gaps(_desk_params(), disc, op, 10_000, _MC_SEED, worker_count)
+    op, params = desk_problem()
+    disc = Discretization(grid=op.grid, dt=1.0 / 1024.0, t_end=0.5, snapshot_times=(0.5,))
+    _, coarse, fine, dc, df = mc_oracle_gaps(params, disc, op, 10_000, _MC_SEED, worker_count)
     ratio = dc / df
     ok = (
         dc <= TOL_MC_ORACLE
@@ -286,10 +289,10 @@ def check_mc_oracle(worker_count: int = 2) -> tuple[bool, str]:
 
 @_check("small-noise-stability")
 def check_small_noise_stability() -> tuple[bool, str]:
-    grid, op = _desk()
+    op, _ = desk_problem()
     lam_L = _envelope_fit().lambda_L
     below = [lam for lam in (0.25, 0.5, 1.0, 1.8) if lam < lam_L]
-    curves = bounds.oracle_sweep(op, tent_profile(grid), _LINEAR, below, T=2.0, steps=512)
+    curves = _desk_curves(below, T=2.0, steps=512)
     slopes = {lam: moments.fit_lyapunov_from_log(zip(c.t, c.log_sup))[0] for lam, c in curves.items()}
     ok_neg = all(s < 0.0 for s in slopes.values())
 
@@ -316,7 +319,7 @@ def check_small_noise_stability() -> tuple[bool, str]:
 @_check("exponential-upper")
 def check_exponential_upper() -> tuple[bool, str]:
     devs = []
-    for c in _desk_sweep().values():
+    for c in _desk_curves(_DESK_LAMBDAS).values():
         sel = c.t >= 0.5 * c.t[-1]
         tw, yw = c.t[sel], c.log_sup[sel]
         # chord through the ends of the tail-fit window [t_end/2, t_end]; exponential growth = straight line
@@ -338,7 +341,7 @@ def check_exponential_upper() -> tuple[bool, str]:
 @_check("envelope-sandwich")
 def check_envelope_sandwich() -> tuple[bool, str]:
     k = _envelope_fit()
-    held = _desk_sweep()[64.0]
+    held = _desk_curves((64.0,))[64.0]
     lo = bounds.log_lower_envelope(held.t, k, 64.0, 1.0)
     up = bounds.log_upper_envelope(held.t, k, 64.0, 1.0)
     ok_lo = bool(np.all(lo <= held.log_inf + 1e-9))
@@ -361,15 +364,9 @@ def check_envelope_sandwich() -> tuple[bool, str]:
 def excitation_index(
     alpha: float, lambdas: Sequence[float], n: int, T: float, steps: int
 ) -> tuple[float, tuple[float, float]]:
-    """Excitation index and its interval, fitted from ln Phi_2(T) of the oracle
-    at ``lambdas`` on the n-node desk grid (L 1, mu 0.1, tent u0, linear sigma).
-    The desk problem's own levels are read from the cached desk sweep."""
-    if (alpha, n, T, steps) == (_DESK_ALPHA, _DESK_N, 1.0, 256) and set(lambdas) <= set(_DESK_LAMBDAS):
-        curves = _desk_sweep()
-    else:
-        grid = build_grid(L=1.0, n=n, mu=_DESK_MU)
-        op = assemble(grid, OperatorConfig(alpha=alpha))
-        curves = bounds.oracle_sweep(op, tent_profile(grid), _LINEAR, lambdas, T=T, steps=steps)
+    """Excitation index and its interval, fitted from ln Phi_2(T) of the desk
+    problem's oracle at ``lambdas`` on the n-node grid."""
+    curves = _desk_curves(lambdas, alpha, n, T, steps)
     return moments.fit_excitation_from_log(
         [(lam, float(curves[lam].log_phi2()[-1])) for lam in lambdas]
     )
@@ -377,10 +374,9 @@ def excitation_index(
 
 @_check("excitation-index")
 def check_excitation_index() -> tuple[bool, str]:
-    lambdas = (8.0, 16.0, 32.0, 64.0, 128.0)
-    e15, ci15 = excitation_index(1.5, lambdas, _DESK_N, 1.0, 256)
+    e15, _ = excitation_index(1.5, EXCITATION_LAMBDAS, _DESK_N, 1.0, 256)
     ok15 = EXCITATION_WINDOW[0] <= e15 <= EXCITATION_WINDOW[1]
-    e19, ci19 = excitation_index(1.9, lambdas, _DESK_N, 1.0, 256)
+    e19, _ = excitation_index(1.9, EXCITATION_LAMBDAS, _DESK_N, 1.0, 256)
     target19 = 2.0 * 1.9 / 0.9
     ok19 = abs(e19 - target19) / target19 <= TOL_EXCITATION_19 and e19 < e15
     detail = (
@@ -397,11 +393,8 @@ def check_excitation_index() -> tuple[bool, str]:
 
 @_check("determinism-accounting")
 def check_determinism_accounting() -> tuple[bool, str]:
-    grid, op = _desk()
-    params = _desk_params()
-    disc = Discretization(
-        grid=grid, dt=1.0 / 256.0, t_end=0.25, snapshot_times=(0.125, 0.25)
-    )
+    op, params = desk_problem()
+    disc = Discretization(grid=op.grid, dt=1.0 / 256.0, t_end=0.25, snapshot_times=(0.125, 0.25))
     texts = []
     flagged = []
     for workers in (1, 4):

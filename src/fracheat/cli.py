@@ -55,7 +55,6 @@ _LOG_MAX_FLOAT = math.log(sys.float_info.max)  # the largest x with math.exp(x) 
 _ESTIMATORS = (
     moments.estimate_energy, moments.estimate_sup_moment, moments.estimate_inf_subinterval_moment
 )
-_ESTIMATED = ("phi_p", "sup_moment", "inf_subinterval_moment")  # the SweepRow fields they fill
 # data lines per np.loadtxt call in the CSV readers: beside the snapshot
 # array it fills, read_ensemble_csv holds about one chunk's lines and rows
 _CSV_CHUNK_LINES = 1 << 12
@@ -339,7 +338,7 @@ def _snapshot_rows(
                 f"all {ens.n_paths} paths are flagged at lambda={lam!r}, t={float(t)!r}; estimate omitted"
             )
             continue
-        est = dict(zip(_ESTIMATED, [estimate(ens, t, cfg.p) for estimate in _ESTIMATORS]))
+        est = dict(zip(moments.ESTIMATED, [estimate(ens, t, cfg.p) for estimate in _ESTIMATORS]))
         over = [name for name, e in est.items() if math.isinf(e.value) or math.isinf(e.stderr)]
         if over:
             warnings.append(
@@ -389,7 +388,7 @@ def _oracle_rows(cfg: ExperimentConfig, curves: bounds.OracleCurves) -> list[mom
         value = math.exp(log_value) if log_value <= _LOG_MAX_FLOAT else math.inf
         return moments.MomentEstimate(value=value, stderr=0.0, n_effective=0)
 
-    logs = dict(zip(_ESTIMATED, (curves.log_phi2(), curves.log_sup, curves.log_inf)))
+    logs = dict(zip(moments.ESTIMATED, (curves.log_phi2(), curves.log_sup, curves.log_inf)))
     rows = []
     for t in cfg.snapshot_times:
         i = int(np.argmin(np.abs(curves.t - t)))
@@ -782,7 +781,7 @@ def read_sweep_csv(path: str) -> moments.SweepResult:
             try:
                 est = {
                     name: moments.MomentEstimate(value, se, n_eff, flagged)
-                    for name, value, se in zip(_ESTIMATED, pairs[::2], pairs[1::2])
+                    for name, value, se in zip(moments.ESTIMATED, pairs[::2], pairs[1::2])
                 }
                 result.append(moments.SweepRow(lam=lam, t=t, **est))
             except ValueError as exc:  # a negative stderr or n_eff

@@ -221,6 +221,10 @@ def fit_excitation_from_log(
 # Sweep results
 
 
+# each estimated SweepRow field and the stem of its two CSV columns, value and stem_se
+ESTIMATED = {"phi_p": "phi_p", "sup_moment": "sup_m", "inf_subinterval_moment": "inf_m"}
+
+
 @dataclass(frozen=True)
 class SweepRow:
     lam: float
@@ -235,7 +239,9 @@ class SweepResult:
     """Moment estimates over a (lambda, t) sweep."""
 
     # the CSV columns, in order; cli.read_sweep_csv reads them back
-    CSV_COLUMNS = ("lambda", "t", "phi_p", "phi_p_se", "sup_m", "sup_m_se", "inf_m", "inf_m_se", "n_eff", "flagged")
+    CSV_COLUMNS = (
+        "lambda", "t", *(c for stem in ESTIMATED.values() for c in (stem, f"{stem}_se")), "n_eff", "flagged"
+    )
 
     rows: list[SweepRow] = field(default_factory=list)
 
@@ -250,13 +256,9 @@ class SweepResult:
         buf = io.StringIO()
         buf.write(",".join(self.CSV_COLUMNS) + "\n")
         for r in self.rows:
-            buf.write(
-                f"{r.lam!r},{r.t!r},"
-                f"{r.phi_p.value!r},{r.phi_p.stderr!r},"
-                f"{r.sup_moment.value!r},{r.sup_moment.stderr!r},"
-                f"{r.inf_subinterval_moment.value!r},{r.inf_subinterval_moment.stderr!r},"
-                f"{r.phi_p.n_effective},{r.phi_p.flagged_fraction!r}\n"
-            )
+            values = [v for name in ESTIMATED for v in (getattr(r, name).value, getattr(r, name).stderr)]
+            buf.write(",".join(map(repr, [r.lam, r.t, *values])))
+            buf.write(f",{r.phi_p.n_effective},{r.phi_p.flagged_fraction!r}\n")
         return buf.getvalue()
 
     def write_csv(self, path: str) -> None:

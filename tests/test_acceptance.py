@@ -6,9 +6,16 @@ carries its measured numbers in ``detail``, which becomes the assertion
 message on failure.
 """
 
+import importlib.util
+import pathlib
+
+import numpy as np
 import pytest
 
 from fracheat import acceptance, bounds
+from fracheat.sde import Discretization
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_01_special_function_identities():
@@ -95,3 +102,45 @@ def test_the_full_tier_appends_check_4_and_other_levels_are_refused(monkeypatch)
     assert workers == [3]
     with pytest.raises(ValueError, match="'quick' or 'full', got 'fast'"):
         acceptance.run_selftest("fast")
+
+
+def test_mc_oracle_gaps_compares_at_the_time_the_scheme_reached():
+    op, params = acceptance.desk_problem(n=16)
+    disc = Discretization(grid=op.grid, dt=0.03, t_end=0.1, snapshot_times=(0.1,))
+    oracle, coarse, fine, dc, _ = acceptance.mc_oracle_gaps(params, disc, op, 8, 31415, 1)
+    assert coarse.t == fine.t == 3 * 0.03
+    want = bounds.second_moment_volterra(params, op, op.grid, T=coarse.t, steps=1024).m[-1]
+    np.testing.assert_array_equal(oracle, want)
+    assert dc == np.max(np.abs(coarse.values - want) / want)
+
+
+def test_the_benchmarks_check_4_inputs_are_check_4s(monkeypatch):
+    # perfbench runs check 4's measurement from its own copy of the inputs
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    marches, runs = [], []
+    real_march = bounds.second_moment_volterra
+
+    def march(*args, **kw):
+        marches.append(kw)
+        return real_march(*args, **kw)
+
+    def estimator(params, disc, op, **kw):
+        runs.append((params, disc, op, kw))
+        raise RuntimeError("inputs recorded")
+
+    monkeypatch.setattr(bounds, "second_moment_volterra", march)
+    monkeypatch.setattr(acceptance, "estimate_second_moment_pair", estimator)
+    assert "inputs recorded" in acceptance.check_mc_oracle().detail
+    ((params, disc, op, kw),) = runs
+    op0, params0 = acceptance.desk_problem()
+    assert op is op0 and params.u0.tolist() == params0.u0.tolist() and params.sigma == params0.sigma
+    got = {
+        "alpha": params.alpha, "L": op.grid.L, "n": op.grid.n, "mu": op.grid.mu, "lam": params.lam,
+        "t_end": disc.t_end, "dt": disc.dt, "volterra_steps": marches[0]["steps"],
+        "n_paths": kw["n_paths"], "worker_count": kw["worker_count"],
+    }
+    assert got == workloads.MC_ORACLE
+    assert marches[0]["T"] == disc.t_end
+    assert kw["master_seed"] == workloads.CHECK4_SEED == acceptance._MC_SEED

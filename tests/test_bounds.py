@@ -13,6 +13,7 @@ from fracheat import bounds, specfun
 from fracheat.laplacian import OperatorConfig, apply_semigroup, assemble, build_grid, heat_kernel_matrix
 from fracheat.sde import SigmaSpec, tent_profile
 
+BOUNDED = SigmaSpec(kind="bounded-linear", l_sigma=0.5, L_sigma=1.0)  # no closed second-moment equation
 # Desk-scale regression pins (alpha=1.5, L=1, n=64, mu=0.1, lam=1, tent u0)
 ENERGY_AT_HALF = 0.007183856068648362
 SUP_AT_HALF = 0.013336251390094455
@@ -316,6 +317,43 @@ def test_envelope_constants_validation():
         bounds.EnvelopeConstants(
             kappa1=1.0, kappa2=1.0, kappa3=1.0, kappa4=1.0, lambda_L=math.inf, alpha=1.5
         )
+
+
+@pytest.mark.parametrize(("edit", "message"), [
+    (lambda cs: cs[:2], "need >= 3 noise levels to fit, got 2"),
+    (lambda cs: [replace(cs[0], lam=0.0), *cs[1:]], "noise levels must be positive"),
+    (lambda cs: [*cs[:2], replace(cs[2], log_inf=-cs[2].t)], "lam=32.0 has nonpositive inf-curve slope"),
+    (lambda cs: [replace(c, log_sup=-c.t) for c in cs], "no growing sup curve in the table"),
+])
+def test_fit_refuses_a_table_it_cannot_fit(fitted_constants, edit, message):
+    _, curves = fitted_constants
+    with pytest.raises(bounds.EnvelopeFitError, match=message):
+        bounds.fit_envelope_constants(edit(curves))
+
+
+@pytest.mark.parametrize(("call", "message"), [
+    (lambda p, op: bounds.second_moment_volterra(p, op, op.grid, T=0.0, steps=64), "need T > 0 and steps >= 16"),
+    (lambda p, op: bounds.second_moment_volterra(p, op, op.grid, T=0.5, steps=8), "need T > 0 and steps >= 16"),
+    (
+        lambda p, op: bounds.second_moment_volterra(replace(p, sigma=BOUNDED), op, op.grid, T=0.5, steps=64),
+        "the second-moment equation is closed only for linear sigma",
+    ),
+    (
+        lambda p, op: bounds.oracle_moment_curves(replace(p, sigma=BOUNDED), op, T=0.5, steps=64),
+        "oracle curves require linear sigma",
+    ),
+    (
+        lambda p, op: bounds.volterra_lower_solve(bounds.RenewalProblem(a=1.0, b=1.0, beta=0.5), T=0.0, steps=64),
+        "horizon T must be positive, got 0.0",
+    ),
+    (
+        lambda p, op: bounds.volterra_lower_solve(bounds.RenewalProblem(a=1.0, b=10.0, beta=0.5), T=1.0, steps=64),
+        "product-integration step not solvable",
+    ),
+])
+def test_oracle_entry_points_refuse_inputs_they_cannot_march(desk_params, desk_op, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(desk_params, desk_op)
 
 
 def test_renewal_problem_validation():

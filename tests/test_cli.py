@@ -125,6 +125,32 @@ def test_simulate_is_deterministic_across_runs_and_workers(tmp_path):
             {"discretization.t_end": 1.0, "discretization.snapshot_times": [0.5, 0.25]},
             "discretization.snapshot_times: entries must be increasing",
         ),
+        # refused when the run is assembled: no node of 4 lies in the window [mu, L - mu]
+        ({"discretization.n": 4, "model.mu": 0.45}, "config error: model: no grid nodes inside [0.45, 0.55]"),
+        # refused by the sde.SigmaSpec that parse_config builds
+        (
+            {"model.sigma": {"kind": "custom-table", "l_sigma": 0.5, "L_sigma": 1.0, "table_u": [0, 1]}},
+            "model.sigma: custom-table sigma requires table_u and table_values",
+        ),
+        (
+            {"model.sigma": {"kind": "custom-table", "l_sigma": 0.5, "L_sigma": 1.0,
+                             "table_u": [0, 1], "table_values": [0, 0.8, 1.2]}},
+            "model.sigma: sigma table must be matching 1-d arrays with >= 2 points",
+        ),
+        (
+            {"model.sigma": {"kind": "custom-table", "l_sigma": 0.5, "L_sigma": 1.0,
+                             "table_u": [0.5, 1], "table_values": [0.4, 0.8]}},
+            "model.sigma: sigma table must start at (0, 0) with increasing u",
+        ),
+        (
+            {"model.sigma": {"kind": "custom-table", "l_sigma": 0.5, "L_sigma": 1.0,
+                             "table_u": [0, 1, 1.5], "table_values": [0, 0.5, 1.5]}},
+            "model.sigma: sigma table violates the Lipschitz bound",
+        ),
+        (
+            {"model.sigma": {"kind": "linear", "table_u": [0, 1], "table_values": [0, 1]}},
+            "model.sigma: table data is only valid for kind='custom-table', not 'linear'",
+        ),
     ],
 )
 def test_config_errors_name_the_field(tmp_path, capsys, override, named_field):

@@ -1,6 +1,7 @@
 """Discrete fractional Dirichlet operator: spectra, semigroup, grid window."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +138,17 @@ def test_grid_validation():
         OperatorConfig(alpha=2.0)
     with pytest.raises(ValueError):
         OperatorConfig(alpha=1.0)
+
+
+@pytest.mark.parametrize(("call", "message"), [
+    (lambda op: heat_kernel_matrix(op, -0.5), "heat_kernel_matrix requires t >= 0, got -0.5"),
+    (lambda op: heat_kernel_matrix(op, math.nan), "heat_kernel_matrix requires t >= 0, got nan"),
+    (lambda op: implicit_factor(op, 0.0), "implicit_factor requires dt > 0, got 0.0"),
+    (lambda op: implicit_factor(op, math.inf), "implicit_factor requires dt > 0, got inf"),
+])
+def test_semigroup_and_implicit_factor_refuse_a_bad_time(desk_op, call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(desk_op)
 
 
 def test_normalization_constant_positive_and_smooth():

@@ -171,6 +171,29 @@ def test_excitation_fit_rejects_non_finite_values(bad, shown):
         moments.fit_excitation_from_log(table)
 
 
+def _row(lam):
+    est = moments.MomentEstimate(value=1.0, stderr=0.0, n_effective=1)
+    return moments.SweepRow(lam=lam, t=0.5, phi_p=est, sup_moment=est, inf_subinterval_moment=est)
+
+
+@pytest.mark.parametrize(("call", "message"), [
+    (lambda: moments.MomentEstimate(value=1.0, stderr=0.0, n_effective=-1), "n_effective must be nonnegative"),
+    (lambda: moments.fit_lyapunov_from_log([]), "empty moment series"),
+    (
+        lambda: moments.fit_excitation_from_log([(lam, 5.0) for lam in (4.0, 4.0, 8.0, 16.0, 32.0)]),
+        "lambda grid must be strictly increasing",
+    ),
+    (
+        lambda: moments.fit_excitation_from_log([(lam, 5.0) for lam in (0.0, 1.0, 2.0, 4.0, 8.0)]),
+        "all lambda must be positive",
+    ),
+    (lambda: moments.SweepResult(rows=[_row(-1.0)]), "all lambda must be non-negative"),
+])
+def test_estimates_fits_and_sweeps_refuse_what_they_cannot_hold(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_sweep_result_validation_and_csv(tmp_path, small_ensemble, desk_grid):
     rows = []
     for lam in (1.0, 2.0):

@@ -62,9 +62,30 @@ def test_cli_check_8_and_alpha_scan_share_one_oracle_sweep(tmp_path):
     assert e_scan == pytest.approx(e_cli, rel=1e-12)
 
 
+def test_alpha_scan_row_at_the_desk_alpha_is_check_8s_index(tmp_path, monkeypatch):
+    indices = {}
+    real = acceptance.excitation_index
+
+    def recording(alpha, lambdas, n, T, steps):
+        indices[alpha] = real(alpha, lambdas, n, T, steps)[0]
+        return real(alpha, lambdas, n, T, steps)
+
+    monkeypatch.setattr(acceptance, "excitation_index", recording)
+    assert acceptance.check_excitation_index().passed
+    monkeypatch.undo()
+    scan = load_script("excitation_alpha_scan")
+    args = ["--alpha-min", "1.5", "--alpha-max", "1.5", "--alpha-count", "1", "--out", str(tmp_path)]
+    run_main(monkeypatch, scan, args)
+    row = (tmp_path / "alpha_scan.csv").read_text().splitlines()[1].split(",")
+    assert float(row[1]) == indices[1.5]  # bit for bit: the scan reads check 8's levels
+
+
 @pytest.mark.parametrize("name, args, message", [
     ("excitation_alpha_scan", ["--n", "32"], "grid too coarse for the row-mass window"),
     ("mc_bias_study", ["--n", "16", "--dt", "0.0078125", "--t-end", "0.125", "--paths", "3"], "antithetic"),
+    ("excitation_alpha_scan", ["--alpha-count", "0", "--svg"], "--alpha-count must be at least 1, got 0"),
+    ("excitation_alpha_scan", ["--alpha-count", "-1"], "--alpha-count must be at least 1, got -1"),
+    ("mc_bias_study", ["--n", "32", "--paths", "16", "--lam", "8"], "second-moment march overflowed at lam=8.0"),
 ])
 def test_a_library_value_error_is_a_usage_error(name, args, message, tmp_path, monkeypatch, capsys):
     module = load_script(name)

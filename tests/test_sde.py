@@ -857,6 +857,31 @@ def test_model_params_refuse_p_below_2_or_non_finite(desk_grid, p):
         make_params(desk_grid, p=p)
 
 
+@pytest.mark.parametrize(("field", "value", "message"), [
+    ("alpha", 2.0, "alpha must lie in (1, 2), got 2.0"),
+    ("L", -1.0, "need L > 0 and mu in (0, L/2), got L=-1.0"),
+    ("mu", 0.5, "need L > 0 and mu in (0, L/2), got L=1.0, mu=0.5"),
+    ("lam", -1.0, "lambda must be a finite nonnegative real, got -1.0"),
+    ("lam", math.inf, "lambda must be a finite nonnegative real, got inf"),
+    ("u0", np.ones((2, 64)), "u0 must be a finite nonnegative 1-d profile"),
+    ("u0", np.full(64, math.nan), "u0 must be a finite nonnegative 1-d profile"),
+    ("u0", np.full(64, -1.0), "u0 must be a finite nonnegative 1-d profile"),
+])
+def test_model_params_refuse_a_bad_field(desk_params, field, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(desk_params, **{field: value})
+
+
+@pytest.mark.parametrize(("snapshot_times", "message"), [
+    ((0.5,), "snapshot times must lie in [0, t_end], got (0.5,)"),
+    ((-0.125,), "snapshot times must lie in [0, t_end], got (-0.125,)"),
+    ((0.25, 0.125), "snapshot times must be sorted"),
+])
+def test_discretization_refuses_snapshot_times_off_its_horizon_or_unsorted(desk_grid, snapshot_times, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Discretization(grid=desk_grid, dt=0.125, t_end=0.25, snapshot_times=snapshot_times)
+
+
 def test_discretization_snapshot_snapping(desk_grid):
     disc = Discretization(
         grid=desk_grid, dt=0.03, t_end=0.3, snapshot_times=(0.1, 0.3)
