@@ -219,7 +219,8 @@ def second_moment_volterra(
     lag-d panel integral e^(s d dt) expm1(s dt)/s, s = w_a + w_b, is
     geometric in d: their history H_ab advances by one product per step.
     Nothing is cached; the march holds m, g and O(n^2) more.  ``grid``
-    must be ``op.grid``.
+    must be ``op.grid``.  The march stops with OverflowError, naming the
+    step, at the first step whose m is not finite.
     """
     if params.sigma.kind != "linear":
         raise ValueError("the second-moment equation is closed only for linear sigma")
@@ -250,20 +251,22 @@ def second_moment_volterra(
     # recent[d - 1] is the trapezoidal average of m over the panel at lag d;
     # rows of panels before t=0 stay zero
     recent = np.zeros((_NEAR_LAGS + 1, n))
-    for k in range(1, steps + 1):
-        H *= rho
-        H += omega * ((V.T * recent[_NEAR_LAGS]) @ V)
-        rhs = g[k] ** 2 + 0.5 * c * (W0 @ m[k - 1])
-        rhs += c * (near @ recent[:_NEAR_LAGS].ravel())
-        rhs += (c / grid.dx) * ((V @ H) * V).sum(axis=1)
-        m[k] = solve_new @ rhs
-        recent[1:] = recent[:-1]
-        recent[0] = 0.5 * (m[k - 1] + m[k])
-    if not np.all(np.isfinite(m)):
-        raise OverflowError(
-            f"second-moment march overflowed at lam={params.lam}; use the renewal branch "
-            "of oracle_moment_curves for this noise level"
-        )
+    # leaving double range is refused at the first step it shows in m
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, steps + 1):
+            H *= rho
+            H += omega * ((V.T * recent[_NEAR_LAGS]) @ V)
+            rhs = g[k] ** 2 + 0.5 * c * (W0 @ m[k - 1])
+            rhs += c * (near @ recent[:_NEAR_LAGS].ravel())
+            rhs += (c / grid.dx) * ((V @ H) * V).sum(axis=1)
+            m[k] = solve_new @ rhs
+            if not np.all(np.isfinite(m[k])):
+                raise OverflowError(
+                    f"second-moment march overflowed at lam={params.lam}, step {k} of {steps} "
+                    f"(t={t[k]:g}); use the renewal branch of oracle_moment_curves for this noise level"
+                )
+            recent[1:] = recent[:-1]
+            recent[0] = 0.5 * (m[k - 1] + m[k])
     if np.any(m < 0.0):
         raise ValueError(
             f"second-moment march went negative at lam={params.lam}, steps={steps}: the step does "

@@ -48,11 +48,10 @@ __all__ = [
 # paths per work item: fixed, so partitioning never depends on the worker
 # count; even, so an antithetic pair never straddles two blocks
 _BLOCK = 128
-# time steps of noise a block draws at once: its noise buffer is
-# _BLOCK * _NOISE_CHUNK * n doubles whatever the horizon; even, so a coarse
-# increment of the pair estimator (two consecutive fine ones) never straddles
-# two chunks
-_NOISE_CHUNK = 64
+# bytes of noise a block draws at once (2 MiB), whatever n, the horizon or
+# the worker count; worker threads' freed buffers stay resident, so this
+# bounds what a run leaves behind too
+_NOISE_BYTES = 1 << 21
 # bound on one chunk of the quadratic-form contraction's outer products (1 MB)
 _CONTRACT_DOUBLES = 1 << 17
 # the pair estimator simulates paths to t_end / _CONDITION_AT and closes the
@@ -413,17 +412,20 @@ def _map_blocks(fn: Callable, n_paths: int, worker_count: int) -> list:
 
 
 def _noise_chunks(master_seed: int, blk: range, steps: int, n: int, antithetic: bool):
-    """Yield (first step, chunk): a block's standard normals, _NOISE_CHUNK steps at a time.
+    """Yield (first step, chunk): a block's standard normals, `_NOISE_BYTES` at a time.
 
     Row k of each (B, m, n) chunk reads stream (master_seed, k); with
     ``antithetic`` the pair (2j, 2j+1) shares stream j and row 2j+1 holds the
-    negation of row 2j.  Every chunk is a view of one reused buffer, so the
-    noise held is B * _NOISE_CHUNK * n doubles whatever ``steps`` is, and the
-    chunks continue the streams: any chunk length gives the same numbers.
+    negation of row 2j.  Every chunk is a view of one reused buffer of
+    m = `_NOISE_BYTES` // (8 B n) steps, rounded down to an even count and
+    at least 2, so a coarse increment of the pair estimator (two consecutive
+    fine ones) never straddles two chunks.  The chunks continue the streams:
+    any chunk length gives the same numbers.
     """
     stride = 2 if antithetic else 1
     gens = [_path_generator(master_seed, k // stride) for k in blk[::stride]]
-    buf = np.empty((len(blk), min(_NOISE_CHUNK, steps), n))
+    m = max(2, _NOISE_BYTES // (16 * len(blk) * n) * 2)
+    buf = np.empty((len(blk), min(m, steps), n))
     for lo in range(0, steps, buf.shape[1]):
         chunk = buf[:, : steps - lo]
         for j, gen in enumerate(gens):

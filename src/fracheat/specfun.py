@@ -113,12 +113,13 @@ def _series_rows(beta: float, y: np.ndarray) -> np.ndarray:
 
     Row i holds the terms 1, y_i e_1, (y_i e_1)(y_i e_2), ... and their
     running sums.  A row stops at the first n >= 4 whose terms n-1 and n are
-    both at most 1e-17 |running sum|, and is summed with fsum; rows that have
-    not stopped after K terms are redone with 2K.  A term beyond 1e290 in
-    magnitude before the stop raises PrecisionError, as does a row at y < 0
-    whose sum of |terms| exceeds _CANCELLATION_MAX times |sum|: the first
-    failing row's error in array order, as a call on that element alone
-    gives it.  At beta = 1 the sum is exact (_series_exact_beta1).
+    both at most 1e-17 |running sum|, and is summed with fsum from its
+    largest term outward; rows that have not stopped after K terms are
+    redone with 2K.  A term beyond 1e290 in magnitude before the stop
+    raises PrecisionError, as does a row at y < 0 whose sum of |terms|
+    exceeds _CANCELLATION_MAX times |sum|: the first failing row's error in
+    array order, as a call on that element alone gives it.  At beta = 1 the
+    sum is exact (_series_exact_beta1).
     """
     if beta == 1.0:
         return np.array([_series_exact_beta1(v) for v in y.tolist()])
@@ -151,8 +152,12 @@ def _series_rows(beta: float, y: np.ndarray) -> np.ndarray:
                     "use log_mittag_leffler"
                 )
             for i in np.flatnonzero(done[:cut]).tolist():
-                total = out[idx[i]] = math.fsum(terms[i, : last[i] + 1].tolist())
-                if y[idx[i]] < 0.0 and mag[i, : last[i] + 1].sum() > _CANCELLATION_MAX * abs(total):
+                # fsum is exact in any order; from the peak outward both runs
+                # fall, so it carries few partials
+                row, row_mag = terms[i, : last[i] + 1], mag[i, : last[i] + 1]
+                peak = int(row_mag.argmax())
+                total = out[idx[i]] = math.fsum(row[peak:].tolist() + row[:peak][::-1].tolist())
+                if y[idx[i]] < 0.0 and row_mag.sum() > _CANCELLATION_MAX * abs(total):
                     error = PrecisionError(
                         f"Mittag-Leffler series cancels at beta={beta}, z={y[idx[i]]}: its terms "
                         f"sum to more than {_CANCELLATION_MAX:g} times |E_beta(z)| in magnitude"

@@ -129,8 +129,13 @@ def test_blocked_march_matches_stepwise_march(desk_grid, desk_op, steps, lam, dt
 
 def test_overflowing_march_raises(desk_grid, desk_op):
     params = make_params(desk_grid, lam=8.0)
-    with np.errstate(all="ignore"), pytest.raises(OverflowError, match="lam=8.0"):
+    # no numpy RuntimeWarning comes out of the march (pyproject makes one an error)
+    with pytest.raises(OverflowError, match=r"lam=8\.0, step 144 of 256 \(t=0\.5625\)"):
         bounds.second_moment_volterra(params, desk_op, desk_grid, T=1.0, steps=256)
+    # the same march (dt 1/256) stopped one step earlier stays finite; its
+    # step does not resolve the growth, so it is refused as negative
+    with pytest.raises(ValueError, match="went negative at lam=8.0, steps=143"):
+        bounds.second_moment_volterra(params, desk_op, desk_grid, T=143 / 256, steps=143)
 
 
 def test_negative_march_raises(desk_grid, desk_op):

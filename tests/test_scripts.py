@@ -40,14 +40,26 @@ def test_excitation_alpha_scan_smoke(tmp_path, monkeypatch):
     assert (tmp_path / "alpha_scan.svg").exists()
 
 
-def test_mc_bias_study_smoke(tmp_path, monkeypatch):
+def run_mc_bias_study(tmp_path, monkeypatch, dt, t_end):
     study = load_script("mc_bias_study")
-    args = ["--n", "16", "--dt", "0.0078125", "--t-end", "0.125", "--paths", "32",
+    args = ["--n", "16", "--dt", dt, "--t-end", t_end, "--paths", "32",
             "--workers", "1", "--out", str(tmp_path)]
     run_main(monkeypatch, study, args)
-    report = json.loads((tmp_path / "mc_bias.json").read_text())
+    return json.loads((tmp_path / "mc_bias.json").read_text())
+
+
+def test_mc_bias_study_smoke(tmp_path, monkeypatch):
+    report = run_mc_bias_study(tmp_path, monkeypatch, "0.0078125", "0.125")
     assert report["n_paths"] == 32 and report["flagged"] == [0, 0]
     assert np.isfinite(report["halving_ratio"])
+    assert report["t_end"] == report["t"] == 0.125
+
+
+def test_mc_bias_study_reports_the_time_it_measured_at(tmp_path, monkeypatch, capsys):
+    # dt 0.03 does not divide t_end 0.1: the gaps are measured at 3 steps
+    report = run_mc_bias_study(tmp_path, monkeypatch, "0.03", "0.1")
+    assert report["t_end"] == 0.1 and report["t"] == 3 * 0.03
+    assert "measured at t=0.09 (t_end 0.1 in whole coarse steps)" in capsys.readouterr().out
 
 
 def test_cli_check_8_and_alpha_scan_share_one_oracle_sweep(tmp_path):

@@ -2,8 +2,11 @@
 conditional second-moment estimator against the deterministic oracle."""
 
 import dataclasses
+import json
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -221,16 +224,41 @@ def test_map_blocks_without_blas_hook_is_bit_identical(desk_grid, desk_op, desk_
     assert np.array_equal(got.snapshots, ref.snapshots)
 
 
+def noise_bytes_for(steps, paths, n):
+    """A `_NOISE_BYTES` whose chunks hold `steps` steps of a `paths`-path block."""
+    return 8 * paths * n * steps
+
+
+def chunk_lengths(blk, steps, n, antithetic=False):
+    return [chunk.shape[1] for _, chunk in _noise_chunks(0, blk, steps, n, antithetic)]
+
+
+def test_noise_chunk_length_follows_the_byte_budget(monkeypatch):
+    # the real budget: 16 steps of a full block at n 128, 32 at n 64
+    assert sde._NOISE_BYTES == noise_bytes_for(16, sde._BLOCK, 128)
+    assert chunk_lengths(range(128), 40, 128) == [16, 16, 8]
+    assert chunk_lengths(range(128), 40, 64) == [32, 8]
+    # rounded down to an even count, at least 2, never longer than the run
+    monkeypatch.setattr(sde, "_NOISE_BYTES", noise_bytes_for(7, 4, 16) + 8)
+    assert chunk_lengths(range(4), 16, 16, antithetic=True) == [6, 6, 4]
+    monkeypatch.setattr(sde, "_NOISE_BYTES", 1)
+    assert chunk_lengths(range(4), 5, 16) == [2, 2, 1]
+    monkeypatch.setattr(sde, "_NOISE_BYTES", 1 << 40)
+    assert chunk_lengths(range(4), 5, 16) == [5]
+
+
 def test_noise_chunks_not_dividing_steps_match_whole_sheet(desk_grid, desk_op, desk_params, monkeypatch):
-    # 16 steps in chunks of 5; snapshots at, inside and after chunk boundaries
+    # 16 steps in one chunk, in chunks of 6 and of 2; snapshots at, inside
+    # and after chunk boundaries
     disc = Discretization(
         grid=desk_grid, dt=1.0 / 128.0, t_end=0.125, snapshot_times=(5 / 128, 0.0625, 0.125)
     )
-    monkeypatch.setattr(sde, "_NOISE_CHUNK", disc.n_steps())
-    whole = run_ensemble(desk_params, disc, desk_op, n_paths=20, master_seed=4)
-    monkeypatch.setattr(sde, "_NOISE_CHUNK", 5)
-    chunked = run_ensemble(desk_params, disc, desk_op, n_paths=20, master_seed=4)
-    assert np.array_equal(chunked.snapshots, whole.snapshots)
+    ref = None
+    for steps in (disc.n_steps(), 6, 2):
+        monkeypatch.setattr(sde, "_NOISE_BYTES", noise_bytes_for(steps, 20, desk_grid.n))
+        got = run_ensemble(desk_params, disc, desk_op, n_paths=20, master_seed=4)
+        ref = got.snapshots if ref is None else ref
+        assert np.array_equal(got.snapshots, ref)
 
 
 def test_same_seed_same_paths_different_seed_differs(desk_grid, desk_op, desk_params):
@@ -736,11 +764,12 @@ def test_pair_estimator_refuses_forms_above_the_byte_bound(desk_grid, desk_op, d
 
 
 def test_pair_estimator_noise_chunk_length_never_changes_results(desk_grid, desk_op, desk_params, monkeypatch):
-    # t_end 2: 2 cond = 16 fine steps: one chunk, chunks of 6 (not dividing 16) and of 2
+    # t_end 2: 2 cond = 16 fine steps: one chunk, chunks of 6 (not dividing
+    # 16) and of 2, the minimum; 130 paths: blocks of 128 and 2 paths
     disc = small_disc(desk_grid, dt=1.0 / 256.0, t_end=2.0)
     ref = None
     for chunk in (16, 6, 2):
-        monkeypatch.setattr(sde, "_NOISE_CHUNK", chunk)
+        monkeypatch.setattr(sde, "_NOISE_BYTES", noise_bytes_for(chunk, sde._BLOCK, desk_grid.n))
         pair = estimate_second_moment_pair(desk_params, disc, desk_op, n_paths=130, master_seed=23)
         got = [(e.values, e.stderr, e.flagged_count) for e in pair]
         if ref is None:
@@ -751,10 +780,13 @@ def test_pair_estimator_noise_chunk_length_never_changes_results(desk_grid, desk
             assert flagged == ref_flagged
 
 
-def test_pair_estimator_memory_does_not_grow_with_t_end():
+def test_pair_estimator_memory_does_not_grow_with_t_end(monkeypatch):
     grid = laplacian.build_grid(L=1.0, n=16, mu=0.1)
     op = laplacian.assemble(grid, laplacian.OperatorConfig(alpha=1.5))
     params = make_params(grid)
+    # at n 16 the real budget holds 128 steps, more than the shorter run
+    # draws; a 16-step budget makes both runs chunked
+    monkeypatch.setattr(sde, "_NOISE_BYTES", noise_bytes_for(16, sde._BLOCK, grid.n))
     # a short run first fills the operator's caches at dt and dt/2
     estimate_second_moment_pair(params, small_disc(grid, dt=1.0 / 256.0), op, n_paths=128, master_seed=6)
     peaks = {}
@@ -769,6 +801,65 @@ def test_pair_estimator_memory_does_not_grow_with_t_end():
     # 4x the horizon (64 and 256 fine conditioning steps): noise held for the
     # whole conditioning time would peak about 4x higher
     assert max(peaks.values()) < 1.25 * min(peaks.values())
+
+
+def test_ensemble_noise_memory_is_the_byte_budget_per_worker():
+    grid = laplacian.build_grid(L=1.0, n=128, mu=0.1)
+    op = laplacian.assemble(grid, laplacian.OperatorConfig(alpha=1.5))
+    params = make_params(grid)
+    dt, workers = 1.0 / 512.0, 2
+    # a short run first fills the operator's cache of the implicit factor
+    run_ensemble(params, small_disc(grid, dt=dt, t_end=dt), op, n_paths=2, master_seed=3)
+    peaks = {}
+    for t_end in (0.125, 0.5):
+        disc = Discretization(grid=grid, dt=dt, t_end=t_end, snapshot_times=(t_end / 2, t_end))
+        tracemalloc.start()
+        try:
+            ens = run_ensemble(params, disc, op, n_paths=256, master_seed=3, worker_count=workers)
+            peaks[t_end] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two full blocks, one per worker: each holds one noise chunk of
+        # the budget and a few (128, n) rows of state beside it
+        assert peaks[t_end] < ens.snapshots.nbytes + workers * (sde._NOISE_BYTES + 2**20)
+    # 64 and 256 steps: noise held for a fixed step count would grow with them
+    assert peaks[0.5] < 1.1 * peaks[0.125]
+
+
+_RESIDENT_GROWTH = """
+import json, os
+from fracheat import laplacian, sde
+def resident():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+grid = laplacian.build_grid(L=1.0, n=128, mu=0.1)
+op = laplacian.assemble(grid, laplacian.OperatorConfig(alpha=1.5))
+sigma = sde.SigmaSpec(kind="linear", l_sigma=1.0, L_sigma=1.0)
+params = sde.ModelParams(alpha=1.5, L=1.0, lam=1.0, sigma=sigma, u0=sde.tent_profile(grid), mu=0.1, p=2.0)
+dt = 1.0 / 512.0
+sde.run_ensemble(params, sde.Discretization(grid, dt, dt, (dt,)), op, n_paths=2, master_seed=3)
+before = resident()
+ens = sde.run_ensemble(params, sde.Discretization(grid, dt, 0.125, (0.125,)), op, n_paths=512,
+                       master_seed=3, worker_count=2)
+print(json.dumps([resident() - before, ens.snapshots.nbytes, sde._NOISE_BYTES]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads the resident set from /proc")
+def test_ensemble_leaves_the_byte_budget_per_worker_resident():
+    # memory a worker thread frees stays in its malloc arena, so what the
+    # process keeps after run_ensemble is what its workers held at once; a
+    # fresh interpreter, so no earlier test has grown the arenas already.
+    # 64 steps at n 128: a 64-step buffer of 8 MiB per worker would not fit
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(sde.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RESIDENT_GROWTH], capture_output=True, text=True, env=env, check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    growth, snapshot_bytes, budget = json.loads(proc.stdout.splitlines()[-1])
+    assert growth < snapshot_bytes + 2 * (budget + 2**21)
 
 
 def test_pair_estimator_stderr_is_that_of_the_antithetic_pair_means(desk_grid, desk_op, desk_params, monkeypatch):

@@ -174,6 +174,22 @@ def scalar_series(beta: float, z: float) -> float:
     raise specfun.PrecisionError(f"series did not converge (beta={beta}, z={z})")
 
 
+@pytest.mark.parametrize(
+    "beta, y_lo, y_hi",
+    [
+        (1 / 3, 5.0, 650.0 ** (1 / 3)),  # wide rows: up to ~2500 terms over 280 decades
+        (1 / 3, -1.8, 2.68),  # check 2's range, and alternating rows down to the cancellation limit
+        (0.5, -2.5, 11.9),
+        (2 / 3, -3.5, 11.9),
+    ],
+)
+def test_series_rows_equal_fsum_in_array_order_bit_for_bit(beta, y_lo, y_hi):
+    y = np.linspace(y_lo, y_hi, 61)
+    got = specfun._series_rows(beta, y)
+    for v, g in zip(y.tolist(), got.tolist()):
+        assert g == scalar_series(beta, v), (beta, v)
+
+
 def scalar_mittag_leffler(beta: float, z: float) -> float:
     """E_beta(z) for one finite z: the series below the switch, else the asymptotic expansion."""
     if z < specfun._SWITCH_THRESHOLD:
