@@ -49,8 +49,7 @@ __all__ = [
 # count; even, so an antithetic pair never straddles two blocks
 _BLOCK = 128
 # bytes of noise a block draws at once (2 MiB), whatever n, the horizon or
-# the worker count; worker threads' freed buffers stay resident, so this
-# bounds what a run leaves behind too
+# the worker count; `_map_blocks` holds one such buffer per worker
 _NOISE_BYTES = 1 << 21
 # bound on one chunk of the quadratic-form contraction's outer products (1 MB)
 _CONTRACT_DOUBLES = 1 << 17
@@ -405,28 +404,59 @@ def _map_threads(fn: Callable, items: list, worker_count: int) -> list:
             return list(pool.map(fn, items))
 
 
-def _map_blocks(fn: Callable, n_paths: int, worker_count: int) -> list:
-    """fn(block) over fixed _BLOCK-path ranges, as `_map_threads`; results in block order."""
+def _map_blocks(fn: Callable, n_paths: int, worker_count: int, work_doubles: Callable[[int], int]) -> list:
+    """fn(block, work) over fixed _BLOCK-path ranges, as `_map_threads`; results in block order.
+
+    ``work`` is a flat float64 array of at least ``work_doubles(len(block))``
+    doubles, which the block may overwrite.  The map allocates one per
+    concurrent block, min(worker_count, blocks) in all, once and in the
+    calling thread, and drops them when it ends: a buffer freed by a worker
+    thread stays resident in that thread's malloc arena, one freed here
+    goes back to the OS.
+    """
     blocks = [range(lo, min(lo + _BLOCK, n_paths)) for lo in range(0, n_paths, _BLOCK)]
-    return _map_threads(fn, blocks, worker_count)
+    size = max(work_doubles(len(blocks[0])), work_doubles(len(blocks[-1])))
+    # at most min(worker_count, blocks) blocks run at once, so the list is
+    # never empty at a pop; list.pop and list.append are atomic
+    free = [np.empty(size) for _ in range(min(worker_count, len(blocks)))]
+
+    def run(blk: range):
+        work = free.pop()
+        try:
+            return fn(blk, work)
+        finally:
+            free.append(work)
+
+    return _map_threads(run, blocks, worker_count)
 
 
-def _noise_chunks(master_seed: int, blk: range, steps: int, n: int, antithetic: bool):
+def _chunk_steps(paths: int, steps: int, n: int) -> int:
+    """Steps per noise chunk of a ``paths``-path block: `_NOISE_BYTES` // (8 B n),
+    rounded down to an even count and at least 2, and at most ``steps``."""
+    return min(steps, max(2, _NOISE_BYTES // (16 * paths * n) * 2))
+
+
+def _noise_doubles(paths: int, steps: int, n: int) -> int:
+    """Doubles of one noise chunk of a ``paths``-path block: what `_noise_chunks` needs."""
+    return paths * _chunk_steps(paths, steps, n) * n
+
+
+def _noise_chunks(master_seed: int, blk: range, steps: int, n: int, antithetic: bool, work: np.ndarray):
     """Yield (first step, chunk): a block's standard normals, `_NOISE_BYTES` at a time.
 
     Row k of each (B, m, n) chunk reads stream (master_seed, k); with
     ``antithetic`` the pair (2j, 2j+1) shares stream j and row 2j+1 holds the
-    negation of row 2j.  Every chunk is a view of one reused buffer of
-    m = `_NOISE_BYTES` // (8 B n) steps, rounded down to an even count and
-    at least 2, so a coarse increment of the pair estimator (two consecutive
-    fine ones) never straddles two chunks.  The chunks continue the streams:
-    any chunk length gives the same numbers.
+    negation of row 2j.  Every chunk is a view of the first
+    `_noise_doubles` doubles of ``work``, m = `_chunk_steps` steps: even, so
+    a coarse increment of the pair estimator (two consecutive fine ones)
+    never straddles two chunks.  The chunks continue the streams: any chunk
+    length gives the same numbers.
     """
     stride = 2 if antithetic else 1
     gens = [_path_generator(master_seed, k // stride) for k in blk[::stride]]
-    m = max(2, _NOISE_BYTES // (16 * len(blk) * n) * 2)
-    buf = np.empty((len(blk), min(m, steps), n))
-    for lo in range(0, steps, buf.shape[1]):
+    m = _chunk_steps(len(blk), steps, n)
+    buf = work[: len(blk) * m * n].reshape(len(blk), m, n)
+    for lo in range(0, steps, m):
         chunk = buf[:, : steps - lo]
         for j, gen in enumerate(gens):
             row = stride * j
@@ -463,6 +493,7 @@ def _run_block(
     master_seed: int,
     out: np.ndarray,
     flagged: np.ndarray,
+    work: np.ndarray,
 ) -> None:
     n = disc.grid.n
     steps = disc.n_steps()
@@ -491,7 +522,7 @@ def _run_block(
     record(0)
     # overflow here is an expected outcome (the path gets flagged), not an error
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, chunk in _noise_chunks(master_seed, path_indices, steps, n, antithetic=False):
+        for lo, chunk in _noise_chunks(master_seed, path_indices, steps, n, False, work):
             chunk *= scale
             for s in range(lo, lo + chunk.shape[1]):
                 # u + lam sigma(u) dW / dx, in that operation order, in place
@@ -525,9 +556,10 @@ def run_ensemble(
     # threads spinning on their cores: about 40 ms per call at n=128
     with _blas_pinned(worker_count > 1):
         factor_T = implicit_factor(op, disc.dt).T
+    steps, n = disc.n_steps(), disc.grid.n
     _map_blocks(
-        lambda blk: _run_block(params, disc, factor_T, blk, master_seed, out, flagged),
-        n_paths, worker_count,
+        lambda blk, work: _run_block(params, disc, factor_T, blk, master_seed, out, flagged, work),
+        n_paths, worker_count, lambda paths: _noise_doubles(paths, steps, n),
     )
     return PathEnsemble(master_seed=master_seed, snapshots=out, flagged=flagged, params=params, disc=disc)
 
@@ -868,12 +900,17 @@ def estimate_second_moment_pair(
     scale = math.sqrt(dts[1] * grid.dx)
     lam = params.lam * params.sigma.L_sigma
 
-    def run_blk(blk):
-        # coarse and fine (u, ell, q) stacks, marched together chunk by chunk
+    def run_blk(blk, work):
+        # coarse and fine (u, ell, q) stacks, marched together chunk by chunk;
+        # the coarse increments fill a half-chunk slot after the noise chunk
         x = np.zeros((2, 3, len(blk), grid.n))
         x[:, 0] = params.u0
-        for lo, z in _noise_chunks(master_seed, blk, 2 * cond, grid.n, antithetic=True):
-            coarse = (z[:, 0::2, :] + z[:, 1::2, :]) * scale
+        used = _noise_doubles(len(blk), 2 * cond, grid.n)
+        half = work[used : used + used // 2].reshape(len(blk), -1, grid.n)
+        for lo, z in _noise_chunks(master_seed, blk, 2 * cond, grid.n, True, work):
+            coarse = half[:, : z.shape[1] // 2]
+            np.add(z[:, 0::2], z[:, 1::2], out=coarse)
+            coarse *= scale
             z *= scale
             for xs, w, s0, (MT, g, _fm, _cv) in zip(x, (coarse, z), (lo // 2, lo), forms):
                 _rb_branch(xs, w, lam, grid.dx, MT, g[s0:])
@@ -882,7 +919,9 @@ def estimate_second_moment_pair(
             for (u, ell, q), (_MT, g, fm, _cv) in zip(x, forms)
         ]
 
-    partial = _map_blocks(run_blk, n_paths, worker_count)
+    partial = _map_blocks(
+        run_blk, n_paths, worker_count, lambda paths: 3 * _noise_doubles(paths, 2 * cond, grid.n) // 2
+    )
     out = []
     for which, (dt, (_MT, _g, _fm, cv)) in enumerate(zip(dts, forms)):
         acc, total = (sum(p[which][i] for p in partial) for i in range(2))

@@ -7,7 +7,9 @@ message on failure.
 """
 
 import importlib.util
+import os
 import pathlib
+import tempfile
 
 import numpy as np
 import pytest
@@ -62,6 +64,31 @@ def test_08_excitation_index_two_alphas():
 def test_09_determinism_and_flag_accounting():
     r = acceptance.check_determinism_accounting()
     assert r.passed, r.detail
+
+
+@pytest.mark.parametrize("compare", ["differ", "raise"])
+def test_09_removes_both_csv_files_when_the_comparison_fails(compare, tmp_path, monkeypatch):
+    def fail(a, b):
+        assert sorted(os.listdir(tmp_path)) == sorted(os.path.basename(p) for p in (a, b))
+        if compare == "raise":
+            raise OSError("read failed")
+        return False
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(acceptance, "_same_bytes", fail)
+    r = acceptance.check_determinism_accounting()
+    assert not r.passed
+    assert ("byte-identical across workers 1 vs 4: False" in r.detail) == (compare == "differ")
+    assert os.listdir(tmp_path) == []
+
+
+def test_same_bytes_compares_whole_files_in_chunks(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.write_bytes(b"x" * 10)
+    for other, same in ((b"x" * 10, True), (b"x" * 9 + b"y", False), (b"x" * 9, False), (b"x" * 11, False)):
+        b.write_bytes(other)
+        assert acceptance._same_bytes(str(a), str(b), chunk=4) is same
+        assert acceptance._same_bytes(str(b), str(a), chunk=4) is same
 
 
 def test_quick_suite_computes_each_oracle_curve_once(monkeypatch):

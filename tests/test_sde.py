@@ -22,12 +22,17 @@ from fracheat import acceptance, bounds, laplacian, sde
 from fracheat.sde import (
     Discretization,
     SigmaSpec,
-    _noise_chunks,
     estimate_second_moment_pair,
     run_ensemble,
     sigma_eval,
     tent_profile,
 )
+
+
+def noise_chunks(master_seed, blk, steps, n, antithetic=False):
+    """`sde._noise_chunks` in a work array of its own, as `_map_blocks` would pass it."""
+    work = np.empty(sde._noise_doubles(len(blk), steps, n))
+    return sde._noise_chunks(master_seed, blk, steps, n, antithetic, work)
 
 
 def small_disc(grid, dt=1.0 / 128.0, t_end=0.125):
@@ -154,15 +159,15 @@ def test_map_blocks_pins_blas_to_one_thread_and_restores_it():
     blas.set(2)
     try:
         # the serial branch keeps BLAS's own threads; the threaded branch runs one
-        assert sde._map_blocks(lambda blk: blas.get(), 300, 1) == [2, 2, 2]
-        assert sde._map_blocks(lambda blk: blas.get(), 300, 2) == [1, 1, 1]
+        assert sde._map_blocks(lambda blk, work: blas.get(), 300, 1, lambda paths: 1) == [2, 2, 2]
+        assert sde._map_blocks(lambda blk, work: blas.get(), 300, 2, lambda paths: 1) == [1, 1, 1]
         assert blas.get() == 2
 
-        def boom(blk):
+        def boom(blk, work):
             raise RuntimeError(f"block {blk.start}")
 
         with pytest.raises(RuntimeError):
-            sde._map_blocks(boom, 300, 2)
+            sde._map_blocks(boom, 300, 2, lambda paths: 1)
         assert blas.get() == 2
     finally:
         blas.set(before)
@@ -200,10 +205,10 @@ def test_concurrent_threaded_maps_share_one_saved_blas_count():
     try:
         # four callers, each a threaded map with more workers than cores; a
         # lost update of the saved count would leave BLAS at 1 thread
-        callers = [
-            threading.Thread(target=lambda: seen.extend(sde._map_blocks(lambda blk: blas.get(), 1280, 3)))
-            for _ in range(4)
-        ]
+        def caller():
+            seen.extend(sde._map_blocks(lambda blk, work: blas.get(), 1280, 3, lambda paths: 1))
+
+        callers = [threading.Thread(target=caller) for _ in range(4)]
         for t in callers:
             t.start()
         for t in callers:
@@ -214,6 +219,17 @@ def test_concurrent_threaded_maps_share_one_saved_blas_count():
     finally:
         sys.setswitchinterval(interval)
         blas.set(before)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_map_blocks_hands_out_one_work_array_per_worker(workers):
+    # 10 blocks (9 full, one of 4 paths); each work array is sized for the
+    # largest block's need, and at most `workers` exist, 1 when serial
+    got = sde._map_blocks(lambda blk, work: (len(blk), work), 9 * sde._BLOCK + 4, workers, lambda paths: 3 * paths)
+    assert [paths for paths, _ in got] == [sde._BLOCK] * 9 + [4]
+    arrays = {id(work): work for _, work in got}
+    assert len(arrays) == 1 if workers == 1 else 1 <= len(arrays) <= workers
+    assert all(work.shape == (3 * sde._BLOCK,) and work.dtype == np.float64 for work in arrays.values())
 
 
 def test_map_blocks_without_blas_hook_is_bit_identical(desk_grid, desk_op, desk_params, monkeypatch):
@@ -230,7 +246,7 @@ def noise_bytes_for(steps, paths, n):
 
 
 def chunk_lengths(blk, steps, n, antithetic=False):
-    return [chunk.shape[1] for _, chunk in _noise_chunks(0, blk, steps, n, antithetic)]
+    return [chunk.shape[1] for _, chunk in noise_chunks(0, blk, steps, n, antithetic)]
 
 
 def test_noise_chunk_length_follows_the_byte_budget(monkeypatch):
@@ -294,9 +310,9 @@ def test_draw_sheet_antithetic_rows_negate_plain_streams(desk_grid, desk_op, des
     n = desk_grid.n
     for start in (0, 128):
         blk = range(start, start + 8)
-        [(_, pairs)] = _noise_chunks(31, blk, 5, n, True)
+        [(_, pairs)] = noise_chunks(31, blk, 5, n, True)
         plain_blk = range(start // 2, start // 2 + 4)
-        [(_, plain)] = _noise_chunks(31, plain_blk, 5, n, False)
+        [(_, plain)] = noise_chunks(31, plain_blk, 5, n)
         # pair j reads stream j once: row 2j replays it, row 2j+1 is its exact negation
         assert np.array_equal(pairs[0::2], plain)
         assert np.array_equal(pairs[1::2], -plain)
@@ -340,7 +356,7 @@ def per_step_check_ensemble(params, disc, op, n_paths, master_seed):
 
         record(0)
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo, chunk in _noise_chunks(master_seed, blk, steps, grid.n, antithetic=False):
+            for lo, chunk in noise_chunks(master_seed, blk, steps, grid.n):
                 chunk *= math.sqrt(disc.dt * grid.dx)
                 for s in range(lo, lo + chunk.shape[1]):
                     forced = u + params.lam * sigma_eval(params.sigma, u) * chunk[:, s - lo, :] / grid.dx
@@ -704,7 +720,7 @@ def test_estimator_step_matches_the_ensemble_step_on_the_same_noise(desk_grid, d
     dt, steps, n_paths, seed = 1.0 / 256.0, 24, 10, 17
     disc = Discretization(grid=desk_grid, dt=dt, t_end=steps * dt, snapshot_times=(steps * dt,))
     ref = run_ensemble(params, disc, desk_op, n_paths=n_paths, master_seed=seed).snapshots[-1]
-    [(_, z)] = _noise_chunks(seed, range(n_paths), steps, desk_grid.n, antithetic=False)
+    [(_, z)] = noise_chunks(seed, range(n_paths), steps, desk_grid.n)
     x = np.zeros((3, n_paths, desk_grid.n))
     x[0] = params.u0
     MT = laplacian.implicit_factor(desk_op, dt).T
@@ -803,6 +819,28 @@ def test_pair_estimator_memory_does_not_grow_with_t_end(monkeypatch):
     assert max(peaks.values()) < 1.25 * min(peaks.values())
 
 
+def test_pair_estimator_holds_one_and_a_half_noise_chunks(monkeypatch):
+    # the coarse increments fill a half-chunk slot beside the noise chunk;
+    # built as (z[:, 0::2] + z[:, 1::2]) * scale they were two half-chunk
+    # temporaries, and the peak grew by about 2x the chunk bytes
+    grid = laplacian.build_grid(L=1.0, n=16, mu=0.1)
+    op = laplacian.assemble(grid, laplacian.OperatorConfig(alpha=1.5))
+    params = make_params(grid)
+    disc = small_disc(grid, dt=1.0 / 256.0, t_end=32.0)  # 256 fine conditioning steps
+    estimate_second_moment_pair(params, disc, op, n_paths=128, master_seed=6)
+    peaks = {}
+    for steps in (32, 128):
+        monkeypatch.setattr(sde, "_NOISE_BYTES", noise_bytes_for(steps, sde._BLOCK, grid.n))
+        tracemalloc.start()
+        try:
+            estimate_second_moment_pair(params, disc, op, n_paths=128, master_seed=6)
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    grown = noise_bytes_for(128 - 32, sde._BLOCK, grid.n)
+    assert peaks[128] - peaks[32] < 1.6 * grown
+
+
 def test_ensemble_noise_memory_is_the_byte_budget_per_worker():
     grid = laplacian.build_grid(L=1.0, n=128, mu=0.1)
     op = laplacian.assemble(grid, laplacian.OperatorConfig(alpha=1.5))
@@ -845,12 +883,10 @@ print(json.dumps([resident() - before, ens.snapshots.nbytes, sde._NOISE_BYTES]))
 """
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads the resident set from /proc")
-def test_ensemble_leaves_the_byte_budget_per_worker_resident():
-    # memory a worker thread frees stays in its malloc arena, so what the
-    # process keeps after run_ensemble is what its workers held at once; a
-    # fresh interpreter, so no earlier test has grown the arenas already.
-    # 64 steps at n 128: a 64-step buffer of 8 MiB per worker would not fit
+def resident_growth():
+    """(resident growth across `_RESIDENT_GROWTH`'s ensemble, its snapshot
+    bytes, `_NOISE_BYTES`), in a fresh interpreter, so no earlier test has
+    grown the malloc arenas already."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(sde.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -858,8 +894,29 @@ def test_ensemble_leaves_the_byte_budget_per_worker_resident():
         [sys.executable, "-c", _RESIDENT_GROWTH], capture_output=True, text=True, env=env, check=False
     )
     assert proc.returncode == 0, proc.stderr
-    growth, snapshot_bytes, budget = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+needs_statm = pytest.mark.skipif(
+    not os.path.exists("/proc/self/statm"), reason="reads the resident set from /proc"
+)
+
+
+@needs_statm
+def test_ensemble_leaves_the_byte_budget_per_worker_resident():
+    # at most what the workers held at once stays resident. 64 steps at
+    # n 128: a 64-step buffer of 8 MiB per worker would not fit
+    growth, snapshot_bytes, budget = resident_growth()
     assert growth < snapshot_bytes + 2 * (budget + 2**21)
+
+
+@needs_statm
+def test_ensemble_leaves_no_noise_buffer_resident():
+    # memory a worker thread frees stays in its malloc arena; the noise
+    # buffers are allocated and freed in the calling thread, so they go
+    # back to the OS and only the snapshots and small per-block state stay
+    growth, snapshot_bytes, _budget = resident_growth()
+    assert growth < snapshot_bytes + 2**21
 
 
 def test_pair_estimator_stderr_is_that_of_the_antithetic_pair_means(desk_grid, desk_op, desk_params, monkeypatch):
