@@ -10,7 +10,9 @@ two resolutions, the discrepancy pair isolates the O(dt) bias.  Halving is
 still pre-asymptotic at the defaults (dt 1/1024): the exact ratio there is
 1.578, and it rises to 1.74, 1.85 and 1.92 only under further halving.
 The report gives that time as ``t`` beside the requested ``t_end``; its
-elapsed time covers the oracle march and both estimates.
+elapsed time covers the oracle march and both estimates.  The stderr is a
+batch-means one: the estimator's antithetic pair means in 8 batches by pair
+index (see ``sde.estimate_second_moment_pair``).
 
 Usage: python scripts/mc_bias_study.py --paths 10000 --workers 4
 """
@@ -51,7 +53,7 @@ def main() -> int:
         ap.error(str(exc))
 
     se_max = float(np.max(coarse.stderr / oracle))
-    print(f"paths {args.paths}, {elapsed:.1f}s; max rel stderr {se_max:.3%}")
+    print(f"paths {args.paths}, {elapsed:.1f}s; max rel batch-means stderr {se_max:.3%}")
     print(f"measured at t={coarse.t:g} (t_end {args.t_end:g} in whole coarse steps)")
     print(f"max rel discrepancy  dt={args.dt:g}: {dc:.4%}")
     print(f"max rel discrepancy  dt={args.dt / 2:g}: {df:.4%}")

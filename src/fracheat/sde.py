@@ -26,7 +26,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -51,16 +51,10 @@ _BLOCK = 128
 # bytes of noise a block draws at once (2 MiB), whatever n, the horizon or
 # the worker count; `_map_blocks` holds one such buffer per worker
 _NOISE_BYTES = 1 << 21
-# bound on one chunk of the quadratic-form contraction's outer products (1 MB)
-_CONTRACT_DOUBLES = 1 << 17
 # the pair estimator simulates paths to t_end / _CONDITION_AT and closes the
-# rest with its forms; of 16, 32 and 64, 64 kept check 4's halving ratio
+# rest by propagation; of 16, 32 and 64, 64 kept check 4's halving ratio
 # furthest inside its window over 42 master seeds, at the lowest stderr
 _CONDITION_AT = 64
-# bound on the bytes of the pair estimator's forms, both resolutions (256 MiB)
-_FORMS_BYTES = 1 << 28
-# largest |J v -+ v| of an eigenvector still taken as reflection-even or -odd
-_PARITY_DEFECT = 1e-9
 # ensemble CSV rows formatted per write: their strings are all the memory the
 # writer holds, so it stays flat in the number of paths
 _CSV_BLOCK_ROWS = 1024
@@ -391,28 +385,31 @@ def _blas_pinned(threaded: bool):
     return blas.pinned_to_one() if blas else contextlib.nullcontext()
 
 
-def _map_threads(fn: Callable, items: list, worker_count: int) -> list:
-    """fn over items, serially or on up to worker_count threads; results in item order.
+def _map_threads(fn: Callable, items: list, worker_count: int) -> Iterator:
+    """fn over items, serially or on up to worker_count threads; results lazily
+    in item order, so a caller that folds them as they come holds only the
+    results of the items still running ahead of it.
 
     The threaded branch runs BLAS single-threaded and restores the previous
     thread count afterwards; the serial branch leaves BLAS its own threads.
     """
     if worker_count == 1 or len(items) == 1:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     with _blas_pinned(True):
         with ThreadPoolExecutor(max_workers=worker_count) as pool:
-            return list(pool.map(fn, items))
+            yield from pool.map(fn, items)
 
 
-def _map_blocks(fn: Callable, n_paths: int, worker_count: int, work_doubles: Callable[[int], int]) -> list:
-    """fn(block, work) over fixed _BLOCK-path ranges, as `_map_threads`; results in block order.
+def _map_blocks(fn: Callable, n_paths: int, worker_count: int, work_doubles: Callable[[int], int]) -> Iterator:
+    """fn(block, work) over fixed _BLOCK-path ranges, as `_map_threads`; results lazily in block order.
 
     ``work`` is a flat float64 array of at least ``work_doubles(len(block))``
-    doubles, which the block may overwrite.  The map allocates one per
-    concurrent block, min(worker_count, blocks) in all, once and in the
-    calling thread, and drops them when it ends: a buffer freed by a worker
-    thread stays resident in that thread's malloc arena, one freed here
-    goes back to the OS.
+    doubles, which the block may overwrite.  The call allocates one per
+    concurrent block, min(worker_count, blocks) in all, in the calling
+    thread, and they go when the caller drops the exhausted map: a buffer
+    freed by a worker thread stays resident in that thread's malloc arena,
+    one freed in the calling thread goes back to the OS.
     """
     blocks = [range(lo, min(lo + _BLOCK, n_paths)) for lo in range(0, n_paths, _BLOCK)]
     size = max(work_doubles(len(blocks[0])), work_doubles(len(blocks[-1])))
@@ -557,10 +554,11 @@ def run_ensemble(
     with _blas_pinned(worker_count > 1):
         factor_T = implicit_factor(op, disc.dt).T
     steps, n = disc.n_steps(), disc.grid.n
-    _map_blocks(
+    for _ in _map_blocks(
         lambda blk, work: _run_block(params, disc, factor_T, blk, master_seed, out, flagged, work),
         n_paths, worker_count, lambda paths: _noise_doubles(paths, steps, n),
-    )
+    ):
+        pass
     return PathEnsemble(master_seed=master_seed, snapshots=out, flagged=flagged, params=params, disc=disc)
 
 
@@ -576,50 +574,45 @@ def run_ensemble(
 #
 #   * conditioning: paths are simulated only to an intermediate time t*, and
 #     the remaining [t*, t] noise is integrated out exactly.  For linear
-#     sigma the scheme's conditional second moment at time t given the state
-#     v at t* is the quadratic form v' A_x v, where A_x is the adjoint
-#     propagation of e_x e_x' through the per-step second-moment map
-#     C -> M (C + c diag diag C) M'.
+#     sigma the scheme's second moment P = E uu' obeys, step by step,
+#
+#         P <- M (P + c diag(diag P)) M',    c = (lam L_sigma)^2 dt / dx,
+#
+#     so the conditional second moment at t given the state v at t* is
+#     diag(Prop(vv')), Prop that map over the remaining steps.
 #   * antithetic pairing of the driving sheets.
-#   * a control variate: the quadratic form evaluated on the second-order
+#   * a control variate: the same conditional moment of the second-order
 #     noise expansion y = g + ell + q (deterministic flow, first and second
-#     Wiener-chaos terms) is subtracted pathwise and its exact mean
-#     g'Ag + tr(A E[ll']) + tr(A E[qq']) is added back.
+#     Wiener-chaos terms) is subtracted pathwise and its exact mean, that of
+#     C = E[yy'] = g*g*' + E[ll'] + E[qq'], is added back.
 #
-# The forms march in the eigenbasis of the operator.  M = V diag(r) V' with
-# r = 1/(1 - dt w), so with S_x = V'A_x V one adjoint step A -> M'AM +
-# c diag(diag(M'AM)), started from S_x = V'e_x e_x'V, reads
+# Prop is linear, so the path mean of the conditional moments is one
+# propagation of the mean matrix: the estimate is diag(Prop(mean_p
+# (u_p - y_p)(u_p + y_p)' + C)).  Prop commutes with transposition, so the
+# diagonal sees only the symmetric part, u u' - y y', while the factored form
+# keeps the small difference u - y out of a cancellation.  The map runs in
+# the eigenbasis of the operator: M = V diag(r) V' with r = 1/(1 - dt w), so
+# with Phat = V'PV a step reads
 #
-#     S <- S * (r r'),    d = diag(V S V'),    S <- S + c V' diag(d) V.
+#     d = diag(V Phat V'),    Phat <- (r r') * (Phat + c V' diag(d) V).
 #
-# Reflection: the operator of `assemble` commutes with the reversal J of the
-# nodes (a uniform grid on a symmetric interval), so each eigenvector is
-# even or odd, J V = V diag(sigma), and S_{n-1-x} = diag(sigma) S_x
-# diag(sigma).  The march is linear, so it carries S^+- = S_x +- S_{n-1-x}
-# for the rows x < ceil(n/2) instead of S_x for all n rows.  S^+ lives on
-# the eigen-pairs with sigma_a sigma_b = 1 (the even-even and odd-odd
-# blocks), S^- on those with sigma_a sigma_b = -1 (the even-odd block), and
-# their diagonals d^+- are J-symmetric and J-antisymmetric: both GEMMs of a
-# step run over the node rows i < ceil(n/2) and one class of pairs, a
-# quarter of the full product each.  Within a class S is kept packed (a <= b)
-# with off-diagonal entries scaled by sqrt 2, so that with
-# W[i, (a, b)] = V_ia V_ib (same scaling) both halves of the diagonal bump
-# are plain GEMMs: d = S @ W' and S += (c d) @ W, every node row of the half
-# but a middle one counted twice for its mirror.  A step costs about n^4 / 2
-# flops for all x, against 4 n^4 for the n node-basis products M'A_x M.
+# Several matrices march as one (K, n, n) stack, each product of a step one
+# batched GEMM.  The standard error needs independent samples, so the antithetic
+# pair means are split into _BATCHES batches by pair index and each batch's
+# mean matrix is propagated beside the estimate.
 #
-# The pathwise difference of the two quadratic forms factors,
-# u'A_x u - y'A_x y = (u-y)'A_x(u+y) (A_x is symmetric), and is contracted
-# in the eigenbasis too: with e = V'(u-y) and f = V'(u+y) it is e'S_x f.
-# Per class, the outer products of e and f over the class's blocks times
-# the flattened S^+- are one GEMM, and the two results give the rows x and
-# n-1-x as their half sum and half difference.  No (n, n, n) array is
-# formed.  The u, ell and q recursions share the propagator M, so they march
-# as one stacked (3B, n) product per step.
-#
-# The A_x matrices depend on dt exactly as the simulation does, so the
-# estimator retains the scheme's full time-discretization bias; only
-# sampling noise is suppressed.
+# Prop depends on dt exactly as the simulation does, so the estimator retains
+# the scheme's full time-discretization bias; only sampling noise is
+# suppressed.
+
+# batches of the pair estimator's standard error: pair j, paths 2j and 2j+1,
+# falls in batch j % _BATCHES.  Each batch adds one n x n matrix to the
+# stack each resolution propagates; 8 leave the stderr 7 degrees of freedom,
+# and a step of the 9-matrix stack costs about 0.23 ms at n 64
+_BATCHES = 8
+# largest second moment the pair estimator propagates (about 3.4e153): its
+# stderr squares the difference of two such values, at most 2^1022
+_MOMENT_MAX = 2.0**510
 
 
 @dataclass(frozen=True)
@@ -637,143 +630,59 @@ class SecondMomentEstimate:
     conditioning_time: float
 
 
-class _Forms(NamedTuple):
-    """The conditional forms of one resolution, as S^+- = V'(A_x +- A_{n-1-x})V
-    for the rows x < ceil(n/2), in the eigenvector blocks of their parity class."""
+def _control_moment(params, op, dt, cond_steps):
+    """(M^T, g, C): the implicit factor's transpose, the deterministic flow at
+    the conditioning steps, and C = E[yy'] of the control variate at t*.
 
-    V: np.ndarray       # (n, n) eigenvectors, the even ones first
-    n_even: int
-    plus: np.ndarray    # (ceil(n/2), nE^2 + nO^2): S^+ even-even and odd-odd blocks, flattened
-    minus: np.ndarray   # (ceil(n/2), nE nO): S^- even-odd block, flattened
-
-
-def _forms_bytes(n: int) -> int:
-    """Bytes the estimator's forms of both resolutions hold at n nodes."""
-    half, n_odd = (n + 1) // 2, n // 2
-    return 2 * 8 * half * (n * n - half * n_odd)
-
-
-def _parity_split(op: DiscreteOperator) -> tuple:
-    """(even, odd): the eigenvector columns with J v = v and J v = -v.
-
-    The operator commutes with the node reversal J, so each eigenvector is
-    one or the other up to rounding (at most 9.6e-13 for 3 <= n <= 256 at
-    alpha 1.1, 1.5 and 1.9); a column that is neither is a near-degenerate
-    even/odd pair that eigh mixed.
-    """
-    V = op.eigenvectors
-    sigma = np.where(np.einsum("ia,ia->a", V[::-1], V) >= 0.0, 1.0, -1.0)
-    defect = float(np.max(np.abs(V[::-1] - sigma * V)))
-    if defect > _PARITY_DEFECT:
-        raise ValueError(
-            f"eigenvectors of the operator at n={op.grid.n}, alpha={op.config.alpha} are not "
-            f"reflection-even or -odd (defect {defect:.2e} > {_PARITY_DEFECT:g}): eigh mixed "
-            "a near-degenerate pair"
-        )
-    return np.flatnonzero(sigma > 0.0), np.flatnonzero(sigma < 0.0)
-
-
-def _march_class(V, r, ia, ib, c, march, overflow):
-    """March S^+- of one parity class, pairs (ia[k], ib[k]), from x < ceil(n/2).
-
-    Returns the (ceil(n/2), pairs) array of plain (unscaled) entries.
-    """
-    n = V.shape[0]
-    half = (n + 1) // 2
-    root = np.where(ia == ib, 1.0, math.sqrt(2.0))
-    W = V[:half, ia] * V[:half, ib] * root
-    S = 2.0 * W  # S^+- of the start e_x e_x': twice the class's entries of V'e_x e_x'V
-    rr = r[ia] * r[ib]
-    # d^+- is J-symmetric or -antisymmetric: every node row but a middle one stands for two
-    cw = np.full(half, 2.0 * c)
-    if n % 2:
-        cw[-1] = c
-    D = np.empty((half, half))
-    T = np.empty_like(S)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(march):
-            S *= rr
-            np.matmul(S, W.T, out=D)  # d at the node rows i < half
-            if not np.all(np.isfinite(D)):
-                raise OverflowError(f"{overflow} {k + 1} of {march}; lower lam or t_end")
-            D *= cw
-            np.matmul(D, W, out=T)
-            S += T
-    if not np.all(np.isfinite(S)):
-        raise OverflowError(f"{overflow} {march} of {march}; lower lam or t_end")
-    S /= root
-    return S
-
-
-def _conditional_forms(params, op, grid, dt, n_steps, cond_steps):
-    """Adjoint quadratic forms at t* and the exact chaos<=2 means.
-
-    Returns (M^T, g, forms, cv_mean) with g the deterministic flow sampled at
-    the conditioning steps, forms a `_Forms` and
-    cv_mean[x] = E[(g* + ell + q)' A_x (g* + ell + q)].
-    Raises OverflowError when the forms or their means leave the double range.
-    """
-    lam_sig = params.lam * params.sigma.L_sigma
+    E[ll'] (Lam) and E[qq'] (Q) follow the second-moment map split by chaos
+    order: Lam is forced by g, Q by the diagonal of Lam."""
     M = implicit_factor(op, dt)
     MT = M.T
-    c = lam_sig**2 * dt / grid.dx
+    c = (params.lam * params.sigma.L_sigma) ** 2 * dt / op.grid.dx
     g = apply_semigroup(op, dt * np.arange(cond_steps + 1), params.u0)
-
-    n = grid.n
-    half = (n + 1) // 2
-    march = n_steps - cond_steps
-    even, odd = _parity_split(op)
-    ne, no = even.size, odd.size
-    order = np.concatenate([even, odd])
-    V = np.ascontiguousarray(op.eigenvectors[:, order])
-    r = 1.0 / (1.0 - dt * op.eigenvalues[order])
-    overflow = f"conditional forms overflowed at lam={params.lam}, dt={dt} in adjoint step"
-
-    # S^+: the packed even-even then odd-odd triangles, unpacked to full blocks
-    ie, je = np.triu_indices(ne)
-    io, jo = np.triu_indices(no)
-    packed = _march_class(
-        V, r, np.concatenate([ie, ne + io]), np.concatenate([je, ne + jo]), c, march, overflow
-    )
-    plus = np.empty((half, ne * ne + no * no))
-    ee = plus[:, : ne * ne].reshape(half, ne, ne)
-    oo = plus[:, ne * ne :].reshape(half, no, no)
-    ee[:, ie, je] = ee[:, je, ie] = packed[:, : ie.size]
-    oo[:, io, jo] = oo[:, jo, io] = packed[:, ie.size :]
-    del packed
-    # S^-: the even-odd block, row-major
-    minus = _march_class(
-        V, r, np.repeat(np.arange(ne), no), np.tile(np.arange(ne, n), ne), c, march, overflow
-    )
-
+    n = op.grid.n
     Lam = np.zeros((n, n))
     Q = np.zeros((n, n))
     for k in range(cond_steps):
         Q = M @ (Q + c * np.diag(np.diag(Lam))) @ MT
         Lam = M @ (Lam + c * np.diag(g[k] ** 2)) @ MT
     gs = g[cond_steps]
-    # cv_mean[x] = tr(A_x C) = tr(S_x V'CV)
-    Chat = V.T @ (np.outer(gs, gs) + Lam + Q) @ V
-    with np.errstate(over="ignore", invalid="ignore"):
-        cv_plus = plus @ np.concatenate([Chat[:ne, :ne].ravel(), Chat[ne:, ne:].ravel()])
-        cv_minus = minus @ (2.0 * Chat[:ne, ne:]).ravel()
-    cv_mean = _unfold(cv_plus, cv_minus, n)
-    if not np.all(np.isfinite(cv_mean)):
-        raise OverflowError(
-            f"control-variate mean of the conditional forms overflowed at lam={params.lam}, "
-            f"dt={dt} over {cond_steps} conditioning and {march} adjoint steps; lower lam or t_end"
-        )
-    return MT, g, _Forms(V, ne, plus, minus), cv_mean
+    return MT, g, np.outer(gs, gs) + Lam + Q
 
 
-def _unfold(plus, minus, n):
-    """Per-node values from their S^+ and S^- parts on the rows x < ceil(n/2):
-    x takes the half sum and n-1-x the half difference (last axis)."""
-    half = plus.shape[-1]
-    out = np.empty(plus.shape[:-1] + (n,))
-    out[..., n - half :] = 0.5 * (plus - minus)[..., ::-1]
-    out[..., :half] = 0.5 * (plus + minus)
-    return out
+def _propagate_diag(op, dt, c, X, steps, overflow):
+    """diag(Prop(X_k)) for a (K, n, n) stack X of node-basis matrices: the map
+    P <- M (P + c diag(diag P)) M' applied ``steps`` times, in the eigenbasis.
+
+    Returns a (K, n) array.  Raises OverflowError, ``overflow`` followed by
+    the step, at the first step with a diagonal that is not finite or whose
+    magnitude passes `_MOMENT_MAX`.
+    """
+    V, w = op.eigenvectors, op.eigenvalues
+    VT = np.ascontiguousarray(V.T)
+    r = 1.0 / (1.0 - dt * w)
+    RR = np.multiply.outer(r, r)
+    P = VT @ X @ V  # Phat_k = V'X_kV
+    T = np.empty_like(P)
+    U = np.empty_like(P)
+    d = np.empty(X.shape[:2])
+
+    def diagonals(step):
+        np.matmul(V, P, out=T)
+        np.einsum("kib,ib->ki", T, V, out=d)  # d_k = diag(V Phat_k V')
+        if not np.all(np.abs(d) <= _MOMENT_MAX):
+            raise OverflowError(f"{overflow} {step} of {steps}; lower lam or t_end")
+
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by `diagonals`
+        for s in range(steps):
+            diagonals(s + 1)
+            d *= c
+            np.multiply(VT, d[:, None, :], out=T)  # V' diag(c d_k)
+            np.matmul(T, V, out=U)
+            P += U
+            P *= RR
+        diagonals(steps)
+    return d.copy()
 
 
 def _rb_branch(x, noise, lam, dx, MT, g):
@@ -797,56 +706,23 @@ def _rb_branch(x, noise, lam, dx, MT, g):
         np.matmul(forced.reshape(3 * nb, n), MT, out=x.reshape(3 * nb, n))
 
 
-def _form_gaps(forms, u, y):
-    """gaps[p, x] = u_p' A_x u_p - y_p' A_x y_p, contracted in the eigenbasis.
-
-    Evaluated as e_p' S_x f_p with e = V'(u - y) and f = V'(u + y): per
-    parity class, the outer products of a chunk of paths over the class's
-    blocks (even-even and odd-odd for S^+; even-odd plus its mirror for S^-)
-    times the flattened forms, one GEMM each; the chunk's outer products
-    reuse buffers of at most _CONTRACT_DOUBLES doubles in all.
-    """
-    n_paths, n = u.shape
-    ne = forms.n_even
-    no = n - ne
-    e = (u - y) @ forms.V
-    f = (u + y) @ forms.V
-    kp, km = forms.plus.shape[1], forms.minus.shape[1]
-    chunk = max(1, min(n_paths, _CONTRACT_DOUBLES // (kp + 2 * km)))
-    outer_p = np.empty((chunk, kp))
-    ee = outer_p[:, : ne * ne].reshape(chunk, ne, ne)
-    oo = outer_p[:, ne * ne :].reshape(chunk, no, no)
-    outer_m = np.empty((chunk, ne, no))
-    mirror = np.empty_like(outer_m)
-    g_plus = np.empty((n_paths, forms.plus.shape[0]))
-    g_minus = np.empty_like(g_plus)
-    for lo in range(0, n_paths, chunk):
-        hi = min(lo + chunk, n_paths)
-        m = hi - lo
-        eE, eO, fE, fO = e[lo:hi, :ne], e[lo:hi, ne:], f[lo:hi, :ne], f[lo:hi, ne:]
-        np.multiply(eE[:, :, None], fE[:, None, :], out=ee[:m])
-        np.multiply(eO[:, :, None], fO[:, None, :], out=oo[:m])
-        np.matmul(outer_p[:m], forms.plus.T, out=g_plus[lo:hi])
-        np.multiply(eE[:, :, None], fO[:, None, :], out=outer_m[:m])
-        np.multiply(fE[:, :, None], eO[:, None, :], out=mirror[:m])
-        outer_m[:m] += mirror[:m]
-        np.matmul(outer_m[:m].reshape(m, ne * no), forms.minus.T, out=g_minus[lo:hi])
-    return _unfold(g_plus, g_minus, n)
-
-
-def _block_sums(vals, alive):
-    """A block's sums per node: of the values of its finite paths, and of the
-    antithetic pair means (v_2j + v_2j+1) / 2 over the pairs whose two paths
-    are finite, with the pair means' sum of squares about their block mean;
-    then the counts of those paths and pairs.  Paths 2j and 2j+1 share one
+def _block_sums(u, y, first_path):
+    """A block's sums of (u_p - y_p)(u_p + y_p)' for paths first_path + p:
+    over its finite paths, then per batch over the antithetic pair means
+    ((.)_2j + (.)_2j+1) / 2 of the pairs whose two paths are finite, pair j
+    in batch j % _BATCHES.  Returns (path sum (n, n), finite paths, batch
+    sums (_BATCHES, n, n), pairs per batch).  Paths 2j and 2j+1 share one
     noise stream, so the pairs, not the paths, are independent."""
-    both = alive[0::2] & alive[1::2]
-    n_pairs = int(both.sum())
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as inf or nan, which the caller refuses
-        means = (vals[0::2][both] + vals[1::2][both]) / 2
-        pair_sum = means.sum(axis=0)
-        pair_m2 = ((means - pair_sum / max(n_pairs, 1)) ** 2).sum(axis=0)
-    return vals[alive].sum(axis=0), int(alive.sum()), pair_sum, pair_m2, n_pairs
+    alive = np.all(np.isfinite(u), axis=1)
+    both = np.repeat(alive[0::2] & alive[1::2], 2)
+    batch = ((first_path + np.arange(len(u))) // 2) % _BATCHES
+    # an overflow shows as inf or nan, which the propagation refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        e, f = u - y, u + y
+        path_sum = e[alive].T @ f[alive]
+        batch_sums = np.stack([0.5 * (e[m].T @ f[m]) for m in (both & (batch == b) for b in range(_BATCHES))])
+    pairs = np.bincount(batch[both], minlength=_BATCHES) // 2
+    return path_sum, int(alive.sum()), batch_sums, pairs
 
 
 def estimate_second_moment_pair(
@@ -860,18 +736,21 @@ def estimate_second_moment_pair(
     """Estimate E|u(t_end, x)|^2 per node at dt and dt/2 on one Brownian sheet.
 
     Antithetic pairs of paths are simulated to the conditioning time
-    t_end/64 (at least one coarse step) and the remaining steps are closed
-    exactly by the conditional forms, marched and contracted by reflection
-    parity in the operator's eigenbasis; see the module comment above.  The
+    t_end/64 (at least one coarse step), and the remaining steps are closed
+    exactly by propagating the mean of (u - y)(u + y)' plus E[yy'] through
+    the scheme's second-moment map; see the module comment above.  The
     coarse increments are sums of consecutive fine ones, so the sampling
     error is nearly common to both resolutions and the pair of discrepancies
     against a deterministic reference isolates the time-discretization bias.
-    Linear sigma and an even n_paths only.  The standard errors are those of
-    the mean of the pair means, over the pairs whose two paths are finite,
-    since paths 2j and 2j+1 share one noise stream.  The forms of both resolutions
-    hold `_forms_bytes(n)` bytes, about 3 n^3 / 4 doubles, and a grid whose
-    forms would pass `_FORMS_BYTES` (256 MiB, n up to 354) is refused
-    with a ValueError.  Returns (coarse, fine).
+    Linear sigma and an even n_paths only.
+
+    The standard errors are batch-means ones.  Pair j falls in batch
+    j % 8, and with n_b pairs whose two paths are finite in batch b, means
+    m_b over those pairs and N = sum n_b, the stderr is
+    sqrt(sum_b n_b (m_b - mbar)^2 / ((B - 1) N)), mbar = sum_b n_b m_b / N,
+    over the B non-empty batches.  With fewer than 8 pairs each pair is its
+    own batch, the per-pair stderr; a single pair has no spread to measure,
+    so its stderr is NaN.  Returns (coarse, fine).
     """
     if params.sigma.kind != "linear":
         raise ValueError(
@@ -882,21 +761,11 @@ def estimate_second_moment_pair(
     if n_paths % 2 != 0:
         raise ValueError(f"antithetic pairing needs an even n_paths >= 2, got {n_paths}")
     grid = disc.grid
-    if _forms_bytes(grid.n) > _FORMS_BYTES:
-        raise ValueError(
-            f"discretization.n={grid.n}: the estimator's conditional forms would hold "
-            f"{_forms_bytes(grid.n) / 2**20:.0f} MiB, above the {_FORMS_BYTES / 2**20:.0f} MiB bound; "
-            "use a coarser grid"
-        )
     steps = disc.n_steps()
     cond = max(1, steps // _CONDITION_AT)
     dts = (disc.dt, 0.5 * disc.dt)
-    # the two resolutions' forms march side by side when there are workers
-    forms = _map_threads(
-        lambda spec: _conditional_forms(params, op, grid, *spec),
-        [(dts[0], steps, cond), (dts[1], 2 * steps, 2 * cond)],
-        worker_count,
-    )
+    spans = ((steps, cond), (2 * steps, 2 * cond))
+    controls = [_control_moment(params, op, dt, c_steps) for dt, (_n, c_steps) in zip(dts, spans)]
     scale = math.sqrt(dts[1] * grid.dx)
     lam = params.lam * params.sigma.L_sigma
 
@@ -912,44 +781,43 @@ def estimate_second_moment_pair(
             np.add(z[:, 0::2], z[:, 1::2], out=coarse)
             coarse *= scale
             z *= scale
-            for xs, w, s0, (MT, g, _fm, _cv) in zip(x, (coarse, z), (lo // 2, lo), forms):
+            for xs, w, s0, (MT, g, _C) in zip(x, (coarse, z), (lo // 2, lo), controls):
                 _rb_branch(xs, w, lam, grid.dx, MT, g[s0:])
-        return [
-            _block_sums(_form_gaps(fm, u, g[-1] + ell + q), np.all(np.isfinite(u), axis=1))
-            for (u, ell, q), (_MT, g, fm, _cv) in zip(x, forms)
-        ]
+        return [_block_sums(u, g[-1] + ell + q, blk.start) for (u, ell, q), (_MT, g, _C) in zip(x, controls)]
 
-    partial = _map_blocks(
+    # the blocks' sums, added in block order as the blocks finish, so no
+    # worker count changes a bit and no more than the running blocks' are held
+    sums = None
+    for part in _map_blocks(
         run_blk, n_paths, worker_count, lambda paths: 3 * _noise_doubles(paths, 2 * cond, grid.n) // 2
-    )
-    out = []
-    for which, (dt, (_MT, _g, _fm, cv)) in enumerate(zip(dts, forms)):
-        acc, total = (sum(p[which][i] for p in partial) for i in range(2))
-        # the pair means are the independent samples: their blocks' sums of
-        # squares combined in block order (Chan et al.), so no two large
-        # sums cancel and no worker count changes a bit
-        pair_sum, m2, pairs = np.zeros(grid.n), np.zeros(grid.n), 0
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            for _acc, _total, s_b, m2_b, n_b in (p[which] for p in partial if p[which][4]):
-                delta = s_b / n_b - pair_sum / max(pairs, 1)
-                m2 = m2 + m2_b + delta**2 * (pairs * n_b / (pairs + n_b))
-                pair_sum, pairs = pair_sum + s_b, pairs + n_b
-        if not np.all(np.isfinite(m2)):
-            raise OverflowError(
-                f"squared form gaps of the estimator overflowed at lam={params.lam}, dt={dt}; "
-                "lower lam or t_end"
-            )
-        mean = acc / total
-        var = m2 / pairs
-        out.append(
-            SecondMomentEstimate(
-                t=disc.n_steps() * disc.dt,
-                dt=dt,
-                values=mean + cv,
-                stderr=np.sqrt(var / pairs),
-                n_paths=n_paths,
-                flagged_count=n_paths - total,
-                conditioning_time=cond * disc.dt,
-            )
+    ):
+        sums = part if sums is None else [[a + b for a, b in zip(acc, p)] for acc, p in zip(sums, part)]
+
+    def close(which):
+        dt, (n_steps, c_steps) = dts[which], spans[which]
+        path_sum, alive, batch_sums, pairs = sums[which]
+        full = pairs > 0
+        with np.errstate(invalid="ignore"):  # no finite path: NaN, which the propagation refuses
+            stack = np.concatenate([[path_sum / alive + controls[which][2]], batch_sums[full] / pairs[full, None, None]])
+        diag = _propagate_diag(
+            op, dt, lam**2 * dt / grid.dx, stack, n_steps - c_steps,
+            f"second moments of the estimator overflowed (above 2^510) at lam={params.lam}, dt={dt} in propagation step",
         )
-    return out[0], out[1]
+        values, means, n_b = diag[0], diag[1:], pairs[full]
+        stderr = np.full(grid.n, np.nan)
+        if len(n_b) > 1:
+            mbar = n_b @ means / n_b.sum()
+            stderr = np.sqrt(n_b / ((len(n_b) - 1) * n_b.sum()) @ (means - mbar) ** 2)
+        return SecondMomentEstimate(
+            t=steps * disc.dt,
+            dt=dt,
+            values=values,
+            stderr=stderr,
+            n_paths=n_paths,
+            flagged_count=n_paths - alive,
+            conditioning_time=cond * disc.dt,
+        )
+
+    # the two resolutions propagate side by side when there are workers
+    coarse, fine = _map_threads(close, [0, 1], worker_count)
+    return coarse, fine

@@ -159,15 +159,15 @@ def test_map_blocks_pins_blas_to_one_thread_and_restores_it():
     blas.set(2)
     try:
         # the serial branch keeps BLAS's own threads; the threaded branch runs one
-        assert sde._map_blocks(lambda blk, work: blas.get(), 300, 1, lambda paths: 1) == [2, 2, 2]
-        assert sde._map_blocks(lambda blk, work: blas.get(), 300, 2, lambda paths: 1) == [1, 1, 1]
+        assert list(sde._map_blocks(lambda blk, work: blas.get(), 300, 1, lambda paths: 1)) == [2, 2, 2]
+        assert list(sde._map_blocks(lambda blk, work: blas.get(), 300, 2, lambda paths: 1)) == [1, 1, 1]
         assert blas.get() == 2
 
         def boom(blk, work):
             raise RuntimeError(f"block {blk.start}")
 
         with pytest.raises(RuntimeError):
-            sde._map_blocks(boom, 300, 2, lambda paths: 1)
+            list(sde._map_blocks(boom, 300, 2, lambda paths: 1))
         assert blas.get() == 2
     finally:
         blas.set(before)
@@ -225,7 +225,7 @@ def test_concurrent_threaded_maps_share_one_saved_blas_count():
 def test_map_blocks_hands_out_one_work_array_per_worker(workers):
     # 10 blocks (9 full, one of 4 paths); each work array is sized for the
     # largest block's need, and at most `workers` exist, 1 when serial
-    got = sde._map_blocks(lambda blk, work: (len(blk), work), 9 * sde._BLOCK + 4, workers, lambda paths: 3 * paths)
+    got = list(sde._map_blocks(lambda blk, work: (len(blk), work), 9 * sde._BLOCK + 4, workers, lambda paths: 3 * paths))
     assert [paths for paths, _ in got] == [sde._BLOCK] * 9 + [4]
     arrays = {id(work): work for _, work in got}
     assert len(arrays) == 1 if workers == 1 else 1 <= len(arrays) <= workers
@@ -548,35 +548,9 @@ def test_coupled_refinement_shares_noise(desk_grid, desk_op, desk_params, monkey
     assert corr > 0.95
 
 
-def desk_forms(grid, op, params):
-    """Adjoint forms at dt = 1/256 over 32 steps, conditioned at step 16."""
-    return sde._conditional_forms(params, op, grid, 1.0 / 256.0, 32, 16)
-
-
-def node_forms(forms):
-    """The (n, n, n) node-basis A_x rebuilt from S^+- = V'(A_x +- A_{n-1-x})V."""
-    V, ne = forms.V, forms.n_even
-    n = V.shape[0]
-    no, half = n - ne, forms.plus.shape[0]
-    plus = np.zeros((half, n, n))
-    minus = np.zeros((half, n, n))
-    plus[:, :ne, :ne] = forms.plus[:, : ne * ne].reshape(half, ne, ne)
-    plus[:, ne:, ne:] = forms.plus[:, ne * ne :].reshape(half, no, no)
-    block = forms.minus.reshape(half, ne, no)
-    minus[:, :ne, ne:] = block
-    minus[:, ne:, :ne] = block.transpose(0, 2, 1)
-    a_plus, a_minus = V @ plus @ V.T, V @ minus @ V.T
-    A = np.empty((n, n, n))
-    A[n - half :] = 0.5 * (a_plus - a_minus)[::-1]
-    A[:half] = 0.5 * (a_plus + a_minus)
-    return A
-
-
-def test_conditional_forms_are_symmetric(desk_grid, desk_op, desk_params):
-    # the contraction's (u-y)'A_x(u+y) identity rests on A_x = A_x'
-    A = node_forms(desk_forms(desk_grid, desk_op, desk_params)[2])
-    asym = np.abs(A - A.transpose(0, 2, 1)).max(axis=(1, 2))
-    assert np.all(asym <= 1e-13 * np.abs(A).max(axis=(1, 2)))
+def desk_control(grid, op, params):
+    """Control-variate moment at dt = 1/256, conditioned at step 16."""
+    return sde._control_moment(params, op, 1.0 / 256.0, 16)
 
 
 def node_basis_forms(params, op, grid, dt, n_steps, cond_steps):
@@ -606,9 +580,24 @@ def node_basis_forms(params, op, grid, dt, n_steps, cond_steps):
     return A, cv_mean
 
 
+def propagate(params, op, dt, X, steps):
+    """`sde._propagate_diag` of the stack X at the problem's noise level."""
+    c = (params.lam * params.sigma.L_sigma) ** 2 * dt / op.grid.dx
+    return sde._propagate_diag(op, dt, c, X, steps, "overflow in step")
+
+
+def test_conditional_forms_are_symmetric(desk_grid, desk_op, desk_params):
+    # diag(Prop(X))_x is <A_x, X> with A_x the conditional form of node x, so
+    # the estimator may propagate (u-y)(u+y)' for uu' - yy' only because every
+    # A_x is symmetric: the propagated diagonals of X and X' agree
+    X = np.random.default_rng(4).standard_normal((3, desk_grid.n, desk_grid.n))
+    got = propagate(desk_params, desk_op, 1.0 / 256.0, X, 16)
+    swapped = propagate(desk_params, desk_op, 1.0 / 256.0, X.transpose(0, 2, 1), 16)
+    assert np.abs(got - swapped).max() <= 1e-13 * np.abs(got).max()
+
+
 # check 4's two resolutions (dt 1/1024 and 1/2048 to T = 0.5, conditioned at
-# T/8, 7/8 of the steps marched) on grids of odd and even n: the mirrored rows
-# are exercised both ways, and at odd n the middle node is its own mirror
+# T/8, 7/8 of the steps marched) on grids of odd and even n
 @pytest.mark.parametrize(
     ("n", "dt", "n_steps", "cond_steps"),
     [
@@ -619,76 +608,82 @@ def node_basis_forms(params, op, grid, dt, n_steps, cond_steps):
     ],
 )
 def test_eigenbasis_forms_match_the_node_basis_march(n, dt, n_steps, cond_steps):
+    # the eigenbasis propagation of a stack against the node-basis forms:
+    # diag(Prop(X))_x = <A_x, X>, and diag(Prop(C)) is the control-variate mean
     grid = laplacian.build_grid(L=1.0, n=n, mu=0.1)
     op = laplacian.assemble(grid, laplacian.OperatorConfig(alpha=1.5))
     params = make_params(grid)
     ref_A, ref_cv = node_basis_forms(params, op, grid, dt, n_steps, cond_steps)
-    _MT, _g, forms, cv = sde._conditional_forms(params, op, grid, dt, n_steps, cond_steps)
-    A = node_forms(forms)
-    scale = np.abs(ref_A).max(axis=(1, 2))
-    assert np.all(np.abs(A - ref_A).max(axis=(1, 2)) <= 1e-11 * scale)
-    assert np.all(np.abs(cv - ref_cv) <= 1e-11 * np.abs(ref_cv))
+    _MT, _g, C = sde._control_moment(params, op, dt, cond_steps)
+    X = np.random.default_rng(n).standard_normal((3, n, n))
+    got = propagate(params, op, dt, np.concatenate([C[None], X]), n_steps - cond_steps)
+    assert np.all(np.abs(got[0] - ref_cv) <= 1e-11 * np.abs(ref_cv))
+    ref = np.einsum("xij,kij->kx", ref_A, X)
+    assert np.all(np.abs(got[1:] - ref) <= 1e-11 * np.abs(ref).max(axis=1, keepdims=True))
+    # and from u0 u0' over every step, the scheme's exact second moment
+    exact = scheme_second_moment(params, op, grid, dt, n_steps)
+    full = propagate(params, op, dt, np.outer(params.u0, params.u0)[None], n_steps)[0]
+    assert np.all(np.abs(full - exact) <= 1e-11 * exact)
 
 
 @pytest.mark.parametrize("lam", [16.0, 32.0, 64.0])
 def test_conditional_forms_overflow_fails_loudly(desk_grid, desk_op, lam):
-    # check 4's grid and steps: from lam 16 on the forms leave the double range
+    # check 4's grid and steps: from lam 16 on the propagated moments pass 2^510 mid-march
     params = make_params(desk_grid, lam=lam)
     disc = Discretization(grid=desk_grid, dt=1.0 / 1024.0, t_end=0.5, snapshot_times=(0.5,))
-    with pytest.raises(OverflowError, match=rf"lam={lam}, dt=0\.0009765625 in adjoint step \d+ of 504"):
+    with pytest.raises(OverflowError, match=rf"lam={lam}, dt=0\.0009765625 in propagation step \d+ of 504"):
         estimate_second_moment_pair(params, disc, desk_op, n_paths=128, master_seed=3)
 
 
 def test_estimator_overflow_fails_loudly(desk_grid, desk_op):
-    # check 4's grid at lam 8: the forms stay finite, but the squared form
-    # gaps of the paths overflow in the stderr sums
+    # check 4's grid at lam 8: the propagated moments pass 2^510, where the
+    # stderr's squared spread of them could leave the double range
     params = make_params(desk_grid, lam=8.0)
     disc = Discretization(grid=desk_grid, dt=1.0 / 1024.0, t_end=0.5, snapshot_times=(0.5,))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # and no numpy overflow warning on the way
-        with pytest.raises(OverflowError, match=r"lam=8\.0, dt=0\.0009765625"):
+        with pytest.raises(OverflowError, match=r"lam=8\.0, dt=0\.0009765625 in propagation step \d+ of 504"):
             estimate_second_moment_pair(params, disc, desk_op, n_paths=16, master_seed=0)
 
 
 @pytest.mark.parametrize("n", [64, 128])
-def test_conditional_forms_peak_memory(n):
+def test_propagation_peak_memory(n):
     grid = laplacian.build_grid(L=1.0, n=n, mu=0.1)
     op = laplacian.assemble(grid, laplacian.OperatorConfig(alpha=1.5))
-    params = make_params(grid)
-    dt = 1.0 / 1024.0
+    X = np.ones((1 + sde._BATCHES, n, n))
     tracemalloc.start()
     try:
-        _MT, _g, forms, _cv = sde._conditional_forms(params, op, grid, dt, 4, 2)
+        propagate(make_params(grid), op, 1.0 / 1024.0, X, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the forms hold 3 n^3 / 8 doubles; with the march tables and temporaries
-    # the peak stays below n^3 doubles, the size of the node-basis forms
-    assert forms.plus.nbytes + forms.minus.nbytes == sde._forms_bytes(n) // 2
-    assert peak <= 8 * n**3
+    # the stack and its two work stacks, with small temporaries beside them:
+    # 27 n^2 doubles, far below the n^3 of one form per node
+    assert peak <= 4 * X.nbytes
 
 
 def test_form_gaps_match_the_two_quadratic_forms(desk_grid, desk_op, desk_params):
-    forms = desk_forms(desk_grid, desk_op, desk_params)[2]
-    A = node_forms(forms)
+    dt, n_steps, cond_steps = 1.0 / 256.0, 32, 16
+    A, _cv = node_basis_forms(desk_params, desk_op, desk_grid, dt, n_steps, cond_steps)
     rng = np.random.default_rng(5)
-    # 200 paths: more than one contraction chunk, and not a multiple of it
+    # 200 paths from path 128 on: pairs 64 to 163, all eight batches
     u = desk_params.u0 + 0.3 * rng.standard_normal((200, desk_grid.n))
     y = u + 0.05 * rng.standard_normal(u.shape)
-    uau = np.einsum("pi,xij,pj->px", u, A, u, optimize=True)
-    yay = np.einsum("pi,xij,pj->px", y, A, y, optimize=True)
-    gaps = sde._form_gaps(forms, u, y)
-    scale = max(np.abs(uau).max(), np.abs(yay).max())
-    assert np.abs(gaps - (uau - yay)).max() <= 1e-12 * scale
-    # a flagged (non-finite) path spoils its own row only
-    u[7] = np.nan
-    spoiled = sde._form_gaps(forms, u, y)
-    assert np.all(np.isnan(spoiled[7]))
-    assert np.array_equal(np.delete(spoiled, 7, axis=0), np.delete(gaps, 7, axis=0))
+    gaps = np.einsum("pi,xij,pj->px", u, A, u, optimize=True) - np.einsum("pi,xij,pj->px", y, A, y, optimize=True)
+    path_sum, alive, batch_sums, pairs = sde._block_sums(u, y, 128)
+    assert alive == 200
+    got = propagate(desk_params, desk_op, dt, np.concatenate([path_sum[None], batch_sums]), n_steps - cond_steps)
+    scale = np.abs(gaps).sum(axis=0).max()
+    assert np.abs(got[0] - gaps.sum(axis=0)).max() <= 1e-12 * scale
+    means = 0.5 * (gaps[0::2] + gaps[1::2])
+    batch = (64 + np.arange(100)) % sde._BATCHES
+    for b in range(sde._BATCHES):
+        assert pairs[b] == np.count_nonzero(batch == b)
+        assert np.abs(got[1 + b] - means[batch == b].sum(axis=0)).max() <= 1e-12 * scale
 
 
 def test_stacked_chaos_march_matches_three_matmul_march(desk_grid, desk_op, desk_params):
-    MT, g, _forms, _cv = desk_forms(desk_grid, desk_op, desk_params)
+    MT, g, _C = desk_control(desk_grid, desk_op, desk_params)
     dx, lam, steps = desk_grid.dx, 1.7, 16
     rng = np.random.default_rng(8)
     noise = rng.standard_normal((10, steps, desk_grid.n)) * math.sqrt(dx / 256.0)
@@ -755,28 +750,16 @@ def test_pair_estimator_matches_the_exact_scheme_moment(desk_grid, desk_op, desk
         assert abs(z.mean()) < 3.0, (est.dt, z.mean())
 
 
-@pytest.mark.parametrize("n", [64, 17])
-def test_parity_split_of_the_eigenvectors(n):
-    grid = laplacian.build_grid(L=1.0, n=n, mu=0.1)
+def test_pair_estimator_runs_on_grids_of_any_size():
+    # no bound on n: at n 360 the two resolutions' stacks hold 18 n^2
+    # doubles (18.7 MB)
+    grid = laplacian.build_grid(L=1.0, n=360, mu=0.1)
     op = laplacian.assemble(grid, laplacian.OperatorConfig(alpha=1.5))
-    even, odd = sde._parity_split(op)
-    assert (even.size, odd.size) == ((n + 1) // 2, n // 2)
-    V = op.eigenvectors
-    assert np.abs(V[::-1, even] - V[:, even]).max() <= 1e-12
-    assert np.abs(V[::-1, odd] + V[:, odd]).max() <= 1e-12
-    # a near-degenerate even/odd pair mixed by eigh is refused, naming the operator
-    a, b = even[-1], odd[-1]
-    mixed = V.copy()
-    mixed[:, a], mixed[:, b] = (V[:, a] + V[:, b]) / math.sqrt(2.0), (V[:, a] - V[:, b]) / math.sqrt(2.0)
-    with pytest.raises(ValueError, match=rf"n={n}, alpha=1\.5"):
-        sde._parity_split(dataclasses.replace(op, eigenvectors=mixed))
-
-
-def test_pair_estimator_refuses_forms_above_the_byte_bound(desk_grid, desk_op, desk_params, monkeypatch):
-    assert sde._forms_bytes(256) <= sde._FORMS_BYTES < sde._forms_bytes(512)
-    monkeypatch.setattr(sde, "_FORMS_BYTES", sde._forms_bytes(desk_grid.n) - 1)
-    with pytest.raises(ValueError, match=r"discretization\.n=64: .* MiB bound"):
-        estimate_second_moment_pair(desk_params, small_disc(desk_grid), desk_op, n_paths=2, master_seed=0)
+    disc = Discretization(grid=grid, dt=1.0 / 256.0, t_end=2.0 / 256.0, snapshot_times=(2.0 / 256.0,))
+    coarse, fine = estimate_second_moment_pair(make_params(grid), disc, op, n_paths=2, master_seed=0)
+    for est in (coarse, fine):
+        assert est.values.shape == (360,)
+        assert np.all(np.isfinite(est.values) & (est.values > 0.0))
 
 
 def test_pair_estimator_noise_chunk_length_never_changes_results(desk_grid, desk_op, desk_params, monkeypatch):
@@ -919,48 +902,107 @@ def test_ensemble_leaves_no_noise_buffer_resident():
     assert growth < snapshot_bytes + 2**21
 
 
-def test_pair_estimator_stderr_is_that_of_the_antithetic_pair_means(desk_grid, desk_op, desk_params, monkeypatch):
-    # reference: the per-path form gaps the estimator contracts, recorded
-    # block by block (one worker: coarse then fine for each block in order)
+def recorded_gaps(params, disc, op, n_paths, master_seed, monkeypatch):
+    """Run the pair estimator on one worker and return it with, per
+    resolution, the per-path gaps u'A_x u - y'A_x y of the states its blocks
+    summed, contracted with the node-basis forms."""
+    states = []
+
+    def spy(u, y, first_path):
+        states.append((u.copy(), y.copy()))
+        return real_sums(u, y, first_path)
+
+    real_sums = sde._block_sums
+    monkeypatch.setattr(sde, "_block_sums", spy)
+    pair = estimate_second_moment_pair(params, disc, op, n_paths=n_paths, master_seed=master_seed)
+    steps = disc.n_steps()
+    cond = max(1, steps // sde._CONDITION_AT)
     gaps = []
+    # one worker: coarse then fine for each block, blocks in order
+    for which, (est, k) in enumerate(zip(pair, (1, 2))):
+        A, cv = node_basis_forms(params, op, op.grid, est.dt, k * steps, k * cond)
+        u = np.concatenate([s[0] for s in states[which::2]])
+        y = np.concatenate([s[1] for s in states[which::2]])
+        gaps.append((np.einsum("pi,xij,pj->px", u, A, u, optimize=True) - np.einsum("pi,xij,pj->px", y, A, y, optimize=True), cv))
+    return pair, gaps
 
-    def spy(forms, u, y):
-        out = real_gaps(forms, u, y)
-        gaps.append(out)
-        return out
 
-    real_gaps = sde._form_gaps
-    monkeypatch.setattr(sde, "_form_gaps", spy)
-    # 300 paths: three blocks, the last one partial.  At t_end 0.125 there
-    # is one conditioning step: a path is linear in the noise, so the pair
-    # means agree to a few ulps and their stderr, 1e-20 to 1e-18, is far below
-    # the rounding of a sum of squares of the values; two centred sums of
-    # those few-ulp deviations agree to some 1e-4 only
-    for t_end, rel in ((0.5, 1e-9), (0.125, 1e-2)):
-        gaps.clear()
-        pair = estimate_second_moment_pair(
-            desk_params, small_disc(desk_grid, dt=1.0 / 256.0, t_end=t_end), desk_op, n_paths=300, master_seed=19
-        )
-        for which, est in enumerate(pair):
-            G = np.concatenate(gaps[which::2])
-            means = 0.5 * (G[0::2] + G[1::2])
-            ref = means.std(axis=0) / math.sqrt(len(means))
-            assert np.all(ref > 0)
-            assert np.abs(est.stderr - ref).max() <= rel * ref.max()
-            # the paths of a pair are correlated, so the path-wise stderr is not it
-            assert np.abs(est.stderr - G.std(axis=0) / math.sqrt(len(G))).max() > 1e-3 * ref.max()
+def batch_means_stderr(gaps):
+    """The stated batch rule by hand: pair j in batch j % 8, weighted by its
+    pairs; every pair here has two finite paths."""
+    means = 0.5 * (gaps[0::2] + gaps[1::2])
+    batch = np.arange(len(means)) % sde._BATCHES
+    used = [b for b in range(sde._BATCHES) if np.any(batch == b)]
+    n_b = np.array([np.count_nonzero(batch == b) for b in used])
+    m_b = np.array([means[batch == b].mean(axis=0) for b in used])
+    mbar = n_b @ m_b / n_b.sum()
+    return np.sqrt(n_b @ (m_b - mbar) ** 2 / ((len(used) - 1) * n_b.sum()))
+
+
+def test_pair_estimator_stderr_is_that_of_the_antithetic_pair_means(desk_grid, desk_op, desk_params, monkeypatch):
+    # 300 paths: three blocks, the last one partial; t_end 0.5: two coarse
+    # conditioning steps, so a path is not linear in its noise and u - y is
+    # more than rounding
+    disc = small_disc(desk_grid, dt=1.0 / 256.0, t_end=0.5)
+    pair, gaps = recorded_gaps(desk_params, disc, desk_op, 300, 19, monkeypatch)
+    for est, (G, cv) in zip(pair, gaps):
+        assert np.abs(est.values - (G.mean(axis=0) + cv)).max() <= 1e-12 * np.abs(est.values).max()
+        ref = batch_means_stderr(G)
+        assert np.all(ref > 0)
+        assert np.abs(est.stderr - ref).max() <= 1e-8 * ref.max()
+        # the paths of a pair are correlated, so the path-wise stderr is not it
+        assert np.abs(est.stderr - G.std(axis=0) / math.sqrt(len(G))).max() > 1e-3 * ref.max()
+
+
+@pytest.mark.parametrize("n_paths", [2, 6])
+def test_pair_estimator_with_fewer_pairs_than_batches(n_paths, desk_grid, desk_op, desk_params, monkeypatch):
+    # each pair is then a batch of its own: the stderr is the per-pair one,
+    # and a single pair, with no spread to measure, has a NaN stderr
+    disc = small_disc(desk_grid, dt=1.0 / 256.0, t_end=0.5)
+    pair, gaps = recorded_gaps(desk_params, disc, desk_op, n_paths, 19, monkeypatch)
+    for est, (G, _cv) in zip(pair, gaps):
+        assert np.all(np.isfinite(est.values))
+        if n_paths == 2:
+            assert np.all(np.isnan(est.stderr))
+            continue
+        means = 0.5 * (G[0::2] + G[1::2])
+        ref = means.std(axis=0, ddof=1) / math.sqrt(len(means))
+        assert np.allclose(batch_means_stderr(G), ref, rtol=1e-12, atol=0.0)
+        assert np.abs(est.stderr - ref).max() <= 1e-8 * ref.max()
 
 
 def test_block_sums_pair_only_paths_that_are_both_finite():
-    vals = np.arange(12.0).reshape(6, 2)
-    alive = np.array([True, True, True, False, True, True])
-    vals[3] = np.nan
-    total, n_alive, pair_sum, pair_m2, n_pairs = sde._block_sums(vals, alive)
-    assert np.array_equal(total, vals[alive].sum(axis=0))
-    means = np.array([vals[0] + vals[1], vals[4] + vals[5]]) / 2
-    assert np.array_equal(pair_sum, means.sum(axis=0))
-    assert np.array_equal(pair_m2, ((means - means.mean(axis=0)) ** 2).sum(axis=0))
-    assert (n_alive, n_pairs) == (5, 2)
+    rng = np.random.default_rng(2)
+    u = rng.standard_normal((6, 3))
+    y = u + 0.1 * rng.standard_normal(u.shape)
+    u[3] = np.nan
+    # paths 20 to 25: pairs 10, 11 and 12 in batches 2, 3 and 4
+    path_sum, alive, batch_sums, pairs = sde._block_sums(u, y, 20)
+    outer = [np.outer(u[p] - y[p], u[p] + y[p]) for p in range(6)]
+    assert alive == 5
+    assert np.allclose(path_sum, sum(outer[p] for p in (0, 1, 2, 4, 5)), rtol=0.0, atol=1e-15)
+    # pair 11 (paths 2 and 3) has a non-finite path: it drops out of its batch
+    assert pairs.tolist() == [0, 0, 1, 0, 1, 0, 0, 0]
+    assert np.allclose(batch_sums[2], 0.5 * (outer[0] + outer[1]), rtol=0.0, atol=1e-15)
+    assert np.allclose(batch_sums[4], 0.5 * (outer[4] + outer[5]), rtol=0.0, atol=1e-15)
+    assert not np.any(np.delete(batch_sums, [2, 4], axis=0))
+
+
+def test_pair_estimator_memory_does_not_grow_with_paths(desk_grid, desk_op, desk_params):
+    # each block's sums are 18 n^2 doubles (590 kB at n 64), added into the
+    # total as the blocks finish; held for all 16 blocks of 2048 paths they
+    # would pass 9 MB
+    disc = small_disc(desk_grid, dt=1.0 / 256.0)
+    estimate_second_moment_pair(desk_params, disc, desk_op, n_paths=2, master_seed=1)
+    peaks = {}
+    for n_paths in (256, 2048):
+        tracemalloc.start()
+        try:
+            estimate_second_moment_pair(desk_params, disc, desk_op, n_paths=n_paths, master_seed=1, worker_count=2)
+            peaks[n_paths] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2048] < peaks[256] + 2**21
 
 
 def test_pair_estimator_worker_count_never_changes_results(desk_grid, desk_op, desk_params):
