@@ -17,6 +17,7 @@ earlier snapshots, and show NaN afterwards; they are never silently dropped.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
 import functools
@@ -387,8 +388,9 @@ def _blas_pinned(threaded: bool):
 
 def _map_threads(fn: Callable, items: list, worker_count: int) -> Iterator:
     """fn over items, serially or on up to worker_count threads; results lazily
-    in item order, so a caller that folds them as they come holds only the
-    results of the items still running ahead of it.
+    in item order.  No more than worker_count items are submitted ahead of
+    the caller, so one that folds the results as they come holds at most
+    worker_count of them, however far it lags behind the workers.
 
     The threaded branch runs BLAS single-threaded and restores the previous
     thread count afterwards; the serial branch leaves BLAS its own threads.
@@ -398,7 +400,13 @@ def _map_threads(fn: Callable, items: list, worker_count: int) -> Iterator:
         return
     with _blas_pinned(True):
         with ThreadPoolExecutor(max_workers=worker_count) as pool:
-            yield from pool.map(fn, items)
+            ahead = collections.deque()
+            for item in items:
+                if len(ahead) == worker_count:
+                    yield ahead.popleft().result()
+                ahead.append(pool.submit(fn, item))
+            while ahead:
+                yield ahead.popleft().result()
 
 
 def _map_blocks(fn: Callable, n_paths: int, worker_count: int, work_doubles: Callable[[int], int]) -> Iterator:
@@ -456,10 +464,9 @@ def _noise_chunks(master_seed: int, blk: range, steps: int, n: int, antithetic: 
     for lo in range(0, steps, m):
         chunk = buf[:, : steps - lo]
         for j, gen in enumerate(gens):
-            row = stride * j
-            gen.standard_normal(out=chunk[row])
-            if antithetic:
-                np.negative(chunk[row], out=chunk[row + 1])
+            gen.standard_normal(out=chunk[stride * j])
+        if antithetic:
+            np.negative(chunk[0::2], out=chunk[1::2])
         yield lo, chunk
 
 
@@ -591,15 +598,13 @@ def run_ensemble(
 # (u_p - y_p)(u_p + y_p)' + C)).  Prop commutes with transposition, so the
 # diagonal sees only the symmetric part, u u' - y y', while the factored form
 # keeps the small difference u - y out of a cancellation.  The map runs in
-# the eigenbasis of the operator: M = V diag(r) V' with r = 1/(1 - dt w), so
-# with Phat = V'PV a step reads
-#
-#     d = diag(V Phat V'),    Phat <- (r r') * (Phat + c V' diag(d) V).
-#
-# Several matrices march as one (K, n, n) stack, each product of a step one
-# batched GEMM.  The standard error needs independent samples, so the antithetic
-# pair means are split into _BATCHES batches by pair index and each batch's
-# mean matrix is propagated beside the estimate.
+# the node basis, as the scheme itself steps: several matrices march as one
+# C-ordered (K, n, n) stack, and a step scales its diagonals by 1 + c, then
+# makes one tall (K n, n) @ M' GEMM and one batched M @ (.) product, so a
+# step is a handful of numpy calls whatever K.  The standard error needs
+# independent samples, so the antithetic pair means are split into _BATCHES
+# batches by pair index and each batch's mean matrix is propagated beside the
+# estimate.
 #
 # Prop depends on dt exactly as the simulation does, so the estimator retains
 # the scheme's full time-discretization bias; only sampling noise is
@@ -608,7 +613,7 @@ def run_ensemble(
 # batches of the pair estimator's standard error: pair j, paths 2j and 2j+1,
 # falls in batch j % _BATCHES.  Each batch adds one n x n matrix to the
 # stack each resolution propagates; 8 leave the stderr 7 degrees of freedom,
-# and a step of the 9-matrix stack costs about 0.23 ms at n 64
+# and a step of the 9-matrix stack costs about 0.19 ms at n 64
 _BATCHES = 8
 # largest second moment the pair estimator propagates (about 3.4e153): its
 # stderr squares the difference of two such values, at most 2^1022
@@ -650,58 +655,50 @@ def _control_moment(params, op, dt, cond_steps):
     return MT, g, np.outer(gs, gs) + Lam + Q
 
 
-def _propagate_diag(op, dt, c, X, steps, overflow):
-    """diag(Prop(X_k)) for a (K, n, n) stack X of node-basis matrices: the map
-    P <- M (P + c diag(diag P)) M' applied ``steps`` times, in the eigenbasis.
+def _propagate_diag(M, c, X, steps, overflow):
+    """diag(Prop(X_k)) for a (K, n, n) stack X: the scheme's own recursion
+    P <- M (P + c diag(diag P)) M' applied ``steps`` times to a C-ordered copy.
 
-    Returns a (K, n) array.  Raises OverflowError, ``overflow`` followed by
-    the step, at the first step with a diagonal that is not finite or whose
-    magnitude passes `_MOMENT_MAX`.
+    A step scales the stack's diagonals by 1 + c, then makes one tall
+    (K n, n) @ M' product and one batched M @ (.) product; the copy and one
+    work stack are all it holds.  Returns a (K, n) array.  Raises
+    OverflowError, ``overflow`` followed by the step, at the first step with a
+    diagonal that is not finite or whose magnitude passes `_MOMENT_MAX`.
     """
-    V, w = op.eigenvectors, op.eigenvalues
-    VT = np.ascontiguousarray(V.T)
-    r = 1.0 / (1.0 - dt * w)
-    RR = np.multiply.outer(r, r)
-    P = VT @ X @ V  # Phat_k = V'X_kV
-    T = np.empty_like(P)
-    U = np.empty_like(P)
-    d = np.empty(X.shape[:2])
+    K, n, _ = X.shape
+    P = np.array(X, dtype=float, order="C")  # the march reshapes it, so never a strided view
+    R = np.empty_like(P)
+    d = P.reshape(K, n * n)[:, :: n + 1]  # a view of the diagonals
+    MT = M.T
 
-    def diagonals(step):
-        np.matmul(V, P, out=T)
-        np.einsum("kib,ib->ki", T, V, out=d)  # d_k = diag(V Phat_k V')
-        if not np.all(np.abs(d) <= _MOMENT_MAX):
+    def check(step):
+        if not np.abs(d).max() <= _MOMENT_MAX:  # NaN fails the comparison too
             raise OverflowError(f"{overflow} {step} of {steps}; lower lam or t_end")
 
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by `diagonals`
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by `check`
         for s in range(steps):
-            diagonals(s + 1)
-            d *= c
-            np.multiply(VT, d[:, None, :], out=T)  # V' diag(c d_k)
-            np.matmul(T, V, out=U)
-            P += U
-            P *= RR
-        diagonals(steps)
+            check(s + 1)
+            d *= 1.0 + c
+            np.matmul(P.reshape(K * n, n), MT, out=R.reshape(K * n, n))
+            np.matmul(M, R, out=P)
+        check(steps)
     return d.copy()
 
 
-def _rb_branch(x, noise, lam, dx, MT, g):
-    """March u, ell (first chaos), q (second chaos) in place through a noise chunk.
+def _rb_branch(x, dW, lam, MT, g):
+    """March u, ell (first chaos), q (second chaos) in place through a chunk
+    of increments ``dW`` (noise / dx).
 
-    The three ride in one (3, B, n) stack ``x``, each forced by lam * m * dW
+    The three ride in one (3, B, n) stack ``x``, each forced by (lam m) dW
     with multiplier m = u, g[s] and the previous step's ell respectively, so
     a step is one (3B, n) @ (n, n) product; g starts at the chunk's first step.
     """
-    nb, steps, n = noise.shape
-    mult = np.empty_like(x)
+    nb, steps, n = dW.shape
     forced = np.empty_like(x)
     for s in range(steps):
-        dW = noise[:, s, :] / dx
-        mult[0] = x[0]
-        mult[1] = g[s]
-        mult[2] = x[1]
-        np.multiply(lam, mult, out=forced)
-        forced *= dW
+        np.multiply(x[:2], lam, out=forced[0::2])  # lam u and lam ell, into the u and q rows
+        np.multiply(g[s], lam, out=forced[1])
+        forced *= dW[:, s, :]
         forced += x
         np.matmul(forced.reshape(3 * nb, n), MT, out=x.reshape(3 * nb, n))
 
@@ -712,13 +709,26 @@ def _block_sums(u, y, first_path):
     ((.)_2j + (.)_2j+1) / 2 of the pairs whose two paths are finite, pair j
     in batch j % _BATCHES.  Returns (path sum (n, n), finite paths, batch
     sums (_BATCHES, n, n), pairs per batch).  Paths 2j and 2j+1 share one
-    noise stream, so the pairs, not the paths, are independent."""
+    noise stream, so the pairs, not the paths, are independent.
+
+    A regular block, every path finite and whole rounds of _BATCHES pairs
+    from a first pair in batch 0, forms its batch sums as one batched
+    product; any other block masks each batch's pairs."""
     alive = np.all(np.isfinite(u), axis=1)
-    both = np.repeat(alive[0::2] & alive[1::2], 2)
-    batch = ((first_path + np.arange(len(u))) // 2) % _BATCHES
+    period = 2 * _BATCHES
     # an overflow shows as inf or nan, which the propagation refuses
     with np.errstate(over="ignore", invalid="ignore"):
         e, f = u - y, u + y
+        if alive.all() and first_path % period == 0 and len(u) % period == 0:
+            rounds = len(u) // period
+            path_sum = e.T @ f
+            # rows of batch b, in path order: (rounds, _BATCHES, 2, n) -> (_BATCHES, 2 rounds, n)
+            eb, fb = (a.reshape(rounds, _BATCHES, 2, -1).swapaxes(0, 1).reshape(_BATCHES, 2 * rounds, -1) for a in (e, f))
+            batch_sums = np.matmul(eb.swapaxes(1, 2), fb)
+            batch_sums *= 0.5
+            return path_sum, len(u), batch_sums, np.full(_BATCHES, rounds)
+        both = np.repeat(alive[0::2] & alive[1::2], 2)
+        batch = ((first_path + np.arange(len(u))) // 2) % _BATCHES
         path_sum = e[alive].T @ f[alive]
         batch_sums = np.stack([0.5 * (e[m].T @ f[m]) for m in (both & (batch == b) for b in range(_BATCHES))])
     pairs = np.bincount(batch[both], minlength=_BATCHES) // 2
@@ -779,14 +789,15 @@ def estimate_second_moment_pair(
         for lo, z in _noise_chunks(master_seed, blk, 2 * cond, grid.n, True, work):
             coarse = half[:, : z.shape[1] // 2]
             np.add(z[:, 0::2], z[:, 1::2], out=coarse)
-            coarse *= scale
-            z *= scale
+            for w in (coarse, z):
+                w *= scale
+                w /= grid.dx
             for xs, w, s0, (MT, g, _C) in zip(x, (coarse, z), (lo // 2, lo), controls):
-                _rb_branch(xs, w, lam, grid.dx, MT, g[s0:])
+                _rb_branch(xs, w, lam, MT, g[s0:])
         return [_block_sums(u, g[-1] + ell + q, blk.start) for (u, ell, q), (_MT, g, _C) in zip(x, controls)]
 
     # the blocks' sums, added in block order as the blocks finish, so no
-    # worker count changes a bit and no more than the running blocks' are held
+    # worker count changes a bit and at most worker_count blocks' sums wait
     sums = None
     for part in _map_blocks(
         run_blk, n_paths, worker_count, lambda paths: 3 * _noise_doubles(paths, 2 * cond, grid.n) // 2
@@ -800,7 +811,7 @@ def estimate_second_moment_pair(
         with np.errstate(invalid="ignore"):  # no finite path: NaN, which the propagation refuses
             stack = np.concatenate([[path_sum / alive + controls[which][2]], batch_sums[full] / pairs[full, None, None]])
         diag = _propagate_diag(
-            op, dt, lam**2 * dt / grid.dx, stack, n_steps - c_steps,
+            controls[which][0].T, lam**2 * dt / grid.dx, stack, n_steps - c_steps,
             f"second moments of the estimator overflowed (above 2^510) at lam={params.lam}, dt={dt} in propagation step",
         )
         values, means, n_b = diag[0], diag[1:], pairs[full]

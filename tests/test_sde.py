@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -230,6 +231,20 @@ def test_map_blocks_hands_out_one_work_array_per_worker(workers):
     arrays = {id(work): work for _, work in got}
     assert len(arrays) == 1 if workers == 1 else 1 <= len(arrays) <= workers
     assert all(work.shape == (3 * sde._BLOCK,) and work.dtype == np.float64 for work in arrays.values())
+
+
+def test_map_threads_submits_at_most_worker_count_items_ahead_of_its_caller():
+    # a caller that lags behind its workers: were every item submitted at
+    # once, the finished results would pile up unconsumed
+    started = []
+
+    def fn(i):
+        started.append(i)
+        return i
+
+    for got in sde._map_threads(fn, list(range(12)), 2):
+        time.sleep(0.01)
+        assert max(started) < got + 2
 
 
 def test_map_blocks_without_blas_hook_is_bit_identical(desk_grid, desk_op, desk_params, monkeypatch):
@@ -526,9 +541,9 @@ def test_coupled_refinement_shares_noise(desk_grid, desk_op, desk_params, monkey
     # (t_end 1: 2 cond = 8 fine steps, one noise chunk)
     seen = []
 
-    def spy(x, noise, lam, dx, MT, g):
-        real_branch(x, noise, lam, dx, MT, g)
-        seen.append((noise.copy(), x[0].copy()))
+    def spy(x, dW, lam, MT, g):
+        real_branch(x, dW, lam, MT, g)
+        seen.append((dW.copy(), x[0].copy()))
 
     real_branch = sde._rb_branch
     monkeypatch.setattr(sde, "_rb_branch", spy)
@@ -583,7 +598,7 @@ def node_basis_forms(params, op, grid, dt, n_steps, cond_steps):
 def propagate(params, op, dt, X, steps):
     """`sde._propagate_diag` of the stack X at the problem's noise level."""
     c = (params.lam * params.sigma.L_sigma) ** 2 * dt / op.grid.dx
-    return sde._propagate_diag(op, dt, c, X, steps, "overflow in step")
+    return sde._propagate_diag(laplacian.implicit_factor(op, dt), c, X, steps, "overflow in step")
 
 
 def test_conditional_forms_are_symmetric(desk_grid, desk_op, desk_params):
@@ -591,9 +606,15 @@ def test_conditional_forms_are_symmetric(desk_grid, desk_op, desk_params):
     # the estimator may propagate (u-y)(u+y)' for uu' - yy' only because every
     # A_x is symmetric: the propagated diagonals of X and X' agree
     X = np.random.default_rng(4).standard_normal((3, desk_grid.n, desk_grid.n))
+    kept = X.copy()
     got = propagate(desk_params, desk_op, 1.0 / 256.0, X, 16)
     swapped = propagate(desk_params, desk_op, 1.0 / 256.0, X.transpose(0, 2, 1), 16)
     assert np.abs(got - swapped).max() <= 1e-13 * np.abs(got).max()
+    # the march reshapes a C-ordered copy: an F-ordered stack holds the same
+    # matrices, so it propagates bit for bit alike, and no input is written
+    fortran = propagate(desk_params, desk_op, 1.0 / 256.0, np.asfortranarray(X), 16)
+    assert np.array_equal(fortran, got)
+    assert np.array_equal(X, kept)
 
 
 # check 4's two resolutions (dt 1/1024 and 1/2048 to T = 0.5, conditioned at
@@ -608,7 +629,7 @@ def test_conditional_forms_are_symmetric(desk_grid, desk_op, desk_params):
     ],
 )
 def test_eigenbasis_forms_match_the_node_basis_march(n, dt, n_steps, cond_steps):
-    # the eigenbasis propagation of a stack against the node-basis forms:
+    # the propagation of a stack against the node-basis forms, one per node:
     # diag(Prop(X))_x = <A_x, X>, and diag(Prop(C)) is the control-variate mean
     grid = laplacian.build_grid(L=1.0, n=n, mu=0.1)
     op = laplacian.assemble(grid, laplacian.OperatorConfig(alpha=1.5))
@@ -628,10 +649,12 @@ def test_eigenbasis_forms_match_the_node_basis_march(n, dt, n_steps, cond_steps)
 
 @pytest.mark.parametrize("lam", [16.0, 32.0, 64.0])
 def test_conditional_forms_overflow_fails_loudly(desk_grid, desk_op, lam):
-    # check 4's grid and steps: from lam 16 on the propagated moments pass 2^510 mid-march
+    # check 4's grid and steps: from lam 16 on the propagated moments pass
+    # 2^510 mid-march, the sooner the larger lam
+    step = {16.0: 185, 32.0: 105, 64.0: 71}[lam]
     params = make_params(desk_grid, lam=lam)
     disc = Discretization(grid=desk_grid, dt=1.0 / 1024.0, t_end=0.5, snapshot_times=(0.5,))
-    with pytest.raises(OverflowError, match=rf"lam={lam}, dt=0\.0009765625 in propagation step \d+ of 504"):
+    with pytest.raises(OverflowError, match=rf"lam={lam}, dt=0\.0009765625 in propagation step {step} of 504"):
         estimate_second_moment_pair(params, disc, desk_op, n_paths=128, master_seed=3)
 
 
@@ -642,7 +665,7 @@ def test_estimator_overflow_fails_loudly(desk_grid, desk_op):
     disc = Discretization(grid=desk_grid, dt=1.0 / 1024.0, t_end=0.5, snapshot_times=(0.5,))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # and no numpy overflow warning on the way
-        with pytest.raises(OverflowError, match=r"lam=8\.0, dt=0\.0009765625 in propagation step \d+ of 504"):
+        with pytest.raises(OverflowError, match=r"lam=8\.0, dt=0\.0009765625 in propagation step 479 of 504"):
             estimate_second_moment_pair(params, disc, desk_op, n_paths=16, master_seed=0)
 
 
@@ -657,9 +680,10 @@ def test_propagation_peak_memory(n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the stack and its two work stacks, with small temporaries beside them:
-    # 27 n^2 doubles, far below the n^3 of one form per node
-    assert peak <= 4 * X.nbytes
+    # a C-ordered copy of the stack and one work stack, with M and small
+    # temporaries beside them: 18 n^2 doubles (about 2.15 X.nbytes), far
+    # below the n^3 of one form per node; 27 n^2 fails the bound
+    assert peak <= 2.5 * X.nbytes
 
 
 def test_form_gaps_match_the_two_quadratic_forms(desk_grid, desk_op, desk_params):
@@ -701,7 +725,7 @@ def test_stacked_chaos_march_matches_three_matmul_march(desk_grid, desk_op, desk
     x = np.zeros((3, 10, desk_grid.n))
     x[0] = desk_params.u0
     for lo, hi in ((0, 6), (6, steps)):
-        sde._rb_branch(x, noise[:, lo:hi], lam, dx, MT, g[lo:])
+        sde._rb_branch(x, noise[:, lo:hi] / dx, lam, MT, g[lo:])
     got_u, got_y = x[0], g[steps] + x[1] + x[2]
     assert np.abs(got_u - u).max() <= 1e-12 * np.abs(u).max()
     assert np.abs(got_y - y).max() <= 1e-12 * np.abs(y).max()
@@ -720,7 +744,7 @@ def test_estimator_step_matches_the_ensemble_step_on_the_same_noise(desk_grid, d
     x[0] = params.u0
     MT = laplacian.implicit_factor(desk_op, dt).T
     g = np.zeros((steps, desk_grid.n))
-    sde._rb_branch(x, z * math.sqrt(dt * desk_grid.dx), params.lam, desk_grid.dx, MT, g)
+    sde._rb_branch(x, z * math.sqrt(dt * desk_grid.dx) / desk_grid.dx, params.lam, MT, g)
     assert np.abs(x[0] - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
@@ -986,6 +1010,49 @@ def test_block_sums_pair_only_paths_that_are_both_finite():
     assert np.allclose(batch_sums[2], 0.5 * (outer[0] + outer[1]), rtol=0.0, atol=1e-15)
     assert np.allclose(batch_sums[4], 0.5 * (outer[4] + outer[5]), rtol=0.0, atol=1e-15)
     assert not np.any(np.delete(batch_sums, [2, 4], axis=0))
+
+
+def masked_block_sums(u, y, first_path):
+    """`sde._block_sums` of a block whose paths are all finite, one masked
+    product per batch: pair j, paths 2j and 2j+1, in batch j % _BATCHES."""
+    e, f = u - y, u + y
+    batch = ((first_path + np.arange(len(u))) // 2) % sde._BATCHES
+    sums = np.stack([0.5 * (e[batch == b].T @ f[batch == b]) for b in range(sde._BATCHES)])
+    return e.T @ f, sums, np.bincount(batch, minlength=sde._BATCHES) // 2
+
+
+# check 4's blocks: full ones at paths 0 and 128, and the 16-path tail of 10^4
+@pytest.mark.parametrize(("first_path", "paths"), [(0, 128), (128, 128), (9984, 16)])
+def test_block_sums_of_a_regular_block_match_the_masked_sums(first_path, paths):
+    rng = np.random.default_rng(first_path)
+    u = 1.0 + 0.3 * rng.standard_normal((paths, 64))
+    y = u + 0.05 * rng.standard_normal(u.shape)
+    path_sum, alive, batch_sums, pairs = sde._block_sums(u, y, first_path)
+    ref_sum, ref_batches, ref_pairs = masked_block_sums(u, y, first_path)
+    assert alive == paths
+    assert pairs.tolist() == ref_pairs.tolist() == [paths // 16] * sde._BATCHES
+    assert np.allclose(path_sum, ref_sum, rtol=0.0, atol=1e-15)
+    assert np.allclose(batch_sums, ref_batches, rtol=0.0, atol=1e-15)
+
+
+def test_block_sums_of_a_block_with_a_non_finite_path_mask_it_out():
+    # a batched product over every row would carry the NaN into all the sums
+    rng = np.random.default_rng(3)
+    u = 1.0 + 0.3 * rng.standard_normal((128, 64))
+    y = u + 0.05 * rng.standard_normal(u.shape)
+    u[5] = np.nan
+    path_sum, alive, batch_sums, pairs = sde._block_sums(u, y, 128)
+    keep = np.arange(128) != 5
+    ref_sum, _, _ = masked_block_sums(u[keep], y[keep], 0)
+    assert alive == 127
+    assert np.allclose(path_sum, ref_sum, rtol=0.0, atol=1e-15)
+    # path 133 is in pair 66, batch 2, which loses that pair and no other
+    assert pairs.tolist() == [8, 8, 7, 8, 8, 8, 8, 8]
+    assert np.all(np.isfinite(batch_sums))
+    pair_means = [0.5 * (np.outer(u[p] - y[p], u[p] + y[p]) + np.outer(u[p + 1] - y[p + 1], u[p + 1] + y[p + 1])) for p in range(0, 128, 2)]
+    batch = (64 + np.arange(64)) % sde._BATCHES
+    ref_batch_2 = sum(m for j, m in enumerate(pair_means) if batch[j] == 2 and j != 2)
+    assert np.allclose(batch_sums[2], ref_batch_2, rtol=0.0, atol=1e-13)
 
 
 def test_pair_estimator_memory_does_not_grow_with_paths(desk_grid, desk_op, desk_params):
